@@ -26,7 +26,7 @@ from .core import (
 )
 from .typecheck import infer_direct
 from .mnf import to_mnf
-from .graphir import erase, synthesize_config
+from .graphir import erase, initial_state, synthesize_config
 from .interp import canonical_value, eval_direct, eval_graph, eval_store
 from .optimize import RULES, optimize
 from .schedule import (
@@ -72,7 +72,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 _KEYWORDS = {"let", "in", "fun", "ref", "unit", "true", "false",
-             "rd", "wr", "if", "then", "else"}
+             "rd", "wr"}
 
 
 @dataclass(frozen=True)
@@ -730,30 +730,29 @@ def _regime(args) -> str:
     return RW if getattr(args, "regime", "hard") == "rw" else HARD
 
 
-def _build_config(src: str, regime: str) -> RuntimeConfig:
+def _front_end(src: str) -> tuple:
+    """Parse and type a program against one initial store. Every later stage
+    draws fresh names from that store's supply, so they never clash with
+    the program's own. Returns (store, term, typing)."""
     store = initial_store()
     t = parse(src, store)
-    infer_direct(store.typing(), t)
-    g = to_mnf(t, store.supply)
-    return synthesize_config(store, g, regime)
+    return store, t, infer_direct(store.typing(), t)
+
+
+def _build_config(src: str, regime: str) -> RuntimeConfig:
+    store, t, _ = _front_end(src)
+    return synthesize_config(store, to_mnf(t, store.supply), regime)
 
 
 def cmd_check(args) -> int:
-    src = _read(args.file)
-    store = initial_store()
-    t = parse(src, store)
-    typing = infer_direct(store.typing(), t)
+    _, _, typing = _front_end(_read(args.file))
     print(f"{qt_to_text(typing.qt)} ; {effect_to_text(typing.eff)}")
     return 0
 
 
 def cmd_mnf(args) -> int:
-    src = _read(args.file)
-    store = initial_store()
-    t = parse(src, store)
-    infer_direct(store.typing(), t)
-    g = to_mnf(t, store.supply)
-    print(graph_to_text(g))
+    store, t, _ = _front_end(_read(args.file))
+    print(graph_to_text(to_mnf(t, store.supply)))
     return 0
 
 
@@ -773,11 +772,9 @@ def cmd_opt(args) -> int:
             raise ParseError(f"unknown pass {p!r}; choose from "
                              f"{','.join(RULES)}")
     cfg = _build_config(_read(args.file), _regime(args))
-    from .graphir import initial_state
-    store = initial_store()
-    st, _ = initial_state(store, regime=_regime(args))
+    st, _ = initial_state(cfg.store, cfg.z, _regime(args))
     g2, reports = optimize(st, cfg.graph, passes, fuel=args.fuel,
-                           supply=store.supply)
+                           supply=cfg.store.supply)
     if args.report == "json":
         out = [{"rule": r.rule, "site": list(r.site), "fired": r.fired,
                 "reason": r.reason} for r in reports]
@@ -819,17 +816,12 @@ def cmd_schedule(args) -> int:
 
 def cmd_run(args) -> int:
     src = _read(args.file)
-    store = initial_store()
-    t = parse(src, store)
-    infer_direct(store.typing(), t)
-    if args.semantics == "direct":
-        res = eval_direct(initial_store(), t, trace=args.trace)
-    elif args.semantics == "store":
-        res = eval_store(initial_store(), t, trace=args.trace)
+    if args.semantics == "graph":
+        res = eval_graph(_build_config(src, _regime(args)), trace=args.trace)
     else:
-        g = to_mnf(t, store.supply)
-        cfg = synthesize_config(initial_store(), g, _regime(args))
-        res = eval_graph(cfg, trace=args.trace)
+        store, t, _ = _front_end(src)
+        run = eval_direct if args.semantics == "direct" else eval_store
+        res = run(store, t, trace=args.trace)
     if args.trace and res.trace is not None:
         for entry in res.trace:
             print(f"  [{entry[0]}]")

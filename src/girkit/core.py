@@ -444,10 +444,6 @@ def saturate(q: Qualifier, ctx: TypingContext) -> Qualifier:
     return Qualifier(frozenset(seen))
 
 
-def saturate_effect(e: RwEffect, ctx: TypingContext) -> RwEffect:
-    return RwEffect(saturate(e.reads, ctx), saturate(e.writes, ctx))
-
-
 def overlap(p: Qualifier, q: Qualifier, ctx: TypingContext) -> Qualifier:
     """Permitted overlap p* ∩ q*."""
     return saturate(p, ctx) & saturate(q, ctx)
@@ -556,19 +552,6 @@ def dep_restrict_names(d: DepMap, names: Qualifier) -> DepMap:
                        {k: v for k, v in d.soft.items() if k in keep})
 
 
-def dep_remove_targets(d: DepMap, names: frozenset) -> DepMap:
-    """Δ − α: drop entries whose target falls in α (soft sets shrink)."""
-    hard = {k: v for k, v in d.hard.items() if v not in names}
-    soft = {k: (v - names) for k, v in d.soft.items()}
-    return DepMap.make(hard, soft)
-
-
-def dep_remove_keys(d: DepMap, names: frozenset) -> DepMap:
-    """Δ \\ α: drop entries whose key falls in α."""
-    return DepMap.make({k: v for k, v in d.hard.items() if k not in names},
-                       {k: v for k, v in d.soft.items() if k not in names})
-
-
 def dep_rewire(d1: DepMap, x: Name, d2: DepMap) -> DepMap:
     """d1[x ⇝ d2]: reroute entries of d1 targeting x through d2 (entries
     with no route in d2 are dropped)."""
@@ -638,16 +621,6 @@ def points_to(names: Iterable[Name], z: Name) -> DepMap:
     return DepMap.make(hard, {})
 
 
-def dep_lift(d: DepMap, names: Iterable[Name], z: Name) -> DepMap:
-    """Δ↑^z: complete the map with n↦z for context names missing a hard
-    entry (used when substituting under a rebased context)."""
-    hard = dict(d.hard)
-    for n in names:
-        if n not in hard:
-            hard[n] = z
-    return DepMap.make(hard, d.soft)
-
-
 def dep_submap(d1: DepMap, d2: DepMap) -> bool:
     """d1 ⊑ d2 modulo normal form: every hard entry of d1 appears in d2;
     every soft target of d1 appears among d2's targets for that key."""
@@ -664,14 +637,6 @@ def dep_add_hard(d: DepMap, key: Name, target: Name) -> DepMap:
     hard = dict(d.hard)
     hard[key] = target
     return DepMap.make(hard, d.soft)
-
-
-def dep_flatten(d: DepMap) -> dict:
-    """Per-key set of all targets, hard and soft together."""
-    out = {}
-    for k in d.domain():
-        out[k] = d.all_targets_of(k)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -875,36 +840,6 @@ def rename_term(t: Term, mapping: dict) -> Term:
     raise TypeError(t)
 
 
-def alpha_rename_term(t: Term, supply: NameSupply) -> Term:
-    """Freshen every binder so bound names are globally unique."""
-    def go(t: Term, env: dict) -> Term:
-        if isinstance(t, Cst):
-            return t
-        if isinstance(t, Nm):
-            return Nm(env.get(t.name, t.name), t.span)
-        if isinstance(t, Lam):
-            fresh = supply.fresh_like(t.param)
-            env2 = dict(env)
-            env2[t.param] = fresh
-            return Lam(fresh, _rename_qt(t.param_qt, env),
-                       _rename_effect(t.latent, env), go(t.body, env2), t.span)
-        if isinstance(t, App):
-            return App(go(t.fn, env), go(t.arg, env), t.span)
-        if isinstance(t, RefNew):
-            return RefNew(go(t.cap, env), go(t.init, env), t.span)
-        if isinstance(t, Deref):
-            return Deref(go(t.ref, env), t.span)
-        if isinstance(t, Assign):
-            return Assign(go(t.ref, env), go(t.value, env), t.span)
-        if isinstance(t, Let):
-            fresh = supply.fresh_like(t.var)
-            env2 = dict(env)
-            env2[t.var] = fresh
-            return Let(fresh, go(t.bound, env), go(t.body, env2), t.span)
-        raise TypeError(t)
-    return go(t, {})
-
-
 def alpha_equal_terms(t1: Term, t2: Term) -> bool:
     """Structural equality up to consistent renaming of bound names."""
     def go(a, b, env):
@@ -999,10 +934,6 @@ GraphTerm = Union[GName, GLet]
 Binding = Union[GraphNode, GName, GLet]
 
 
-def is_node(b: Binding) -> bool:
-    return isinstance(b, (NCst, NLam, NApp, NRef, NDeref, NAssign))
-
-
 def graph_free_names(g: Union[GraphTerm, GraphNode]) -> frozenset:
     if isinstance(g, GName):
         return frozenset((g.name,))
@@ -1027,36 +958,25 @@ def graph_free_names(g: Union[GraphTerm, GraphNode]) -> frozenset:
     raise TypeError(g)
 
 
-def _rename_dep(d: Optional[DepMap], mapping: dict) -> Optional[DepMap]:
-    if d is None or not mapping:
-        return d
-    hard = {mapping.get(k, k): mapping.get(v, v) for k, v in d.hard.items()}
-    soft = {mapping.get(k, k): frozenset(mapping.get(v, v) for v in t)
-            for k, t in d.soft.items()}
-    return DepMap.make(hard, soft)
-
-
-def rename_graph(g, mapping: dict, rename_deps: bool = False):
-    """Rename free names in a graph term/node. By default dependency
-    annotations are untouched (their updates go through rewiring and domain
-    substitution); rename_deps=True renames them too (pure α-renaming)."""
+def rename_graph(g, mapping: dict):
+    """Rename free names in a graph term/node. Dependency annotations are
+    untouched (their updates go through rewiring and domain
+    substitution)."""
     if not mapping:
         return g
     if isinstance(g, GName):
         return GName(mapping.get(g.name, g.name))
     if isinstance(g, GLet):
         inner = {k: v for k, v in mapping.items() if k != g.var}
-        dep = _rename_dep(g.dep, mapping) if rename_deps else g.dep
-        return GLet(g.var, rename_graph(g.binding, mapping, rename_deps),
-                    rename_graph(g.body, inner, rename_deps), dep)
+        return GLet(g.var, rename_graph(g.binding, mapping),
+                    rename_graph(g.body, inner), g.dep)
     if isinstance(g, NCst):
         return g
     if isinstance(g, NLam):
         inner = {k: v for k, v in mapping.items() if k != g.param}
-        dep = _rename_dep(g.body_dep, inner) if rename_deps else g.body_dep
         return NLam(g.param, _rename_qt(g.param_qt, inner),
                     _rename_effect(g.latent, inner),
-                    rename_graph(g.body, inner, rename_deps), dep)
+                    rename_graph(g.body, inner), g.body_dep)
     if isinstance(g, NApp):
         return NApp(mapping.get(g.fn, g.fn), mapping.get(g.arg, g.arg))
     if isinstance(g, NRef):
@@ -1066,50 +986,6 @@ def rename_graph(g, mapping: dict, rename_deps: bool = False):
     if isinstance(g, NAssign):
         return NAssign(mapping.get(g.ref, g.ref), mapping.get(g.value, g.value))
     raise TypeError(g)
-
-
-def alpha_equal_graphs(g1, g2, compare_deps: bool = False) -> bool:
-    def qrename(q, env):
-        return _rename_qual(q, env)
-
-    def go(a, b, env):
-        if isinstance(a, GName) and isinstance(b, GName):
-            return env.get(a.name, a.name) == b.name
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, GLet):
-            if not go(a.binding, b.binding, env):
-                return False
-            if compare_deps and _rename_dep(a.dep, env) != b.dep:
-                return False
-            env2 = dict(env)
-            env2[a.var] = b.var
-            return go(a.body, b.body, env2)
-        if isinstance(a, NCst):
-            return a.value == b.value and type(a.value) is type(b.value)
-        if isinstance(a, NLam):
-            env2 = dict(env)
-            env2[a.param] = b.param
-            if _rename_qt(a.param_qt, env) != _rename_qt(b.param_qt, {}):
-                return False
-            if _rename_effect(a.latent, env) != b.latent:
-                return False
-            if compare_deps and _rename_dep(a.body_dep, env2) != b.body_dep:
-                return False
-            return go(a.body, b.body, env2)
-        if isinstance(a, NApp):
-            return (env.get(a.fn, a.fn) == b.fn
-                    and env.get(a.arg, a.arg) == b.arg)
-        if isinstance(a, NRef):
-            return (env.get(a.cap, a.cap) == b.cap
-                    and env.get(a.init, a.init) == b.init)
-        if isinstance(a, NDeref):
-            return env.get(a.ref, a.ref) == b.ref
-        if isinstance(a, NAssign):
-            return (env.get(a.ref, a.ref) == b.ref
-                    and env.get(a.value, a.value) == b.value)
-        raise TypeError(a)
-    return go(g1, g2, {})
 
 
 # ---------------------------------------------------------------------------

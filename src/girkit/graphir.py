@@ -9,13 +9,14 @@ from dataclasses import dataclass
 
 from .core import (
     DepMap, DepMismatch, EMPTY_DEP, GLet, GName, GraphTerm, HARD, Name,
-    NLam, Nm, QualifiedType, RuntimeConfig, Store,
-    TypingContext, dep_last_use, dep_restrict, dep_restrict_names,
-    dep_rewire, dep_submap, dep_update, overlap, points_to,
-    saturate, subst_qual, ty_free_names, TypeMismatch,
+    NLam, Nm, RuntimeConfig, Store, TypingContext, dep_last_use,
+    dep_restrict, dep_restrict_names, dep_rewire, dep_submap, dep_update,
+    points_to, saturate,
 )
 from .mnf import check_binding
-from .typecheck import Typing, infer_direct
+from .typecheck import (
+    Typing, bind_let, infer_direct, lam_body_ctx, let_typing,
+)
 
 
 @dataclass
@@ -33,28 +34,13 @@ def synthesize(st: SynthState, g: GraphTerm) -> tuple[GraphTerm, DepMap]:
 
     The slice always equals the last-use map restricted to the term's
     saturated effect; in the hard regime the rule-by-rule composition is
-    asserted to coincide with it exactly, in the read/write regime the
+    checked to coincide with it exactly, in the read/write regime the
     composition is a sub-map refinement (internal writes can downgrade an
     external hard dependency to a soft one, which the restriction view
-    over-approximates)."""
+    over-approximates). A composition that breaks either relation raises
+    DepMismatch."""
     g2, out, slice_, _typing = _synth(st.ctx, st.last_use, g, st.regime)
     return g2, slice_
-
-
-def _let_typing(ctx: TypingContext, var: Name, bound: Typing,
-                body: Typing) -> Typing:
-    if var in ty_free_names(body.qt.ty):
-        raise TypeMismatch(f"let-bound {var!r} occurs in the result type")
-    p = bound.qt.qual
-    res_qual = subst_qual(body.qt.qual, var, p)
-    eff = bound.eff.seq(body.eff).subst(var, p)
-    return Typing(QualifiedType(body.qt.ty, res_qual), eff)
-
-
-def _bind_ctx(ctx: TypingContext, var: Name, bound: Typing) -> TypingContext:
-    bind_q = overlap(bound.qt.qual, ctx.phi, ctx)
-    return (ctx.bind_var(var, QualifiedType(bound.qt.ty, bind_q))
-            .with_phi(ctx.phi.add(var)))
 
 
 def _synth(ctx, delta, g, regime):
@@ -64,19 +50,19 @@ def _synth(ctx, delta, g, regime):
         return g, EMPTY_DEP, EMPTY_DEP, typing
     if isinstance(g, GLet):
         b2, d1, tb = _synth_binding(ctx, delta, g.binding, regime)
-        ctx2 = _bind_ctx(ctx, g.var, tb)
+        ctx2 = bind_let(ctx, g.var, tb)
         delta2 = dep_last_use(delta, g.var, tb.eff, ctx, regime)
         body2, d2, _slice2, t2 = _synth(ctx2, delta2, g.body, regime)
         reroute = dep_restrict_names(delta, saturate(tb.qt.qual, ctx))
         out = dep_update(d1, dep_rewire(d2, g.var, reroute))
-        typing = _let_typing(ctx, g.var, tb, t2)
+        typing = let_typing(g.var, tb, t2)
         slice_ = dep_restrict(delta, typing.eff, ctx, regime)
-        if regime == HARD:
-            assert out == slice_, (
-                f"hard-regime composition {out!r} != slice {slice_!r}")
-        else:
-            assert dep_submap(out, slice_), (
-                f"rw composition {out!r} not within slice {slice_!r}")
+        if not (out == slice_ if regime == HARD
+                else dep_submap(out, slice_)):
+            raise DepMismatch(
+                f"{regime}-regime composition {out!r} does not fit the "
+                f"slice {slice_!r}", node=g.var, annotated=out,
+                required=slice_)
         return GLet(g.var, b2, body2, d1), out, slice_, typing
     raise TypeError(g)
 
@@ -88,9 +74,7 @@ def _synth_binding(ctx, delta, b, regime):
         return b2, out, typing
     if isinstance(b, NLam):
         typing = check_binding(ctx, b)  # validates capture/latent first
-        fun_q = typing.qt.qual
-        phi2 = fun_q.add(b.param)
-        ctx2 = ctx.bind_var(b.param, b.param_qt).with_phi(phi2)
+        ctx2 = lam_body_ctx(ctx, b, typing.qt.qual)
         # body synthesized with every last use pointing at the parameter
         delta_body = points_to(ctx2.domain(), b.param)
         body2, body_out, _slice, _tbody = _synth(ctx2, delta_body, b.body,
@@ -121,10 +105,10 @@ def _check(ctx, delta, g, regime):
                 f"annotation {annotated!r} on {g.var!r} exceeds required "
                 f"slice {required!r}",
                 node=g.var, annotated=annotated, required=required)
-        ctx2 = _bind_ctx(ctx, g.var, tb)
+        ctx2 = bind_let(ctx, g.var, tb)
         delta2 = dep_last_use(delta, g.var, tb.eff, ctx, regime)
         t2, _ = _check(ctx2, delta2, g.body, regime)
-        return _let_typing(ctx, g.var, tb, t2), EMPTY_DEP
+        return let_typing(g.var, tb, t2), EMPTY_DEP
     raise TypeError(g)
 
 
@@ -134,9 +118,7 @@ def _check_binding(ctx, delta, b, regime) -> Typing:
         return typing
     if isinstance(b, NLam):
         typing = check_binding(ctx, b)
-        fun_q = typing.qt.qual
-        ctx2 = (ctx.bind_var(b.param, b.param_qt)
-                .with_phi(fun_q.add(b.param)))
+        ctx2 = lam_body_ctx(ctx, b, typing.qt.qual)
         delta_body = points_to(ctx2.domain(), b.param)
         tbody, _ = _check(ctx2, delta_body, b.body, regime)
         annotated = b.body_dep if b.body_dep is not None else EMPTY_DEP

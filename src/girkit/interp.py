@@ -300,7 +300,8 @@ def _step_graph(store: Store, z: Name, g: GraphTerm):
         if g.name.is_loc:
             return None
         raise Stuck(f"free variable {g.name!r} at runtime")
-    assert isinstance(g, GLet)
+    if not isinstance(g, GLet):
+        raise Stuck(f"graph term expected, got {g!r}")
     x, b, body, dep = g.var, g.binding, g.body, g.dep
 
     if isinstance(b, GLet):  # descend into the nested block first

@@ -10,9 +10,9 @@ from __future__ import annotations
 from .core import (
     App, Assign, Cst, Deref, GLet, GName, GraphTerm, Lam, Let, Name,
     NameSupply, NApp, NAssign, NCst, NDeref, NLam, NRef, Nm, RefNew, Term,
-    TypingContext,
+    TypingContext, graph_free_names,
 )
-from .typecheck import Typing, infer_direct
+from .typecheck import Typing, bind_let, check_lam, infer_direct, let_typing
 
 
 def to_mnf(t: Term, supply: NameSupply) -> GraphTerm:
@@ -113,65 +113,23 @@ def is_mnf(t: Term) -> bool:
 def check_mnf(ctx: TypingContext, g) -> Typing:
     """Type a graph term under the MNF rules. Node rules mirror the direct
     rules with name operands, so node cases delegate to the direct checker
-    on the embedded one-node term; lets and lambdas recurse structurally."""
+    on the embedded one-node term; lets and lambdas recurse structurally
+    through the binder rules the direct checker uses."""
     if isinstance(g, GName):
         return infer_direct(ctx, Nm(g.name))
     if isinstance(g, GLet):
         bound = check_binding(ctx, g.binding)
-        # same shape as the direct let rule
-        from .core import QualifiedType, overlap, subst_qual, ty_free_names
-        from .core import TypeMismatch
-        p = bound.qt.qual
-        bind_q = overlap(p, ctx.phi, ctx)
-        ctx2 = (ctx.bind_var(g.var, QualifiedType(bound.qt.ty, bind_q))
-                .with_phi(ctx.phi.add(g.var)))
-        body = check_mnf(ctx2, g.body)
-        if g.var in ty_free_names(body.qt.ty):
-            raise TypeMismatch(
-                f"let-bound {g.var!r} occurs in the body's result type")
-        from .core import QualifiedType as QT
-        res_qual = subst_qual(body.qt.qual, g.var, p)
-        eff = bound.eff.seq(body.eff).subst(g.var, p)
-        return Typing(QT(body.qt.ty, res_qual), eff)
+        body = check_mnf(bind_let(ctx, g.var, bound), g.body)
+        return let_typing(g.var, bound, body)
     raise TypeError(g)
 
 
 def check_binding(ctx: TypingContext, b) -> Typing:
     if isinstance(b, (GName, GLet)):
         return check_mnf(ctx, b)
-    if isinstance(b, NCst):
-        return infer_direct(ctx, Cst(b.value))
     if isinstance(b, NLam):
-        # mirror the direct lambda rule with an MNF body
-        from .core import (EffectEscape, FunTy, PURE, Qualifier,
-                           QualifiedType, QualifierEscape, graph_free_names)
-        q = Qualifier(graph_free_names(b))
-        if not q <= ctx.phi:
-            raise QualifierEscape(
-                f"closure captures {q - ctx.phi!r} outside observation",
-                qual=q, phi=ctx.phi)
-        phi2 = q.add(b.param)
-        ctx2 = ctx.bind_var(b.param, b.param_qt).with_phi(phi2)
-        if not b.latent.flat <= phi2:
-            raise EffectEscape(
-                f"declared latent effect {b.latent!r} mentions names outside "
-                f"{phi2!r}", eff=b.latent, phi=phi2)
-        body = check_mnf(ctx2, b.body)
-        if not body.eff.included_in(b.latent):
-            raise EffectEscape(
-                f"body effect {body.eff!r} not covered by declared latent "
-                f"{b.latent!r}", eff=body.eff)
-        fun = FunTy(b.param, b.param_qt, b.latent, body.qt)
-        return Typing(QualifiedType(fun, q), PURE)
-    if isinstance(b, NApp):
-        return infer_direct(ctx, App(Nm(b.fn), Nm(b.arg)))
-    if isinstance(b, NRef):
-        return infer_direct(ctx, RefNew(Nm(b.cap), Nm(b.init)))
-    if isinstance(b, NDeref):
-        return infer_direct(ctx, Deref(Nm(b.ref)))
-    if isinstance(b, NAssign):
-        return infer_direct(ctx, Assign(Nm(b.ref), Nm(b.value)))
-    raise TypeError(b)
+        return check_lam(ctx, b, graph_free_names(b), check_mnf)
+    return infer_direct(ctx, embed(b))
 
 
 def collapse_administrative(g, watermark: int) -> Term:
@@ -216,18 +174,8 @@ def collapse_administrative(g, watermark: int) -> Term:
     def go_binding(b) -> Term:
         if isinstance(b, (GName, GLet)):
             return go(b)
-        if isinstance(b, NCst):
-            return Cst(b.value)
         if isinstance(b, NLam):
             return Lam(b.param, b.param_qt, b.latent, go(b.body))
-        if isinstance(b, NApp):
-            return App(Nm(b.fn), Nm(b.arg))
-        if isinstance(b, NRef):
-            return RefNew(Nm(b.cap), Nm(b.init))
-        if isinstance(b, NDeref):
-            return Deref(Nm(b.ref))
-        if isinstance(b, NAssign):
-            return Assign(Nm(b.ref), Nm(b.value))
-        raise TypeError(b)
+        return embed(b)
 
     return go(g)

@@ -13,8 +13,9 @@ from .core import (
     TypingContext, graph_free_names, graph_to_text, rename_graph,
     saturate,
 )
-from .graphir import SynthState, _bind_ctx, erase, synthesize
+from .graphir import SynthState, erase, synthesize
 from .mnf import check_binding
+from .typecheck import bind_let, lam_body_ctx
 
 
 @dataclass
@@ -71,9 +72,7 @@ def _navigate(st: SynthState, g: GraphTerm, path: tuple):
                               GLet(g.var, rb(frag), g.body, None))
             if isinstance(b, NLam):
                 tb = check_binding(ctx, b)
-                ctx2 = (ctx.bind_var(b.param, b.param_qt)
-                        .with_phi(tb.qt.qual.add(b.param)))
-                c, f, rb = go(ctx2, b.body, rest)
+                c, f, rb = go(lam_body_ctx(ctx, b, tb.qt.qual), b.body, rest)
                 return c, f, (lambda frag:
                               GLet(g.var,
                                    NLam(b.param, b.param_qt, b.latent,
@@ -83,8 +82,7 @@ def _navigate(st: SynthState, g: GraphTerm, path: tuple):
         if i == 1:
             tb = check_binding(ctx, g.binding)
             defs[g.var] = (g.binding, tb)
-            ctx2 = _bind_ctx(ctx, g.var, tb)
-            c, f, rb = go(ctx2, g.body, rest)
+            c, f, rb = go(bind_let(ctx, g.var, tb), g.body, rest)
             return c, f, (lambda frag: GLet(g.var, g.binding, rb(frag), None))
         raise SideConditionFailed(f"bad path step {i}")
 
@@ -166,31 +164,6 @@ def _resolve_lam(defs: dict, name: Name):
     return None
 
 
-def _max_id(g) -> int:
-    best = 0
-
-    def bump(n: Name):
-        nonlocal best
-        best = max(best, n.id)
-
-    def go(g):
-        if isinstance(g, GName):
-            bump(g.name)
-        elif isinstance(g, GLet):
-            bump(g.var)
-            go(g.binding)
-            go(g.body)
-        elif isinstance(g, NLam):
-            bump(g.param)
-            go(g.body)
-        else:
-            for n in graph_free_names(g):
-                bump(n)
-
-    go(g)
-    return best
-
-
 def _freshen(g, supply: NameSupply):
     """Rename every binder in a graph term to a fresh name."""
     def go(g, env):
@@ -225,7 +198,7 @@ def _freshen(g, supply: NameSupply):
 # ---------------------------------------------------------------------------
 
 def rw_dce(st: SynthState, g: GraphTerm, site: tuple,
-           supply: NameSupply | None = None) -> GraphTerm:
+           supply: NameSupply) -> GraphTerm:
     """Remove a binding whose result is dead and whose effect is at most
     allocation."""
     ctx, _defs, focus, rebuild = _navigate(st, g, site)
@@ -242,7 +215,7 @@ def rw_dce(st: SynthState, g: GraphTerm, site: tuple,
 
 
 def rw_comm(st: SynthState, g: GraphTerm, site: tuple,
-            supply: NameSupply | None = None) -> GraphTerm:
+            supply: NameSupply) -> GraphTerm:
     """Swap two adjacent bindings with disjoint saturated effects."""
     ctx, _defs, focus, rebuild = _navigate(st, g, site)
     if not isinstance(focus.body, GLet):
@@ -251,7 +224,7 @@ def rw_comm(st: SynthState, g: GraphTerm, site: tuple,
     inner = focus.body
     x2, b2 = inner.var, inner.binding
     t1 = check_binding(ctx, b1)
-    ctx2 = _bind_ctx(ctx, x1, t1)
+    ctx2 = bind_let(ctx, x1, t1)
     t2 = check_binding(ctx2, b2)
     e1 = saturate(t1.eff.flat, ctx2)
     e2 = saturate(t2.eff.flat, ctx2)
@@ -266,9 +239,9 @@ def rw_comm(st: SynthState, g: GraphTerm, site: tuple,
 
 
 def rw_hoist(st: SynthState, g: GraphTerm, site: tuple,
-             supply: NameSupply | None = None) -> GraphTerm:
-    """Move a strictly pure, parameter-independent first binding out of
-    a lambda body."""
+             supply: NameSupply) -> GraphTerm:
+    """Move a strictly pure, untracked, parameter-independent first binding
+    out of a lambda body."""
     ctx, _defs, focus, rebuild = _navigate(st, g, site)
     lam = focus.binding
     if not isinstance(lam, NLam):
@@ -277,13 +250,15 @@ def rw_hoist(st: SynthState, g: GraphTerm, site: tuple,
     if not isinstance(inner, GLet):
         raise SideConditionFailed("lambda body has no binding to hoist")
     tb = check_binding(ctx, lam)
-    ctx2 = (ctx.bind_var(lam.param, lam.param_qt)
-            .with_phi(tb.qt.qual.add(lam.param)))
-    ti = check_binding(ctx2, inner.binding)
+    ti = check_binding(lam_body_ctx(ctx, lam, tb.qt.qual), inner.binding)
     if not ti.eff.is_pure:
         raise SideConditionFailed("hoisted binding is not pure")
     if lam.param in graph_free_names(inner.binding):
         raise SideConditionFailed("binding depends on the parameter")
+    # outside the lambda a tracked binding is a name the latent effect does
+    # not mention, so effects through it would escape
+    if ti.qt.qual:
+        raise SideConditionFailed("hoisted binding is tracked")
     lam2 = NLam(lam.param, lam.param_qt, lam.latent, inner.body, None)
     hoisted = GLet(inner.var, inner.binding,
                    GLet(focus.var, lam2, focus.body, None), None)
@@ -291,7 +266,7 @@ def rw_hoist(st: SynthState, g: GraphTerm, site: tuple,
 
 
 def rw_inline(st: SynthState, g: GraphTerm, site: tuple,
-              supply: NameSupply | None = None) -> GraphTerm:
+              supply: NameSupply) -> GraphTerm:
     """Replace an application of a locally-bound lambda to a locally-bound
     discardable argument by the lambda's (freshened) body."""
     ctx, defs, focus, rebuild = _navigate(st, g, site)
@@ -302,6 +277,11 @@ def rw_inline(st: SynthState, g: GraphTerm, site: tuple,
     if lam is None:
         raise SideConditionFailed(
             f"function {app.fn!r} is not locally bound to a lambda")
+    # the callee may sit in a nested block whose locals are out of scope here
+    missing = graph_free_names(lam) - frozenset(ctx.domain())
+    if missing:
+        raise SideConditionFailed(
+            f"callee mentions {sorted(missing)!r}, out of scope here")
     adef = defs.get(app.arg)
     if adef is None:
         raise SideConditionFailed(
@@ -309,8 +289,6 @@ def rw_inline(st: SynthState, g: GraphTerm, site: tuple,
     ok, why = _alloc_only(ctx, adef[1].eff)
     if not ok:
         raise SideConditionFailed(f"argument binding not discardable: {why}")
-    if supply is None:
-        supply = NameSupply(_max_id(g) + 1)
     body = _freshen(erase(lam.body), supply)
     body = rename_graph(body, {lam.param: app.arg})
     inlined = GLet(focus.var, body, focus.body, None)
@@ -334,7 +312,7 @@ def _identical(a, b) -> bool:
 
 
 def rw_cse(st: SynthState, g: GraphTerm, site: tuple,
-           supply: NameSupply | None = None) -> GraphTerm:
+           supply: NameSupply) -> GraphTerm:
     """Collapse two syntactically identical adjacent bindings that do not
     allocate; the second's uses are renamed to the first."""
     ctx, _defs, focus, rebuild = _navigate(st, g, site)
@@ -363,16 +341,18 @@ RULES = {
 
 
 def optimize(st: SynthState, g: GraphTerm, passes: list,
-             fuel: int = 1000, supply: NameSupply | None = None,
+             fuel: int = 1000, *, supply: NameSupply,
              log_misses: bool = False) -> tuple[GraphTerm, list]:
     """Apply the named rules to fixpoint (or until fuel runs out), visiting
     congruence positions outside-in, left-to-right. Returns the rewritten
-    graph and the report log."""
+    graph and the report log.
+
+    `supply` must be the program's own name supply, the one its binders
+    were drawn from: inlining mints fresh binders from it, and a supply
+    that has not seen the program's names mints clashing ones."""
     for p in passes:
         if p not in RULES:
             raise SideConditionFailed(f"unknown pass {p!r}")
-    if supply is None:
-        supply = NameSupply(_max_id(g) + 1)
     reports: list = []
     seen = {graph_to_text(erase(g))}
     changed = True

@@ -13,7 +13,6 @@ import time
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
 from types import MappingProxyType
 
 from . import core
@@ -184,24 +183,6 @@ def flatten_config(cfg: RuntimeConfig) -> SGraph:
 # Dependency accessors
 # ---------------------------------------------------------------------------
 
-def estimate_freq(sg: SGraph, n: Name) -> dict:
-    """Per-dependency execution frequency of node n's dependencies:
-    scope results of lambdas/loops are hot (run many times), conditional
-    branch results cold, everything else normal. Multiple paths to the
-    same dependency take the maximum."""
-    node = sg.nodes[n]
-    out: dict = {}
-    scope_freq = HOT if node.op in ("lam", "loop") else (
-        COLD if node.op == "cond" else NORMAL)
-    for m in node.body_res:
-        out[m] = max(out.get(m, 0.0), scope_freq)
-    for m in node.args:
-        out[m] = max(out.get(m, 0.0), NORMAL)
-    for m in chain(node.hard, node.soft):
-        out.setdefault(m, NORMAL)
-    return out
-
-
 _NO_FREQ: dict = {}
 
 
@@ -231,7 +212,7 @@ class _Deps:
         for i, n in enumerate(names):
             lut[n.id] = i
         self._lut = lut
-        self._max_id = max_id
+        self._id_bound = max_id
 
         self.node = [sg.nodes[names[i]] for i in range(nn)]
         # per node, one flat run of edges: data targets, then hard effect
@@ -304,7 +285,7 @@ class _Deps:
 
     def index_of(self, n: Name) -> int:
         """Dense index of a node or parameter name, -1 if absent."""
-        if self._max_id is not None and not (0 <= n.id <= self._max_id):
+        if self._id_bound is not None and not (0 <= n.id <= self._id_bound):
             return -1
         return self._lut[n.id]
 
@@ -451,10 +432,14 @@ def schedule_block(dv: _Deps, scope: set, path: set, res,
         for m in local_def.intersection(dv.both_of(c)):
             succ.setdefault(m, set()).add(c)
 
+    # the emitter prints a cond's predicate by name, so it stays a leaf
+    preds = {dv.index_of(dv.node[n].args[0]) for n in current
+             if dv.node[n].op == "cond"}
     should_inline = {n for n in local_def
                      if current_use.get(n, 0) == 1
                      and inner_use.get(n, 0) == 0
-                     and dv.node[n].op not in ("lam", "loop", "cond")}
+                     and dv.node[n].op not in ("lam", "loop", "cond")
+                     and n not in preds}
     seen: set = set()
 
     def check_inline(n: int):

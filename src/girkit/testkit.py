@@ -24,7 +24,7 @@ from .core import (
 from .graphir import SynthState, initial_state, synthesize, synthesize_config
 from .interp import canonical_value, eval_direct, eval_graph, eval_store
 from .mnf import check_mnf, to_mnf
-from .typecheck import infer_direct
+from .typecheck import bind_let, infer_direct
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +132,7 @@ class _Gen:
             t = infer_direct(ctx, bound)
         except GirError:
             raise _Backtrack
-        from .core import overlap
-        q = overlap(t.qt.qual, ctx.phi, ctx)
-        return (ctx.bind_var(var, QualifiedType(t.qt.ty, q))
-                .with_phi(ctx.phi.add(var)))
+        return bind_let(ctx, var, t)
 
     # -- leaves -----------------------------------------------------------
 

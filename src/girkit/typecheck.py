@@ -8,11 +8,12 @@ is deterministic and returns minimal ("lazy") qualifiers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import (
-    App, Assign, BaseTy, Cst, Deref, EffectEscape, FunTy, Lam, Let, Nm,
+    App, Assign, BaseTy, Cst, Deref, EffectEscape, FunTy, Lam, Let, Name, Nm,
     OverlapViolation, PURE, Qualifier, QualifiedType, QualifierEscape,
-    RefNew, RefTy, RwEffect, Term, Ty, TypeMismatch, TypingContext,
+    RefNew, RefTy, RwEffect, Span, Term, Ty, TypeMismatch, TypingContext,
     TY_ALLOC, const_base, overlap, saturate, subst_qual,
     term_free_names, ty_free_names, EMPTY_QUAL,
 )
@@ -106,24 +107,8 @@ def infer_direct(ctx: TypingContext, t: Term) -> Typing:
         return Typing(QualifiedType(qt.ty, Qualifier.of(t.name)), PURE)
 
     if isinstance(t, Lam):
-        q = Qualifier(term_free_names(t))
-        if not q <= ctx.phi:
-            raise QualifierEscape(
-                f"closure captures {q - ctx.phi!r} outside observation",
-                span=span, qual=q, phi=ctx.phi)
-        phi2 = q.add(t.param)
-        ctx2 = ctx.bind_var(t.param, t.param_qt).with_phi(phi2)
-        if not t.latent.flat <= phi2:
-            raise EffectEscape(
-                f"declared latent effect {t.latent!r} mentions names outside "
-                f"{phi2!r}", span=span, eff=t.latent, phi=phi2)
-        body = infer_direct(ctx2, t.body)
-        if not body.eff.included_in(t.latent):
-            raise EffectEscape(
-                f"body effect {body.eff!r} not covered by declared latent "
-                f"{t.latent!r}", span=span, eff=body.eff)
-        fun = FunTy(t.param, t.param_qt, t.latent, body.qt)
-        return _observable(ctx, t, Typing(QualifiedType(fun, q), PURE))
+        return _observable(ctx, t, check_lam(
+            ctx, t, term_free_names(t), infer_direct, span))
 
     if isinstance(t, App):
         fn = infer_direct(ctx, t.fn)
@@ -208,18 +193,64 @@ def infer_direct(ctx: TypingContext, t: Term) -> Typing:
 
     if isinstance(t, Let):
         bound = infer_direct(ctx, t.bound)
-        p = bound.qt.qual
-        bind_q = overlap(p, ctx.phi, ctx)
-        ctx2 = (ctx.bind_var(t.var, QualifiedType(bound.qt.ty, bind_q))
-                .with_phi(ctx.phi.add(t.var)))
-        body = infer_direct(ctx2, t.body)
-        if t.var in ty_free_names(body.qt.ty):
-            raise TypeMismatch(
-                f"let-bound {t.var!r} occurs in the body's result type",
-                span=span)
-        res_qual = subst_qual(body.qt.qual, t.var, p)
-        eff = bound.eff.seq(body.eff).subst(t.var, p)
-        return _observable(ctx, t, Typing(
-            QualifiedType(body.qt.ty, res_qual), eff))
+        body = infer_direct(bind_let(ctx, t.var, bound), t.body)
+        return _observable(ctx, t, let_typing(t.var, bound, body, span))
 
     raise TypeError(t)
+
+
+# ---------------------------------------------------------------------------
+# Binder rules, shared by direct typing, MNF typing, synthesis and rewrites
+# ---------------------------------------------------------------------------
+
+def bind_let(ctx: TypingContext, var: Name, bound: Typing) -> TypingContext:
+    """The context a let body is checked in: `var` at the bound type,
+    qualified by the bound qualifier's overlap with the observation, and
+    observable."""
+    bind_q = overlap(bound.qt.qual, ctx.phi, ctx)
+    return (ctx.bind_var(var, QualifiedType(bound.qt.ty, bind_q))
+            .with_phi(ctx.phi.add(var)))
+
+
+def let_typing(var: Name, bound: Typing, body: Typing,
+               span: Span | None = None) -> Typing:
+    """The type of `let var = bound in body`: the body's type with `var`
+    substituted by the bound qualifier, effects in sequence."""
+    if var in ty_free_names(body.qt.ty):
+        raise TypeMismatch(
+            f"let-bound {var!r} occurs in the body's result type", span=span)
+    p = bound.qt.qual
+    res_qual = subst_qual(body.qt.qual, var, p)
+    eff = bound.eff.seq(body.eff).subst(var, p)
+    return Typing(QualifiedType(body.qt.ty, res_qual), eff)
+
+
+def lam_body_ctx(ctx: TypingContext, lam, fun_q: Qualifier) -> TypingContext:
+    """The context a lambda body is checked in: the parameter bound, and
+    observation narrowed to the closure's qualifier plus the parameter."""
+    return ctx.bind_var(lam.param, lam.param_qt).with_phi(fun_q.add(lam.param))
+
+
+def check_lam(ctx: TypingContext, lam, free: frozenset,
+              check_body: Callable, span: Span | None = None) -> Typing:
+    """The lambda rule for a `Lam` or an `NLam` with free names `free`: the
+    closure is qualified by what it captures, which must be observable;
+    the declared latent effect must stay within the body's observation and
+    cover the body's effect, which `check_body(ctx, body)` infers."""
+    q = Qualifier(free)
+    if not q <= ctx.phi:
+        raise QualifierEscape(
+            f"closure captures {q - ctx.phi!r} outside observation",
+            span=span, qual=q, phi=ctx.phi)
+    phi2 = q.add(lam.param)
+    if not lam.latent.flat <= phi2:
+        raise EffectEscape(
+            f"declared latent effect {lam.latent!r} mentions names outside "
+            f"{phi2!r}", span=span, eff=lam.latent, phi=phi2)
+    body = check_body(lam_body_ctx(ctx, lam, q), lam.body)
+    if not body.eff.included_in(lam.latent):
+        raise EffectEscape(
+            f"body effect {body.eff!r} not covered by declared latent "
+            f"{lam.latent!r}", span=span, eff=body.eff)
+    fun = FunTy(lam.param, lam.param_qt, lam.latent, body.qt)
+    return Typing(QualifiedType(fun, q), PURE)

@@ -2,17 +2,19 @@
 driver (subcommands, diagnostics, exit codes)."""
 
 import json
+import re
 
 import pytest
 
+from girkit import cli
 from girkit.cli import (
     _build_config, export_dot, export_json, import_json, main, parse,
 )
 from girkit.core import (
-    Cst, Deref, HARD, JsonSchemaError, Let, ParseError,
-    RefNew, RW, graph_to_text, initial_store,
+    Cst, Deref, GLet, HARD, JsonSchemaError, Let, NLam, ParseError,
+    RefNew, RW, graph_free_names, graph_to_text, initial_store,
 )
-from girkit.interp import eval_direct
+from girkit.interp import eval_direct, eval_graph
 from girkit.typecheck import infer_direct
 
 
@@ -135,6 +137,21 @@ class TestJsonRoundtrip:
             import_json("{")
 
 
+def graph_names(g):
+    """Every name a graph term binds or mentions."""
+    names = set(graph_free_names(g))
+    todo = [g]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, GLet):
+            names.add(u.var)
+            todo += [u.binding, u.body]
+        elif isinstance(u, NLam):
+            names.add(u.param)
+            todo.append(u.body)
+    return names
+
+
 @pytest.fixture
 def src_file(tmp_path):
     def write(text, name="prog.gir"):
@@ -185,6 +202,17 @@ class TestMain:
         out = capsys.readouterr().out
         assert "fired" in out and "41" not in out.splitlines()[-1]
 
+    def test_opt_inline_mints_no_clashing_binder(self, src_file, capsys):
+        # fresh binders must come from the program's own supply; a fresh
+        # store's supply re-mints ids the program already uses
+        path = src_file("let f = fun (p: Int^{}) =>{rd{} wr{}} "
+                        "(let q = p in q) in let a = 1 in f a")
+        assert main(["opt", path, "--passes", "inline"]) == 0
+        out = capsys.readouterr().out
+        assert "fired" in out
+        binders = re.findall(r"(?:let |fun \()(\w+)", out.splitlines()[-1])
+        assert len(binders) == len(set(binders)), binders
+
     def test_opt_rejects_unknown_passes(self, src_file, capsys):
         path = src_file("1")
         assert main(["opt", path, "--passes", "nosuch"]) == 1
@@ -207,6 +235,20 @@ class TestMain:
         assert main(["run", path, "--semantics", sem]) == 0
         out = capsys.readouterr().out
         assert "('cst', 'Int', 2)" in out and "steps:" in out
+
+    def test_run_starts_from_a_name_the_graph_does_not_use(
+            self, src_file, capsys, monkeypatch):
+        seen = []
+
+        def capture(cfg, **kw):
+            seen.append(cfg)
+            return eval_graph(cfg, **kw)
+
+        monkeypatch.setattr(cli, "eval_graph", capture)
+        path = src_file("let r = ref(w, 1) in let u = r := 2 in !r")
+        assert main(["run", path, "--semantics", "graph"]) == 0
+        (cfg,) = seen
+        assert cfg.z not in graph_names(cfg.graph)
 
     def test_fuzz_smoke(self, capsys):
         assert main(["fuzz", "--count", "5", "--seed", "1",

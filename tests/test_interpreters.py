@@ -1,8 +1,10 @@
 """`import girkit` under every Python the package claims to support
 (`requires-python >= 3.10`). Each interpreter runs in a subprocess, so the
 check covers interpreters that have no pytest of their own; a version whose
-`python3.X` is not on PATH is skipped."""
+`python3.X` is not on PATH is skipped. The package's invariants must also
+hold under `python -O`, which strips `assert` statements."""
 
+import ast
 import os
 import shutil
 import subprocess
@@ -31,3 +33,11 @@ def test_package_imports(version):
         env=env, capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr
     assert p.stdout.split() == [version]
+
+
+def test_no_invariant_is_an_assert():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "girkit").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -9,11 +9,12 @@ from girkit.core import (
     RuntimeConfig, RwEffect, SideConditionFailed, TY_INT, graph_to_text,
     initial_store,
 )
+from girkit.cli import main
 from girkit.graphir import erase, initial_state, synthesize
 from girkit.interp import canonical_value, eval_graph
 from girkit.mnf import to_mnf
 from girkit.optimize import RULES, optimize
-from girkit.testkit import GenConfig, opportunity
+from girkit.testkit import GenConfig, fuzz, opportunity
 
 rw_dce = RULES["dce"]
 rw_comm = RULES["comm"]
@@ -129,6 +130,15 @@ class TestHoist:
         st, _, g2, _ = synth(store, GLet(f, lam, GName(f)))
         with pytest.raises(SideConditionFailed):
             rw_hoist(st, g2, (), sup)
+
+    def test_tracked_binding_stays_inside(self, tmp_path):
+        # hoisting the alias s of r0 would leave a body that writes s under
+        # a latent effect naming r0 (an EffectEscape)
+        path = tmp_path / "prog.gir"
+        path.write_text("let r0 = ref(w, 6) in "
+                        "let f = fun (p: Int^{}) =>{rd{} wr{r0}} r0 := p in "
+                        "let u = f 5 in !r0")
+        assert main(["opt", str(path), "--passes", "hoist"]) == 0
 
     def test_effectful_binding_stays_inside(self):
         store = initial_store()
@@ -281,3 +291,12 @@ class TestDriver:
             after = eval_graph(RuntimeConfig(store.copy(), z, got, slice_))
             assert (canonical_value(before.store, before.value)
                     == canonical_value(after.store, after.value))
+
+
+class TestComposedRules:
+    def test_all_rules_together_keep_names_in_scope(self):
+        # on each seed inlining once followed a callee into a nested block
+        # and copied a body naming that block's locals out of their scope
+        for seed in (152, 1086, 1156, 1181, 1267, 1355):
+            summary = fuzz(count=1, seed=seed, check="optimizer")
+            assert summary.failures == 0, (seed, summary.details)

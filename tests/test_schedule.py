@@ -10,7 +10,7 @@ from girkit.core import (
 )
 from girkit.interp import canonical_value, eval_graph, eval_store
 from girkit.schedule import (
-    SGraph, SNode, emit, emit_schedule, estimate_freq, flatten_config,
+    NORMAL, SGraph, SNode, _Deps, emit, emit_schedule, flatten_config,
     schedule, schedule_config, synthetic_graph, time_schedule,
 )
 from girkit.testkit import GenConfig, gen_well_typed, _fresh_store_for
@@ -84,18 +84,26 @@ class TestEstimateFreq:
         }
         return nodes, (a, r, f, x, p, t, e, c)
 
+    @staticmethod
+    def _freqs(sg, n):
+        """The scheduler's per-dependency frequencies of node n, by name;
+        an absent dependency runs at NORMAL."""
+        dv = _Deps(sg)
+        freq = dv.freq[dv.index_of(n)]
+        return {m: freq.get(dv.index_of(m), NORMAL) for m in sg.nodes}
+
     def test_lambda_results_run_hot(self):
         nodes, (a, r, f, *_rest) = self._graph()
-        assert estimate_freq(SGraph(nodes, f), f)[r] == 100.0
+        assert self._freqs(SGraph(nodes, f), f)[r] == 100.0
 
     def test_conditional_branch_results_run_cold(self):
         nodes, (*_h, p, t, e, c) = self._graph()
-        freqs = estimate_freq(SGraph(nodes, c), c)
+        freqs = self._freqs(SGraph(nodes, c), c)
         assert freqs[t] == 0.5 and freqs[e] == 0.5
 
     def test_ordinary_data_dependencies_are_neutral(self):
         nodes, (a, r, *_rest) = self._graph()
-        assert estimate_freq(SGraph(nodes, r), r)[a] == 1.0
+        assert self._freqs(SGraph(nodes, r), r)[a] == 1.0
 
 
 class TestDeadWrites:
@@ -176,6 +184,24 @@ class TestCompactTraversal:
         read_line = [l for l in out.splitlines() if l.startswith("let d")][0]
         assert out.index(read_line) < out.index(":= 2")
         assert run_text(out) == ("cst", "Int", 2)
+
+    def test_cond_predicate_stays_a_named_leaf(self):
+        # the emitter prints the predicate by name, so folding a single-use
+        # predicate into its only consumer would leave the `if` unbound
+        sup = NameSupply(1)
+        a, p, t, e, cnd = (sup.var("a"), sup.var("p"), sup.var("t"),
+                           sup.var("e"), sup.var("cnd"))
+        nodes = {
+            a: SNode(a, "cst", lit=3),
+            p: SNode(p, "op:positive", (a,)),
+            t: SNode(t, "cst", lit=1),
+            e: SNode(e, "cst", lit=2),
+            cnd: SNode(cnd, "cond", (p,), body_res=(t, e)),
+        }
+        out = emit_schedule(SGraph(nodes, cnd), compact=True)
+        head = out.split(" = if ")[0]
+        assert f"let {p.pretty()} = positive(3) in" in head
+        assert f"if {p.pretty()} then" in out
 
     def test_matmul_add_fuses_into_one_leaf(self):
         sup = NameSupply(1)
