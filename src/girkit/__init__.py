@@ -35,4 +35,3 @@ from .testkit import (  # noqa: F401
     FuzzSummary, GenConfig, Verdict, brute_deps, differential, fuzz,
     gen_well_typed, make_corrupted, opportunity, run_three, shrink,
 )
-from .cli import export_dot, export_json, import_json, parse  # noqa: F401

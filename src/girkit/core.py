@@ -9,7 +9,7 @@ qualifiers and dependency maps lives next to the types it operates on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +219,6 @@ class Qualifier:
     def add(self, *names: Name) -> "Qualifier":
         return Qualifier(self.members | frozenset(names))
 
-    def remove(self, *names: Name) -> "Qualifier":
-        return Qualifier(self.members - frozenset(names))
-
     def isdisjoint(self, other: "Qualifier") -> bool:
         return self.members.isdisjoint(other.members)
 
@@ -405,9 +402,6 @@ class TypingContext:
         yield from self.gamma
         yield from self.sigma
 
-    def domain_qual(self) -> Qualifier:
-        return Qualifier.from_iter(self.domain())
-
     def bind_var(self, x: Name, qt: QualifiedType) -> "TypingContext":
         g = dict(self.gamma)
         g[x] = qt
@@ -420,9 +414,6 @@ class TypingContext:
 
     def with_phi(self, phi: Qualifier) -> "TypingContext":
         return TypingContext(self.gamma, self.sigma, phi)
-
-    def observing(self, *names: Name) -> "TypingContext":
-        return self.with_phi(self.phi.add(*names))
 
     def __repr__(self):
         return (f"Ctx(gamma={self.gamma!r}, sigma={self.sigma!r}, "
@@ -480,10 +471,6 @@ class DepMap:
             if t:
                 s[k] = t
         return DepMap(h, s)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.hard and not self.soft
 
     def domain(self) -> frozenset:
         return frozenset(self.hard) | frozenset(self.soft)
@@ -840,6 +827,32 @@ def rename_term(t: Term, mapping: dict) -> Term:
     raise TypeError(t)
 
 
+def subst_term(t: Term, x: Name, v: Term) -> Term:
+    """t[v/x]: substitute a value term for a variable (Barendregt inputs,
+    so v is never captured)."""
+    if isinstance(t, Nm):
+        return v if t.name == x else t
+    if isinstance(t, Cst):
+        return t
+    if isinstance(t, Lam):
+        if t.param == x:
+            return t
+        return Lam(t.param, t.param_qt, t.latent, subst_term(t.body, x, v))
+    if isinstance(t, App):
+        return App(subst_term(t.fn, x, v), subst_term(t.arg, x, v))
+    if isinstance(t, RefNew):
+        return RefNew(subst_term(t.cap, x, v), subst_term(t.init, x, v))
+    if isinstance(t, Deref):
+        return Deref(subst_term(t.ref, x, v))
+    if isinstance(t, Assign):
+        return Assign(subst_term(t.ref, x, v), subst_term(t.value, x, v))
+    if isinstance(t, Let):
+        bound = subst_term(t.bound, x, v)
+        body = t.body if t.var == x else subst_term(t.body, x, v)
+        return Let(t.var, bound, body)
+    raise TypeError(t)
+
+
 def alpha_equal_terms(t1: Term, t2: Term) -> bool:
     """Structural equality up to consistent renaming of bound names."""
     def go(a, b, env):
@@ -880,6 +893,14 @@ def alpha_equal_terms(t1: Term, t2: Term) -> bool:
 @dataclass(frozen=True)
 class NCst:
     value: object
+
+    # bool is an int subtype, so plain value equality has 0 == False
+    def __eq__(self, other):
+        return (type(other) is NCst and type(self.value) is type(other.value)
+                and self.value == other.value)
+
+    def __hash__(self):
+        return hash((type(self.value), self.value))
 
 
 @dataclass(frozen=True)
@@ -958,34 +979,53 @@ def graph_free_names(g: Union[GraphTerm, GraphNode]) -> frozenset:
     raise TypeError(g)
 
 
-def rename_graph(g, mapping: dict):
-    """Rename free names in a graph term/node. Dependency annotations are
-    untouched (their updates go through rewiring and domain
-    substitution)."""
-    if not mapping:
+def rename_graph(g, mapping: dict, *, fresh: Optional[NameSupply] = None,
+                 dep: Optional[Callable] = None):
+    """Capture-avoiding renaming of the free names of a graph term/node.
+
+    With a `fresh` supply every binder is renamed to a new name (minted
+    outside-in, each before its binding) and its uses follow. `dep` maps
+    every dependency annotation; by default they are kept (their updates
+    go through rewiring and domain substitution)."""
+    def bind(v: Name, m: dict):
+        """A binder's new name and the mapping its scope sees."""
+        if fresh is not None:
+            v2 = fresh.fresh_like(v)
+            return v2, {**m, v: v2}
+        if v in m:
+            return v, {k: w for k, w in m.items() if k != v}
+        return v, m
+
+    def ann(d):
+        return d if dep is None or d is None else dep(d)
+
+    def go(g, m):
+        if isinstance(g, GName):
+            n = m.get(g.name)
+            return g if n is None else GName(n)
+        if isinstance(g, GLet):
+            v, inner = bind(g.var, m)
+            return GLet(v, go(g.binding, m), go(g.body, inner), ann(g.dep))
+        if isinstance(g, NLam):
+            p, inner = bind(g.param, m)
+            return NLam(p, _rename_qt(g.param_qt, inner),
+                        _rename_effect(g.latent, inner), go(g.body, inner),
+                        ann(g.body_dep))
+        if not m or isinstance(g, NCst):
+            return g
+        if isinstance(g, NApp):
+            return NApp(m.get(g.fn, g.fn), m.get(g.arg, g.arg))
+        if isinstance(g, NRef):
+            return NRef(m.get(g.cap, g.cap), m.get(g.init, g.init))
+        if isinstance(g, NDeref):
+            return NDeref(m.get(g.ref, g.ref))
+        if isinstance(g, NAssign):
+            return NAssign(m.get(g.ref, g.ref), m.get(g.value, g.value))
+        raise TypeError(g)
+
+    if not mapping and fresh is None and dep is None:
         return g
-    if isinstance(g, GName):
-        return GName(mapping.get(g.name, g.name))
-    if isinstance(g, GLet):
-        inner = {k: v for k, v in mapping.items() if k != g.var}
-        return GLet(g.var, rename_graph(g.binding, mapping),
-                    rename_graph(g.body, inner), g.dep)
-    if isinstance(g, NCst):
-        return g
-    if isinstance(g, NLam):
-        inner = {k: v for k, v in mapping.items() if k != g.param}
-        return NLam(g.param, _rename_qt(g.param_qt, inner),
-                    _rename_effect(g.latent, inner),
-                    rename_graph(g.body, inner), g.body_dep)
-    if isinstance(g, NApp):
-        return NApp(mapping.get(g.fn, g.fn), mapping.get(g.arg, g.arg))
-    if isinstance(g, NRef):
-        return NRef(mapping.get(g.cap, g.cap), mapping.get(g.init, g.init))
-    if isinstance(g, NDeref):
-        return NDeref(mapping.get(g.ref, g.ref))
-    if isinstance(g, NAssign):
-        return NAssign(mapping.get(g.ref, g.ref), mapping.get(g.value, g.value))
-    raise TypeError(g)
+    return go(g, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -1054,9 +1094,6 @@ class Store:
             return self.entries[loc]
         except KeyError:
             raise UnboundName(f"location {loc!r} not in store", name=loc)
-
-    def locations(self) -> list:
-        return list(self.order)
 
     def copy(self) -> "Store":
         s = Store.__new__(Store)

@@ -13,8 +13,8 @@ from .core import (
     EMPTY_DEP, FuelExhausted, GLet, GName, GraphTerm, Lam, Let, Name, Nm,
     OMEGA, OverlapViolation, Qualifier, RefNew, RuntimeConfig, SavedCst,
     SavedLamGraph, SavedLamTerm, Store, Stuck, Term, UNIT_V, dep_add_hard,
-    dep_dom_subst, dep_rewire, rename_term, saturate, NLam, NApp, NRef,
-    NDeref, NAssign, NCst, _rename_qt, _rename_effect,
+    dep_dom_subst, dep_rewire, rename_graph, rename_term, saturate, subst_term,
+    NLam, NApp, NRef, NDeref, NAssign, NCst,
 )
 from .typecheck import infer_direct
 
@@ -38,31 +38,6 @@ def _is_value_direct(t: Term) -> bool:
             or (isinstance(t, Nm) and t.name.is_loc))
 
 
-def _subst(t: Term, x: Name, v: Term) -> Term:
-    """Substitute a value term for a variable (Barendregt inputs)."""
-    if isinstance(t, Nm):
-        return v if t.name == x else t
-    if isinstance(t, Cst):
-        return t
-    if isinstance(t, Lam):
-        if t.param == x:
-            return t
-        return Lam(t.param, t.param_qt, t.latent, _subst(t.body, x, v))
-    if isinstance(t, App):
-        return App(_subst(t.fn, x, v), _subst(t.arg, x, v))
-    if isinstance(t, RefNew):
-        return RefNew(_subst(t.cap, x, v), _subst(t.init, x, v))
-    if isinstance(t, Deref):
-        return Deref(_subst(t.ref, x, v))
-    if isinstance(t, Assign):
-        return Assign(_subst(t.ref, x, v), _subst(t.value, x, v))
-    if isinstance(t, Let):
-        bound = _subst(t.bound, x, v)
-        body = t.body if t.var == x else _subst(t.body, x, v)
-        return Let(t.var, bound, body)
-    raise TypeError(t)
-
-
 def _step_direct(store: Store, t: Term):
     """One step at the evaluation-context focus; returns (t', rule) or
     None when t is a value. Mutates the store on ref/assign."""
@@ -80,12 +55,12 @@ def _step_direct(store: Store, t: Term):
         fn = t.fn
         if not isinstance(fn, Lam):
             raise Stuck(f"applied non-function value {fn!r}")
-        return _subst(fn.body, fn.param, t.arg), "beta"
+        return subst_term(fn.body, fn.param, t.arg), "beta"
     if isinstance(t, Let):
         if not _is_value_direct(t.bound):
             t2, rule = _step_direct(store, t.bound)
             return Let(t.var, t2, t.body), rule
-        return _subst(t.body, t.var, t.bound), "let"
+        return subst_term(t.body, t.var, t.bound), "let"
     if isinstance(t, RefNew):
         if not _is_value_direct(t.cap):
             t2, rule = _step_direct(store, t.cap)
@@ -257,37 +232,8 @@ def _runtime_subst(g, x: Name, d1: DepMap, loc: Name):
     """Simultaneous rewiring [x⇝d1], dependency-domain substitution
     [loc/x], and term renaming [loc/x] over a graph term."""
     q = Qualifier.of(loc)
-    mapping = {x: loc}
-
-    def tr(d: Optional[DepMap]) -> Optional[DepMap]:
-        if d is None:
-            return None
-        return dep_dom_subst(dep_rewire(d, x, d1), q, x)
-
-    def go(g):
-        if isinstance(g, GName):
-            return GName(loc) if g.name == x else g
-        if isinstance(g, GLet):
-            return GLet(g.var, go(g.binding), go(g.body), tr(g.dep))
-        if isinstance(g, NCst):
-            return g
-        if isinstance(g, NLam):
-            return NLam(g.param, _rename_qt(g.param_qt, mapping),
-                        _rename_effect(g.latent, mapping), go(g.body),
-                        tr(g.body_dep))
-        if isinstance(g, NApp):
-            return NApp(mapping.get(g.fn, g.fn), mapping.get(g.arg, g.arg))
-        if isinstance(g, NRef):
-            return NRef(mapping.get(g.cap, g.cap),
-                        mapping.get(g.init, g.init))
-        if isinstance(g, NDeref):
-            return NDeref(mapping.get(g.ref, g.ref))
-        if isinstance(g, NAssign):
-            return NAssign(mapping.get(g.ref, g.ref),
-                           mapping.get(g.value, g.value))
-        raise TypeError(g)
-
-    return go(g)
+    return rename_graph(
+        g, {x: loc}, dep=lambda d: dep_dom_subst(dep_rewire(d, x, d1), q, x))
 
 
 def _step_graph(store: Store, z: Name, g: GraphTerm):

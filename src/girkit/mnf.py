@@ -8,9 +8,9 @@ computations stay nested (no ANF flattening).
 from __future__ import annotations
 
 from .core import (
-    App, Assign, Cst, Deref, GLet, GName, GraphTerm, Lam, Let, Name,
-    NameSupply, NApp, NAssign, NCst, NDeref, NLam, NRef, Nm, RefNew, Term,
-    TypingContext, graph_free_names,
+    App, Assign, Cst, Deref, GLet, GName, GraphTerm, Lam, Let, NameSupply,
+    NApp, NAssign, NCst, NDeref, NLam, NRef, Nm, RefNew, Term,
+    TypingContext, graph_free_names, subst_term,
 )
 from .typecheck import Typing, bind_let, check_lam, infer_direct, let_typing
 
@@ -136,30 +136,6 @@ def collapse_administrative(g, watermark: int) -> Term:
     """Inline the single-use administrative bindings the translation
     introduced (those whose variable id is >= the supply watermark taken
     before translating), reconstructing a term α-equivalent to the source."""
-    def subst_value(t: Term, x: Name, v: Term) -> Term:
-        if isinstance(t, Nm):
-            return v if t.name == x else t
-        if isinstance(t, Cst):
-            return t
-        if isinstance(t, Lam):
-            if t.param == x:
-                return t
-            return Lam(t.param, t.param_qt, t.latent,
-                       subst_value(t.body, x, v), t.span)
-        if isinstance(t, App):
-            return App(subst_value(t.fn, x, v), subst_value(t.arg, x, v))
-        if isinstance(t, RefNew):
-            return RefNew(subst_value(t.cap, x, v), subst_value(t.init, x, v))
-        if isinstance(t, Deref):
-            return Deref(subst_value(t.ref, x, v))
-        if isinstance(t, Assign):
-            return Assign(subst_value(t.ref, x, v), subst_value(t.value, x, v))
-        if isinstance(t, Let):
-            bound = subst_value(t.bound, x, v)
-            body = t.body if t.var == x else subst_value(t.body, x, v)
-            return Let(t.var, bound, body)
-        raise TypeError(t)
-
     def go(g) -> Term:
         if isinstance(g, GName):
             return Nm(g.name)
@@ -167,7 +143,7 @@ def collapse_administrative(g, watermark: int) -> Term:
             bound = go_binding(g.binding)
             body = go(g.body)
             if g.var.id >= watermark:
-                return subst_value(body, g.var, bound)
+                return subst_term(body, g.var, bound)
             return Let(g.var, bound, body)
         return go_binding(g)
 

@@ -9,9 +9,8 @@ from dataclasses import dataclass
 
 from .core import (
     DepMap, EMPTY_QUAL, GLet, GName, GraphTerm, Name, NameSupply, NApp,
-    NCst, NLam, Qualifier, RwEffect, SideConditionFailed, TY_ALLOC,
-    TypingContext, graph_free_names, graph_to_text, rename_graph,
-    saturate,
+    NLam, Qualifier, RwEffect, SideConditionFailed, TY_ALLOC,
+    TypingContext, graph_free_names, graph_to_text, rename_graph, saturate,
 )
 from .graphir import SynthState, erase, synthesize
 from .mnf import check_binding
@@ -164,35 +163,6 @@ def _resolve_lam(defs: dict, name: Name):
     return None
 
 
-def _freshen(g, supply: NameSupply):
-    """Rename every binder in a graph term to a fresh name."""
-    def go(g, env):
-        if isinstance(g, GName):
-            return GName(env.get(g.name, g.name))
-        if isinstance(g, GLet):
-            v2 = supply.fresh_like(g.var)
-            b2 = go_binding(g.binding, env)
-            env2 = dict(env)
-            env2[g.var] = v2
-            return GLet(v2, b2, go(g.body, env2), None)
-        raise TypeError(g)
-
-    def go_binding(b, env):
-        if isinstance(b, (GName, GLet)):
-            return go(b, env)
-        if isinstance(b, NLam):
-            p2 = supply.fresh_like(b.param)
-            env2 = dict(env)
-            env2[b.param] = p2
-            from .core import _rename_effect, _rename_qt
-            return NLam(p2, _rename_qt(b.param_qt, env),
-                        _rename_effect(b.latent, env2),
-                        go(b.body, env2), None)
-        return rename_graph(b, env)
-
-    return go(g, {})
-
-
 # ---------------------------------------------------------------------------
 # The five rules
 # ---------------------------------------------------------------------------
@@ -289,26 +259,10 @@ def rw_inline(st: SynthState, g: GraphTerm, site: tuple,
     ok, why = _alloc_only(ctx, adef[1].eff)
     if not ok:
         raise SideConditionFailed(f"argument binding not discardable: {why}")
-    body = _freshen(erase(lam.body), supply)
-    body = rename_graph(body, {lam.param: app.arg})
+    body = rename_graph(lam.body, {lam.param: app.arg}, fresh=supply,
+                        dep=lambda d: None)
     inlined = GLet(focus.var, body, focus.body, None)
     return _resynth(st, rebuild(inlined))
-
-
-def _identical(a, b) -> bool:
-    """Strict structural identity on erased bindings.  Plain equality is
-    not enough for constants: bool is an int subtype, so 0 == False."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, NCst):
-        return type(a.value) is type(b.value) and a.value == b.value
-    if isinstance(a, GLet):
-        return (a.var == b.var and _identical(a.binding, b.binding)
-                and _identical(a.body, b.body))
-    if isinstance(a, NLam):
-        return (a.param == b.param and a.param_qt == b.param_qt
-                and a.latent == b.latent and _identical(a.body, b.body))
-    return a == b
 
 
 def rw_cse(st: SynthState, g: GraphTerm, site: tuple,
@@ -319,7 +273,7 @@ def rw_cse(st: SynthState, g: GraphTerm, site: tuple,
     if not isinstance(focus.body, GLet):
         raise SideConditionFailed("no adjacent second binding")
     inner = focus.body
-    if not _identical(erase(focus.binding), erase(inner.binding)):
+    if erase(focus.binding) != erase(inner.binding):
         raise SideConditionFailed("bindings are not identical")
     tb = check_binding(ctx, focus.binding)
     cap = _capability(ctx)

@@ -87,7 +87,7 @@ TreeNode = (Leaf, Scope)
 # Flattening annotated graph terms
 # ---------------------------------------------------------------------------
 
-def flatten(g, dep=None) -> SGraph:
+def flatten(g) -> SGraph:
     """Turn an annotated graph term into a flat node table. Alias bindings
     and nested blocks are spliced; lambda bodies share the table and are
     delimited by their node's scope result."""
@@ -176,7 +176,7 @@ def flatten(g, dep=None) -> SGraph:
 
 
 def flatten_config(cfg: RuntimeConfig) -> SGraph:
-    return flatten(cfg.graph, cfg.dep)
+    return flatten(cfg.graph)
 
 
 # ---------------------------------------------------------------------------

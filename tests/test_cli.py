@@ -2,7 +2,11 @@
 driver (subcommands, diagnostics, exit codes)."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -254,3 +258,15 @@ class TestMain:
         assert main(["fuzz", "--count", "5", "--seed", "1",
                      "--max-depth", "3", "--check", "translation"]) == 0
         assert "0 failure(s)" in capsys.readouterr().out
+
+
+def test_module_entry_point_runs_without_a_runtime_warning(src_file):
+    # `python -m girkit.cli` warns when importing the package already
+    # imported `girkit.cli`
+    path = src_file("let x = ref(w, 0) in !x")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    p = subprocess.run([sys.executable, "-m", "girkit.cli", "check", path],
+                       env=env, capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert "RuntimeWarning" not in p.stderr

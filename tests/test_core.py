@@ -5,10 +5,12 @@ import pickle
 from hypothesis import given, settings, strategies as st
 
 from girkit.core import (
-    DepMap, EMPTY_DEP, EMPTY_QUAL, HARD, Name, NameSupply, PURE, Qualifier,
-    QualifiedType, RW, RwEffect, TypingContext, TY_INT, RefTy, UnboundName,
-    dep_dom_subst, dep_last_use, dep_restrict, dep_rewire, dep_submap,
-    dep_update, overlap, saturate, subst_qual,
+    App, Cst, DepMap, EMPTY_DEP, EMPTY_QUAL, GLet, GName, HARD, Lam, Let,
+    Name, NameSupply, NApp, NCst, NLam, Nm, PURE, Qualifier, QualifiedType,
+    RW, RwEffect, TypingContext, TY_INT, RefTy, UnboundName, dep_dom_subst,
+    dep_last_use, dep_restrict, dep_rewire, dep_submap, dep_update,
+    graph_free_names, overlap, rename_graph, saturate, subst_qual,
+    subst_term,
 )
 
 import pytest
@@ -308,3 +310,101 @@ class TestDepSubmap:
     def test_soft_entry_covered_by_hard_target(self):
         a, b = fresh_names(2)
         assert dep_submap(DepMap.make({}, {a: {b}}), DepMap.make({a: b}))
+
+
+# ---------------------------------------------------------------------------
+# Syntax: constants, renaming and substitution
+# ---------------------------------------------------------------------------
+
+class TestNCst:
+    def test_bool_constants_differ_from_int_constants(self):
+        assert NCst(0) != NCst(False)
+        assert NCst(1) != NCst(True)
+        assert len({NCst(0), NCst(False), NCst(1), NCst(True)}) == 4
+
+    def test_equal_constants_hash_alike(self):
+        for v in (0, 7, True, False):
+            assert NCst(v) == NCst(v)
+            assert hash(NCst(v)) == hash(NCst(v))
+
+
+def _binders(g):
+    """Every let variable and lambda parameter, outside-in."""
+    if isinstance(g, GLet):
+        return [g.var] + _binders(g.binding) + _binders(g.body)
+    if isinstance(g, NLam):
+        return [g.param] + _binders(g.body)
+    return []
+
+
+def _annotations(g):
+    if isinstance(g, GLet):
+        return [g.dep] + _annotations(g.binding) + _annotations(g.body)
+    if isinstance(g, NLam):
+        return [g.body_dep] + _annotations(g.body)
+    return []
+
+
+class TestRenameGraph:
+    def _graph(self):
+        """let a = (let y = 1 in y) in
+           let f = fun (p: Int^{}) => (let u = h p in u) in
+           let b = f a in b     -- h is free; every binding annotated"""
+        sup = NameSupply()
+        h, a, y, f, p, u, b = (sup.var(t) for t in "hayfpub")
+        d = DepMap.make({h: h})
+        lam = NLam(p, QualifiedType(TY_INT), PURE,
+                   GLet(u, NApp(h, p), GName(u), d), d)
+        g = GLet(a, GLet(y, NCst(1), GName(y), d),
+                 GLet(f, lam, GLet(b, NApp(f, a), GName(b), d), d), d)
+        return sup, h, g
+
+    def test_fresh_renames_every_binder_and_its_uses(self):
+        sup, h, g = self._graph()
+        h2 = sup.var("h2")
+        g2 = rename_graph(g, {h: h2}, fresh=sup, dep=lambda d: None)
+        old, new = _binders(g), _binders(g2)
+        assert len(new) == len(old) == len(set(new))
+        assert not set(new) & set(old)
+        assert graph_free_names(g2) == {h2}
+        assert all(d is None for d in _annotations(g2))
+        a2, y2, f2, p2, u2, b2 = new
+        assert g2.binding == GLet(y2, NCst(1), GName(y2))
+        lam2 = g2.body.binding
+        assert lam2.body == GLet(u2, NApp(h2, p2), GName(u2))
+        assert g2.body.body == GLet(b2, NApp(f2, a2), GName(b2))
+
+    def test_default_keeps_binders_and_annotations(self):
+        sup, h, g = self._graph()
+        h2 = sup.var("h2")
+        g2 = rename_graph(g, {h: h2})
+        assert _binders(g2) == _binders(g)
+        assert _annotations(g2) == _annotations(g)
+        assert graph_free_names(g2) == {h2}
+
+    def test_a_binder_shadows_the_mapping(self):
+        sup = NameSupply()
+        x, y, loc = sup.var("x"), sup.var("y"), sup.var("l")
+        g = GLet(y, NApp(x, x), GLet(x, NCst(1), GName(x)))
+        g2 = rename_graph(g, {x: loc})
+        assert g2 == GLet(y, NApp(loc, loc), GLet(x, NCst(1), GName(x)))
+
+
+class TestSubstTerm:
+    def test_a_let_of_the_variable_keeps_its_body(self):
+        x, y = fresh_names(2)
+        t = Let(x, Nm(x), App(Nm(x), Nm(y)))
+        assert subst_term(t, x, Cst(2)) == Let(x, Cst(2),
+                                               App(Nm(x), Nm(y)))
+
+    def test_a_lambda_binding_the_variable_is_untouched(self):
+        x, y = fresh_names(2)
+        lam = Lam(x, QualifiedType(TY_INT), PURE, Nm(x))
+        assert subst_term(lam, x, Cst(2)) is lam
+        assert subst_term(App(lam, Nm(x)), x, Cst(2)) == App(lam, Cst(2))
+
+    def test_free_occurrences_are_replaced(self):
+        x, y = fresh_names(2)
+        t = Let(y, Nm(x), App(Nm(y), Nm(x)))
+        assert subst_term(t, x, Cst(3)) == Let(y, Cst(3),
+                                               App(Nm(y), Cst(3)))

@@ -2,7 +2,8 @@
 (`requires-python >= 3.10`). Each interpreter runs in a subprocess, so the
 check covers interpreters that have no pytest of their own; a version whose
 `python3.X` is not on PATH is skipped. The package's invariants must also
-hold under `python -O`, which strips `assert` statements."""
+hold under `python -O`, which strips `assert` statements, and every
+function it defines must be used."""
 
 import ast
 import os
@@ -41,3 +42,30 @@ def test_no_invariant_is_an_assert():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_helper_is_dead():
+    """Every function or method in the package is named somewhere in the
+    package, the tests or the benchmark: as a name, an attribute, an
+    import alias or a string (the benchmark's tracer wraps functions by
+    name)."""
+    used = set()
+    for d in ("src", "tests", "benchmark"):
+        for path in sorted((SRC.parent / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name.rsplit(".", 1)[-1])
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)):
+                    used.add(node.value)
+    dead = [f"{path.name}:{node.lineno} {node.name}"
+            for path in sorted((SRC / "girkit").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in used]
+    assert dead == []

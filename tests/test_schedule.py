@@ -129,6 +129,15 @@ class TestDeadWrites:
         assert run_text(out) == ("cst", "Int", 5)
 
 
+@pytest.mark.xfail(strict=True, reason="scheduling follows no edge from "
+                   "the result to the last write of its cell")
+def test_returned_cell_keeps_its_last_write():
+    src = "let r = ref(w, 1) in let u = r := 5 in r"
+    for regime in (HARD, RW):
+        assert run_text(emitted(src, regime)) == (
+            "ref", ("cst", "Int", 5)), regime
+
+
 class TestFrequencyMotion:
     def _cond_graph(self):
         sup = NameSupply(1)
