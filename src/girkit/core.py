@@ -379,14 +379,27 @@ def qt_free_names(qt: QualifiedType) -> frozenset:
 
 class TypingContext:
     """Immutable triple (gamma, sigma, phi): variable and location bindings
-    plus the current observation filter."""
+    plus the current observation filter. It also carries phi's saturation
+    φ*, computed the first time `phi_star` is read unless the maker of the
+    context handed it in."""
 
-    __slots__ = ("gamma", "sigma", "phi")
+    __slots__ = ("gamma", "sigma", "phi", "_phi_star")
 
-    def __init__(self, gamma=None, sigma=None, phi: Qualifier = EMPTY_QUAL):
+    def __init__(self, gamma=None, sigma=None, phi: Qualifier = EMPTY_QUAL,
+                 phi_star: Optional[frozenset] = None):
         self.gamma: dict = dict(gamma or {})
         self.sigma: dict = dict(sigma or {})
         self.phi = phi
+        self._phi_star = phi_star
+
+    @property
+    def phi_star(self) -> frozenset:
+        """The members of saturate(phi); phi's own set when phi is closed."""
+        if self._phi_star is None:
+            star = saturate(self.phi, self).members
+            self._phi_star = (self.phi.members
+                              if len(star) == len(self.phi) else star)
+        return self._phi_star
 
     def lookup(self, n: Name) -> QualifiedType:
         table = self.gamma if n.is_var else self.sigma
@@ -412,8 +425,9 @@ class TypingContext:
         s[loc] = qt
         return TypingContext(self.gamma, s, self.phi)
 
-    def with_phi(self, phi: Qualifier) -> "TypingContext":
-        return TypingContext(self.gamma, self.sigma, phi)
+    def with_phi(self, phi: Qualifier,
+                 phi_star: Optional[frozenset] = None) -> "TypingContext":
+        return TypingContext(self.gamma, self.sigma, phi, phi_star)
 
     def __repr__(self):
         return (f"Ctx(gamma={self.gamma!r}, sigma={self.sigma!r}, "
@@ -517,10 +531,10 @@ def dep_restrict(d: DepMap, e: RwEffect, ctx: TypingContext,
     """
     if regime == HARD:
         q = saturate(e.flat, ctx).members
-        return DepMap.make({k: v for k, v in d.hard.items() if k in q}, {})
+        return DepMap.make({k: d.hard[k] for k in q if k in d.hard}, {})
     q = saturate(e.reads, ctx).members
     p = saturate(e.writes, ctx).members
-    hard = {k: v for k, v in d.hard.items() if k in q}
+    hard = {k: d.hard[k] for k in q if k in d.hard}
     soft = {}
     for k in p:
         t = frozenset()
@@ -535,8 +549,8 @@ def dep_restrict(d: DepMap, e: RwEffect, ctx: TypingContext,
 def dep_restrict_names(d: DepMap, names: Qualifier) -> DepMap:
     """Domain restriction Δ|α by a plain name set, both components."""
     keep = names.members
-    return DepMap.make({k: v for k, v in d.hard.items() if k in keep},
-                       {k: v for k, v in d.soft.items() if k in keep})
+    return DepMap.make({k: d.hard[k] for k in keep if k in d.hard},
+                       {k: d.soft[k] for k in keep if k in d.soft})
 
 
 def dep_rewire(d1: DepMap, x: Name, d2: DepMap) -> DepMap:

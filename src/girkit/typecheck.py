@@ -60,10 +60,9 @@ def check_subtype(ctx: TypingContext,
     """Qualified-type-with-effect subtyping: q ⊆ q' over the context
     domain, structural type subtyping, componentwise effect inclusion."""
     (qt1, e1), (qt2, e2) = lhs, rhs
-    dom = frozenset(ctx.domain())
     for q in (qt1.qual, qt2.qual, e1.flat, e2.flat):
         for n in q.members:
-            if n not in dom:
+            if n not in ctx:
                 raise core.UnboundName(f"ill-scoped qualifier member {n!r}",
                                        name=n)
     if not qt1.qual <= qt2.qual:
@@ -206,10 +205,21 @@ def infer_direct(ctx: TypingContext, t: Term) -> Typing:
 def bind_let(ctx: TypingContext, var: Name, bound: Typing) -> TypingContext:
     """The context a let body is checked in: `var` at the bound type,
     qualified by the bound qualifier's overlap with the observation, and
-    observable."""
-    bind_q = overlap(bound.qt.qual, ctx.phi, ctx)
+    observable.
+
+    The new context carries its φ* as φ* ∪ {var}: that is exact, since the
+    overlap lies in φ* and a fresh `var` reaches nothing else. A rebound
+    `var` leaves φ* to be recomputed."""
+    bind_q = Qualifier(saturate(bound.qt.qual, ctx).members & ctx.phi_star)
+    star, phi = ctx.phi_star, ctx.phi.add(var)
+    if var in ctx:
+        star2 = None
+    elif star is ctx.phi.members:  # phi closed: so is phi + var
+        star2 = phi.members
+    else:
+        star2 = star | {var}
     return (ctx.bind_var(var, QualifiedType(bound.qt.ty, bind_q))
-            .with_phi(ctx.phi.add(var)))
+            .with_phi(phi, star2))
 
 
 def let_typing(var: Name, bound: Typing, body: Typing,

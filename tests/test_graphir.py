@@ -1,15 +1,22 @@
 """Dependency synthesis, checking, and erasure on graph terms."""
 
+import importlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from girkit.cli import _front_end
 from girkit.core import (
     Cell, DepMap, DepMismatch, EMPTY_DEP, GLet, GName, HARD, NAssign, NCst,
-    NDeref, RW, graph_to_text, initial_store,
+    NDeref, PURE, QualifiedType, Qualifier, RW, RefTy, TY_INT, TypingContext,
+    graph_to_text, initial_store, saturate,
 )
-from girkit.graphir import check_deps, erase, initial_state, synthesize
-from girkit.mnf import to_mnf
+from girkit.graphir import (
+    check_deps, erase, initial_state, synthesize, synthesize_config,
+)
+from girkit.mnf import check_mnf, to_mnf
 from girkit.testkit import GenConfig, brute_deps, gen_well_typed
+from girkit.typecheck import Typing, bind_let, infer_direct
 
 
 def two_write_graph():
@@ -138,3 +145,97 @@ class TestErase:
         g2, _ = synthesize(st_, g)
         once = erase(g2)
         assert graph_to_text(erase(once)) == graph_to_text(once)
+
+
+def cell_chain(lets, cells=4):
+    """A straight-line source program of `lets` lets: `cells` cells, then
+    alternating writes and reads in a cell rotation, ending in `!r0`."""
+    lines = [f"let r{c} = ref(w, {c}) in" for c in range(cells)]
+    for i in range(lets - cells):
+        c = i % cells
+        lines.append(f"let u{i} = r{c} := {i} in" if i % 2 == 0
+                     else f"let x{i} = !r{c} in")
+    return "\n".join(lines + ["!r0"])
+
+
+class TestSynthesisCost:
+    @pytest.mark.parametrize("regime", [HARD, RW])
+    def test_context_lookups_grow_linearly(self, regime, monkeypatch):
+        """Each binding costs lookups for its own footprint only, so four
+        times the lets make about four times the lookups (a quadratic
+        synthesis makes about sixteen)."""
+        lookup = TypingContext.lookup
+        calls = [0]
+
+        def counting(ctx, n):
+            calls[0] += 1
+            return lookup(ctx, n)
+
+        def lookups(lets):
+            store, t, _ = _front_end(cell_chain(lets))
+            g = to_mnf(t, store.supply)
+            calls[0] = 0
+            synthesize_config(store, g, regime)
+            return calls[0]
+
+        monkeypatch.setattr(TypingContext, "lookup", counting)
+        small, large = lookups(100), lookups(400)
+        assert large / small <= 5
+
+
+class TestCarriedObservation:
+    """`bind_let` hands each let body the saturated observation; it must
+    always equal a fresh saturation of the body context's phi."""
+
+    # `a` aliases the cell `r`, so the lambda body's observation {a, p} is
+    # not closed: its saturation adds `r`
+    OPEN_PROGRAM = """
+        let r = ref(w, 1) in
+        let a = r in
+        let f = fun (p: Int^{}) =>{rd{a} wr{a}}
+            (let x = !a in let u = a := p in let y = !a in y) in
+        let b = f 2 in
+        !r"""
+
+    def test_every_let_context_carries_its_saturation(self, monkeypatch):
+        contexts = []
+
+        def checked(ctx, var, bound):
+            ctx2 = bind_let(ctx, var, bound)
+            assert ctx2.phi_star == saturate(ctx2.phi, ctx2).members
+            contexts.append(ctx2)
+            return ctx2
+
+        for module in ("typecheck", "mnf", "graphir", "optimize", "testkit"):
+            monkeypatch.setattr(importlib.import_module(f"girkit.{module}"),
+                                "bind_let", checked)
+        programs = [_front_end(self.OPEN_PROGRAM)[:2]]
+        for seed in range(200):
+            store = initial_store()
+            programs.append(
+                (store, gen_well_typed(GenConfig(seed=seed, max_depth=6),
+                                       store)))
+        for store, t in programs:
+            ctx = store.typing()
+            infer_direct(ctx, t)
+            g = to_mnf(t, store.supply)
+            check_mnf(ctx, g)
+            for regime in (HARD, RW):
+                st_, _ = initial_state(store, regime=regime)
+                g2, _ = synthesize(st_, g)
+                check_deps(st_, g2)
+        assert len(contexts) > 1000
+        assert any(c.phi_star != c.phi.members for c in contexts)
+
+    def test_rebinding_a_name_recomputes_the_saturation(self):
+        store = initial_store()
+        cell = store.alloc(Cell(0), "c")
+        x = store.supply.var("x")
+        ctx = store.typing()
+        ctx = (ctx.bind_var(x, QualifiedType(RefTy(TY_INT),
+                                             Qualifier.of(cell)))
+               .with_phi(Qualifier.of(x)))
+        assert ctx.phi_star == {x, cell}
+        # x rebound to an untracked Int: it no longer reaches the cell
+        ctx2 = bind_let(ctx, x, Typing(QualifiedType(TY_INT), PURE))
+        assert ctx2.phi_star == saturate(ctx2.phi, ctx2).members == {x}

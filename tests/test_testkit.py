@@ -135,6 +135,12 @@ class TestFuzz:
         assert s.count == 10 and s.failures == 0
         assert "0 failure(s)" in s.render()
 
+    @pytest.mark.parametrize("check", ["translation", "synthesis", "deps",
+                                       "differential"])
+    def test_fixed_seed_range_has_no_failures(self, check):
+        s = fuzz(count=150, seed=0, check=check)
+        assert s.failures == 0, s.render()
+
     def test_unknown_check_is_rejected(self):
         with pytest.raises(ValueError):
             fuzz(count=1, seed=0, max_depth=3, check="nosuch")

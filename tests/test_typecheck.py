@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from girkit.core import (
-    App, Assign, Cst, Deref, EMPTY_QUAL, EffectEscape, FunTy, Lam, Let, Nm,
+    App, Assign, Cell, Cst, Deref, EMPTY_QUAL, EffectEscape, FunTy, Lam, Let, Nm,
     OverlapViolation, PURE, Qualifier, QualifiedType, QualifierEscape,
     RefNew, RefTy, RwEffect, TY_BOOL, TY_INT, TY_UNIT,
-    TypeMismatch, TypingContext, NameSupply, initial_store,
+    TypeMismatch, TypingContext, NameSupply, UnboundName, initial_store,
 )
 from girkit.typecheck import Typing, check_subtype, infer_direct, ty_subtype
 from girkit.testkit import GenConfig, gen_well_typed
@@ -108,6 +108,21 @@ class TestSubtyping:
         rhs = (QualifiedType(TY_INT, q(x)), RwEffect.read(q(x)))
         assert check_subtype(ctx, lhs, rhs)
         assert not check_subtype(ctx, rhs, lhs)
+
+    def test_unbound_qualifier_member_is_rejected(self, sup):
+        x, y = sup.var("x"), sup.var("y")
+        ctx = ref_ctx(x)
+        store = initial_store()
+        loc = store.alloc(Cell(0), "c")
+        ok = (QualifiedType(TY_INT, q(x)), PURE)
+        for stray in (y, loc):
+            bad = [(QualifiedType(TY_INT, q(x, stray)), PURE),
+                   (QualifiedType(TY_INT, q(x)), RwEffect.read(q(stray)))]
+            for b in bad:
+                with pytest.raises(UnboundName):
+                    check_subtype(ctx, b, ok)
+                with pytest.raises(UnboundName):
+                    check_subtype(ctx, ok, b)
 
     def test_reference_payloads_are_invariant(self):
         ctx = TypingContext()
