@@ -26,7 +26,7 @@ from .interp import (  # noqa: F401
     EvalResult, SeparationReport, canonical_value, eval_direct, eval_graph,
     eval_store, separation_probe,
 )
-from .optimize import RULES, RewriteReport, optimize, sites  # noqa: F401
+from .optimize import RULES, RewriteReport, optimize  # noqa: F401
 from .schedule import (  # noqa: F401
     Block, SchedOpts, emit_schedule, flatten, schedule, schedule_config,
     synthetic_graph, time_schedule,

@@ -881,7 +881,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--passes", default="dce",
                    help="comma-separated rule names "
                         "(dce,comm,hoist,inline,cse)")
-    p.add_argument("--fuel", type=int, default=1000)
+    p.add_argument("--fuel", type=int, default=1000,
+                   help="bound on the rewrites fired")
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_opt)
 

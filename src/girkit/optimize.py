@@ -5,12 +5,14 @@ side-condition checks; every fired rewrite re-runs dependency synthesis.
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .core import (
     DepMap, EMPTY_QUAL, GLet, GName, GraphTerm, Name, NameSupply, NApp,
     NLam, Qualifier, RwEffect, SideConditionFailed, TY_ALLOC,
-    TypingContext, graph_free_names, graph_to_text, rename_graph, saturate,
+    TypingContext, graph_free_names, rename_graph, saturate,
 )
 from .graphir import SynthState, erase, synthesize
 from .mnf import check_binding
@@ -26,67 +28,64 @@ class RewriteReport:
 
 
 # ---------------------------------------------------------------------------
-# Site navigation
+# Site walk
 # ---------------------------------------------------------------------------
 
-def sites(g: GraphTerm) -> list:
-    """All binding positions, outside-in and left-to-right. Path steps:
-    0 enters a let's binding (or a bound lambda's body), 1 its body."""
-    out = []
+@dataclass
+class Site:
+    """A binding position with its scope already built. `path` addresses
+    it (0 enters a let's binding, or a bound lambda's body; 1 its body),
+    `ctx` types `focus`, `defs` maps the binders on the scope spine to
+    their (binding, typing), and `rebuild` reassembles the whole
+    (unannotated) graph around a replacement for `focus`."""
+    path: tuple
+    ctx: TypingContext
+    defs: ChainMap
+    focus: GLet
+    rebuild: Callable
 
-    def go(g, path):
-        if isinstance(g, GLet):
-            out.append(path)
+
+def walk(st: SynthState, g: GraphTerm) -> Iterator[Site]:
+    """Every binding site, outside-in and left-to-right, each binding typed
+    once on the way down. A site is valid until the walk moves on, which
+    adds the focused binder to `defs`."""
+
+    def scope(ctx, g, path, rebuild, defs):
+        while isinstance(g, GLet):
+            yield Site(path, ctx, defs, g, rebuild)
             b = g.binding
+            tb = check_binding(ctx, b)
             if isinstance(b, GLet):
-                go(b, path + (0,))
+                yield from scope(ctx, b, path + (0,),
+                                 lambda frag, g=g, rb=rebuild:
+                                 rb(GLet(g.var, frag, g.body, None)),
+                                 defs.new_child())
             elif isinstance(b, NLam):
-                go(b.body, path + (0,))
-            go(g.body, path + (1,))
+                yield from scope(
+                    lam_body_ctx(ctx, b, tb.qt.qual), b.body, path + (0,),
+                    lambda frag, g=g, b=b, rb=rebuild:
+                    rb(GLet(g.var, NLam(b.param, b.param_qt, b.latent, frag,
+                                        None), g.body, None)),
+                    defs.new_child())
+            defs[g.var] = (b, tb)
+            ctx = bind_let(ctx, g.var, tb)
+            rebuild = (lambda frag, g=g, rb=rebuild:
+                       rb(GLet(g.var, g.binding, frag, None)))
+            path = path + (1,)
+            g = g.body
 
-    go(g, ())
-    return out
+    return scope(st.ctx, g, (), lambda frag: frag, ChainMap())
 
 
-def _navigate(st: SynthState, g: GraphTerm, path: tuple):
-    """Walk to a binding site, tracking the context and the definitions
-    on the scope spine. Returns (ctx, defs, focus, rebuild) where rebuild
-    reassembles the whole (unannotated) graph around a replacement."""
-    ctx, regime = st.ctx, st.regime
-    defs: dict = {}
-
-    def go(ctx, g, path):
-        if not path:
-            if not isinstance(g, GLet):
-                raise SideConditionFailed(f"path does not address a binding")
-            return ctx, g, (lambda frag: frag)
-        i, rest = path[0], path[1:]
-        if not isinstance(g, GLet):
-            raise SideConditionFailed(f"bad path step {i} at a leaf")
-        if i == 0:
-            b = g.binding
-            if isinstance(b, GLet):
-                c, f, rb = go(ctx, b, rest)
-                return c, f, (lambda frag:
-                              GLet(g.var, rb(frag), g.body, None))
-            if isinstance(b, NLam):
-                tb = check_binding(ctx, b)
-                c, f, rb = go(lam_body_ctx(ctx, b, tb.qt.qual), b.body, rest)
-                return c, f, (lambda frag:
-                              GLet(g.var,
-                                   NLam(b.param, b.param_qt, b.latent,
-                                        rb(frag), None),
-                                   g.body, None))
-            raise SideConditionFailed(f"path enters a leaf binding")
-        if i == 1:
-            tb = check_binding(ctx, g.binding)
-            defs[g.var] = (g.binding, tb)
-            c, f, rb = go(bind_let(ctx, g.var, tb), g.body, rest)
-            return c, f, (lambda frag: GLet(g.var, g.binding, rb(frag), None))
-        raise SideConditionFailed(f"bad path step {i}")
-
-    ctx2, focus, rebuild = go(ctx, g, tuple(path))
-    return ctx2, defs, focus, rebuild
+def _navigate(st: SynthState, g: GraphTerm, site):
+    """(ctx, defs, focus, rebuild) of a site, given as a `Site` of `walk`
+    or as the path of one."""
+    if not isinstance(site, Site):
+        path = tuple(site)
+        site = next((s for s in walk(st, g) if s.path == path), None)
+        if site is None:
+            raise SideConditionFailed(f"no binding at path {list(path)}")
+    return site.ctx, site.defs, site.focus, site.rebuild
 
 
 def _resynth(st: SynthState, g: GraphTerm) -> GraphTerm:
@@ -294,12 +293,38 @@ RULES = {
 }
 
 
+def _fire(st: SynthState, g: GraphTerm, rule: str, sites, supply,
+          reports: list, log_misses: bool):
+    """Try `rule` at each of `sites` in turn. Returns the rewritten graph
+    and the site of the first rewrite that fires, or (None, None)."""
+    for site in sites:
+        try:
+            g2 = RULES[rule](st, g, site, supply)
+        except SideConditionFailed as e:
+            if log_misses:
+                reports.append(RewriteReport(rule, site.path, False, str(e)))
+            continue
+        reports.append(RewriteReport(rule, site.path, True))
+        return g2, site
+    return None, None
+
+
+def _untried(sites, tried: set):
+    for site in sites:
+        if site.focus.var not in tried:
+            tried.add(site.focus.var)
+            yield site
+
+
 def optimize(st: SynthState, g: GraphTerm, passes: list,
              fuel: int = 1000, *, supply: NameSupply,
              log_misses: bool = False) -> tuple[GraphTerm, list]:
-    """Apply the named rules to fixpoint (or until fuel runs out), visiting
-    congruence positions outside-in, left-to-right. Returns the rewritten
-    graph and the report log.
+    """Apply the named rules other than `comm` to a fixpoint, each rule in
+    list order trying the sites of one outside-in, left-to-right walk and
+    starting a new walk after every rewrite it fires. Then, if `comm` is
+    named, sweep the sites once with it: each site is tried once, and the
+    binding a swap pushes down is not tried again. `fuel` bounds the
+    rewrites fired in all. Returns the rewritten graph and the report log.
 
     `supply` must be the program's own name supply, the one its binders
     were drawn from: inlining mints fresh binders from it, and a supply
@@ -308,30 +333,23 @@ def optimize(st: SynthState, g: GraphTerm, passes: list,
         if p not in RULES:
             raise SideConditionFailed(f"unknown pass {p!r}")
     reports: list = []
-    seen = {graph_to_text(erase(g))}
     changed = True
     while changed and fuel > 0:
         changed = False
         for rule in passes:
-            fired = True
-            while fired and fuel > 0:
-                fired = False
-                for path in sites(g):
-                    try:
-                        g2 = RULES[rule](st, g, path, supply)
-                    except SideConditionFailed as e:
-                        if log_misses:
-                            reports.append(
-                                RewriteReport(rule, path, False, str(e)))
-                        continue
-                    key = graph_to_text(erase(g2))
-                    if key in seen:  # don't oscillate (e.g. re-commuting)
-                        continue
-                    seen.add(key)
-                    reports.append(RewriteReport(rule, path, True))
-                    g = g2
-                    fired = True
-                    changed = True
-                    fuel -= 1
+            while rule != "comm" and fuel > 0:
+                g2, _ = _fire(st, g, rule, walk(st, g), supply, reports,
+                              log_misses)
+                if g2 is None:
                     break
+                g, fuel, changed = g2, fuel - 1, True
+    # binders are unique, so they name the positions the sweep has tried
+    tried: set = set()
+    while "comm" in passes and fuel > 0:
+        g2, site = _fire(st, g, "comm", _untried(walk(st, g), tried),
+                         supply, reports, log_misses)
+        if g2 is None:
+            break
+        tried.add(site.focus.body.var)  # now at the tried position
+        g, fuel = g2, fuel - 1
     return g, reports

@@ -600,7 +600,7 @@ def _check_differential(t: Term, store: Store) -> Optional[str]:
     return None
 
 
-def _check_optimizer(t: Term, store: Store) -> Optional[str]:
+def _optimizer_mismatch(t: Term, store: Store) -> Optional[str]:
     from .core import RuntimeConfig
     from .optimize import RULES, optimize
     g = to_mnf(t, store.supply)
@@ -616,6 +616,27 @@ def _check_optimizer(t: Term, store: Store) -> Optional[str]:
     if ref != got:
         return f"optimizer changed the result: {ref!r} -> {got!r}"
     return None
+
+
+def _check_optimizer(t: Term, store: Store) -> Optional[str]:
+    """All rules together must keep the result; a failing program is
+    shrunk, re-running the optimizer on a fresh store for each candidate."""
+    msg = _optimizer_mismatch(t, store)
+    if msg is None:
+        return None
+
+    def still_fails(term) -> bool:
+        try:
+            store = _fresh_store_for(term)
+            infer_direct(store.typing(), term)
+            return _optimizer_mismatch(term, store) is not None
+        except GirError:
+            return False
+
+    small = shrink(t, still_fails)
+    if small is not t:
+        msg = _optimizer_mismatch(small, _fresh_store_for(small))
+    return f"{msg} on {term_to_text(small)}"
 
 
 _CHECK_FNS = {

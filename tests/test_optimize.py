@@ -1,6 +1,9 @@
 """Graph rewrites: one positive and one per-premise negative for each
 rule, plus fixpoint-driver behavior and soundness spot checks."""
 
+import importlib
+from collections import Counter
+
 import pytest
 
 from girkit.core import (
@@ -9,12 +12,15 @@ from girkit.core import (
     RuntimeConfig, RwEffect, SideConditionFailed, TY_INT, graph_to_text,
     initial_store,
 )
-from girkit.cli import main
-from girkit.graphir import erase, initial_state, synthesize
+from girkit.cli import _front_end, main
+from girkit.graphir import (
+    erase, initial_state, synthesize, synthesize_config,
+)
 from girkit.interp import canonical_value, eval_graph
-from girkit.mnf import to_mnf
+from girkit.mnf import check_binding, to_mnf
 from girkit.optimize import RULES, optimize
 from girkit.testkit import GenConfig, fuzz, opportunity
+from test_graphir import cell_chain
 
 rw_dce = RULES["dce"]
 rw_comm = RULES["comm"]
@@ -34,6 +40,21 @@ def node_ops(g):
     while isinstance(g, GLet):
         out.append(type(g.binding).__name__)
         g = g.body
+    return out
+
+
+def spine_positions(g):
+    """Each binder's index in its own let spine, nested scopes included."""
+    out, todo = {}, [g]
+    while todo:
+        u, i = todo.pop(), 0
+        while isinstance(u, GLet):
+            out[u.var] = i
+            if isinstance(u.binding, GLet):
+                todo.append(u.binding)
+            elif isinstance(u.binding, NLam):
+                todo.append(u.binding.body)
+            u, i = u.body, i + 1
     return out
 
 
@@ -300,3 +321,67 @@ class TestComposedRules:
         for seed in (152, 1086, 1156, 1181, 1267, 1355):
             summary = fuzz(count=1, seed=seed, check="optimizer")
             assert summary.failures == 0, (seed, summary.details)
+
+
+class TestWalkCost:
+    def test_check_binding_calls_grow_linearly(self, monkeypatch):
+        """The walk types each binding once on the way down, so four times
+        the lets make about four times the calls (re-walking from the root
+        for every site makes about sixteen)."""
+        calls = [0]
+
+        def counting(ctx, b):
+            calls[0] += 1
+            return check_binding(ctx, b)
+
+        for module in ("mnf", "graphir", "optimize"):
+            monkeypatch.setattr(importlib.import_module(f"girkit.{module}"),
+                                "check_binding", counting)
+
+        def checks(lets):
+            store, t, _ = _front_end(cell_chain(lets))
+            cfg = synthesize_config(store, to_mnf(t, store.supply))
+            st, _ = initial_state(cfg.store, cfg.z)
+            calls[0] = 0
+            optimize(st, cfg.graph, ["dce"], supply=store.supply)
+            return calls[0]
+
+        small, large = checks(50), checks(200)
+        assert large / small <= 5
+
+
+class TestCommSweep:
+    # six writes to distinct cells commute pairwise, and `d` is dead
+    PROGRAM = "\n".join(
+        [f"let r{i} = ref(w, {i}) in" for i in range(6)]
+        + ["let d = 42 in"]
+        + [f"let u{i} = r{i} := {10 + i} in" for i in range(6)]
+        + ["!r0"])
+
+    def optimized(self, passes):
+        store, t, _ = _front_end(self.PROGRAM)
+        cfg = synthesize_config(store, to_mnf(t, store.supply))
+        st, _ = initial_state(cfg.store, cfg.z)
+        return optimize(st, cfg.graph, passes, fuel=50,
+                        supply=store.supply)
+
+    def test_comm_does_not_starve_the_other_rules(self):
+        _, reports = self.optimized(sorted(RULES))
+        fired = [r.rule for r in reports if r.fired]
+        assert "dce" in fired
+        assert len(fired) < 50
+
+    def test_no_binding_moves_twice(self, monkeypatch):
+        moves = Counter()
+        comm = RULES["comm"]
+
+        def recorded(st, g, site, supply):
+            g2 = comm(st, g, site, supply)
+            before, after = spine_positions(g), spine_positions(g2)
+            moves.update(x for x in before if after[x] != before[x])
+            return g2
+
+        monkeypatch.setitem(RULES, "comm", recorded)
+        _, reports = self.optimized(["comm"])
+        assert any(r.fired for r in reports)
+        assert max(moves.values()) == 1

@@ -136,10 +136,35 @@ class TestFuzz:
         assert "0 failure(s)" in s.render()
 
     @pytest.mark.parametrize("check", ["translation", "synthesis", "deps",
-                                       "differential"])
+                                       "differential", "optimizer"])
     def test_fixed_seed_range_has_no_failures(self, check):
         s = fuzz(count=150, seed=0, check=check)
         assert s.failures == 0, s.render()
+
+    def test_optimizer_failure_is_shrunk_to_a_program_that_still_fails(
+            self, monkeypatch):
+        from girkit.cli import _front_end
+        from girkit.core import SideConditionFailed, graph_free_names
+        from girkit.graphir import erase, synthesize
+        from girkit.optimize import RULES
+        from girkit.testkit import _check_optimizer
+
+        def drop_unused(st, g, site, supply):
+            # dce without its effect premise: drops unused writes too
+            if site.focus.var in graph_free_names(site.focus.body):
+                raise SideConditionFailed("used")
+            return synthesize(st, erase(site.rebuild(site.focus.body)))[0]
+
+        monkeypatch.setitem(RULES, "dce", drop_unused)
+        # few generated programs write a cell they return; seed 189 does
+        s = fuzz(count=1, seed=189, check="optimizer")
+        assert s.failures == 1
+        msg = s.details[0][1]
+        text = msg.partition(" on ")[2]
+        store, t, _ = _front_end(text)
+        assert _check_optimizer(t, store) is not None
+        original = gen_well_typed(GenConfig(seed=189, max_depth=6))
+        assert len(text) < len(term_to_text(original))
 
     def test_unknown_check_is_rejected(self):
         with pytest.raises(ValueError):
