@@ -26,9 +26,11 @@ from .interp import (  # noqa: F401
     EvalResult, SeparationReport, canonical_value, eval_direct, eval_graph,
     eval_store, separation_probe,
 )
-from .optimize import RULES, RewriteReport, optimize  # noqa: F401
+# `optimize` and `schedule` stay submodules: a function re-exported under a
+# submodule's name would replace the package attribute that names it
+from .optimize import RULES, RewriteReport  # noqa: F401
 from .schedule import (  # noqa: F401
-    Block, SchedOpts, emit_schedule, flatten, schedule, schedule_config,
+    Block, SchedOpts, emit_schedule, flatten, schedule_config,
     synthetic_graph, time_schedule,
 )
 from .testkit import (  # noqa: F401

@@ -11,12 +11,10 @@ from .core import (
     DepMap, DepMismatch, EMPTY_DEP, GLet, GName, GraphTerm, HARD, Name,
     NLam, Nm, RuntimeConfig, Store, TypingContext, dep_last_use,
     dep_restrict, dep_restrict_names, dep_rewire, dep_submap, dep_update,
-    points_to, saturate,
+    graph_free_names, points_to, saturate,
 )
 from .mnf import check_binding
-from .typecheck import (
-    Typing, bind_let, infer_direct, lam_body_ctx, let_typing,
-)
+from .typecheck import Typing, bind_let, check_lam, infer_direct, let_typing
 
 
 @dataclass
@@ -28,9 +26,12 @@ class SynthState:
     regime: str = HARD
 
 
-def synthesize(st: SynthState, g: GraphTerm) -> tuple[GraphTerm, DepMap]:
+def synthesize(st: SynthState, g: GraphTerm,
+               typings: dict | None = None) -> tuple[GraphTerm, DepMap]:
     """Annotate every binding of a well-typed MNF term with its dependency
-    map and return the whole term's dependency slice.
+    map and return the whole term's dependency slice. Given a dict
+    `typings`, also record there the `Typing` of each let binder's binding,
+    nested blocks and lambda bodies included (binders are unique).
 
     The slice always equals the last-use map restricted to the term's
     saturated effect; in the hard regime the rule-by-rule composition is
@@ -39,20 +40,24 @@ def synthesize(st: SynthState, g: GraphTerm) -> tuple[GraphTerm, DepMap]:
     external hard dependency to a soft one, which the restriction view
     over-approximates). A composition that breaks either relation raises
     DepMismatch."""
-    g2, out, slice_, _typing = _synth(st.ctx, st.last_use, g, st.regime)
+    g2, out, slice_, _typing = _synth(st.ctx, st.last_use, g, st.regime,
+                                      typings)
     return g2, slice_
 
 
-def _synth(ctx, delta, g, regime):
+def _synth(ctx, delta, g, regime, typings):
     """Returns (annotated, composed-output, slice, typing)."""
     if isinstance(g, GName):
         typing = infer_direct(ctx, Nm(g.name))
         return g, EMPTY_DEP, EMPTY_DEP, typing
     if isinstance(g, GLet):
-        b2, d1, tb = _synth_binding(ctx, delta, g.binding, regime)
+        b2, d1, tb = _synth_binding(ctx, delta, g.binding, regime, typings)
+        if typings is not None:
+            typings[g.var] = tb
         ctx2 = bind_let(ctx, g.var, tb)
         delta2 = dep_last_use(delta, g.var, tb.eff, ctx, regime)
-        body2, d2, _slice2, t2 = _synth(ctx2, delta2, g.body, regime)
+        body2, d2, _slice2, t2 = _synth(ctx2, delta2, g.body, regime,
+                                        typings)
         reroute = dep_restrict_names(delta, saturate(tb.qt.qual, ctx))
         out = dep_update(d1, dep_rewire(d2, g.var, reroute))
         typing = let_typing(g.var, tb, t2)
@@ -67,19 +72,24 @@ def _synth(ctx, delta, g, regime):
     raise TypeError(g)
 
 
-def _synth_binding(ctx, delta, b, regime):
+def _synth_binding(ctx, delta, b, regime, typings):
     """Returns (annotated-binding, binding-dep, typing)."""
     if isinstance(b, (GName, GLet)):
-        b2, out, _slice, typing = _synth(ctx, delta, b, regime)
+        b2, out, _slice, typing = _synth(ctx, delta, b, regime, typings)
         return b2, out, typing
     if isinstance(b, NLam):
-        typing = check_binding(ctx, b)  # validates capture/latent first
-        ctx2 = lam_body_ctx(ctx, b, typing.qt.qual)
-        # body synthesized with every last use pointing at the parameter
-        delta_body = points_to(ctx2.domain(), b.param)
-        body2, body_out, _slice, _tbody = _synth(ctx2, delta_body, b.body,
-                                                 regime)
-        annotated = NLam(b.param, b.param_qt, b.latent, body2, body_out)
+        body = []
+
+        def synth_body(ctx2, g):
+            # every last use in the body points at the parameter
+            body2, body_out, _slice, tbody = _synth(
+                ctx2, points_to(ctx2.domain(), b.param), g, regime, typings)
+            body.extend((body2, body_out))
+            return tbody
+
+        # the lambda rule checks capture and latent before the body
+        typing = check_lam(ctx, b, graph_free_names(b), synth_body)
+        annotated = NLam(b.param, b.param_qt, b.latent, *body)
         return annotated, EMPTY_DEP, typing
     # plain graph nodes: dependency = Δ restricted to the node's effect
     typing = check_binding(ctx, b)
@@ -117,18 +127,19 @@ def _check_binding(ctx, delta, b, regime) -> Typing:
         typing, _ = _check(ctx, delta, b, regime)
         return typing
     if isinstance(b, NLam):
-        typing = check_binding(ctx, b)
-        ctx2 = lam_body_ctx(ctx, b, typing.qt.qual)
-        delta_body = points_to(ctx2.domain(), b.param)
-        tbody, _ = _check(ctx2, delta_body, b.body, regime)
-        annotated = b.body_dep if b.body_dep is not None else EMPTY_DEP
-        required = dep_restrict(delta_body, tbody.eff, ctx2, regime)
-        if not dep_submap(annotated, required):
-            raise DepMismatch(
-                f"latent annotation {annotated!r} exceeds required "
-                f"{required!r}", node=b.param,
-                annotated=annotated, required=required)
-        return typing
+        def check_body(ctx2, g):
+            delta_body = points_to(ctx2.domain(), b.param)
+            tbody, _ = _check(ctx2, delta_body, g, regime)
+            annotated = b.body_dep if b.body_dep is not None else EMPTY_DEP
+            required = dep_restrict(delta_body, tbody.eff, ctx2, regime)
+            if not dep_submap(annotated, required):
+                raise DepMismatch(
+                    f"latent annotation {annotated!r} exceeds required "
+                    f"{required!r}", node=b.param,
+                    annotated=annotated, required=required)
+            return tbody
+
+        return check_lam(ctx, b, graph_free_names(b), check_body)
     return check_binding(ctx, b)
 
 

@@ -1,6 +1,8 @@
 """Equational graph-to-graph rewrites (dead code, commuting, hoisting,
 inlining, common subexpressions) applied under congruence with explicit
-side-condition checks; every fired rewrite re-runs dependency synthesis.
+side-condition checks. The side conditions read the binding typings that
+dependency synthesis records; every fired rewrite re-runs synthesis, which
+also records the rewritten graph's typings for the next walk.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from .core import (
     TypingContext, graph_free_names, rename_graph, saturate,
 )
 from .graphir import SynthState, erase, synthesize
-from .mnf import check_binding
-from .typecheck import bind_let, lam_body_ctx
+from .typecheck import Typing, bind_let, lam_body_ctx
 
 
 @dataclass
@@ -35,61 +36,79 @@ class RewriteReport:
 class Site:
     """A binding position with its scope already built. `path` addresses
     it (0 enters a let's binding, or a bound lambda's body; 1 its body),
-    `ctx` types `focus`, `defs` maps the binders on the scope spine to
-    their (binding, typing), and `rebuild` reassembles the whole
-    (unannotated) graph around a replacement for `focus`."""
+    `ctx` types `focus`, whose binding has the typing `typing`; `defs`
+    maps the binders on the scope spine to their (binding, typing),
+    `typings` maps every binder of the graph to its binding's typing, and
+    `rebuild` reassembles the whole (unannotated) graph around a
+    replacement for `focus`. A rule that fires here leaves the rewritten
+    graph's typings in `typings_after`."""
     path: tuple
     ctx: TypingContext
     defs: ChainMap
     focus: GLet
     rebuild: Callable
+    typing: Typing
+    typings: dict
+    typings_after: dict | None = None
 
 
-def walk(st: SynthState, g: GraphTerm) -> Iterator[Site]:
-    """Every binding site, outside-in and left-to-right, each binding typed
-    once on the way down. A site is valid until the walk moves on, which
-    adds the focused binder to `defs`."""
-
-    def scope(ctx, g, path, rebuild, defs):
-        while isinstance(g, GLet):
-            yield Site(path, ctx, defs, g, rebuild)
-            b = g.binding
-            tb = check_binding(ctx, b)
-            if isinstance(b, GLet):
-                yield from scope(ctx, b, path + (0,),
-                                 lambda frag, g=g, rb=rebuild:
-                                 rb(GLet(g.var, frag, g.body, None)),
-                                 defs.new_child())
-            elif isinstance(b, NLam):
-                yield from scope(
-                    lam_body_ctx(ctx, b, tb.qt.qual), b.body, path + (0,),
-                    lambda frag, g=g, b=b, rb=rebuild:
-                    rb(GLet(g.var, NLam(b.param, b.param_qt, b.latent, frag,
-                                        None), g.body, None)),
-                    defs.new_child())
-            defs[g.var] = (b, tb)
-            ctx = bind_let(ctx, g.var, tb)
-            rebuild = (lambda frag, g=g, rb=rebuild:
-                       rb(GLet(g.var, g.binding, frag, None)))
-            path = path + (1,)
-            g = g.body
-
-    return scope(st.ctx, g, (), lambda frag: frag, ChainMap())
+def walk(st: SynthState, g: GraphTerm, typings: dict) -> Iterator[Site]:
+    """Every binding site, outside-in and left-to-right, each context built
+    from the binding typings that synthesis of `g` recorded in `typings`.
+    A site is valid until the walk moves on, which adds the focused binder
+    to `defs`."""
+    return _scope(st.ctx, g, (), lambda frag: frag, ChainMap(), typings)
 
 
-def _navigate(st: SynthState, g: GraphTerm, site):
-    """(ctx, defs, focus, rebuild) of a site, given as a `Site` of `walk`
-    or as the path of one."""
+def _scope(ctx, g, path, rebuild, defs, typings):
+    # a module-level generator, so that no closure cell keeps `typings`
+    # in a reference cycle
+    while isinstance(g, GLet):
+        tb = typings[g.var]
+        yield Site(path, ctx, defs, g, rebuild, tb, typings)
+        b = g.binding
+        if isinstance(b, GLet):
+            yield from _scope(ctx, b, path + (0,),
+                              lambda frag, g=g, rb=rebuild:
+                              rb(GLet(g.var, frag, g.body, None)),
+                              defs.new_child(), typings)
+        elif isinstance(b, NLam):
+            yield from _scope(
+                lam_body_ctx(ctx, b, tb.qt.qual), b.body, path + (0,),
+                lambda frag, g=g, b=b, rb=rebuild:
+                rb(GLet(g.var, NLam(b.param, b.param_qt, b.latent, frag,
+                                    None), g.body, None)),
+                defs.new_child(), typings)
+        defs[g.var] = (b, tb)
+        ctx = bind_let(ctx, g.var, tb)
+        rebuild = (lambda frag, g=g, rb=rebuild:
+                   rb(GLet(g.var, g.binding, frag, None)))
+        path = path + (1,)
+        g = g.body
+
+
+def _typings(st: SynthState, g: GraphTerm) -> dict:
+    """The binding typing of every binder of `g`, as synthesis records
+    them."""
+    typings: dict = {}
+    synthesize(st, erase(g), typings)
+    return typings
+
+
+def _navigate(st: SynthState, g: GraphTerm, site) -> Site:
+    """A site given as a `Site` of `walk` or as the path of one."""
     if not isinstance(site, Site):
         path = tuple(site)
-        site = next((s for s in walk(st, g) if s.path == path), None)
+        site = next((s for s in walk(st, g, _typings(st, g))
+                     if s.path == path), None)
         if site is None:
             raise SideConditionFailed(f"no binding at path {list(path)}")
-    return site.ctx, site.defs, site.focus, site.rebuild
+    return site
 
 
-def _resynth(st: SynthState, g: GraphTerm) -> GraphTerm:
-    g2, _ = synthesize(st, erase(g))
+def _resynth(st: SynthState, g: GraphTerm, site: Site) -> GraphTerm:
+    site.typings_after = {}
+    g2, _ = synthesize(st, erase(g), site.typings_after)
     return g2
 
 
@@ -170,9 +189,9 @@ def rw_dce(st: SynthState, g: GraphTerm, site: tuple,
            supply: NameSupply) -> GraphTerm:
     """Remove a binding whose result is dead and whose effect is at most
     allocation."""
-    ctx, _defs, focus, rebuild = _navigate(st, g, site)
-    tb = check_binding(ctx, focus.binding)
-    ok, why = _alloc_only(ctx, tb.eff)
+    site = _navigate(st, g, site)
+    focus = site.focus
+    ok, why = _alloc_only(site.ctx, site.typing.eff)
     if not ok:
         raise SideConditionFailed(f"binding not discardable: {why}")
     if focus.var in graph_free_names(focus.body):
@@ -180,21 +199,21 @@ def rw_dce(st: SynthState, g: GraphTerm, site: tuple,
     if _dep_mentions(focus.body, focus.var):
         raise SideConditionFailed(
             f"{focus.var!r} appears in continuation dependencies")
-    return _resynth(st, rebuild(focus.body))
+    return _resynth(st, site.rebuild(focus.body), site)
 
 
 def rw_comm(st: SynthState, g: GraphTerm, site: tuple,
             supply: NameSupply) -> GraphTerm:
     """Swap two adjacent bindings with disjoint saturated effects."""
-    ctx, _defs, focus, rebuild = _navigate(st, g, site)
+    site = _navigate(st, g, site)
+    focus = site.focus
     if not isinstance(focus.body, GLet):
         raise SideConditionFailed("no adjacent second binding")
     x1, b1 = focus.var, focus.binding
     inner = focus.body
     x2, b2 = inner.var, inner.binding
-    t1 = check_binding(ctx, b1)
-    ctx2 = bind_let(ctx, x1, t1)
-    t2 = check_binding(ctx2, b2)
+    t1, t2 = site.typing, site.typings[x2]
+    ctx2 = bind_let(site.ctx, x1, t1)
     e1 = saturate(t1.eff.flat, ctx2)
     e2 = saturate(t2.eff.flat, ctx2)
     if not e1.isdisjoint(e2):
@@ -204,22 +223,22 @@ def rw_comm(st: SynthState, g: GraphTerm, site: tuple,
     if x2 in graph_free_names(b1):
         raise SideConditionFailed(f"first binding mentions {x2!r}")
     swapped = GLet(x2, b2, GLet(x1, b1, inner.body, None), None)
-    return _resynth(st, rebuild(swapped))
+    return _resynth(st, site.rebuild(swapped), site)
 
 
 def rw_hoist(st: SynthState, g: GraphTerm, site: tuple,
              supply: NameSupply) -> GraphTerm:
     """Move a strictly pure, untracked, parameter-independent first binding
     out of a lambda body."""
-    ctx, _defs, focus, rebuild = _navigate(st, g, site)
+    site = _navigate(st, g, site)
+    focus = site.focus
     lam = focus.binding
     if not isinstance(lam, NLam):
         raise SideConditionFailed("binding is not a lambda")
     inner = lam.body
     if not isinstance(inner, GLet):
         raise SideConditionFailed("lambda body has no binding to hoist")
-    tb = check_binding(ctx, lam)
-    ti = check_binding(lam_body_ctx(ctx, lam, tb.qt.qual), inner.binding)
+    ti = site.typings[inner.var]
     if not ti.eff.is_pure:
         raise SideConditionFailed("hoisted binding is not pure")
     if lam.param in graph_free_names(inner.binding):
@@ -231,14 +250,15 @@ def rw_hoist(st: SynthState, g: GraphTerm, site: tuple,
     lam2 = NLam(lam.param, lam.param_qt, lam.latent, inner.body, None)
     hoisted = GLet(inner.var, inner.binding,
                    GLet(focus.var, lam2, focus.body, None), None)
-    return _resynth(st, rebuild(hoisted))
+    return _resynth(st, site.rebuild(hoisted), site)
 
 
 def rw_inline(st: SynthState, g: GraphTerm, site: tuple,
               supply: NameSupply) -> GraphTerm:
     """Replace an application of a locally-bound lambda to a locally-bound
     discardable argument by the lambda's (freshened) body."""
-    ctx, defs, focus, rebuild = _navigate(st, g, site)
+    site = _navigate(st, g, site)
+    ctx, defs, focus = site.ctx, site.defs, site.focus
     app = focus.binding
     if not isinstance(app, NApp):
         raise SideConditionFailed("binding is not an application")
@@ -247,7 +267,7 @@ def rw_inline(st: SynthState, g: GraphTerm, site: tuple,
         raise SideConditionFailed(
             f"function {app.fn!r} is not locally bound to a lambda")
     # the callee may sit in a nested block whose locals are out of scope here
-    missing = graph_free_names(lam) - frozenset(ctx.domain())
+    missing = {n for n in graph_free_names(lam) if n not in ctx}
     if missing:
         raise SideConditionFailed(
             f"callee mentions {sorted(missing)!r}, out of scope here")
@@ -261,27 +281,27 @@ def rw_inline(st: SynthState, g: GraphTerm, site: tuple,
     body = rename_graph(lam.body, {lam.param: app.arg}, fresh=supply,
                         dep=lambda d: None)
     inlined = GLet(focus.var, body, focus.body, None)
-    return _resynth(st, rebuild(inlined))
+    return _resynth(st, site.rebuild(inlined), site)
 
 
 def rw_cse(st: SynthState, g: GraphTerm, site: tuple,
            supply: NameSupply) -> GraphTerm:
     """Collapse two syntactically identical adjacent bindings that do not
     allocate; the second's uses are renamed to the first."""
-    ctx, _defs, focus, rebuild = _navigate(st, g, site)
+    site = _navigate(st, g, site)
+    ctx, focus = site.ctx, site.focus
     if not isinstance(focus.body, GLet):
         raise SideConditionFailed("no adjacent second binding")
     inner = focus.body
     if erase(focus.binding) != erase(inner.binding):
         raise SideConditionFailed("bindings are not identical")
-    tb = check_binding(ctx, focus.binding)
     cap = _capability(ctx)
     wstar = saturate(Qualifier.of(cap), ctx) if cap else EMPTY_QUAL
-    if not saturate(tb.eff.reads, ctx).isdisjoint(wstar):
+    if not saturate(site.typing.eff.reads, ctx).isdisjoint(wstar):
         raise SideConditionFailed("binding allocates")
     merged = GLet(focus.var, focus.binding,
                   rename_graph(inner.body, {inner.var: focus.var}), None)
-    return _resynth(st, rebuild(merged))
+    return _resynth(st, site.rebuild(merged), site)
 
 
 RULES = {
@@ -296,7 +316,8 @@ RULES = {
 def _fire(st: SynthState, g: GraphTerm, rule: str, sites, supply,
           reports: list, log_misses: bool):
     """Try `rule` at each of `sites` in turn. Returns the rewritten graph
-    and the site of the first rewrite that fires, or (None, None)."""
+    and the site of the first rewrite that fires, which holds the rewritten
+    graph's typings, or (None, None)."""
     for site in sites:
         try:
             g2 = RULES[rule](st, g, site, supply)
@@ -305,6 +326,8 @@ def _fire(st: SynthState, g: GraphTerm, rule: str, sites, supply,
                 reports.append(RewriteReport(rule, site.path, False, str(e)))
             continue
         reports.append(RewriteReport(rule, site.path, True))
+        if site.typings_after is None:  # a rule that bypasses `_resynth`
+            site.typings_after = _typings(st, g2)
         return g2, site
     return None, None
 
@@ -326,6 +349,10 @@ def optimize(st: SynthState, g: GraphTerm, passes: list,
     binding a swap pushes down is not tried again. `fuel` bounds the
     rewrites fired in all. Returns the rewritten graph and the report log.
 
+    The program is typed once by synthesis up front and once more by the
+    re-synthesis of each fired rewrite; the walks and the rules' side
+    conditions read the binding typings those syntheses record.
+
     `supply` must be the program's own name supply, the one its binders
     were drawn from: inlining mints fresh binders from it, and a supply
     that has not seen the program's names mints clashing ones."""
@@ -333,23 +360,25 @@ def optimize(st: SynthState, g: GraphTerm, passes: list,
         if p not in RULES:
             raise SideConditionFailed(f"unknown pass {p!r}")
     reports: list = []
+    typings = _typings(st, g)
     changed = True
     while changed and fuel > 0:
         changed = False
         for rule in passes:
             while rule != "comm" and fuel > 0:
-                g2, _ = _fire(st, g, rule, walk(st, g), supply, reports,
-                              log_misses)
+                g2, site = _fire(st, g, rule, walk(st, g, typings), supply,
+                                 reports, log_misses)
                 if g2 is None:
                     break
-                g, fuel, changed = g2, fuel - 1, True
+                g, typings = g2, site.typings_after
+                fuel, changed = fuel - 1, True
     # binders are unique, so they name the positions the sweep has tried
     tried: set = set()
     while "comm" in passes and fuel > 0:
-        g2, site = _fire(st, g, "comm", _untried(walk(st, g), tried),
+        g2, site = _fire(st, g, "comm", _untried(walk(st, g, typings), tried),
                          supply, reports, log_misses)
         if g2 is None:
             break
         tried.add(site.focus.body.var)  # now at the tried position
-        g, fuel = g2, fuel - 1
+        g, typings, fuel = g2, site.typings_after, fuel - 1
     return g, reports

@@ -8,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 from girkit.cli import _front_end
 from girkit.core import (
     Cell, DepMap, DepMismatch, EMPTY_DEP, GLet, GName, HARD, NAssign, NCst,
-    NDeref, PURE, QualifiedType, Qualifier, RW, RefTy, TY_INT, TypingContext,
+    NDeref, NLam, PURE, QualifiedType, Qualifier, RW, RefTy, TY_INT, TypingContext,
     graph_to_text, initial_store, saturate,
 )
 from girkit.graphir import (
     check_deps, erase, initial_state, synthesize, synthesize_config,
 )
-from girkit.mnf import check_mnf, to_mnf
+from girkit.mnf import check_binding, check_mnf, to_mnf
 from girkit.testkit import GenConfig, brute_deps, gen_well_typed
-from girkit.typecheck import Typing, bind_let, infer_direct
+from girkit.typecheck import Typing, bind_let, infer_direct, lam_body_ctx
 
 
 def two_write_graph():
@@ -181,6 +181,57 @@ class TestSynthesisCost:
         monkeypatch.setattr(TypingContext, "lookup", counting)
         small, large = lookups(100), lookups(400)
         assert large / small <= 5
+
+
+class TestLambdaBodyTypedOnce:
+    # three lambdas, each nested in the body of the one before
+    PROGRAM = ("let f = fun (a: Int^{}) =>{rd{} wr{}} ("
+               "let g = fun (b: Int^{}) =>{rd{} wr{}} ("
+               "let h = fun (c: Int^{}) =>{rd{} wr{}} c in h b) in g a) "
+               "in f 1")
+
+    @pytest.mark.parametrize("regime", [HARD, RW])
+    def test_synthesis_and_checking_type_bodies_in_their_own_walk(
+            self, regime, monkeypatch):
+        """A lambda body is typed by the traversal that synthesizes or
+        checks it, not once more through `check_mnf` for every lambda
+        around it."""
+        mnf = importlib.import_module("girkit.mnf")
+        calls = [0]
+
+        def counting(ctx, g):
+            calls[0] += 1
+            return check_mnf(ctx, g)
+
+        store, t, _ = _front_end(self.PROGRAM)
+        g = to_mnf(t, store.supply)
+        monkeypatch.setattr(mnf, "check_mnf", counting)
+        cfg = synthesize_config(store, g, regime)
+        st_, _ = initial_state(cfg.store, cfg.z, regime)
+        check_deps(st_, cfg.graph)
+        assert calls[0] == 0
+
+    def test_synthesis_records_each_binding_typing(self):
+        store, t, _ = _front_end(self.PROGRAM)
+        g = to_mnf(t, store.supply)
+        st_, _ = initial_state(store)
+        typings = {}
+        synthesize(st_, g, typings)
+        want = {}
+        todo = [(st_.ctx, g)]
+        while todo:
+            ctx, u = todo.pop()
+            while isinstance(u, GLet):
+                tb = check_binding(ctx, u.binding)
+                want[u.var] = tb
+                if isinstance(u.binding, GLet):
+                    todo.append((ctx, u.binding))
+                elif isinstance(u.binding, NLam):
+                    todo.append((lam_body_ctx(ctx, u.binding, tb.qt.qual),
+                                 u.binding.body))
+                ctx = bind_let(ctx, u.var, tb)
+                u = u.body
+        assert typings == want and len(want) > 9
 
 
 class TestCarriedObservation:

@@ -2,13 +2,16 @@
 (`requires-python >= 3.10`). Each interpreter runs in a subprocess, so the
 check covers interpreters that have no pytest of their own; a version whose
 `python3.X` is not on PATH is skipped. The package's invariants must also
-hold under `python -O`, which strips `assert` statements, and every
-function it defines must be used."""
+hold under `python -O`, which strips `assert` statements, every
+function it defines must be used, and every module must be reachable as
+an attribute of the package."""
 
 import ast
+import importlib
 import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +72,16 @@ def test_no_helper_is_dead():
             and not (node.name.startswith("__") and node.name.endswith("__"))
             and node.name not in used]
     assert dead == []
+
+
+def test_each_module_is_a_package_attribute():
+    """`import girkit.X as m` binds the module X, so no name the package
+    re-exports may shadow a submodule."""
+    import girkit
+    names = sorted(p.stem for p in (SRC / "girkit").glob("*.py")
+                   if p.stem != "__init__")
+    for name in names:
+        importlib.import_module(f"girkit.{name}")
+    shadowed = [n for n in names
+                if getattr(girkit, n) is not sys.modules[f"girkit.{n}"]]
+    assert shadowed == []

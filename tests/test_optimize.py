@@ -1,6 +1,7 @@
 """Graph rewrites: one positive and one per-premise negative for each
 rule, plus fixpoint-driver behavior and soundness spot checks."""
 
+import gc
 import importlib
 from collections import Counter
 
@@ -9,8 +10,8 @@ import pytest
 from girkit.core import (
     App, Cell, Cst, Deref, GLet, GName, HARD, Lam, Let, NApp, NAssign,
     NCst, NDeref, NLam, NRef, Nm, PURE, Qualifier, QualifiedType,
-    RuntimeConfig, RwEffect, SideConditionFailed, TY_INT, graph_to_text,
-    initial_store,
+    RuntimeConfig, RwEffect, SideConditionFailed, TY_INT, TypingContext,
+    graph_to_text, initial_store,
 )
 from girkit.cli import _front_end, main
 from girkit.graphir import (
@@ -20,6 +21,7 @@ from girkit.interp import canonical_value, eval_graph
 from girkit.mnf import check_binding, to_mnf
 from girkit.optimize import RULES, optimize
 from girkit.testkit import GenConfig, fuzz, opportunity
+from girkit.typecheck import Typing
 from test_graphir import cell_chain
 
 rw_dce = RULES["dce"]
@@ -323,20 +325,29 @@ class TestComposedRules:
             assert summary.failures == 0, (seed, summary.details)
 
 
+@pytest.fixture
+def check_binding_calls(monkeypatch):
+    """Counts the `check_binding` calls made through the modules that type
+    bindings; a module that does not import it is patched all the same,
+    so a call it comes to make is counted too."""
+    calls = [0]
+
+    def counting(ctx, b):
+        calls[0] += 1
+        return check_binding(ctx, b)
+
+    for module in ("mnf", "graphir", "optimize"):
+        monkeypatch.setattr(importlib.import_module(f"girkit.{module}"),
+                            "check_binding", counting, raising=False)
+    return calls
+
+
 class TestWalkCost:
-    def test_check_binding_calls_grow_linearly(self, monkeypatch):
-        """The walk types each binding once on the way down, so four times
-        the lets make about four times the calls (re-walking from the root
+    def test_check_binding_calls_grow_linearly(self, check_binding_calls):
+        """Each fired rewrite types the program once, so four times the
+        lets make about four times the calls (re-walking from the root
         for every site makes about sixteen)."""
-        calls = [0]
-
-        def counting(ctx, b):
-            calls[0] += 1
-            return check_binding(ctx, b)
-
-        for module in ("mnf", "graphir", "optimize"):
-            monkeypatch.setattr(importlib.import_module(f"girkit.{module}"),
-                                "check_binding", counting)
+        calls = check_binding_calls
 
         def checks(lets):
             store, t, _ = _front_end(cell_chain(lets))
@@ -348,6 +359,77 @@ class TestWalkCost:
 
         small, large = checks(50), checks(200)
         assert large / small <= 5
+
+
+class TestTypingsFromSynthesis:
+    # three dead bindings (d1, d2 and the dead lambda k) and an
+    # application of a known lambda to a discardable argument
+    PROGRAM = "\n".join([
+        "let r0 = ref(w, 1) in",
+        "let f = fun (p: Int^{}) =>{rd{} wr{}} (let q = p in q) in",
+        "let d1 = 5 in",
+        "let a = 3 in",
+        "let d2 = 6 in",
+        "let k = fun (s: Int^{}) =>{rd{} wr{}} s in",
+        "let v = f a in",
+        "let u = r0 := v in",
+        "!r0"])
+
+    def program(self):
+        store, t, _ = _front_end(self.PROGRAM)
+        cfg = synthesize_config(store, to_mnf(t, store.supply))
+        st, _ = initial_state(cfg.store, cfg.z)
+        return store, st, cfg.graph
+
+    @pytest.mark.parametrize("passes", [["dce"], ["inline", "dce"],
+                                        sorted(RULES)])
+    def test_one_typing_per_fired_rewrite(self, passes, check_binding_calls):
+        """The walk and the rules read the typings synthesis recorded, so
+        the optimizer types the program once up front and once per fired
+        rewrite, and no more."""
+        calls = check_binding_calls
+        store, st, g = self.program()
+        calls[0] = 0
+        synthesize(st, erase(g))
+        one = calls[0]
+        calls[0] = 0
+        _, reports = optimize(st, g, passes, supply=store.supply)
+        fired = [r.rule for r in reports if r.fired]
+        assert fired.count("dce") >= 3
+        assert "inline" in fired or "inline" not in passes
+        assert calls[0] <= (len(fired) + 1) * one
+
+    def test_rules_read_the_recorded_typings(self):
+        """Every rule at every site of a path-form call agrees with the
+        driver on what fires."""
+        store, st, g = self.program()
+        _, reports = optimize(st, g, sorted(RULES), fuel=1,
+                              supply=store.supply, log_misses=True)
+        for r in reports:
+            store2, st2, g2 = self.program()
+            try:
+                RULES[r.rule](st2, g2, r.site, store2.supply)
+                fired = True
+            except SideConditionFailed:
+                fired = False
+            assert fired == r.fired, r
+
+    def test_no_typing_is_left_in_a_reference_cycle(self):
+        """Typings and contexts die with the last reference to them, not
+        at the next cyclic collection."""
+        store, st, g = self.program()
+        gc.collect()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            optimize(st, g, sorted(RULES), supply=store.supply)
+            gc.collect()
+            left = [type(o).__name__ for o in gc.garbage
+                    if isinstance(o, (Typing, TypingContext))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert left == []
 
 
 class TestCommSweep:
