@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -404,7 +403,6 @@ def export_dot(g, dep: Optional[DepMap] = None, title: str = "G") -> str:
     """Render an annotated graph term as one DOT digraph: solid edges are
     data dependencies, dashed are hard effect dependencies, dotted soft."""
     lines = [f"digraph {title} {{", "  rankdir=BT;"]
-    seen: set = set()
 
     def node_id(n: Name) -> str:
         return f'"{n.pretty()}"'
@@ -414,7 +412,6 @@ def export_dot(g, dep: Optional[DepMap] = None, title: str = "G") -> str:
             b = g.binding
             lines.append(f"  {node_id(g.var)} "
                          f"[label=\"{g.var.pretty()} := {_node_label(b)}\"];")
-            seen.add(g.var)
             for m in _operands(b):
                 lines.append(f"  {node_id(g.var)} -> {node_id(m)};")
             d = g.dep
@@ -771,10 +768,12 @@ def cmd_opt(args) -> int:
         if p not in RULES:
             raise ParseError(f"unknown pass {p!r}; choose from "
                              f"{','.join(RULES)}")
-    cfg = _build_config(_read(args.file), _regime(args))
-    st, _ = initial_state(cfg.store, cfg.z, _regime(args))
-    g2, reports = optimize(st, cfg.graph, passes, fuel=args.fuel,
-                           supply=cfg.store.supply)
+    store, t, _ = _front_end(_read(args.file))
+    g = to_mnf(t, store.supply)
+    # `optimize` synthesizes the program itself
+    st, _ = initial_state(store, regime=_regime(args))
+    g2, reports = optimize(st, g, passes, fuel=args.fuel,
+                           supply=store.supply)
     if args.report == "json":
         out = [{"rule": r.rule, "site": list(r.site), "fired": r.fired,
                 "reason": r.reason} for r in reports]
@@ -833,11 +832,7 @@ def cmd_run(args) -> int:
 
 def cmd_fuzz(args) -> int:
     from . import testkit
-    seed = args.seed
-    env_seed = os.environ.get("GIR_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
-    summary = testkit.fuzz(count=args.count, seed=seed,
+    summary = testkit.fuzz(count=args.count, seed=args.seed,
                            max_depth=args.max_depth, check=args.check)
     print(summary.render())
     return 0 if summary.failures == 0 else 1

@@ -1,6 +1,9 @@
 """Dependency synthesis for the graph IR: annotate MNF terms with hard
 (and, in the read/write regime, soft) dependency maps driven by the
-last-use coeffect Δ; plus dependency checking and erasure.
+last-use coeffect Δ; plus erasure. Synthesis is a function of the types
+and effects, so it also checks annotations: one already on the input is
+correct exactly when it is a sub-map of the slice synthesized at its
+position, and the one traversal compares them.
 """
 
 from __future__ import annotations
@@ -39,7 +42,12 @@ def synthesize(st: SynthState, g: GraphTerm,
     composition is a sub-map refinement (internal writes can downgrade an
     external hard dependency to a soft one, which the restriction view
     over-approximates). A composition that breaks either relation raises
-    DepMismatch."""
+    DepMismatch.
+
+    An annotation already on the input, a let's `dep` or a lambda's
+    `body_dep`, is checked against the slice synthesized at its position
+    (DepMismatch naming the let's binder or the lambda's parameter if it
+    is not a sub-map of that slice), then replaced."""
     g2, out, slice_, _typing = _synth(st.ctx, st.last_use, g, st.regime,
                                       typings)
     return g2, slice_
@@ -52,6 +60,13 @@ def _synth(ctx, delta, g, regime, typings):
         return g, EMPTY_DEP, EMPTY_DEP, typing
     if isinstance(g, GLet):
         b2, d1, tb = _synth_binding(ctx, delta, g.binding, regime, typings)
+        if g.dep is not None:
+            required = dep_restrict(delta, tb.eff, ctx, regime)
+            if not dep_submap(g.dep, required):
+                raise DepMismatch(
+                    f"annotation {g.dep!r} on {g.var!r} exceeds required "
+                    f"slice {required!r}",
+                    node=g.var, annotated=g.dep, required=required)
         if typings is not None:
             typings[g.var] = tb
         ctx2 = bind_let(ctx, g.var, tb)
@@ -82,8 +97,13 @@ def _synth_binding(ctx, delta, b, regime, typings):
 
         def synth_body(ctx2, g):
             # every last use in the body points at the parameter
-            body2, body_out, _slice, tbody = _synth(
+            body2, body_out, slice_, tbody = _synth(
                 ctx2, points_to(ctx2.domain(), b.param), g, regime, typings)
+            if b.body_dep is not None and not dep_submap(b.body_dep, slice_):
+                raise DepMismatch(
+                    f"latent annotation {b.body_dep!r} exceeds required "
+                    f"{slice_!r}", node=b.param, annotated=b.body_dep,
+                    required=slice_)
             body.extend((body2, body_out))
             return tbody
 
@@ -98,49 +118,11 @@ def _synth_binding(ctx, delta, b, regime, typings):
 
 
 def check_deps(st: SynthState, g: GraphTerm) -> Typing:
-    """Verify every annotation is a sub-map of the slice its rule demands."""
-    typing, _ = _check(st.ctx, st.last_use, g, st.regime)
-    return typing
-
-
-def _check(ctx, delta, g, regime):
-    if isinstance(g, GName):
-        return infer_direct(ctx, Nm(g.name)), EMPTY_DEP
-    if isinstance(g, GLet):
-        tb = _check_binding(ctx, delta, g.binding, regime)
-        annotated = g.dep if g.dep is not None else EMPTY_DEP
-        required = dep_restrict(delta, tb.eff, ctx, regime)
-        if not dep_submap(annotated, required):
-            raise DepMismatch(
-                f"annotation {annotated!r} on {g.var!r} exceeds required "
-                f"slice {required!r}",
-                node=g.var, annotated=annotated, required=required)
-        ctx2 = bind_let(ctx, g.var, tb)
-        delta2 = dep_last_use(delta, g.var, tb.eff, ctx, regime)
-        t2, _ = _check(ctx2, delta2, g.body, regime)
-        return let_typing(g.var, tb, t2), EMPTY_DEP
-    raise TypeError(g)
-
-
-def _check_binding(ctx, delta, b, regime) -> Typing:
-    if isinstance(b, (GName, GLet)):
-        typing, _ = _check(ctx, delta, b, regime)
-        return typing
-    if isinstance(b, NLam):
-        def check_body(ctx2, g):
-            delta_body = points_to(ctx2.domain(), b.param)
-            tbody, _ = _check(ctx2, delta_body, g, regime)
-            annotated = b.body_dep if b.body_dep is not None else EMPTY_DEP
-            required = dep_restrict(delta_body, tbody.eff, ctx2, regime)
-            if not dep_submap(annotated, required):
-                raise DepMismatch(
-                    f"latent annotation {annotated!r} exceeds required "
-                    f"{required!r}", node=b.param,
-                    annotated=annotated, required=required)
-            return tbody
-
-        return check_lam(ctx, b, graph_free_names(b), check_body)
-    return check_binding(ctx, b)
+    """Verify every annotation is a sub-map of the slice its rule demands
+    (a missing one always checks): synthesize `g`, which compares each
+    annotation it carries with the slice synthesized at its position.
+    Returns the term's typing."""
+    return _synth(st.ctx, st.last_use, g, st.regime, None)[3]
 
 
 def erase(g):

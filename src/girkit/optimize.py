@@ -87,19 +87,19 @@ def _scope(ctx, g, path, rebuild, defs, typings):
         g = g.body
 
 
-def _typings(st: SynthState, g: GraphTerm) -> dict:
-    """The binding typing of every binder of `g`, as synthesis records
-    them."""
+def _synthesized(st: SynthState, g: GraphTerm) -> tuple[GraphTerm, dict]:
+    """`g` with its annotations synthesized afresh, and the binding typing
+    of every binder, as synthesis records them."""
     typings: dict = {}
-    synthesize(st, erase(g), typings)
-    return typings
+    g2, _ = synthesize(st, erase(g), typings)
+    return g2, typings
 
 
 def _navigate(st: SynthState, g: GraphTerm, site) -> Site:
     """A site given as a `Site` of `walk` or as the path of one."""
     if not isinstance(site, Site):
         path = tuple(site)
-        site = next((s for s in walk(st, g, _typings(st, g))
+        site = next((s for s in walk(st, g, _synthesized(st, g)[1])
                      if s.path == path), None)
         if site is None:
             raise SideConditionFailed(f"no binding at path {list(path)}")
@@ -107,8 +107,7 @@ def _navigate(st: SynthState, g: GraphTerm, site) -> Site:
 
 
 def _resynth(st: SynthState, g: GraphTerm, site: Site) -> GraphTerm:
-    site.typings_after = {}
-    g2, _ = synthesize(st, erase(g), site.typings_after)
+    g2, site.typings_after = _synthesized(st, g)
     return g2
 
 
@@ -327,7 +326,7 @@ def _fire(st: SynthState, g: GraphTerm, rule: str, sites, supply,
             continue
         reports.append(RewriteReport(rule, site.path, True))
         if site.typings_after is None:  # a rule that bypasses `_resynth`
-            site.typings_after = _typings(st, g2)
+            site.typings_after = _synthesized(st, g2)[1]
         return g2, site
     return None, None
 
@@ -347,11 +346,14 @@ def optimize(st: SynthState, g: GraphTerm, passes: list,
     starting a new walk after every rewrite it fires. Then, if `comm` is
     named, sweep the sites once with it: each site is tried once, and the
     binding a swap pushes down is not tried again. `fuel` bounds the
-    rewrites fired in all. Returns the rewritten graph and the report log.
+    rewrites fired in all. Returns the rewritten graph, annotated by
+    synthesis even when no rule fires, and the report log.
 
-    The program is typed once by synthesis up front and once more by the
-    re-synthesis of each fired rewrite; the walks and the rules' side
-    conditions read the binding typings those syntheses record.
+    The program is typed once by synthesis up front, which also annotates
+    it afresh (any annotation the input carries is checked, then
+    replaced), and once more by the re-synthesis of each fired rewrite;
+    the walks and the rules' side conditions read the binding typings
+    those syntheses record.
 
     `supply` must be the program's own name supply, the one its binders
     were drawn from: inlining mints fresh binders from it, and a supply
@@ -360,7 +362,7 @@ def optimize(st: SynthState, g: GraphTerm, passes: list,
         if p not in RULES:
             raise SideConditionFailed(f"unknown pass {p!r}")
     reports: list = []
-    typings = _typings(st, g)
+    g, typings = _synthesized(st, g)
     changed = True
     while changed and fuel > 0:
         changed = False

@@ -11,7 +11,6 @@ import heapq
 import random
 import time
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -199,20 +198,7 @@ class _Deps:
             for p in node.params:
                 names.append(p)
         self.names = names
-        total = len(names)
-
-        # name -> dense index, via a flat table over name ids when they are
-        # reasonably dense (ids are unique per name supply), else a dict
-        max_id = max((n.id for n in names), default=0)
-        if 0 <= max_id <= 8 * total + 1024:
-            lut = [-1] * (max_id + 1)
-        else:
-            lut = defaultdict(lambda: -1)
-            max_id = None
-        for i, n in enumerate(names):
-            lut[n.id] = i
-        self._lut = lut
-        self._id_bound = max_id
+        idx = self._idx = {n: i for i, n in enumerate(names)}
 
         self.node = [sg.nodes[names[i]] for i in range(nn)]
         # per node, one flat run of edges: data targets, then hard effect
@@ -229,19 +215,13 @@ class _Deps:
             data = set()
             pa = []
             for a in node.args:
-                try:
-                    j = lut[a.id]
-                except IndexError:
-                    j = -1
+                j = idx.get(a, -1)
                 if 0 <= j < nn:
                     data.add(j)
                 elif j >= nn:
                     pa.append(j)
             for a in node.body_res:
-                try:
-                    j = lut[a.id]
-                except IndexError:
-                    j = -1
+                j = idx.get(a, -1)
                 if 0 <= j < nn:
                     data.add(j)
             edges.extend(data)
@@ -249,10 +229,7 @@ class _Deps:
             if node.hard or node.soft:
                 hard = set()
                 for h in node.hard:
-                    try:
-                        j = lut[h.id]
-                    except IndexError:
-                        j = -1
+                    j = idx.get(h, -1)
                     if 0 <= j < nn:
                         hard.add(j)
                     elif j >= nn:
@@ -260,14 +237,11 @@ class _Deps:
                 edges.extend(hard)
                 hm[i] = len(edges)
                 for x in node.soft:
-                    try:
-                        j = lut[x.id]
-                    except IndexError:
-                        j = -1
+                    j = idx.get(x, -1)
                     if 0 <= j < nn and j not in hard:
                         edges.append(j)
             off[i + 1] = len(edges)
-            self.params_of[i] = tuple(lut[p.id] for p in node.params)
+            self.params_of[i] = tuple(idx[p] for p in node.params)
             if pa:
                 self._param_args[i] = tuple(pa)
             # store only the non-default frequencies (scope-result edges)
@@ -285,9 +259,7 @@ class _Deps:
 
     def index_of(self, n: Name) -> int:
         """Dense index of a node or parameter name, -1 if absent."""
-        if self._id_bound is not None and not (0 <= n.id <= self._id_bound):
-            return -1
-        return self._lut[n.id]
+        return self._idx.get(n, -1)
 
     def data_of(self, i: int):
         return self._edges[self._off[i]:self._dm[i]]

@@ -259,6 +259,39 @@ class TestMain:
                      "--max-depth", "3", "--check", "translation"]) == 0
         assert "0 failure(s)" in capsys.readouterr().out
 
+    def test_fuzz_seed_comes_from_the_flag_alone(self, capsys,
+                                                  monkeypatch):
+        monkeypatch.setenv("GIR_SEED", "5")
+        assert main(["fuzz", "--count", "1", "--seed", "0",
+                     "--max-depth", "3", "--check", "translation"]) == 0
+        assert "seed=0)" in capsys.readouterr().out
+
+
+def test_benchmark_trace_hooks_find_every_name_they_wrap():
+    """The benchmark's tracer wraps functions by name in `girkit.cli`,
+    `girkit.testkit` and the optimizer's rule table; renaming or dropping
+    one of them breaks every traced run."""
+    root = str(Path(__file__).resolve().parent.parent)
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from types import SimpleNamespace
+
+    from benchmark import spans
+    from girkit import testkit
+    from girkit.schedule import emit, schedule
+
+    ops = SimpleNamespace(schedule=schedule, emit=emit)
+    before = (cli.synthesize_config, cli.to_mnf, cli.optimize,
+              cli.flatten_config, testkit.synthesize)
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, ops)
+    finally:
+        tracer.uninstall()
+    assert (cli.synthesize_config, cli.to_mnf, cli.optimize,
+            cli.flatten_config, testkit.synthesize) == before
+    assert (ops.schedule, ops.emit) == (schedule, emit)
+
 
 def test_module_entry_point_runs_without_a_runtime_warning(src_file):
     # `python -m girkit.cli` warns when importing the package already

@@ -9,7 +9,7 @@ from girkit.cli import _front_end
 from girkit.core import (
     Cell, DepMap, DepMismatch, EMPTY_DEP, GLet, GName, HARD, NAssign, NCst,
     NDeref, NLam, PURE, QualifiedType, Qualifier, RW, RefTy, TY_INT, TypingContext,
-    graph_to_text, initial_store, saturate,
+    dep_add_hard, graph_to_text, initial_store, saturate,
 )
 from girkit.graphir import (
     check_deps, erase, initial_state, synthesize, synthesize_config,
@@ -124,6 +124,59 @@ class TestCheckDeps:
         g = GLet(a, NCst(1), GName(a), None)
         st_, _ = initial_state(store)
         check_deps(st_, g)  # must not raise
+
+    def test_every_annotation_position_is_checked(self):
+        """A ghost key at any let's `dep` or lambda's `body_dep`, nested
+        blocks and lambda bodies included, is reported at that let's
+        binder or that lambda's parameter; a missing one checks."""
+        kinds = {"top": 0, "block": 0, "lambda": 0}
+        for seed in range(40):
+            store = initial_store()
+            t = gen_well_typed(GenConfig(seed=seed, max_depth=6), store)
+            g = to_mnf(t, store.supply)
+            ghost = store.supply.var("ghost")
+            for regime in (HARD, RW):
+                st_, z = initial_state(store, regime=regime)
+                g2, _ = synthesize(st_, g)
+                _, sites = reannotate(g2, -1, None)
+                for k, (owner, kind) in enumerate(sites):
+                    bad, _ = reannotate(g2, k, lambda d: dep_add_hard(
+                        d if d is not None else EMPTY_DEP, ghost, z))
+                    with pytest.raises(DepMismatch) as e:
+                        check_deps(st_, bad)
+                    assert e.value.payload["node"] == owner
+                    check_deps(st_, reannotate(g2, k, lambda d: None)[0])
+                    kinds[kind] += 1
+        assert all(kinds.values()), kinds
+
+
+def reannotate(g, k, edit):
+    """Apply `edit` to the k-th annotation position of `g`: each let's
+    `dep` before its binding's, a lambda's `body_dep` before its body's.
+    Returns the graph and every position as (owner, kind): the owner is
+    the let's binder or the lambda's parameter, the kind says whether the
+    position is on the top-level spine, in a nested block or in a lambda
+    body."""
+    sites = []
+
+    def visit(dep, owner, kind):
+        sites.append((owner, kind))
+        return edit(dep) if len(sites) - 1 == k else dep
+
+    def term(u, kind):
+        if not isinstance(u, GLet):
+            return u
+        dep = visit(u.dep, u.var, kind)
+        b = u.binding
+        if isinstance(b, GLet):
+            b = term(b, "lambda" if kind == "lambda" else "block")
+        elif isinstance(b, NLam):
+            body_dep = visit(b.body_dep, b.param, "lambda")
+            b = NLam(b.param, b.param_qt, b.latent, term(b.body, "lambda"),
+                     body_dep)
+        return GLet(u.var, b, term(u.body, kind), dep)
+
+    return term(g, "top"), sites
 
 
 class TestErase:
