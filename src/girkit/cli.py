@@ -17,11 +17,10 @@ from typing import Optional
 from .core import (
     App, Assign, BaseTy, Cst, Deref, DepMap, FunTy,
     GirError, GLet, GName, HARD, JsonSchemaError, Lam, Let, LOC, Name,
-    NameSupply, NApp, NAssign, NCst, NDeref, NLam, NRef, Nm, OMEGA,
-    ParseError, Qualifier, QualifiedType, RefNew, RefTy, RuntimeConfig, RW,
-    RwEffect, Span, Store, TY_ALLOC, TY_BOOL, TY_INT, TY_UNIT, Term,
-    UNIT_V, VAR, const_text, effect_to_text, graph_to_text, initial_store,
-    qt_to_text,
+    NCst, NLam, Nm, OMEGA, OPERATOR_OF, OPERATORS, ParseError, Qualifier,
+    QualifiedType, RefNew, RefTy, RuntimeConfig, RW, RwEffect, Span, Store,
+    TY_ALLOC, TY_BOOL, TY_INT, TY_UNIT, Term, UNIT_V, VAR, effect_to_text,
+    graph_to_text, initial_store, qt_to_text,
 )
 from .typecheck import infer_direct
 from .mnf import to_mnf
@@ -126,11 +125,10 @@ class _Parser:
     the store's allocation capability.
     """
 
-    def __init__(self, src: str, store: Store, supply: NameSupply):
+    def __init__(self, src: str, store: Store):
         self.toks = tokenize(src)
         self.i = 0
-        self.store = store
-        self.supply = supply
+        self.supply = store.supply
         self.env: dict = {"w": store.w}
 
     # -- token plumbing ----------------------------------------------------
@@ -354,13 +352,12 @@ class _Parser:
                          span=Span(tk.start, tk.end))
 
 
-def parse(text: str, store: Optional[Store] = None,
-          supply: Optional[NameSupply] = None) -> Term:
-    """Parse surface syntax into a term; binders are freshly α-renamed and
-    the free identifier `w` denotes the store's allocation capability."""
+def parse(text: str, store: Optional[Store] = None) -> Term:
+    """Parse surface syntax into a term; binders are freshly α-renamed from
+    the store's name supply and the free identifier `w` denotes the store's
+    allocation capability."""
     store = store if store is not None else initial_store()
-    supply = supply if supply is not None else store.supply
-    return _Parser(text, store, supply).parse()
+    return _Parser(text, store).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -368,35 +365,11 @@ def parse(text: str, store: Optional[Store] = None,
 # ---------------------------------------------------------------------------
 
 def _node_label(b) -> str:
-    if isinstance(b, NCst):
-        return const_text(b.value)
     if isinstance(b, NLam):
         return f"fun {b.param.pretty()}"
-    if isinstance(b, NApp):
-        return f"{b.fn.pretty()} {b.arg.pretty()}"
-    if isinstance(b, NRef):
-        return f"ref({b.cap.pretty()}, {b.init.pretty()})"
-    if isinstance(b, NDeref):
-        return f"!{b.ref.pretty()}"
-    if isinstance(b, NAssign):
-        return f"{b.ref.pretty()} := {b.value.pretty()}"
-    if isinstance(b, GName):
-        return b.name.pretty()
-    return "block"
-
-
-def _operands(b) -> tuple:
-    if isinstance(b, NApp):
-        return (b.fn, b.arg)
-    if isinstance(b, NRef):
-        return (b.cap, b.init)
-    if isinstance(b, NDeref):
-        return (b.ref,)
-    if isinstance(b, NAssign):
-        return (b.ref, b.value)
-    if isinstance(b, GName):
-        return (b.name,)
-    return ()
+    if isinstance(b, GLet):
+        return "block"
+    return graph_to_text(b)
 
 
 def export_dot(g, dep: Optional[DepMap] = None, title: str = "G") -> str:
@@ -412,7 +385,9 @@ def export_dot(g, dep: Optional[DepMap] = None, title: str = "G") -> str:
             b = g.binding
             lines.append(f"  {node_id(g.var)} "
                          f"[label=\"{g.var.pretty()} := {_node_label(b)}\"];")
-            for m in _operands(b):
+            o = OPERATOR_OF.get(type(b))
+            for m in (o.operands(b) if o else
+                      (b.name,) if isinstance(b, GName) else ()):
                 lines.append(f"  {node_id(g.var)} -> {node_id(m)};")
             d = g.dep
             if d is not None:
@@ -586,6 +561,9 @@ def _value_of(v):
     raise JsonSchemaError(f"malformed constant {v!r}")
 
 
+_OPERATOR_NAMED = {o.op: o for o in OPERATORS}
+
+
 def _exp_json(b) -> dict:
     if isinstance(b, NCst):
         return {"op": "cst", "value": _value_json(b.value)}
@@ -597,15 +575,9 @@ def _exp_json(b) -> dict:
         if b.body_dep is not None:
             out["bodyDep"] = _dep_json(b.body_dep)
         return out
-    if isinstance(b, NApp):
-        return {"op": "app", "args": [_name_str(b.fn), _name_str(b.arg)]}
-    if isinstance(b, NRef):
-        return {"op": "ref", "args": [_name_str(b.cap), _name_str(b.init)]}
-    if isinstance(b, NDeref):
-        return {"op": "deref", "args": [_name_str(b.ref)]}
-    if isinstance(b, NAssign):
-        return {"op": "assign",
-                "args": [_name_str(b.ref), _name_str(b.value)]}
+    o = OPERATOR_OF.get(type(b))
+    if o is not None:
+        return {"op": o.op, "args": [_name_str(n) for n in o.operands(b)]}
     if isinstance(b, GName):
         return {"op": "name", "args": [_name_str(b.name)]}
     if isinstance(b, GLet):
@@ -635,14 +607,9 @@ def _exp_of(v):
                         body_dep)
         except KeyError as e:
             raise JsonSchemaError(f"lam node missing {e}")
-    if op == "app":
-        return NApp(*_args_of(v, 2))
-    if op == "ref":
-        return NRef(*_args_of(v, 2))
-    if op == "deref":
-        return NDeref(*_args_of(v, 1))
-    if op == "assign":
-        return NAssign(*_args_of(v, 2))
+    o = _OPERATOR_NAMED.get(op)
+    if o is not None:
+        return o.node(*_args_of(v, len(o.fields)))
     if op == "name":
         return GName(*_args_of(v, 1))
     if op == "block":

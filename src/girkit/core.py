@@ -1,6 +1,6 @@
 """Shared domain types for the middle-end: names, qualifiers, read/write
 effects, qualified types, typing contexts, dependency maps, term and graph
-ASTs, and stores.
+ASTs with the one table of their operators, and stores.
 
 Everything here is an immutable value after construction; the algebra on
 qualifiers and dependency maps lives next to the types it operates on.
@@ -9,6 +9,7 @@ qualifiers and dependency maps lives next to the types it operates on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 
@@ -759,147 +760,6 @@ class Let:
 Term = Union[Cst, Nm, Lam, App, RefNew, Deref, Assign, Let]
 
 
-def term_free_names(t: Term) -> frozenset:
-    """Free names of a term, including names mentioned inside type
-    annotations (qualifiers on lambda parameters and latent effects)."""
-    if isinstance(t, Cst):
-        return frozenset()
-    if isinstance(t, Nm):
-        return frozenset((t.name,))
-    if isinstance(t, Lam):
-        inner = (term_free_names(t.body)
-                 | qt_free_names(t.param_qt)
-                 | t.latent.flat.members)
-        return frozenset(inner - {t.param})
-    if isinstance(t, App):
-        return term_free_names(t.fn) | term_free_names(t.arg)
-    if isinstance(t, RefNew):
-        return term_free_names(t.cap) | term_free_names(t.init)
-    if isinstance(t, Deref):
-        return term_free_names(t.ref)
-    if isinstance(t, Assign):
-        return term_free_names(t.ref) | term_free_names(t.value)
-    if isinstance(t, Let):
-        return (term_free_names(t.bound)
-                | frozenset(term_free_names(t.body) - {t.var}))
-    raise TypeError(t)
-
-
-def _rename_qual(q: Qualifier, mapping: dict) -> Qualifier:
-    if not any(n in mapping for n in q.members):
-        return q
-    return Qualifier(frozenset(mapping.get(n, n) for n in q.members))
-
-
-def _rename_effect(e: RwEffect, mapping: dict) -> RwEffect:
-    return RwEffect(_rename_qual(e.reads, mapping), _rename_qual(e.writes, mapping))
-
-
-def _rename_ty(ty: Ty, mapping: dict) -> Ty:
-    if isinstance(ty, (BaseTy, RefTy)):
-        return ty
-    if isinstance(ty, FunTy):
-        inner = {k: v for k, v in mapping.items() if k != ty.param}
-        return FunTy(ty.param,
-                     _rename_qt(ty.param_qt, inner),
-                     _rename_effect(ty.latent, inner),
-                     _rename_qt(ty.result_qt, inner))
-    raise TypeError(ty)
-
-
-def _rename_qt(qt: QualifiedType, mapping: dict) -> QualifiedType:
-    return QualifiedType(_rename_ty(qt.ty, mapping), _rename_qual(qt.qual, mapping))
-
-
-def rename_term(t: Term, mapping: dict) -> Term:
-    """Capture-avoiding renaming of free names (Barendregt inputs make the
-    shadowing guard a formality)."""
-    if not mapping:
-        return t
-    if isinstance(t, Cst):
-        return t
-    if isinstance(t, Nm):
-        n = mapping.get(t.name)
-        return Nm(n, t.span) if n is not None else t
-    if isinstance(t, Lam):
-        inner = {k: v for k, v in mapping.items() if k != t.param}
-        return Lam(t.param, _rename_qt(t.param_qt, inner),
-                   _rename_effect(t.latent, inner),
-                   rename_term(t.body, inner), t.span)
-    if isinstance(t, App):
-        return App(rename_term(t.fn, mapping), rename_term(t.arg, mapping), t.span)
-    if isinstance(t, RefNew):
-        return RefNew(rename_term(t.cap, mapping), rename_term(t.init, mapping), t.span)
-    if isinstance(t, Deref):
-        return Deref(rename_term(t.ref, mapping), t.span)
-    if isinstance(t, Assign):
-        return Assign(rename_term(t.ref, mapping), rename_term(t.value, mapping), t.span)
-    if isinstance(t, Let):
-        inner = {k: v for k, v in mapping.items() if k != t.var}
-        return Let(t.var, rename_term(t.bound, mapping),
-                   rename_term(t.body, inner), t.span)
-    raise TypeError(t)
-
-
-def subst_term(t: Term, x: Name, v: Term) -> Term:
-    """t[v/x]: substitute a value term for a variable (Barendregt inputs,
-    so v is never captured)."""
-    if isinstance(t, Nm):
-        return v if t.name == x else t
-    if isinstance(t, Cst):
-        return t
-    if isinstance(t, Lam):
-        if t.param == x:
-            return t
-        return Lam(t.param, t.param_qt, t.latent, subst_term(t.body, x, v))
-    if isinstance(t, App):
-        return App(subst_term(t.fn, x, v), subst_term(t.arg, x, v))
-    if isinstance(t, RefNew):
-        return RefNew(subst_term(t.cap, x, v), subst_term(t.init, x, v))
-    if isinstance(t, Deref):
-        return Deref(subst_term(t.ref, x, v))
-    if isinstance(t, Assign):
-        return Assign(subst_term(t.ref, x, v), subst_term(t.value, x, v))
-    if isinstance(t, Let):
-        bound = subst_term(t.bound, x, v)
-        body = t.body if t.var == x else subst_term(t.body, x, v)
-        return Let(t.var, bound, body)
-    raise TypeError(t)
-
-
-def alpha_equal_terms(t1: Term, t2: Term) -> bool:
-    """Structural equality up to consistent renaming of bound names."""
-    def go(a, b, env):
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Cst):
-            return a.value == b.value and type(a.value) is type(b.value)
-        if isinstance(a, Nm):
-            return env.get(a.name, a.name) == b.name
-        if isinstance(a, Lam):
-            env2 = dict(env)
-            env2[a.param] = b.param
-            return (_rename_qt(a.param_qt, env) == _rename_qt(b.param_qt, {})
-                    and _rename_effect(a.latent, env) == b.latent
-                    and go(a.body, b.body, env2))
-        if isinstance(a, App):
-            return go(a.fn, b.fn, env) and go(a.arg, b.arg, env)
-        if isinstance(a, RefNew):
-            return go(a.cap, b.cap, env) and go(a.init, b.init, env)
-        if isinstance(a, Deref):
-            return go(a.ref, b.ref, env)
-        if isinstance(a, Assign):
-            return go(a.ref, b.ref, env) and go(a.value, b.value, env)
-        if isinstance(a, Let):
-            if not go(a.bound, b.bound, env):
-                return False
-            env2 = dict(env)
-            env2[a.var] = b.var
-            return go(a.body, b.body, env2)
-        raise TypeError(a)
-    return go(t1, t2, {})
-
-
 # ---------------------------------------------------------------------------
 # Graph terms (monadic normal form / graph IR)
 # ---------------------------------------------------------------------------
@@ -969,6 +829,172 @@ GraphTerm = Union[GName, GLet]
 Binding = Union[GraphNode, GName, GLet]
 
 
+# ---------------------------------------------------------------------------
+# The operator table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Operator:
+    """One operator: its name (as JSON, DOT and the scheduler spell it), its
+    direct-style and graph classes, and its operand fields. Both classes
+    name the operand fields alike, so one getter reads either."""
+
+    op: str
+    term: type
+    node: type
+    fields: tuple
+    operands: Callable  # a term or node of this operator -> its operands
+
+
+def _operator(op: str, term: type, node: type, *fields: str) -> Operator:
+    get = attrgetter(*fields)
+    if len(fields) == 1:
+        return Operator(op, term, node, fields, lambda x: (get(x),))
+    return Operator(op, term, node, fields, get)
+
+
+OPERATORS = (
+    _operator("app", App, NApp, "fn", "arg"),
+    _operator("ref", RefNew, NRef, "cap", "init"),
+    _operator("deref", Deref, NDeref, "ref"),
+    _operator("assign", Assign, NAssign, "ref", "value"),
+)
+OPERATOR_OF = {cls: o for o in OPERATORS for cls in (o.term, o.node)}
+
+
+def operator_of(x) -> Operator:
+    """The table row of an operator term or node; TypeError otherwise."""
+    o = OPERATOR_OF.get(type(x))
+    if o is None:
+        raise TypeError(x)
+    return o
+
+
+def operands(x) -> tuple:
+    """The operands of an operator term (subterms) or node (names), in
+    field order."""
+    return operator_of(x).operands(x)
+
+
+# ---------------------------------------------------------------------------
+# Free names, renaming and substitution
+# ---------------------------------------------------------------------------
+
+def term_free_names(t: Term) -> frozenset:
+    """Free names of a term, including names mentioned inside type
+    annotations (qualifiers on lambda parameters and latent effects)."""
+    if isinstance(t, Cst):
+        return frozenset()
+    if isinstance(t, Nm):
+        return frozenset((t.name,))
+    if isinstance(t, Lam):
+        inner = (term_free_names(t.body)
+                 | qt_free_names(t.param_qt)
+                 | t.latent.flat.members)
+        return frozenset(inner - {t.param})
+    if isinstance(t, Let):
+        return (term_free_names(t.bound)
+                | frozenset(term_free_names(t.body) - {t.var}))
+    return frozenset().union(*map(term_free_names, operands(t)))
+
+
+def _rename_qual(q: Qualifier, mapping: dict) -> Qualifier:
+    if not any(n in mapping for n in q.members):
+        return q
+    return Qualifier(frozenset(mapping.get(n, n) for n in q.members))
+
+
+def _rename_effect(e: RwEffect, mapping: dict) -> RwEffect:
+    return RwEffect(_rename_qual(e.reads, mapping), _rename_qual(e.writes, mapping))
+
+
+def _rename_ty(ty: Ty, mapping: dict) -> Ty:
+    if isinstance(ty, (BaseTy, RefTy)):
+        return ty
+    if isinstance(ty, FunTy):
+        inner = {k: v for k, v in mapping.items() if k != ty.param}
+        return FunTy(ty.param,
+                     _rename_qt(ty.param_qt, inner),
+                     _rename_effect(ty.latent, inner),
+                     _rename_qt(ty.result_qt, inner))
+    raise TypeError(ty)
+
+
+def _rename_qt(qt: QualifiedType, mapping: dict) -> QualifiedType:
+    return QualifiedType(_rename_ty(qt.ty, mapping), _rename_qual(qt.qual, mapping))
+
+
+def rename_term(t: Term, mapping: dict) -> Term:
+    """Capture-avoiding renaming of free names (Barendregt inputs make the
+    shadowing guard a formality)."""
+    if not mapping:
+        return t
+    if isinstance(t, Cst):
+        return t
+    if isinstance(t, Nm):
+        n = mapping.get(t.name)
+        return Nm(n, t.span) if n is not None else t
+    if isinstance(t, Lam):
+        inner = {k: v for k, v in mapping.items() if k != t.param}
+        return Lam(t.param, _rename_qt(t.param_qt, inner),
+                   _rename_effect(t.latent, inner),
+                   rename_term(t.body, inner), t.span)
+    if isinstance(t, Let):
+        inner = {k: v for k, v in mapping.items() if k != t.var}
+        return Let(t.var, rename_term(t.bound, mapping),
+                   rename_term(t.body, inner), t.span)
+    return type(t)(*[rename_term(u, mapping) for u in operands(t)], t.span)
+
+
+def subst_term(t: Term, x: Name, v: Term) -> Term:
+    """t[v/x]: substitute a value term for a variable (Barendregt inputs,
+    so v is never captured). A lambda's annotations take q[p/x], p being
+    v's free names: {l} for a location, a closure's captures, and the
+    empty set for a constant."""
+    if isinstance(t, Nm):
+        return v if t.name == x else t
+    if isinstance(t, Cst):
+        return t
+    if isinstance(t, Lam):
+        if t.param == x:
+            return t
+        qt, latent = t.param_qt, t.latent
+        if x in latent.reads or x in latent.writes or x in qt_free_names(qt):
+            p = Qualifier(term_free_names(v))
+            qt, latent = subst_qual_qt(qt, x, p), latent.subst(x, p)
+        return Lam(t.param, qt, latent, subst_term(t.body, x, v))
+    if isinstance(t, Let):
+        bound = subst_term(t.bound, x, v)
+        body = t.body if t.var == x else subst_term(t.body, x, v)
+        return Let(t.var, bound, body)
+    return type(t)(*[subst_term(u, x, v) for u in operands(t)])
+
+
+def alpha_equal_terms(t1: Term, t2: Term) -> bool:
+    """Structural equality up to consistent renaming of bound names."""
+    def go(a, b, env):
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Cst):
+            return a.value == b.value and type(a.value) is type(b.value)
+        if isinstance(a, Nm):
+            return env.get(a.name, a.name) == b.name
+        if isinstance(a, Lam):
+            env2 = dict(env)
+            env2[a.param] = b.param
+            return (_rename_qt(a.param_qt, env) == _rename_qt(b.param_qt, {})
+                    and _rename_effect(a.latent, env) == b.latent
+                    and go(a.body, b.body, env2))
+        if isinstance(a, Let):
+            if not go(a.bound, b.bound, env):
+                return False
+            env2 = dict(env)
+            env2[a.var] = b.var
+            return go(a.body, b.body, env2)
+        return all(go(u, w, env) for u, w in zip(operands(a), operands(b)))
+    return go(t1, t2, {})
+
+
 def graph_free_names(g: Union[GraphTerm, GraphNode]) -> frozenset:
     if isinstance(g, GName):
         return frozenset((g.name,))
@@ -982,15 +1008,7 @@ def graph_free_names(g: Union[GraphTerm, GraphNode]) -> frozenset:
                  | qt_free_names(g.param_qt)
                  | g.latent.flat.members)
         return frozenset(inner - {g.param})
-    if isinstance(g, NApp):
-        return frozenset((g.fn, g.arg))
-    if isinstance(g, NRef):
-        return frozenset((g.cap, g.init))
-    if isinstance(g, NDeref):
-        return frozenset((g.ref,))
-    if isinstance(g, NAssign):
-        return frozenset((g.ref, g.value))
-    raise TypeError(g)
+    return frozenset(operands(g))
 
 
 def rename_graph(g, mapping: dict, *, fresh: Optional[NameSupply] = None,
@@ -1027,15 +1045,7 @@ def rename_graph(g, mapping: dict, *, fresh: Optional[NameSupply] = None,
                         ann(g.body_dep))
         if not m or isinstance(g, NCst):
             return g
-        if isinstance(g, NApp):
-            return NApp(m.get(g.fn, g.fn), m.get(g.arg, g.arg))
-        if isinstance(g, NRef):
-            return NRef(m.get(g.cap, g.cap), m.get(g.init, g.init))
-        if isinstance(g, NDeref):
-            return NDeref(m.get(g.ref, g.ref))
-        if isinstance(g, NAssign):
-            return NAssign(m.get(g.ref, g.ref), m.get(g.value, g.value))
-        raise TypeError(g)
+        return type(g)(*[m.get(n, n) for n in operands(g)])
 
     if not mapping and fresh is None and dep is None:
         return g
@@ -1084,8 +1094,8 @@ class Store:
     """Allocation-ordered mapping from locations to entries. Entry 0 always
     binds the capability w = ω."""
 
-    def __init__(self, supply: Optional[NameSupply] = None):
-        self.supply = supply or NameSupply()
+    def __init__(self):
+        self.supply = NameSupply()
         self.entries: dict = {}
         self.order: list = []
         self.w = self.supply.loc("w")
@@ -1138,12 +1148,7 @@ class Store:
                 ctx = ctx.bind_loc(loc, QualifiedType(RefTy(base)))
             elif isinstance(e, SavedCst):
                 ctx = ctx.bind_loc(loc, QualifiedType(const_base(e.value)))
-            elif isinstance(e, SavedLamTerm):
-                lam = e.lam
-                ctx = ctx.bind_loc(loc, QualifiedType(
-                    FunTy(lam.param, lam.param_qt, lam.latent,
-                          QualifiedType(TY_UNIT))))
-            elif isinstance(e, SavedLamGraph):
+            elif isinstance(e, (SavedLamTerm, SavedLamGraph)):
                 lam = e.lam
                 ctx = ctx.bind_loc(loc, QualifiedType(
                     FunTy(lam.param, lam.param_qt, lam.latent,
@@ -1151,8 +1156,8 @@ class Store:
         return ctx.with_phi(Qualifier.from_iter(ctx.sigma))
 
 
-def initial_store(supply: Optional[NameSupply] = None) -> Store:
-    return Store(supply)
+def initial_store() -> Store:
+    return Store()
 
 
 @dataclass

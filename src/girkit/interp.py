@@ -375,9 +375,7 @@ def canonical_value(store: Store, value) -> tuple:
             return ("ref", canonical_value(store, entry.content))
         if isinstance(entry, SavedCst):
             return ("cst",) + _const_key(entry.value)
-        if isinstance(entry, SavedLamTerm):
-            return ("closure", entry.lam.param.id)
-        if isinstance(entry, SavedLamGraph):
+        if isinstance(entry, (SavedLamTerm, SavedLamGraph)):
             return ("closure", entry.lam.param.id)
     return ("cst",) + _const_key(value)
 

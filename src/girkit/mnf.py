@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from .core import (
     App, Assign, Cst, Deref, GLet, GName, GraphTerm, Lam, Let, NameSupply,
-    NApp, NAssign, NCst, NDeref, NLam, NRef, Nm, RefNew, Term,
-    TypingContext, graph_free_names, subst_term,
+    NApp, NAssign, NCst, NDeref, NLam, NRef, Nm, OPERATOR_OF, RefNew, Term,
+    TypingContext, graph_free_names, operator_of, subst_term,
 )
 from .typecheck import Typing, bind_let, check_lam, infer_direct, let_typing
 
@@ -68,15 +68,8 @@ def embed(g) -> Term:
         return Cst(g.value)
     if isinstance(g, NLam):
         return Lam(g.param, g.param_qt, g.latent, embed(g.body))
-    if isinstance(g, NApp):
-        return App(Nm(g.fn), Nm(g.arg))
-    if isinstance(g, NRef):
-        return RefNew(Nm(g.cap), Nm(g.init))
-    if isinstance(g, NDeref):
-        return Deref(Nm(g.ref))
-    if isinstance(g, NAssign):
-        return Assign(Nm(g.ref), Nm(g.value))
-    raise TypeError(g)
+    o = operator_of(g)
+    return o.term(*map(Nm, o.operands(g)))
 
 
 def is_mnf(t: Term) -> bool:
@@ -97,15 +90,9 @@ def is_mnf(t: Term) -> bool:
             return True
         if isinstance(t, Lam):
             return graph_like(t.body)
-        if isinstance(t, App):
-            return isinstance(t.fn, Nm) and isinstance(t.arg, Nm)
-        if isinstance(t, RefNew):
-            return isinstance(t.cap, Nm) and isinstance(t.init, Nm)
-        if isinstance(t, Deref):
-            return isinstance(t.ref, Nm)
-        if isinstance(t, Assign):
-            return isinstance(t.ref, Nm) and isinstance(t.value, Nm)
-        return False
+        o = OPERATOR_OF.get(type(t))
+        return o is not None and all(isinstance(u, Nm)
+                                     for u in o.operands(t))
 
     return graph_like(t)
 

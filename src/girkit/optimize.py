@@ -111,11 +111,12 @@ def _resynth(st: SynthState, g: GraphTerm, site: Site) -> GraphTerm:
     return g2
 
 
-def _capability(ctx: TypingContext):
+def _capability_reach(ctx: TypingContext) -> Qualifier:
+    """The allocation capability's saturated qualifier (empty without one)."""
     for loc, qt in ctx.sigma.items():
         if qt.ty == TY_ALLOC:
-            return loc
-    return None
+            return saturate(Qualifier.of(loc), ctx)
+    return EMPTY_QUAL
 
 
 def _alloc_only(ctx: TypingContext, eff: RwEffect) -> tuple[bool, str]:
@@ -125,9 +126,7 @@ def _alloc_only(ctx: TypingContext, eff: RwEffect) -> tuple[bool, str]:
         return False, "write effect"
     if not eff.reads:
         return True, ""
-    cap = _capability(ctx)
-    wstar = saturate(Qualifier.of(cap), ctx) if cap else EMPTY_QUAL
-    if not saturate(eff.reads, ctx) <= wstar:
+    if not saturate(eff.reads, ctx) <= _capability_reach(ctx):
         return False, "reads beyond the allocation capability"
     return True, ""
 
@@ -294,9 +293,8 @@ def rw_cse(st: SynthState, g: GraphTerm, site: tuple,
     inner = focus.body
     if erase(focus.binding) != erase(inner.binding):
         raise SideConditionFailed("bindings are not identical")
-    cap = _capability(ctx)
-    wstar = saturate(Qualifier.of(cap), ctx) if cap else EMPTY_QUAL
-    if not saturate(site.typing.eff.reads, ctx).isdisjoint(wstar):
+    if not saturate(site.typing.eff.reads, ctx).isdisjoint(
+            _capability_reach(ctx)):
         raise SideConditionFailed("binding allocates")
     merged = GLet(focus.var, focus.binding,
                   rename_graph(inner.body, {inner.var: focus.var}), None)

@@ -17,8 +17,7 @@ from types import MappingProxyType
 from . import core
 from .core import (
     CyclicDependency, GLet, GName, Name, NameSupply, NCst, NLam,
-    NApp, NRef, NDeref, NAssign, RuntimeConfig,
-    const_text, effect_to_text, qt_to_text,
+    RuntimeConfig, const_text, effect_to_text, operator_of, qt_to_text,
 )
 
 HOT = 100.0
@@ -148,23 +147,11 @@ def flatten(g) -> SGraph:
                                   core._rename_qt(b.param_qt, ren)),
                               "latent": effect_to_text(
                                   core._rename_effect(b.latent, ren))})
-                elif isinstance(b, NApp):
-                    nodes[var] = SNode(var, "app",
-                                       (resolve(b.fn), resolve(b.arg)),
-                                       pin("app", hard, soft), soft)
-                elif isinstance(b, NRef):
-                    nodes[var] = SNode(var, "ref",
-                                       (resolve(b.cap), resolve(b.init)),
-                                       pin("ref", hard, soft), soft)
-                elif isinstance(b, NDeref):
-                    nodes[var] = SNode(var, "deref", (resolve(b.ref),),
-                                       pin("deref", hard, soft), soft)
-                elif isinstance(b, NAssign):
-                    nodes[var] = SNode(var, "assign",
-                                       (resolve(b.ref), resolve(b.value)),
-                                       pin("assign", hard, soft), soft)
                 else:
-                    raise TypeError(b)
+                    o = operator_of(b)
+                    nodes[var] = SNode(var, o.op,
+                                       tuple(map(resolve, o.operands(b))),
+                                       pin(o.op, hard, soft), soft)
             g = g.body
         if not isinstance(g, GName):
             raise TypeError(g)

@@ -19,7 +19,7 @@ from .core import (
     NAssign, NCst, NLam, NRef, Nm, PURE, Qualifier,
     QualifiedType, RefNew, RefTy, RW, Store, Term, TY_BOOL,
     TY_INT, TY_UNIT, UNIT_V, dep_add_hard, dep_restrict, initial_store,
-    saturate, term_free_names, term_to_text,
+    operands, saturate, term_free_names, term_to_text,
 )
 from .graphir import SynthState, initial_state, synthesize, synthesize_config
 from .interp import canonical_value, eval_direct, eval_graph, eval_store
@@ -31,16 +31,19 @@ from .typecheck import bind_let, infer_direct
 # Configuration
 # ---------------------------------------------------------------------------
 
-DEFAULT_WEIGHTS = {
+# relative weights of the productions `_Gen.gen` picks from
+_WEIGHTS = {
     "const": 2.0,
     "var": 2.0,
     "let": 3.0,
-    "lam": 1.5,
     "app": 2.0,
     "ref": 2.0,
     "deref": 2.0,
     "assign": 2.0,
 }
+_MAX_REFS = 4       # `ref` productions per generated term
+_GEN_BUDGET = 4000  # generation steps before GenerationExhausted
+_SHRINK_BUDGET = 400  # shrink candidates tried before giving up
 
 
 @dataclass(frozen=True)
@@ -49,15 +52,6 @@ class GenConfig:
 
     seed: int = 0
     max_depth: int = 6
-    max_refs: int = 4
-    allow_higher_order: bool = True
-    weights: tuple = tuple(sorted(DEFAULT_WEIGHTS.items()))
-
-    def weight(self, production: str) -> float:
-        for k, v in self.weights:
-            if k == production:
-                return v
-        return 1.0
 
 
 class _Backtrack(Exception):
@@ -86,12 +80,12 @@ def _target_of(qt: QualifiedType) -> Optional[str]:
 
 
 class _Gen:
-    def __init__(self, cfg: GenConfig, store: Store, budget: int = 4000):
+    def __init__(self, cfg: GenConfig, store: Store):
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
         self.store = store
         self.supply = store.supply
-        self.budget = budget
+        self.budget = _GEN_BUDGET
         self.refs_made = 0
 
     # -- helpers ----------------------------------------------------------
@@ -103,7 +97,7 @@ class _Gen:
 
     def _order(self, productions):
         """Weighted random order without replacement."""
-        keyed = [(self.rng.random() ** (1.0 / max(self.cfg.weight(p), 1e-9)), p)
+        keyed = [(self.rng.random() ** (1.0 / _WEIGHTS[p]), p)
                  for p in productions]
         return [p for _, p in sorted(keyed, reverse=True)]
 
@@ -197,7 +191,7 @@ class _Gen:
                           self.gen(ctx, "Int", depth - 1))
 
         if p == "ref":
-            if self.refs_made >= self.cfg.max_refs:
+            if self.refs_made >= _MAX_REFS:
                 raise _Backtrack
             if self.store.w not in ctx.phi:
                 raise _Backtrack
@@ -221,7 +215,7 @@ class _Gen:
             x = self.supply.var("x")
             bound_target = rng.choice(_ALL_TARGETS + ("Fun",))
             if bound_target == "Fun":
-                if not self.cfg.allow_higher_order or depth < 2:
+                if depth < 2:
                     raise _Backtrack
                 bound = self._lam(ctx, depth - 1)
             else:
@@ -298,10 +292,8 @@ def _max_name_id(t: Term) -> int:
     def walk(u):
         if isinstance(u, (Lam, Let)):
             ids.append(u.param.id if isinstance(u, Lam) else u.var.id)
-        for f in getattr(u, "__dataclass_fields__", ()):
-            v = getattr(u, f)
-            if isinstance(v, (Cst, Nm, Lam, App, RefNew, Deref, Assign, Let)):
-                walk(v)
+        for v in _subterms(u):
+            walk(v)
 
     walk(t)
     return max(ids, default=0)
@@ -340,8 +332,7 @@ def run_three(t: Term, regime: str = HARD,
 
 
 def differential(t: Term, regime: str = HARD,
-                 fault: Optional[Callable] = None,
-                 shrink_budget: int = 400) -> Verdict:
+                 fault: Optional[Callable] = None) -> Verdict:
     """Run the three semantics and compare canonical results. `fault`
     (a function over the direct semantics' canonical value) injects a
     deliberate discrepancy for harness self-tests. On disagreement the
@@ -366,7 +357,7 @@ def differential(t: Term, regime: str = HARD,
     if len(set(values.values())) == 1:
         return Verdict(True, values, steps)
 
-    small = shrink(t, disagrees, budget=shrink_budget)
+    small = shrink(t, disagrees)
     values, steps = observe(small)
     return Verdict(False, values, steps, counterexample=small,
                    message=f"semantics disagree on {term_to_text(small)}")
@@ -377,35 +368,23 @@ def differential(t: Term, regime: str = HARD,
 # ---------------------------------------------------------------------------
 
 def _subterms(t: Term) -> list:
+    if isinstance(t, (Cst, Nm)):
+        return []
     if isinstance(t, Lam):
         return [t.body]
-    if isinstance(t, App):
-        return [t.fn, t.arg]
-    if isinstance(t, RefNew):
-        return [t.cap, t.init]
-    if isinstance(t, Deref):
-        return [t.ref]
-    if isinstance(t, Assign):
-        return [t.ref, t.value]
     if isinstance(t, Let):
         return [t.bound, t.body]
-    return []
+    return list(operands(t))
 
 
 def _rebuild(t: Term, i: int, new: Term) -> Term:
     if isinstance(t, Lam):
         return Lam(t.param, t.param_qt, t.latent, new)
-    if isinstance(t, App):
-        return App(new, t.arg) if i == 0 else App(t.fn, new)
-    if isinstance(t, RefNew):
-        return RefNew(new, t.init) if i == 0 else RefNew(t.cap, new)
-    if isinstance(t, Deref):
-        return Deref(new)
-    if isinstance(t, Assign):
-        return Assign(new, t.value) if i == 0 else Assign(t.ref, new)
     if isinstance(t, Let):
         return Let(t.var, new, t.body) if i == 0 else Let(t.var, t.bound, new)
-    raise TypeError(t)
+    kids = list(operands(t))
+    kids[i] = new
+    return type(t)(*kids)
 
 
 def shrink_candidates(t: Term):
@@ -419,17 +398,16 @@ def shrink_candidates(t: Term):
             yield _rebuild(t, i, c)
 
 
-def shrink(t: Term, still_fails: Callable[[Term], bool],
-           budget: int = 400) -> Term:
+def shrink(t: Term, still_fails: Callable[[Term], bool]) -> Term:
     """Greedy local minimization: repeatedly take any single-subterm
     deletion that still fails, until none does (or the budget runs out)."""
     spent = 0
     improved = True
-    while improved and spent < budget:
+    while improved and spent < _SHRINK_BUDGET:
         improved = False
         for cand in shrink_candidates(t):
             spent += 1
-            if spent >= budget:
+            if spent >= _SHRINK_BUDGET:
                 break
             if still_fails(cand):
                 t = cand

@@ -1,17 +1,24 @@
-"""Qualifier algebra, dependency-map algebra, and name plumbing."""
+"""Qualifier algebra, dependency-map algebra, name plumbing, and the
+operator table."""
 
+import dataclasses
+import json
 import pickle
+from typing import get_args
 
 from hypothesis import given, settings, strategies as st
 
+from girkit.cli import export_dot, export_json, import_json
 from girkit.core import (
-    App, Cst, DepMap, EMPTY_DEP, EMPTY_QUAL, GLet, GName, HARD, Lam, Let,
-    Name, NameSupply, NApp, NCst, NLam, Nm, PURE, Qualifier, QualifiedType,
-    RW, RwEffect, TypingContext, TY_INT, RefTy, UnboundName, dep_dom_subst,
+    App, Cst, DepMap, EMPTY_DEP, EMPTY_QUAL, GLet, GName, GraphNode, HARD,
+    Lam, Let, Name, NameSupply, NApp, NCst, NLam, Nm, OPERATOR_OF, OPERATORS,
+    PURE, Qualifier, QualifiedType, RW, RwEffect, Term, TypingContext,
+    TY_INT, RefTy, UnboundName, alpha_equal_terms, dep_dom_subst,
     dep_last_use, dep_restrict, dep_rewire, dep_submap, dep_update,
-    graph_free_names, overlap, rename_graph, saturate, subst_qual,
-    subst_term,
+    graph_free_names, operands, overlap, rename_graph, rename_term, saturate,
+    subst_qual, subst_term, term_free_names,
 )
+from girkit.mnf import embed
 
 import pytest
 
@@ -408,3 +415,68 @@ class TestSubstTerm:
         t = Let(y, Nm(x), App(Nm(y), Nm(x)))
         assert subst_term(t, x, Cst(3)) == Let(y, Cst(3),
                                                App(Nm(y), Cst(3)))
+
+
+class TestOperatorTable:
+    def test_each_operator_class_is_registered_with_its_operand_fields(self):
+        assert [o.op for o in OPERATORS] == ["app", "ref", "deref", "assign"]
+        assert len(OPERATOR_OF) == 2 * len(OPERATORS) == 8
+        for o in OPERATORS:
+            for cls in (o.term, o.node):
+                assert OPERATOR_OF[cls] is o
+                assert o.fields == tuple(f.name for f in dataclasses.fields(cls)
+                                         if f.name != "span")
+
+    def test_every_other_form_is_an_explicit_case(self):
+        terms, nodes = set(get_args(Term)), set(get_args(GraphNode))
+        assert terms - set(OPERATOR_OF) == {Cst, Nm, Lam, Let}
+        assert nodes - set(OPERATOR_OF) == {NCst, NLam}
+        assert set(OPERATOR_OF) <= terms | nodes
+
+    def test_unknown_forms_raise_type_error(self):
+        x, y = fresh_names(2)
+        walkers = (operands, term_free_names, graph_free_names, embed,
+                   lambda t: rename_term(t, {x: y}),
+                   lambda t: rename_graph(t, {x: y}),
+                   lambda t: subst_term(t, x, Cst(1)),
+                   lambda t: alpha_equal_terms(t, t))
+        for walk in walkers:
+            with pytest.raises(TypeError):
+                walk(x)
+
+    LABELS = {"app": "a_0 b_1", "ref": "ref(a_0, b_1)", "deref": "!a_0",
+              "assign": "a_0 := b_1"}
+
+    def test_one_node_per_operator_through_every_walker(self):
+        sup = NameSupply()
+        a, b, x, c = sup.var("a"), sup.var("b"), sup.var("x"), sup.var("c")
+        for o in OPERATORS:
+            args = (a, b)[:len(o.fields)]
+            node = o.node(*args)
+            term = o.term(*map(Nm, args))
+            assert operands(node) == args
+            assert operands(term) == tuple(map(Nm, args))
+            assert graph_free_names(node) == frozenset(args)
+            assert term_free_names(term) == frozenset(args)
+            assert rename_graph(node, {a: c}) == o.node(c, *args[1:])
+            rest = operands(term)[1:]
+            assert rename_term(term, {a: c}) == o.term(Nm(c), *rest)
+            assert subst_term(term, a, Cst(1)) == o.term(Cst(1), *rest)
+            assert alpha_equal_terms(term, term)
+            assert embed(node) == term
+            g = GLet(x, node, GName(x))
+            doc = export_json(g)
+            entry = json.loads(doc)["graph"]["nodes"][0]
+            assert entry["op"] == o.op and len(entry["args"]) == len(args)
+            assert import_json(doc)[0] == g
+            dot = export_dot(g)
+            assert f'"x_2" [label="x_2 := {self.LABELS[o.op]}"];' in dot
+            assert [l.strip() for l in dot.splitlines() if "->" in l] == [
+                f'"x_2" -> "{n.pretty()}";' for n in args]
+
+    def test_a_name_binding_keeps_its_dot_edge(self):
+        sup = NameSupply()
+        a, x = sup.var("a"), sup.var("x")
+        dot = export_dot(GLet(x, GName(a), GName(x)))
+        assert '"x_1" [label="x_1 := a_0"];' in dot
+        assert '"x_1" -> "a_0";' in dot

@@ -8,6 +8,7 @@ from girkit.core import (
     Let, Name, Nm, OverlapViolation, PURE, QualifiedType, RefNew,
     SavedCst, TY_INT, initial_store,
 )
+from girkit.cli import parse
 from girkit.graphir import synthesize_config
 from girkit.interp import (
     canonical_value, eval_direct, eval_graph, eval_store, separation_probe,
@@ -133,3 +134,28 @@ class TestSeparationProbe:
         store = initial_store()
         rep = separation_probe(Cst(1), Cst(2), store)
         assert rep.disjoint
+
+    def test_stepping_substitutes_into_lambda_annotations(self):
+        # substituting the cell for x must reach f's latent effect, or the
+        # re-inferred closure captures a name no longer observable
+        store = initial_store()
+        t1 = parse("let x = ref(w, 0) in "
+                   "let f = fun (p: Int^{}) =>{rd{x} wr{}} !x in f 1", store)
+        t2 = parse("let y = ref(w, 5) in !y", store)
+        rep = separation_probe(t1, t2, store)
+        assert rep.disjoint and rep.failure is None
+
+    def test_generated_pairs_stay_disjoint_at_depth_6(self):
+        checked = 0
+        for seed in range(300):
+            store = initial_store()
+            t1 = gen_well_typed(GenConfig(seed=2 * seed, max_depth=6), store)
+            t2 = gen_well_typed(GenConfig(seed=2 * seed + 1, max_depth=6),
+                                store)
+            try:
+                rep = separation_probe(t1, t2, store)
+            except OverlapViolation:
+                continue  # not a disjoint pair
+            assert rep.disjoint and rep.failure is None, seed
+            checked += 1
+        assert checked > 0

@@ -3,8 +3,8 @@
 check covers interpreters that have no pytest of their own; a version whose
 `python3.X` is not on PATH is skipped. The package's invariants must also
 hold under `python -O`, which strips `assert` statements, every
-function it defines must be used, and every module must be reachable as
-an attribute of the package."""
+function it defines and every name a module imports must be used, and
+every module must be reachable as an attribute of the package."""
 
 import ast
 import importlib
@@ -72,6 +72,24 @@ def test_no_helper_is_dead():
             and not (node.name.startswith("__") and node.name.endswith("__"))
             and node.name not in used]
     assert dead == []
+
+
+def test_no_import_is_unused():
+    """Every name a module of the package imports is used in that module;
+    `__init__.py` imports only to re-export."""
+    unused = []
+    for path in sorted((SRC / "girkit").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (alias.asname or alias.name).split(".")[0] not in used]
+    assert unused == []
 
 
 def test_each_module_is_a_package_attribute():
