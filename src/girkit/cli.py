@@ -17,7 +17,7 @@ from typing import Optional
 from .core import (
     App, Assign, BaseTy, Cst, Deref, DepMap, FunTy,
     GirError, GLet, GName, HARD, JsonSchemaError, Lam, Let, LOC, Name,
-    NCst, NLam, Nm, OMEGA, OPERATOR_OF, OPERATORS, ParseError, Qualifier,
+    NCst, NLam, NODE_OPERATOR, Nm, OMEGA, OPERATORS, ParseError, Qualifier,
     QualifiedType, RefNew, RefTy, RuntimeConfig, RW, RwEffect, Span, Store,
     TY_ALLOC, TY_BOOL, TY_INT, TY_UNIT, Term, UNIT_V, VAR, effect_to_text,
     graph_to_text, initial_store, qt_to_text,
@@ -292,7 +292,7 @@ class _Parser:
                 self.next()
                 names.append(self.lookup(self.expect("ident", "a name")))
         self.expect("}")
-        return Qualifier(frozenset(names))
+        return frozenset(names)
 
     def effect(self) -> RwEffect:
         self.expect("{")
@@ -372,10 +372,10 @@ def _node_label(b) -> str:
     return graph_to_text(b)
 
 
-def export_dot(g, dep: Optional[DepMap] = None, title: str = "G") -> str:
+def export_dot(g, dep: Optional[DepMap] = None) -> str:
     """Render an annotated graph term as one DOT digraph: solid edges are
     data dependencies, dashed are hard effect dependencies, dotted soft."""
-    lines = [f"digraph {title} {{", "  rankdir=BT;"]
+    lines = ["digraph G {", "  rankdir=BT;"]
 
     def node_id(n: Name) -> str:
         return f'"{n.pretty()}"'
@@ -385,7 +385,7 @@ def export_dot(g, dep: Optional[DepMap] = None, title: str = "G") -> str:
             b = g.binding
             lines.append(f"  {node_id(g.var)} "
                          f"[label=\"{g.var.pretty()} := {_node_label(b)}\"];")
-            o = OPERATOR_OF.get(type(b))
+            o = NODE_OPERATOR.get(type(b))
             for m in (o.operands(b) if o else
                       (b.name,) if isinstance(b, GName) else ()):
                 lines.append(f"  {node_id(g.var)} -> {node_id(m)};")
@@ -449,18 +449,14 @@ def _names_json(names) -> list:
     return [_name_str(n) for n in sorted(names)]
 
 
-def _qual_json(q: Qualifier) -> list:
-    return _names_json(q.members)
-
-
 def _qual_of(v) -> Qualifier:
     if not isinstance(v, list):
         raise JsonSchemaError(f"qualifier must be a list, got {v!r}")
-    return Qualifier(frozenset(_name_of(s) for s in v))
+    return frozenset(_name_of(s) for s in v)
 
 
 def _eff_json(e: RwEffect) -> dict:
-    return {"rd": _qual_json(e.reads), "wr": _qual_json(e.writes)}
+    return {"rd": _names_json(e.reads), "wr": _names_json(e.writes)}
 
 
 def _eff_of(v) -> RwEffect:
@@ -506,7 +502,7 @@ def _ty_of(v):
 
 
 def _qt_json(qt: QualifiedType) -> dict:
-    return {"ty": _ty_json(qt.ty), "qual": _qual_json(qt.qual)}
+    return {"ty": _ty_json(qt.ty), "qual": _names_json(qt.qual)}
 
 
 def _qt_of(v) -> QualifiedType:
@@ -575,7 +571,7 @@ def _exp_json(b) -> dict:
         if b.body_dep is not None:
             out["bodyDep"] = _dep_json(b.body_dep)
         return out
-    o = OPERATOR_OF.get(type(b))
+    o = NODE_OPERATOR.get(type(b))
     if o is not None:
         return {"op": o.op, "args": [_name_str(n) for n in o.operands(b)]}
     if isinstance(b, GName):

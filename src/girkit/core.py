@@ -179,61 +179,22 @@ class NameSupply:
 # Qualifiers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Qualifier:
-    """A finite set of names; iteration follows canonical name order."""
+# A qualifier is a finite set of names; every rule on qualifiers is set
+# algebra, so they are plain frozensets.
+Qualifier = frozenset
 
-    members: frozenset = frozenset()
-
-    @staticmethod
-    def of(*names: Name) -> "Qualifier":
-        return Qualifier(frozenset(names))
-
-    @staticmethod
-    def from_iter(names: Iterable[Name]) -> "Qualifier":
-        return Qualifier(frozenset(names))
-
-    def __iter__(self) -> Iterator[Name]:
-        return iter(sorted(self.members))
-
-    def __contains__(self, n: Name) -> bool:
-        return n in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __bool__(self) -> bool:
-        return bool(self.members)
-
-    def __or__(self, other: "Qualifier") -> "Qualifier":
-        return Qualifier(self.members | other.members)
-
-    def __and__(self, other: "Qualifier") -> "Qualifier":
-        return Qualifier(self.members & other.members)
-
-    def __sub__(self, other: "Qualifier") -> "Qualifier":
-        return Qualifier(self.members - other.members)
-
-    def __le__(self, other: "Qualifier") -> bool:
-        return self.members <= other.members
-
-    def add(self, *names: Name) -> "Qualifier":
-        return Qualifier(self.members | frozenset(names))
-
-    def isdisjoint(self, other: "Qualifier") -> bool:
-        return self.members.isdisjoint(other.members)
-
-    def __repr__(self):
-        return "{" + ",".join(repr(n) for n in self) + "}"
+EMPTY_QUAL: Qualifier = frozenset()
 
 
-EMPTY_QUAL = Qualifier()
+def qual_repr(q: Qualifier) -> str:
+    """A qualifier's debug form, members in canonical name order."""
+    return "{" + ",".join(map(repr, sorted(q))) + "}"
 
 
 def subst_qual(q: Qualifier, x: Name, p: Qualifier) -> Qualifier:
     """q[p/x]: replace x by the whole set p when x is a member."""
     if x in q:
-        return (q - Qualifier.of(x)) | p
+        return (q - {x}) | p
     return q
 
 
@@ -279,7 +240,7 @@ class RwEffect:
         return self.reads <= other.reads and self.writes <= other.writes
 
     def __repr__(self):
-        return f"(r:{self.reads!r};w:{self.writes!r})"
+        return f"(r:{qual_repr(self.reads)};w:{qual_repr(self.writes)})"
 
 
 PURE = RwEffect()
@@ -338,7 +299,7 @@ class QualifiedType:
     qual: Qualifier = EMPTY_QUAL
 
     def __repr__(self):
-        return f"{self.ty!r}^{self.qual!r}"
+        return f"{self.ty!r}^{qual_repr(self.qual)}"
 
 
 def subst_qual_ty(ty: Ty, x: Name, p: Qualifier) -> Ty:
@@ -363,15 +324,14 @@ def ty_free_names(ty: Ty) -> frozenset:
     if isinstance(ty, (BaseTy, RefTy)):
         return frozenset()
     if isinstance(ty, FunTy):
-        inner = (qt_free_names(ty.param_qt)
-                 | ty.latent.flat.members
+        inner = (qt_free_names(ty.param_qt) | ty.latent.flat
                  | qt_free_names(ty.result_qt))
-        return frozenset(inner - {ty.param})
+        return inner - {ty.param}
     raise TypeError(ty)
 
 
 def qt_free_names(qt: QualifiedType) -> frozenset:
-    return ty_free_names(qt.ty) | qt.qual.members
+    return ty_free_names(qt.ty) | qt.qual
 
 
 # ---------------------------------------------------------------------------
@@ -387,19 +347,18 @@ class TypingContext:
     __slots__ = ("gamma", "sigma", "phi", "_phi_star")
 
     def __init__(self, gamma=None, sigma=None, phi: Qualifier = EMPTY_QUAL,
-                 phi_star: Optional[frozenset] = None):
+                 phi_star: Optional[Qualifier] = None):
         self.gamma: dict = dict(gamma or {})
         self.sigma: dict = dict(sigma or {})
         self.phi = phi
         self._phi_star = phi_star
 
     @property
-    def phi_star(self) -> frozenset:
-        """The members of saturate(phi); phi's own set when phi is closed."""
+    def phi_star(self) -> Qualifier:
+        """saturate(phi); phi itself when phi is closed."""
         if self._phi_star is None:
-            star = saturate(self.phi, self).members
-            self._phi_star = (self.phi.members
-                              if len(star) == len(self.phi) else star)
+            star = saturate(self.phi, self)
+            self._phi_star = self.phi if len(star) == len(self.phi) else star
         return self._phi_star
 
     def lookup(self, n: Name) -> QualifiedType:
@@ -427,27 +386,27 @@ class TypingContext:
         return TypingContext(self.gamma, s, self.phi)
 
     def with_phi(self, phi: Qualifier,
-                 phi_star: Optional[frozenset] = None) -> "TypingContext":
+                 phi_star: Optional[Qualifier] = None) -> "TypingContext":
         return TypingContext(self.gamma, self.sigma, phi, phi_star)
 
     def __repr__(self):
         return (f"Ctx(gamma={self.gamma!r}, sigma={self.sigma!r}, "
-                f"phi={self.phi!r})")
+                f"phi={qual_repr(self.phi)})")
 
 
 def saturate(q: Qualifier, ctx: TypingContext) -> Qualifier:
     """Transitive reachability closure q* through context-declared
     qualifiers: least superset of q closed under member lookup."""
-    seen = set(q.members)
-    frontier = list(q.members)
+    seen = set(q)
+    frontier = list(q)
     while frontier:
         x = frontier.pop()
         qt = ctx.lookup(x)
-        for y in qt.qual.members:
+        for y in qt.qual:
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
-    return Qualifier(frozenset(seen))
+    return frozenset(seen)
 
 
 def overlap(p: Qualifier, q: Qualifier, ctx: TypingContext) -> Qualifier:
@@ -523,7 +482,7 @@ def dep_update(d1: DepMap, d2: DepMap) -> DepMap:
 
 
 def dep_restrict(d: DepMap, e: RwEffect, ctx: TypingContext,
-                 regime: str = RW) -> DepMap:
+                 regime: str) -> DepMap:
     """Restrict to an effect's saturated footprint.
 
     RW: reads pull hard entries; writes route hard entries (as singleton
@@ -531,10 +490,10 @@ def dep_restrict(d: DepMap, e: RwEffect, ctx: TypingContext,
     hard entries only.
     """
     if regime == HARD:
-        q = saturate(e.flat, ctx).members
+        q = saturate(e.flat, ctx)
         return DepMap.make({k: d.hard[k] for k in q if k in d.hard}, {})
-    q = saturate(e.reads, ctx).members
-    p = saturate(e.writes, ctx).members
+    q = saturate(e.reads, ctx)
+    p = saturate(e.writes, ctx)
     hard = {k: d.hard[k] for k in q if k in d.hard}
     soft = {}
     for k in p:
@@ -549,9 +508,8 @@ def dep_restrict(d: DepMap, e: RwEffect, ctx: TypingContext,
 
 def dep_restrict_names(d: DepMap, names: Qualifier) -> DepMap:
     """Domain restriction Δ|α by a plain name set, both components."""
-    keep = names.members
-    return DepMap.make({k: d.hard[k] for k in keep if k in d.hard},
-                       {k: d.soft[k] for k in keep if k in d.soft})
+    return DepMap.make({k: d.hard[k] for k in names if k in d.hard},
+                       {k: d.soft[k] for k in names if k in d.soft})
 
 
 def dep_rewire(d1: DepMap, x: Name, d2: DepMap) -> DepMap:
@@ -579,16 +537,16 @@ def dep_dom_subst(d: DepMap, q: Qualifier, x: Name) -> DepMap:
     hard = {k: v for k, v in d.hard.items() if k != x}
     soft = {k: v for k, v in d.soft.items() if k != x}
     if x in d.hard:
-        for y in q.members:
+        for y in q:
             hard[y] = d.hard[x]
     if x in d.soft:
-        for y in q.members:
+        for y in q:
             soft[y] = soft.get(y, frozenset()) | d.soft[x]
     return DepMap.make(hard, soft)
 
 
 def dep_last_use(d: DepMap, x: Name, e: RwEffect, ctx: TypingContext,
-                 regime: str = RW) -> DepMap:
+                 regime: str) -> DepMap:
     """Record x as the latest node touching e's footprint (the Δ update a
     let performs before checking its continuation).
 
@@ -596,14 +554,14 @@ def dep_last_use(d: DepMap, x: Name, e: RwEffect, ctx: TypingContext,
     hard at x with soft reset; read names append x to their soft set.
     """
     if regime == HARD:
-        used = saturate(e.flat, ctx).members
+        used = saturate(e.flat, ctx)
         hard = dict(d.hard)
         for k in used:
             hard[k] = x
         hard[x] = x
         return DepMap.make(hard, d.soft)
-    reads = saturate(e.reads, ctx).members
-    writes = saturate(e.writes, ctx).members
+    reads = saturate(e.reads, ctx)
+    writes = saturate(e.writes, ctx)
     hard = dict(d.hard)
     soft = dict(d.soft)
     for k in writes:
@@ -859,21 +817,32 @@ OPERATORS = (
     _operator("deref", Deref, NDeref, "ref"),
     _operator("assign", Assign, NAssign, "ref", "value"),
 )
-OPERATOR_OF = {cls: o for o in OPERATORS for cls in (o.term, o.node)}
+# Term walkers look operators up by term class and graph walkers by node
+# class, so neither accepts the other side's operators.
+TERM_OPERATOR = {o.term: o for o in OPERATORS}
+NODE_OPERATOR = {o.node: o for o in OPERATORS}
 
 
-def operator_of(x) -> Operator:
-    """The table row of an operator term or node; TypeError otherwise."""
-    o = OPERATOR_OF.get(type(x))
+def node_operator(g) -> Operator:
+    """The table row of a graph node; TypeError for anything else."""
+    o = NODE_OPERATOR.get(type(g))
     if o is None:
-        raise TypeError(x)
+        raise TypeError(g)
     return o
 
 
-def operands(x) -> tuple:
-    """The operands of an operator term (subterms) or node (names), in
-    field order."""
-    return operator_of(x).operands(x)
+def node_operands(g) -> tuple:
+    """The operand names of a graph node, in field order."""
+    return node_operator(g).operands(g)
+
+
+def term_operands(t) -> tuple:
+    """The subterms of an operator term, in field order; TypeError for
+    anything else."""
+    o = TERM_OPERATOR.get(type(t))
+    if o is None:
+        raise TypeError(t)
+    return o.operands(t)
 
 
 # ---------------------------------------------------------------------------
@@ -888,23 +857,22 @@ def term_free_names(t: Term) -> frozenset:
     if isinstance(t, Nm):
         return frozenset((t.name,))
     if isinstance(t, Lam):
-        inner = (term_free_names(t.body)
-                 | qt_free_names(t.param_qt)
-                 | t.latent.flat.members)
-        return frozenset(inner - {t.param})
+        inner = (term_free_names(t.body) | qt_free_names(t.param_qt)
+                 | t.latent.flat)
+        return inner - {t.param}
     if isinstance(t, Let):
         return (term_free_names(t.bound)
                 | frozenset(term_free_names(t.body) - {t.var}))
-    return frozenset().union(*map(term_free_names, operands(t)))
+    return frozenset().union(*map(term_free_names, term_operands(t)))
 
 
 def _rename_qual(q: Qualifier, mapping: dict) -> Qualifier:
-    if not any(n in mapping for n in q.members):
+    if not any(n in mapping for n in q):
         return q
-    return Qualifier(frozenset(mapping.get(n, n) for n in q.members))
+    return frozenset(mapping.get(n, n) for n in q)
 
 
-def _rename_effect(e: RwEffect, mapping: dict) -> RwEffect:
+def rename_effect(e: RwEffect, mapping: dict) -> RwEffect:
     return RwEffect(_rename_qual(e.reads, mapping), _rename_qual(e.writes, mapping))
 
 
@@ -914,13 +882,13 @@ def _rename_ty(ty: Ty, mapping: dict) -> Ty:
     if isinstance(ty, FunTy):
         inner = {k: v for k, v in mapping.items() if k != ty.param}
         return FunTy(ty.param,
-                     _rename_qt(ty.param_qt, inner),
-                     _rename_effect(ty.latent, inner),
-                     _rename_qt(ty.result_qt, inner))
+                     rename_qt(ty.param_qt, inner),
+                     rename_effect(ty.latent, inner),
+                     rename_qt(ty.result_qt, inner))
     raise TypeError(ty)
 
 
-def _rename_qt(qt: QualifiedType, mapping: dict) -> QualifiedType:
+def rename_qt(qt: QualifiedType, mapping: dict) -> QualifiedType:
     return QualifiedType(_rename_ty(qt.ty, mapping), _rename_qual(qt.qual, mapping))
 
 
@@ -936,14 +904,15 @@ def rename_term(t: Term, mapping: dict) -> Term:
         return Nm(n, t.span) if n is not None else t
     if isinstance(t, Lam):
         inner = {k: v for k, v in mapping.items() if k != t.param}
-        return Lam(t.param, _rename_qt(t.param_qt, inner),
-                   _rename_effect(t.latent, inner),
+        return Lam(t.param, rename_qt(t.param_qt, inner),
+                   rename_effect(t.latent, inner),
                    rename_term(t.body, inner), t.span)
     if isinstance(t, Let):
         inner = {k: v for k, v in mapping.items() if k != t.var}
         return Let(t.var, rename_term(t.bound, mapping),
                    rename_term(t.body, inner), t.span)
-    return type(t)(*[rename_term(u, mapping) for u in operands(t)], t.span)
+    return type(t)(*[rename_term(u, mapping) for u in term_operands(t)],
+                   t.span)
 
 
 def subst_term(t: Term, x: Name, v: Term) -> Term:
@@ -960,14 +929,14 @@ def subst_term(t: Term, x: Name, v: Term) -> Term:
             return t
         qt, latent = t.param_qt, t.latent
         if x in latent.reads or x in latent.writes or x in qt_free_names(qt):
-            p = Qualifier(term_free_names(v))
+            p = term_free_names(v)
             qt, latent = subst_qual_qt(qt, x, p), latent.subst(x, p)
         return Lam(t.param, qt, latent, subst_term(t.body, x, v))
     if isinstance(t, Let):
         bound = subst_term(t.bound, x, v)
         body = t.body if t.var == x else subst_term(t.body, x, v)
         return Let(t.var, bound, body)
-    return type(t)(*[subst_term(u, x, v) for u in operands(t)])
+    return type(t)(*[subst_term(u, x, v) for u in term_operands(t)])
 
 
 def alpha_equal_terms(t1: Term, t2: Term) -> bool:
@@ -982,8 +951,8 @@ def alpha_equal_terms(t1: Term, t2: Term) -> bool:
         if isinstance(a, Lam):
             env2 = dict(env)
             env2[a.param] = b.param
-            return (_rename_qt(a.param_qt, env) == _rename_qt(b.param_qt, {})
-                    and _rename_effect(a.latent, env) == b.latent
+            return (rename_qt(a.param_qt, env) == rename_qt(b.param_qt, {})
+                    and rename_effect(a.latent, env) == b.latent
                     and go(a.body, b.body, env2))
         if isinstance(a, Let):
             if not go(a.bound, b.bound, env):
@@ -991,7 +960,8 @@ def alpha_equal_terms(t1: Term, t2: Term) -> bool:
             env2 = dict(env)
             env2[a.var] = b.var
             return go(a.body, b.body, env2)
-        return all(go(u, w, env) for u, w in zip(operands(a), operands(b)))
+        return all(go(u, w, env)
+                   for u, w in zip(term_operands(a), term_operands(b)))
     return go(t1, t2, {})
 
 
@@ -1004,11 +974,10 @@ def graph_free_names(g: Union[GraphTerm, GraphNode]) -> frozenset:
     if isinstance(g, NCst):
         return frozenset()
     if isinstance(g, NLam):
-        inner = (graph_free_names(g.body)
-                 | qt_free_names(g.param_qt)
-                 | g.latent.flat.members)
-        return frozenset(inner - {g.param})
-    return frozenset(operands(g))
+        inner = (graph_free_names(g.body) | qt_free_names(g.param_qt)
+                 | g.latent.flat)
+        return inner - {g.param}
+    return frozenset(node_operands(g))
 
 
 def rename_graph(g, mapping: dict, *, fresh: Optional[NameSupply] = None,
@@ -1040,12 +1009,13 @@ def rename_graph(g, mapping: dict, *, fresh: Optional[NameSupply] = None,
             return GLet(v, go(g.binding, m), go(g.body, inner), ann(g.dep))
         if isinstance(g, NLam):
             p, inner = bind(g.param, m)
-            return NLam(p, _rename_qt(g.param_qt, inner),
-                        _rename_effect(g.latent, inner), go(g.body, inner),
+            return NLam(p, rename_qt(g.param_qt, inner),
+                        rename_effect(g.latent, inner), go(g.body, inner),
                         ann(g.body_dep))
-        if not m or isinstance(g, NCst):
+        if isinstance(g, NCst):
             return g
-        return type(g)(*[m.get(n, n) for n in operands(g)])
+        args = node_operands(g)
+        return type(g)(*[m.get(n, n) for n in args]) if m else g
 
     if not mapping and fresh is None and dep is None:
         return g
@@ -1153,7 +1123,7 @@ class Store:
                 ctx = ctx.bind_loc(loc, QualifiedType(
                     FunTy(lam.param, lam.param_qt, lam.latent,
                           QualifiedType(TY_UNIT))))
-        return ctx.with_phi(Qualifier.from_iter(ctx.sigma))
+        return ctx.with_phi(frozenset(ctx.sigma))
 
 
 def initial_store() -> Store:
@@ -1173,7 +1143,7 @@ class RuntimeConfig:
 # ---------------------------------------------------------------------------
 
 def qual_to_text(q: Qualifier) -> str:
-    return "{" + ",".join(n.pretty() for n in q) + "}"
+    return "{" + ",".join(n.pretty() for n in sorted(q)) + "}"
 
 
 def effect_to_text(e: RwEffect) -> str:

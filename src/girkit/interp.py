@@ -11,9 +11,10 @@ from typing import Optional
 from .core import (
     App, Assign, Capability, Cell, Cst, Deref, DepMap, DependencyViolation,
     EMPTY_DEP, FuelExhausted, GLet, GName, GraphTerm, Lam, Let, Name, Nm,
-    OMEGA, OverlapViolation, Qualifier, RefNew, RuntimeConfig, SavedCst,
+    OMEGA, OverlapViolation, RefNew, RuntimeConfig, SavedCst,
     SavedLamGraph, SavedLamTerm, Store, Stuck, Term, UNIT_V, dep_add_hard,
-    dep_dom_subst, dep_rewire, rename_graph, rename_term, saturate, subst_term,
+    dep_dom_subst, dep_rewire, qual_repr, rename_graph, rename_term, saturate,
+    subst_term,
     NLam, NApp, NRef, NDeref, NAssign, NCst,
 )
 from .typecheck import infer_direct
@@ -231,7 +232,7 @@ def _check_dep(store: Store, z: Name, node: Name, d: Optional[DepMap]):
 def _runtime_subst(g, x: Name, d1: DepMap, loc: Name):
     """Simultaneous rewiring [x⇝d1], dependency-domain substitution
     [loc/x], and term renaming [loc/x] over a graph term."""
-    q = Qualifier.of(loc)
+    q = frozenset((loc,))
     return rename_graph(
         g, {x: loc}, dep=lambda d: dep_dom_subst(dep_rewire(d, x, d1), q, x))
 
@@ -301,7 +302,7 @@ def _step_graph(store: Store, z: Name, g: GraphTerm):
         latent = lam.body_dep or EMPTY_DEP
         latent2 = dep_dom_subst(dep_rewire(latent, lam.param,
                                            dep or EMPTY_DEP),
-                                Qualifier.of(b.arg), lam.param)
+                                frozenset((b.arg,)), lam.param)
         return GLet(x, inlined, body, latent2), None, "beta"
 
     if isinstance(b, NDeref):
@@ -392,8 +393,7 @@ class SeparationReport:
     failure: Optional[str] = None
 
 
-def separation_probe(t1: Term, t2: Term, store: Store,
-                     fuel: int = DEFAULT_FUEL) -> SeparationReport:
+def separation_probe(t1: Term, t2: Term, store: Store) -> SeparationReport:
     """Interleave single steps of two disjointly-qualified terms over a
     shared store, re-inferring both against the grown store typing after
     every step and recording whether saturated qualifiers stay disjoint."""
@@ -409,10 +409,10 @@ def separation_probe(t1: Term, t2: Term, store: Store,
     if not q1.isdisjoint(q2):
         raise OverlapViolation(
             f"probe precondition: saturated qualifiers overlap on "
-            f"{q1 & q2!r}", q1=q1, q2=q2)
+            f"{qual_repr(q1 & q2)}", q1=q1, q2=q2)
 
     report = SeparationReport(steps=0, disjoint=True, history=[(q1, q2)])
-    while report.steps < fuel:
+    while report.steps < DEFAULT_FUEL:
         progressed = False
         r1 = _step_direct(sigma, t1)
         if r1 is not None:
@@ -429,6 +429,7 @@ def separation_probe(t1: Term, t2: Term, store: Store,
         report.history.append((q1, q2))
         if not q1.isdisjoint(q2):
             report.disjoint = False
-            report.failure = f"overlap {q1 & q2!r} after {report.steps} steps"
+            report.failure = (f"overlap {qual_repr(q1 & q2)} after "
+                              f"{report.steps} steps")
             break
     return report

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from .core import (
     App, Assign, Cst, Deref, GLet, GName, GraphTerm, Lam, Let, NameSupply,
-    NApp, NAssign, NCst, NDeref, NLam, NRef, Nm, OPERATOR_OF, RefNew, Term,
-    TypingContext, graph_free_names, operator_of, subst_term,
+    NApp, NAssign, NCst, NDeref, NLam, NRef, Nm, RefNew, TERM_OPERATOR,
+    Term, TypingContext, graph_free_names, node_operator, subst_term,
 )
 from .typecheck import Typing, bind_let, check_lam, infer_direct, let_typing
 
@@ -68,7 +68,7 @@ def embed(g) -> Term:
         return Cst(g.value)
     if isinstance(g, NLam):
         return Lam(g.param, g.param_qt, g.latent, embed(g.body))
-    o = operator_of(g)
+    o = node_operator(g)
     return o.term(*map(Nm, o.operands(g)))
 
 
@@ -90,7 +90,7 @@ def is_mnf(t: Term) -> bool:
             return True
         if isinstance(t, Lam):
             return graph_like(t.body)
-        o = OPERATOR_OF.get(type(t))
+        o = TERM_OPERATOR.get(type(t))
         return o is not None and all(isinstance(u, Nm)
                                      for u in o.operands(t))
 

@@ -14,7 +14,7 @@ from typing import Callable, Iterator
 from .core import (
     DepMap, EMPTY_QUAL, GLet, GName, GraphTerm, Name, NameSupply, NApp,
     NLam, Qualifier, RwEffect, SideConditionFailed, TY_ALLOC,
-    TypingContext, graph_free_names, rename_graph, saturate,
+    TypingContext, graph_free_names, qual_repr, rename_graph, saturate,
 )
 from .graphir import SynthState, erase, synthesize
 from .typecheck import Typing, bind_let, lam_body_ctx
@@ -115,7 +115,7 @@ def _capability_reach(ctx: TypingContext) -> Qualifier:
     """The allocation capability's saturated qualifier (empty without one)."""
     for loc, qt in ctx.sigma.items():
         if qt.ty == TY_ALLOC:
-            return saturate(Qualifier.of(loc), ctx)
+            return saturate(frozenset((loc,)), ctx)
     return EMPTY_QUAL
 
 
@@ -215,7 +215,8 @@ def rw_comm(st: SynthState, g: GraphTerm, site: tuple,
     e1 = saturate(t1.eff.flat, ctx2)
     e2 = saturate(t2.eff.flat, ctx2)
     if not e1.isdisjoint(e2):
-        raise SideConditionFailed(f"effects overlap on {e1 & e2!r}")
+        raise SideConditionFailed(
+            f"effects overlap on {qual_repr(e1 & e2)}")
     if x1 in graph_free_names(b2):
         raise SideConditionFailed(f"second binding mentions {x1!r}")
     if x2 in graph_free_names(b1):

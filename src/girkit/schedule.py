@@ -14,10 +14,10 @@ from array import array
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from . import core
 from .core import (
     CyclicDependency, GLet, GName, Name, NameSupply, NCst, NLam,
-    RuntimeConfig, const_text, effect_to_text, operator_of, qt_to_text,
+    RuntimeConfig, const_text, effect_to_text, node_operator, qt_to_text,
+    rename_effect, rename_qt,
 )
 
 HOT = 100.0
@@ -138,17 +138,17 @@ def flatten(g) -> SGraph:
                     # annotations may mention spliced alias names; print
                     # them under the same resolution as the node symbols
                     ren = {n: resolve(n)
-                           for n in (b.latent.flat.members
-                                     | b.param_qt.qual.members) if n in env}
+                           for n in b.latent.flat | b.param_qt.qual
+                           if n in env}
                     nodes[var] = SNode(
                         var, "lam", (), hard, soft, params=(b.param,),
                         body_res=(r,),
                         meta={"param_qt": qt_to_text(
-                                  core._rename_qt(b.param_qt, ren)),
+                                  rename_qt(b.param_qt, ren)),
                               "latent": effect_to_text(
-                                  core._rename_effect(b.latent, ren))})
+                                  rename_effect(b.latent, ren))})
                 else:
-                    o = operator_of(b)
+                    o = node_operator(b)
                     nodes[var] = SNode(var, o.op,
                                        tuple(map(resolve, o.operands(b))),
                                        pin(o.op, hard, soft), soft)

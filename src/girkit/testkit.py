@@ -16,10 +16,10 @@ from typing import Callable, Optional
 from .core import (
     App, Assign, Cst, DepMap, Deref, EMPTY_DEP, EMPTY_QUAL, FunTy,
     GenerationExhausted, GirError, GLet, GName, HARD, Lam, Let, Name,
-    NAssign, NCst, NLam, NRef, Nm, PURE, Qualifier,
+    NAssign, NCst, NLam, NRef, Nm, PURE,
     QualifiedType, RefNew, RefTy, RW, Store, Term, TY_BOOL,
     TY_INT, TY_UNIT, UNIT_V, dep_add_hard, dep_restrict, initial_store,
-    operands, saturate, term_free_names, term_to_text,
+    saturate, term_free_names, term_operands, term_to_text,
 )
 from .graphir import SynthState, initial_state, synthesize, synthesize_config
 from .interp import canonical_value, eval_direct, eval_graph, eval_store
@@ -44,6 +44,7 @@ _WEIGHTS = {
 _MAX_REFS = 4       # `ref` productions per generated term
 _GEN_BUDGET = 4000  # generation steps before GenerationExhausted
 _SHRINK_BUDGET = 400  # shrink candidates tried before giving up
+_FUEL = 100_000    # evaluation steps before FuelExhausted
 
 
 @dataclass(frozen=True)
@@ -232,12 +233,12 @@ class _Gen:
         the declared latent effect is the body's inferred effect."""
         rng = self.rng
         x = self.supply.var("p")
-        visible = sorted(n for n in ctx.phi.members)
+        visible = sorted(ctx.phi)
         captures = {n for n in visible if rng.random() < 0.5}
         # reachability-close the captures so effects of captured closures
         # and references stay observable inside the body
-        cap_q = saturate(Qualifier.from_iter(captures), ctx)
-        phi2 = (cap_q & ctx.phi).add(x)
+        cap_q = saturate(frozenset(captures), ctx)
+        phi2 = (cap_q & ctx.phi) | {x}
         param_qt = QualifiedType(TY_INT, EMPTY_QUAL)
         ctx2 = ctx.bind_var(x, param_qt).with_phi(phi2)
         body_target = rng.choice(("Int", "Unit", "Int"))
@@ -305,26 +306,25 @@ def _fresh_store_for(t: Term) -> Store:
     return store
 
 
-def run_three(t: Term, regime: str = HARD,
-              fuel: int = 100_000) -> tuple[dict, dict]:
+def run_three(t: Term, regime: str = HARD) -> tuple[dict, dict]:
     """Evaluate t under all three semantics; canonicalized values and step
     counts keyed by 'direct' / 'store' / 'graph'."""
     values, steps = {}, {}
 
     s = _fresh_store_for(t)
-    r = eval_direct(s, t, fuel=fuel)
+    r = eval_direct(s, t, fuel=_FUEL)
     values["direct"] = canonical_value(r.store, r.value)
     steps["direct"] = r.steps
 
     s = _fresh_store_for(t)
-    r = eval_store(s, t, fuel=fuel)
+    r = eval_store(s, t, fuel=_FUEL)
     values["store"] = canonical_value(r.store, r.value)
     steps["store"] = r.steps
 
     s = _fresh_store_for(t)
     g = to_mnf(t, s.supply)
     cfg = synthesize_config(s, g, regime=regime)
-    r = eval_graph(cfg, fuel=fuel)
+    r = eval_graph(cfg, fuel=_FUEL)
     values["graph"] = canonical_value(r.store, r.value)
     steps["graph"] = r.steps
 
@@ -374,7 +374,7 @@ def _subterms(t: Term) -> list:
         return [t.body]
     if isinstance(t, Let):
         return [t.bound, t.body]
-    return list(operands(t))
+    return list(term_operands(t))
 
 
 def _rebuild(t: Term, i: int, new: Term) -> Term:
@@ -382,7 +382,7 @@ def _rebuild(t: Term, i: int, new: Term) -> Term:
         return Lam(t.param, t.param_qt, t.latent, new)
     if isinstance(t, Let):
         return Let(t.var, new, t.body) if i == 0 else Let(t.var, t.bound, new)
-    kids = list(operands(t))
+    kids = list(term_operands(t))
     kids[i] = new
     return type(t)(*kids)
 
@@ -565,7 +565,7 @@ def _check_deps(t: Term, store: Store) -> Optional[str]:
     for regime in (HARD, RW):
         cfg = synthesize_config(store.copy(), g, regime=regime)
         try:
-            eval_graph(cfg, fuel=100_000)
+            eval_graph(cfg, fuel=_FUEL)
         except DependencyViolation as e:
             return f"[{regime}] dependency violation: {e}"
     return None
@@ -584,12 +584,10 @@ def _optimizer_mismatch(t: Term, store: Store) -> Optional[str]:
     g = to_mnf(t, store.supply)
     st, z = initial_state(store, regime=HARD)
     g2, slice_ = synthesize(st, g)
-    before = eval_graph(RuntimeConfig(store.copy(), z, g2, slice_),
-                        fuel=100_000)
+    before = eval_graph(RuntimeConfig(store.copy(), z, g2, slice_), fuel=_FUEL)
     ref = canonical_value(before.store, before.value)
     g3, _ = optimize(st, g2, sorted(RULES), fuel=50, supply=store.supply)
-    after = eval_graph(RuntimeConfig(store.copy(), z, g3, slice_),
-                       fuel=100_000)
+    after = eval_graph(RuntimeConfig(store.copy(), z, g3, slice_), fuel=_FUEL)
     got = canonical_value(after.store, after.value)
     if ref != got:
         return f"optimizer changed the result: {ref!r} -> {got!r}"

@@ -14,10 +14,10 @@ from .core import (
     App, Assign, BaseTy, Cst, Deref, EffectEscape, FunTy, Lam, Let, Name, Nm,
     OverlapViolation, PURE, Qualifier, QualifiedType, QualifierEscape,
     RefNew, RefTy, RwEffect, Span, Term, Ty, TypeMismatch, TypingContext,
-    TY_ALLOC, const_base, overlap, saturate, subst_qual,
-    term_free_names, ty_free_names, EMPTY_QUAL,
+    TY_ALLOC, TY_UNIT, UnboundName, const_base, overlap, qual_repr,
+    rename_effect, rename_qt, saturate, subst_qual, term_free_names,
+    ty_free_names, EMPTY_QUAL,
 )
-from . import core
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,8 @@ def ty_subtype(ctx: TypingContext, sub: Ty, sup: Ty) -> bool:
         # (super) argument; align sub's parameter name with sup's.
         x = sup.param
         mapping = {sub.param: x} if sub.param != x else {}
-        res_sub = core._rename_qt(sub.result_qt, mapping)
-        lat_sub = core._rename_effect(sub.latent, mapping)
+        res_sub = rename_qt(sub.result_qt, mapping)
+        lat_sub = rename_effect(sub.latent, mapping)
         ctx2 = ctx.bind_var(x, sup.param_qt)
         if not ty_subtype(ctx2, res_sub.ty, sup.result_qt.ty):
             return False
@@ -61,10 +61,10 @@ def check_subtype(ctx: TypingContext,
     domain, structural type subtyping, componentwise effect inclusion."""
     (qt1, e1), (qt2, e2) = lhs, rhs
     for q in (qt1.qual, qt2.qual, e1.flat, e2.flat):
-        for n in q.members:
+        for n in q:
             if n not in ctx:
-                raise core.UnboundName(f"ill-scoped qualifier member {n!r}",
-                                       name=n)
+                raise UnboundName(f"ill-scoped qualifier member {n!r}",
+                                  name=n)
     if not qt1.qual <= qt2.qual:
         return False
     if not e1.included_in(e2):
@@ -75,12 +75,14 @@ def check_subtype(ctx: TypingContext,
 def _observable(ctx: TypingContext, t: Term, typing: Typing) -> Typing:
     if not typing.qt.qual <= ctx.phi:
         raise QualifierEscape(
-            f"qualifier {typing.qt.qual!r} escapes observation {ctx.phi!r}",
+            f"qualifier {qual_repr(typing.qt.qual)} escapes observation "
+            f"{qual_repr(ctx.phi)}",
             span=getattr(t, "span", None),
             qual=typing.qt.qual, phi=ctx.phi)
     if not typing.eff.flat <= ctx.phi:
         raise EffectEscape(
-            f"effect {typing.eff!r} escapes observation {ctx.phi!r}",
+            f"effect {typing.eff!r} escapes observation "
+            f"{qual_repr(ctx.phi)}",
             span=getattr(t, "span", None),
             eff=typing.eff, phi=ctx.phi)
     return typing
@@ -97,13 +99,13 @@ def infer_direct(ctx: TypingContext, t: Term) -> Typing:
         qt = ctx.lookup(t.name)
         if t.name not in ctx.phi:
             raise QualifierEscape(f"name {t.name!r} not observable", span=span,
-                                  qual=Qualifier.of(t.name), phi=ctx.phi)
+                                  qual=frozenset((t.name,)), phi=ctx.phi)
         # untracked base-typed bindings stay untracked (the allocation
         # capability and anything reference- or function-typed is tracked)
         if (isinstance(qt.ty, BaseTy) and qt.ty != TY_ALLOC
                 and not qt.qual):
             return Typing(QualifiedType(qt.ty, EMPTY_QUAL), PURE)
-        return Typing(QualifiedType(qt.ty, Qualifier.of(t.name)), PURE)
+        return Typing(QualifiedType(qt.ty, frozenset((t.name,))), PURE)
 
     if isinstance(t, Lam):
         return _observable(ctx, t, check_lam(
@@ -124,8 +126,9 @@ def infer_direct(ctx: TypingContext, t: Term) -> Typing:
         got = overlap(p, fn.qt.qual, ctx)
         if not got <= allowed:
             raise OverlapViolation(
-                f"argument/function overlap {got!r} exceeds declared domain "
-                f"qualifier {allowed!r}", span=span, got=got, allowed=allowed)
+                f"argument/function overlap {qual_repr(got)} exceeds declared "
+                f"domain qualifier {qual_repr(allowed)}", span=span, got=got,
+                allowed=allowed)
         x = f.param
         if x in ty_free_names(f.result_qt.ty):
             raise TypeMismatch(
@@ -133,14 +136,14 @@ def infer_direct(ctx: TypingContext, t: Term) -> Typing:
         # the latent effect must reach only through the function itself or
         # its parameter; close the function qualifier so that names bound
         # to aliases (as normalization introduces) keep typing
-        if not f.latent.flat <= saturate(fn.qt.qual, ctx).add(x):
+        if not f.latent.flat <= saturate(fn.qt.qual, ctx) | {x}:
             raise EffectEscape(
                 f"latent effect {f.latent!r} not confined to the function "
                 f"qualifier plus parameter", span=span, eff=f.latent)
-        if not f.result_qt.qual <= ctx.phi.add(x):
+        if not f.result_qt.qual <= ctx.phi | {x}:
             raise QualifierEscape(
-                f"result qualifier {f.result_qt.qual!r} escapes", span=span,
-                qual=f.result_qt.qual, phi=ctx.phi)
+                f"result qualifier {qual_repr(f.result_qt.qual)} escapes",
+                span=span, qual=f.result_qt.qual, phi=ctx.phi)
         res_qual = subst_qual(f.result_qt.qual, x, p)
         eff = fn.eff.seq(arg.eff).seq(f.latent).subst(x, p)
         return _observable(ctx, t, Typing(
@@ -159,7 +162,7 @@ def infer_direct(ctx: TypingContext, t: Term) -> Typing:
         if init.qt.qual:
             raise TypeMismatch(
                 f"stored value must be untracked (qualifier ∅), got "
-                f"{init.qt.qual!r}", span=span)
+                f"{qual_repr(init.qt.qual)}", span=span)
         eff = cap.eff.seq(init.eff).seq(RwEffect.read(cap.qt.qual))
         return _observable(ctx, t, Typing(
             QualifiedType(RefTy(init.qt.ty)), eff))
@@ -186,9 +189,9 @@ def infer_direct(ctx: TypingContext, t: Term) -> Typing:
         if val.qt.qual:
             raise TypeMismatch(
                 f"stored value must be untracked (qualifier ∅), got "
-                f"{val.qt.qual!r}", span=span)
+                f"{qual_repr(val.qt.qual)}", span=span)
         eff = ref.eff.seq(val.eff).seq(RwEffect.write(ref.qt.qual))
-        return _observable(ctx, t, Typing(QualifiedType(core.TY_UNIT), eff))
+        return _observable(ctx, t, Typing(QualifiedType(TY_UNIT), eff))
 
     if isinstance(t, Let):
         bound = infer_direct(ctx, t.bound)
@@ -210,12 +213,12 @@ def bind_let(ctx: TypingContext, var: Name, bound: Typing) -> TypingContext:
     The new context carries its φ* as φ* ∪ {var}: that is exact, since the
     overlap lies in φ* and a fresh `var` reaches nothing else. A rebound
     `var` leaves φ* to be recomputed."""
-    bind_q = Qualifier(saturate(bound.qt.qual, ctx).members & ctx.phi_star)
-    star, phi = ctx.phi_star, ctx.phi.add(var)
+    bind_q = saturate(bound.qt.qual, ctx) & ctx.phi_star
+    star, phi = ctx.phi_star, ctx.phi | {var}
     if var in ctx:
         star2 = None
-    elif star is ctx.phi.members:  # phi closed: so is phi + var
-        star2 = phi.members
+    elif star is ctx.phi:  # phi closed: so is phi + var
+        star2 = phi
     else:
         star2 = star | {var}
     return (ctx.bind_var(var, QualifiedType(bound.qt.ty, bind_q))
@@ -238,7 +241,7 @@ def let_typing(var: Name, bound: Typing, body: Typing,
 def lam_body_ctx(ctx: TypingContext, lam, fun_q: Qualifier) -> TypingContext:
     """The context a lambda body is checked in: the parameter bound, and
     observation narrowed to the closure's qualifier plus the parameter."""
-    return ctx.bind_var(lam.param, lam.param_qt).with_phi(fun_q.add(lam.param))
+    return ctx.bind_var(lam.param, lam.param_qt).with_phi(fun_q | {lam.param})
 
 
 def check_lam(ctx: TypingContext, lam, free: frozenset,
@@ -247,20 +250,19 @@ def check_lam(ctx: TypingContext, lam, free: frozenset,
     closure is qualified by what it captures, which must be observable;
     the declared latent effect must stay within the body's observation and
     cover the body's effect, which `check_body(ctx, body)` infers."""
-    q = Qualifier(free)
-    if not q <= ctx.phi:
+    if not free <= ctx.phi:
         raise QualifierEscape(
-            f"closure captures {q - ctx.phi!r} outside observation",
-            span=span, qual=q, phi=ctx.phi)
-    phi2 = q.add(lam.param)
+            f"closure captures {qual_repr(free - ctx.phi)} outside "
+            f"observation", span=span, qual=free, phi=ctx.phi)
+    phi2 = free | {lam.param}
     if not lam.latent.flat <= phi2:
         raise EffectEscape(
             f"declared latent effect {lam.latent!r} mentions names outside "
-            f"{phi2!r}", span=span, eff=lam.latent, phi=phi2)
-    body = check_body(lam_body_ctx(ctx, lam, q), lam.body)
+            f"{qual_repr(phi2)}", span=span, eff=lam.latent, phi=phi2)
+    body = check_body(lam_body_ctx(ctx, lam, free), lam.body)
     if not body.eff.included_in(lam.latent):
         raise EffectEscape(
             f"body effect {body.eff!r} not covered by declared latent "
             f"{lam.latent!r}", span=span, eff=body.eff)
     fun = FunTy(lam.param, lam.param_qt, lam.latent, body.qt)
-    return Typing(QualifiedType(fun, q), PURE)
+    return Typing(QualifiedType(fun, free), PURE)

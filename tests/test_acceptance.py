@@ -146,7 +146,7 @@ def test_criterion_6_negative_side_conditions():
     """One blocked rewrite per rule premise: the rule must refuse."""
     from girkit.core import (
         Cell, GLet, GName, NAssign, NCst, NDeref, NLam, NRef, PURE,
-        QualifiedType, Qualifier, RwEffect, TY_INT,
+        QualifiedType, RwEffect, TY_INT,
     )
 
     def synth(store, g):
@@ -213,7 +213,7 @@ def test_criterion_6_negative_side_conditions():
     sup = store.supply
     r = store.alloc(Cell(0), "r")
     c0, f, p, h = sup.var("c0"), sup.var("f"), sup.var("p"), sup.var("h")
-    lam = NLam(p, QualifiedType(TY_INT), RwEffect.write(Qualifier.of(r)),
+    lam = NLam(p, QualifiedType(TY_INT), RwEffect.write(frozenset({r})),
                GLet(h, NAssign(r, c0), GName(h)), None)
     st, g2 = synth(store, GLet(c0, NCst(1), GLet(f, lam, GName(f))))
     with pytest.raises(SideConditionFailed):

@@ -11,20 +11,22 @@ from hypothesis import given, settings, strategies as st
 from girkit.cli import export_dot, export_json, import_json
 from girkit.core import (
     App, Cst, DepMap, EMPTY_DEP, EMPTY_QUAL, GLet, GName, GraphNode, HARD,
-    Lam, Let, Name, NameSupply, NApp, NCst, NLam, Nm, OPERATOR_OF, OPERATORS,
-    PURE, Qualifier, QualifiedType, RW, RwEffect, Term, TypingContext,
-    TY_INT, RefTy, UnboundName, alpha_equal_terms, dep_dom_subst,
-    dep_last_use, dep_restrict, dep_rewire, dep_submap, dep_update,
-    graph_free_names, operands, overlap, rename_graph, rename_term, saturate,
-    subst_qual, subst_term, term_free_names,
+    JsonSchemaError, Lam, Let, Name, NameSupply, NApp, NCst, NLam,
+    NODE_OPERATOR, Nm, OPERATORS, PURE, QualifiedType, RW, RwEffect,
+    TERM_OPERATOR, Term, TypingContext, TY_INT, RefTy, UnboundName,
+    alpha_equal_terms, dep_dom_subst, dep_last_use, dep_restrict, dep_rewire,
+    dep_submap, dep_update, graph_free_names, node_operands, overlap,
+    rename_graph, rename_term, saturate, subst_qual, subst_term,
+    term_free_names, term_operands,
 )
 from girkit.mnf import embed
+from girkit.schedule import flatten
 
 import pytest
 
 
 def q(*names):
-    return Qualifier.from_iter(names)
+    return frozenset(names)
 
 
 def fresh_names(n, text="n"):
@@ -420,22 +422,24 @@ class TestSubstTerm:
 class TestOperatorTable:
     def test_each_operator_class_is_registered_with_its_operand_fields(self):
         assert [o.op for o in OPERATORS] == ["app", "ref", "deref", "assign"]
-        assert len(OPERATOR_OF) == 2 * len(OPERATORS) == 8
+        assert len(TERM_OPERATOR) == len(NODE_OPERATOR) == len(OPERATORS)
         for o in OPERATORS:
+            assert TERM_OPERATOR[o.term] is o and NODE_OPERATOR[o.node] is o
             for cls in (o.term, o.node):
-                assert OPERATOR_OF[cls] is o
                 assert o.fields == tuple(f.name for f in dataclasses.fields(cls)
                                          if f.name != "span")
 
     def test_every_other_form_is_an_explicit_case(self):
         terms, nodes = set(get_args(Term)), set(get_args(GraphNode))
-        assert terms - set(OPERATOR_OF) == {Cst, Nm, Lam, Let}
-        assert nodes - set(OPERATOR_OF) == {NCst, NLam}
-        assert set(OPERATOR_OF) <= terms | nodes
+        assert terms - set(TERM_OPERATOR) == {Cst, Nm, Lam, Let}
+        assert nodes - set(NODE_OPERATOR) == {NCst, NLam}
+        assert set(TERM_OPERATOR) <= terms
+        assert set(NODE_OPERATOR) <= nodes
 
     def test_unknown_forms_raise_type_error(self):
         x, y = fresh_names(2)
-        walkers = (operands, term_free_names, graph_free_names, embed,
+        walkers = (term_operands, node_operands, term_free_names,
+                   graph_free_names, embed,
                    lambda t: rename_term(t, {x: y}),
                    lambda t: rename_graph(t, {x: y}),
                    lambda t: subst_term(t, x, Cst(1)),
@@ -443,6 +447,24 @@ class TestOperatorTable:
         for walk in walkers:
             with pytest.raises(TypeError):
                 walk(x)
+
+    def test_each_side_rejects_the_other_sides_operators(self):
+        x, a, b = fresh_names(3)
+        term, node = App(Nm(a), Nm(b)), NApp(a, b)
+        graph_walkers = (graph_free_names, embed,
+                         lambda g: rename_graph(g, {a: b}),
+                         lambda g: flatten(GLet(x, g, GName(x))))
+        for walk in graph_walkers:
+            with pytest.raises(TypeError):
+                walk(term)
+        with pytest.raises(JsonSchemaError):
+            export_json(GLet(x, term, GName(x)))
+        term_walkers = (term_free_names, lambda t: rename_term(t, {a: b}),
+                        lambda t: subst_term(t, a, Cst(1)),
+                        lambda t: alpha_equal_terms(t, t))
+        for walk in term_walkers:
+            with pytest.raises(TypeError):
+                walk(node)
 
     LABELS = {"app": "a_0 b_1", "ref": "ref(a_0, b_1)", "deref": "!a_0",
               "assign": "a_0 := b_1"}
@@ -454,12 +476,12 @@ class TestOperatorTable:
             args = (a, b)[:len(o.fields)]
             node = o.node(*args)
             term = o.term(*map(Nm, args))
-            assert operands(node) == args
-            assert operands(term) == tuple(map(Nm, args))
+            assert node_operands(node) == args
+            assert term_operands(term) == tuple(map(Nm, args))
             assert graph_free_names(node) == frozenset(args)
             assert term_free_names(term) == frozenset(args)
             assert rename_graph(node, {a: c}) == o.node(c, *args[1:])
-            rest = operands(term)[1:]
+            rest = term_operands(term)[1:]
             assert rename_term(term, {a: c}) == o.term(Nm(c), *rest)
             assert subst_term(term, a, Cst(1)) == o.term(Cst(1), *rest)
             assert alpha_equal_terms(term, term)

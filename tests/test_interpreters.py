@@ -92,6 +92,35 @@ def test_no_import_is_unused():
     assert unused == []
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reaches_into_another_ones_privates():
+    """No module of the package reads an underscore-prefixed attribute of a
+    module it imported (`core._x`) or imports such a name (`from .core
+    import _x`): what modules share is public."""
+    found = []
+    for path in sorted((SRC / "girkit").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {a.asname or a.name.split(".")[0]
+                            for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                if node.module is None:  # `from . import core`
+                    modules |= {a.asname or a.name for a in node.names}
+                found += [f"{path.name}:{node.lineno} {a.name}"
+                          for a in node.names if _private(a.name)]
+        found += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and _private(node.attr)]
+    assert found == []
+
+
 def test_each_module_is_a_package_attribute():
     """`import girkit.X as m` binds the module X, so no name the package
     re-exports may shadow a submodule."""

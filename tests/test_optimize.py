@@ -9,7 +9,7 @@ import pytest
 
 from girkit.core import (
     App, Cell, Cst, Deref, GLet, GName, HARD, Lam, Let, NApp, NAssign,
-    NCst, NDeref, NLam, NRef, Nm, PURE, Qualifier, QualifiedType,
+    NCst, NDeref, NLam, NRef, Nm, PURE, QualifiedType,
     RuntimeConfig, RwEffect, SideConditionFailed, TY_INT, TypingContext,
     graph_to_text, initial_store,
 )
@@ -168,7 +168,7 @@ class TestHoist:
         sup = store.supply
         r = store.alloc(Cell(0), "r")
         c0, f, p, h = sup.var("c0"), sup.var("f"), sup.var("p"), sup.var("h")
-        lam = NLam(p, QualifiedType(TY_INT), RwEffect.write(Qualifier.of(r)),
+        lam = NLam(p, QualifiedType(TY_INT), RwEffect.write(frozenset({r})),
                    GLet(h, NAssign(r, c0), GName(h)), None)
         st, _, g2, _ = synth(store, GLet(c0, NCst(1), GLet(f, lam,
                                                            GName(f))))

@@ -138,6 +138,19 @@ def test_returned_cell_keeps_its_last_write():
             "ref", ("cst", "Int", 5)), regime
 
 
+@pytest.mark.xfail(strict=True, reason="scheduling drops the write inside "
+                   "the lambda body, so the final read sees the first value")
+def test_lambda_body_keeps_its_write():
+    src = ("let r = ref(w, 1) in "
+           "let f = fun (p: Int^{}) =>{rd{} wr{r}} (let u = r := p in 0) in "
+           "let v = f 7 in !r")
+    assert run_text(src) == ("cst", "Int", 7)
+    for regime in (HARD, RW):
+        for opts in ({}, {"freq": True, "compact": True}):
+            assert run_text(emitted(src, regime, **opts)) == (
+                "cst", "Int", 7), (regime, opts)
+
+
 class TestFrequencyMotion:
     def _cond_graph(self):
         sup = NameSupply(1)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from girkit.core import (
     App, Assign, Cell, Cst, Deref, EMPTY_QUAL, EffectEscape, FunTy, Lam, Let, Nm,
-    OverlapViolation, PURE, Qualifier, QualifiedType, QualifierEscape,
+    OverlapViolation, PURE, QualifiedType, QualifierEscape,
     RefNew, RefTy, RwEffect, TY_BOOL, TY_INT, TY_UNIT,
     TypeMismatch, TypingContext, NameSupply, UnboundName, initial_store,
 )
@@ -14,7 +14,7 @@ from girkit.testkit import GenConfig, gen_well_typed
 
 
 def q(*names):
-    return Qualifier.from_iter(names)
+    return frozenset(names)
 
 
 @pytest.fixture
@@ -178,5 +178,5 @@ class TestInferProperties:
         t = Deref(Nm(x))
         before = infer_direct(ctx, t)
         wider = (ctx.bind_var(extra, QualifiedType(RefTy(TY_INT)))
-                 .with_phi(ctx.phi.add(extra)))
+                 .with_phi(ctx.phi | {extra}))
         assert infer_direct(wider, t) == before
