@@ -30,8 +30,7 @@ from .interp import (  # noqa: F401
 # submodule's name would replace the package attribute that names it
 from .optimize import RULES, RewriteReport  # noqa: F401
 from .schedule import (  # noqa: F401
-    Block, SchedOpts, emit_schedule, flatten, schedule_config,
-    synthetic_graph, time_schedule,
+    Block, SchedOpts, flatten, synthetic_graph, time_schedule,
 )
 from .testkit import (  # noqa: F401
     FuzzSummary, GenConfig, Verdict, brute_deps, differential, fuzz,

@@ -1,8 +1,9 @@
 """Equational graph-to-graph rewrites (dead code, commuting, hoisting,
 inlining, common subexpressions) applied under congruence with explicit
 side-condition checks. The side conditions read the binding typings that
-dependency synthesis records; every fired rewrite re-runs synthesis, which
-also records the rewritten graph's typings for the next walk.
+dependency synthesis records; the driver re-runs synthesis on every
+rewrite that fires, which also records the rewritten graph's typings for
+the next walk.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ class Site:
     maps the binders on the scope spine to their (binding, typing),
     `typings` maps every binder of the graph to its binding's typing, and
     `rebuild` reassembles the whole (unannotated) graph around a
-    replacement for `focus`. A rule that fires here leaves the rewritten
-    graph's typings in `typings_after`."""
+    replacement for `focus`; a rule that fires here returns what
+    `rebuild` returns."""
     path: tuple
     ctx: TypingContext
     defs: ChainMap
@@ -49,7 +50,6 @@ class Site:
     rebuild: Callable
     typing: Typing
     typings: dict
-    typings_after: dict | None = None
 
 
 def walk(st: SynthState, g: GraphTerm, typings: dict) -> Iterator[Site]:
@@ -106,11 +106,6 @@ def _navigate(st: SynthState, g: GraphTerm, site) -> Site:
     return site
 
 
-def _resynth(st: SynthState, g: GraphTerm, site: Site) -> GraphTerm:
-    g2, site.typings_after = _synthesized(st, g)
-    return g2
-
-
 def _capability_reach(ctx: TypingContext) -> Qualifier:
     """The allocation capability's saturated qualifier (empty without one)."""
     for loc, qt in ctx.sigma.items():
@@ -147,36 +142,23 @@ def _dep_mentions(g, x: Name) -> bool:
 
 def _resolve_lam(defs: dict, name: Name):
     """Chase alias bindings and nested-block tails to the lambda a name
-    denotes, if it is defined on the scope spine."""
-    seen = set()
-    while name not in seen:
-        seen.add(name)
-        d = defs.get(name)
-        if d is None:
+    denotes, if it is defined on the scope spine. Binders are unique, so
+    the chase cannot cycle, and a nested block's definitions never shadow
+    the spine's."""
+    local: dict = {}
+    b = GName(name)
+    while True:
+        while isinstance(b, GLet):  # a nested block: go to its tail
+            local[b.var] = b.binding
+            b = b.body
+        if not isinstance(b, GName):
+            return b if isinstance(b, NLam) else None
+        if b.name in local:
+            b = local[b.name]
+        elif b.name in defs:
+            b = defs[b.name][0]
+        else:
             return None
-        b = d[0]
-        # walk nested blocks to their tail, tracking local definitions
-        local = dict()
-        while True:
-            if isinstance(b, GLet):
-                spine = b
-                while isinstance(spine, GLet):
-                    local[spine.var] = spine.binding
-                    spine = spine.body
-                b = GName(spine.name)
-            if isinstance(b, GName):
-                if b.name in local:
-                    b = local[b.name]
-                    continue
-                break
-            break
-        if isinstance(b, NLam):
-            return b
-        if isinstance(b, GName):
-            name = b.name
-            continue
-        return None
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +179,7 @@ def rw_dce(st: SynthState, g: GraphTerm, site: tuple,
     if _dep_mentions(focus.body, focus.var):
         raise SideConditionFailed(
             f"{focus.var!r} appears in continuation dependencies")
-    return _resynth(st, site.rebuild(focus.body), site)
+    return site.rebuild(focus.body)
 
 
 def rw_comm(st: SynthState, g: GraphTerm, site: tuple,
@@ -217,12 +199,12 @@ def rw_comm(st: SynthState, g: GraphTerm, site: tuple,
     if not e1.isdisjoint(e2):
         raise SideConditionFailed(
             f"effects overlap on {qual_repr(e1 & e2)}")
+    # binders are unique and x2 is bound after b1, so only b2 can mention
+    # the other binder
     if x1 in graph_free_names(b2):
         raise SideConditionFailed(f"second binding mentions {x1!r}")
-    if x2 in graph_free_names(b1):
-        raise SideConditionFailed(f"first binding mentions {x2!r}")
     swapped = GLet(x2, b2, GLet(x1, b1, inner.body, None), None)
-    return _resynth(st, site.rebuild(swapped), site)
+    return site.rebuild(swapped)
 
 
 def rw_hoist(st: SynthState, g: GraphTerm, site: tuple,
@@ -249,7 +231,7 @@ def rw_hoist(st: SynthState, g: GraphTerm, site: tuple,
     lam2 = NLam(lam.param, lam.param_qt, lam.latent, inner.body, None)
     hoisted = GLet(inner.var, inner.binding,
                    GLet(focus.var, lam2, focus.body, None), None)
-    return _resynth(st, site.rebuild(hoisted), site)
+    return site.rebuild(hoisted)
 
 
 def rw_inline(st: SynthState, g: GraphTerm, site: tuple,
@@ -280,7 +262,7 @@ def rw_inline(st: SynthState, g: GraphTerm, site: tuple,
     body = rename_graph(lam.body, {lam.param: app.arg}, fresh=supply,
                         dep=lambda d: None)
     inlined = GLet(focus.var, body, focus.body, None)
-    return _resynth(st, site.rebuild(inlined), site)
+    return site.rebuild(inlined)
 
 
 def rw_cse(st: SynthState, g: GraphTerm, site: tuple,
@@ -299,7 +281,7 @@ def rw_cse(st: SynthState, g: GraphTerm, site: tuple,
         raise SideConditionFailed("binding allocates")
     merged = GLet(focus.var, focus.binding,
                   rename_graph(inner.body, {inner.var: focus.var}), None)
-    return _resynth(st, site.rebuild(merged), site)
+    return site.rebuild(merged)
 
 
 RULES = {
@@ -313,9 +295,10 @@ RULES = {
 
 def _fire(st: SynthState, g: GraphTerm, rule: str, sites, supply,
           reports: list, log_misses: bool):
-    """Try `rule` at each of `sites` in turn. Returns the rewritten graph
-    and the site of the first rewrite that fires, which holds the rewritten
-    graph's typings, or (None, None)."""
+    """Try `rule` at each of `sites` in turn. At the first that fires,
+    synthesize the rewritten graph, which annotates and types it, and
+    return (annotated graph, its binding typings, site); if none fires,
+    (None, None, None)."""
     for site in sites:
         try:
             g2 = RULES[rule](st, g, site, supply)
@@ -324,10 +307,8 @@ def _fire(st: SynthState, g: GraphTerm, rule: str, sites, supply,
                 reports.append(RewriteReport(rule, site.path, False, str(e)))
             continue
         reports.append(RewriteReport(rule, site.path, True))
-        if site.typings_after is None:  # a rule that bypasses `_resynth`
-            site.typings_after = _synthesized(st, g2)[1]
-        return g2, site
-    return None, None
+        return (*_synthesized(st, g2), site)
+    return None, None, None
 
 
 def _untried(sites, tried: set):
@@ -350,9 +331,10 @@ def optimize(st: SynthState, g: GraphTerm, passes: list,
 
     The program is typed once by synthesis up front, which also annotates
     it afresh (any annotation the input carries is checked, then
-    replaced), and once more by the re-synthesis of each fired rewrite;
-    the walks and the rules' side conditions read the binding typings
-    those syntheses record.
+    replaced), and once more after each fired rewrite: a rule returns
+    the rewritten graph unannotated, and `_fire` re-synthesizes it. The
+    walks and the rules' side conditions read the binding typings those
+    syntheses record.
 
     `supply` must be the program's own name supply, the one its binders
     were drawn from: inlining mints fresh binders from it, and a supply
@@ -367,19 +349,20 @@ def optimize(st: SynthState, g: GraphTerm, passes: list,
         changed = False
         for rule in passes:
             while rule != "comm" and fuel > 0:
-                g2, site = _fire(st, g, rule, walk(st, g, typings), supply,
-                                 reports, log_misses)
+                g2, t2, _ = _fire(st, g, rule, walk(st, g, typings), supply,
+                                  reports, log_misses)
                 if g2 is None:
                     break
-                g, typings = g2, site.typings_after
+                g, typings = g2, t2
                 fuel, changed = fuel - 1, True
     # binders are unique, so they name the positions the sweep has tried
     tried: set = set()
     while "comm" in passes and fuel > 0:
-        g2, site = _fire(st, g, "comm", _untried(walk(st, g, typings), tried),
-                         supply, reports, log_misses)
+        g2, t2, site = _fire(st, g, "comm",
+                             _untried(walk(st, g, typings), tried), supply,
+                             reports, log_misses)
         if g2 is None:
             break
         tried.add(site.focus.body.var)  # now at the tried position
-        g, typings, fuel = g2, site.typings_after, fuel - 1
+        g, typings, fuel = g2, t2, fuel - 1
     return g, reports

@@ -16,8 +16,8 @@ from types import MappingProxyType
 
 from .core import (
     CyclicDependency, GLet, GName, Name, NameSupply, NCst, NLam,
-    RuntimeConfig, const_text, effect_to_text, node_operator, qt_to_text,
-    rename_effect, rename_qt,
+    RuntimeConfig, const_text, effect_to_text, node_operator, qt_free_names,
+    qt_to_text, rename_effect, rename_qt,
 )
 
 HOT = 100.0
@@ -88,23 +88,16 @@ TreeNode = (Leaf, Scope)
 def flatten(g) -> SGraph:
     """Turn an annotated graph term into a flat node table. Alias bindings
     and nested blocks are spliced; lambda bodies share the table and are
-    delimited by their node's scope result."""
+    delimited by their node's scope result. A lambda node's data arguments
+    are the names its annotations mention, so they stay bound before it.
+
+    `g` must carry synthesized annotations: they keep a lambda body's
+    effectful nodes in the body. Synthesis starts the body's last-use map
+    at the parameter, so each such node depends on the parameter, directly
+    or through earlier effectful nodes of the body, and the scheduler
+    places a node only where every parameter it depends on is bound."""
     nodes: dict = {}
     env: dict = {}
-    param_stack: list = []
-
-    def pin(op: str, hard: tuple, soft: tuple) -> tuple:
-        """Effectful nodes inside a lambda body must not float out of it:
-        their store interactions happen per call, so give them a bound
-        dependency on the innermost parameter (parameters never schedule,
-        so this only constrains placement)."""
-        if not param_stack:
-            return hard
-        if op in ("ref", "deref", "assign") or hard or soft:
-            p = param_stack[-1]
-            if p not in hard:
-                return hard + (p,)
-        return hard
 
     def resolve(n: Name) -> Name:
         while n in env:
@@ -129,19 +122,18 @@ def flatten(g) -> SGraph:
             else:
                 hard, soft = dep_targets(d)
                 if isinstance(b, NCst):
-                    nodes[var] = SNode(var, "cst", (), pin("cst", hard, soft), soft,
+                    nodes[var] = SNode(var, "cst", (), hard, soft,
                                        lit=b.value)
                 elif isinstance(b, NLam):
-                    param_stack.append(b.param)
                     r = go(b.body)
-                    param_stack.pop()
                     # annotations may mention spliced alias names; print
                     # them under the same resolution as the node symbols
-                    ren = {n: resolve(n)
-                           for n in b.latent.flat | b.param_qt.qual
-                           if n in env}
+                    named = ((b.latent.flat | qt_free_names(b.param_qt))
+                             - {b.param})
+                    ren = {n: resolve(n) for n in named if n in env}
+                    args = tuple(sorted({ren.get(n, n) for n in named}))
                     nodes[var] = SNode(
-                        var, "lam", (), hard, soft, params=(b.param,),
+                        var, "lam", args, hard, soft, params=(b.param,),
                         body_res=(r,),
                         meta={"param_qt": qt_to_text(
                                   rename_qt(b.param_qt, ren)),
@@ -151,7 +143,7 @@ def flatten(g) -> SGraph:
                     o = node_operator(b)
                     nodes[var] = SNode(var, o.op,
                                        tuple(map(resolve, o.operands(b))),
-                                       pin(o.op, hard, soft), soft)
+                                       hard, soft)
             g = g.body
         if not isinstance(g, GName):
             raise TypeError(g)
@@ -220,7 +212,7 @@ class _Deps:
                     if 0 <= j < nn:
                         hard.add(j)
                     elif j >= nn:
-                        pa.append(j)  # pinned to an enclosing parameter
+                        pa.append(j)  # an enclosing lambda's parameter
                 edges.extend(hard)
                 hm[i] = len(edges)
                 for x in node.soft:
@@ -391,14 +383,20 @@ def schedule_block(dv: _Deps, scope: set, path: set, res,
         for m in local_def.intersection(dv.both_of(c)):
             succ.setdefault(m, set()).add(c)
 
-    # the emitter prints a cond's predicate by name, so it stays a leaf
-    preds = {dv.index_of(dv.node[n].args[0]) for n in current
-             if dv.node[n].op == "cond"}
+    # the emitter prints a cond's predicate and the names a lambda's
+    # annotations mention by name, so they stay leaves
+    named = set()
+    for n in current:
+        node = dv.node[n]
+        if node.op == "cond":
+            named.add(dv.index_of(node.args[0]))
+        elif node.op == "lam":
+            named.update(map(dv.index_of, node.args))
     should_inline = {n for n in local_def
                      if current_use.get(n, 0) == 1
                      and inner_use.get(n, 0) == 0
                      and dv.node[n].op not in ("lam", "loop", "cond")
-                     and n not in preds}
+                     and n not in named}
     seen: set = set()
 
     def check_inline(n: int):
@@ -462,10 +460,6 @@ def schedule(sg: SGraph, freq: bool = False, compact: bool = False,
     opts = SchedOpts(freq, compact, tuple(matchers))
     dv = _Deps(sg)
     return schedule_block(dv, set(range(dv.nnodes)), set(), sg.result, opts)
-
-
-def schedule_config(cfg: RuntimeConfig, **kw) -> Block:
-    return schedule(flatten_config(cfg), **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +562,6 @@ def emit(block: Block, indent: int = 0) -> str:
     tail = block.tail
     lines.append(f"{pad}{_exp_text(tail)}")
     return "\n".join(lines)
-
-
-def emit_schedule(sg: SGraph, freq: bool = False, compact: bool = False,
-                  matchers: tuple = ()) -> str:
-    return emit(schedule(sg, freq, compact, matchers))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from girkit.interp import canonical_value, eval_graph, separation_probe
 from girkit.mnf import check_mnf, to_mnf
 from girkit.optimize import RULES, optimize
 from girkit.schedule import (
-    SGraph, SNode, emit, emit_schedule, schedule_config, time_schedule,
+    SGraph, SNode, emit, flatten_config, schedule, time_schedule,
 )
 from girkit.testkit import (
     GenConfig, _fresh_store_for, brute_deps, gen_well_typed, make_corrupted,
@@ -265,14 +265,14 @@ def test_criterion_7_scheduling_behaviors():
     waw = "let r = ref(w, 0) in let a = r := 1 in let b = r := 2 in !r"
     # (a) with skippable write-ordering deps, the overwritten first write
     # is dead and disappears; hard ordering keeps it
-    assert emit(schedule_config(_build_config(waw, RW))) == (
+    assert emit(schedule(flatten_config(_build_config(waw, RW)))) == (
         "let c_7 = 0 in\n"
         "let r_6 = ref(w, c_7) in\n"
         "let c_15 = 2 in\n"
         "let s_14 = r_6 := c_15 in\n"
         "let d_17 = !r_6 in\n"
         "d_17")
-    assert emit(schedule_config(_build_config(waw, HARD))) == (
+    assert emit(schedule(flatten_config(_build_config(waw, HARD)))) == (
         "let c_7 = 0 in\n"
         "let r_6 = ref(w, c_7) in\n"
         "let c_11 = 1 in\n"
@@ -295,7 +295,7 @@ def test_criterion_7_scheduling_behaviors():
         a: SNode(a, "cst", lit=3),
         call: SNode(call, "app", (f, a)),
     }
-    assert emit_schedule(SGraph(nodes, call), freq=True) == (
+    assert emit(schedule(SGraph(nodes, call), freq=True)) == (
         "let N_1 = 20 in\n"
         "let fact_2 = factorial(N_1) in\n"
         "let a_5 = 3 in\n"
@@ -319,7 +319,7 @@ def test_criterion_7_scheduling_behaviors():
         eres: SNode(eres, "cst", lit=0),
         cnd: SNode(cnd, "cond", (p,), body_res=(tres, eres)),
     }
-    assert emit_schedule(SGraph(nodes, cnd), freq=True) == (
+    assert emit(schedule(SGraph(nodes, cnd), freq=True)) == (
         "let p_1 = true in\n"
         "let cnd_6 = if p_1 then (\n"
         "  let c0_2 = 7 in\n"
@@ -337,8 +337,8 @@ def test_criterion_7_scheduling_behaviors():
     refusal = ("let x = ref(w, 1) in "
                "let f = fun (p: Int^{}) =>{rd{x} wr{}} !x in "
                "let y = !x in let u = x := 2 in f y")
-    assert emit(schedule_config(_build_config(refusal, RW),
-                                compact=True)) == (
+    assert emit(schedule(flatten_config(_build_config(refusal, RW)),
+                         compact=True)) == (
         "let r_8 = ref(w, 1) in\n"
         "let d_14 = !r_8 in\n"
         "let s_17 = r_8 := 2 in\n"
@@ -354,8 +354,8 @@ def test_criterion_7_scheduling_behaviors():
     nodes = {n: SNode(n, "op:tensor") for n in (A, B, C)}
     nodes[mm] = SNode(mm, "op:matmul", (A, B))
     nodes[X] = SNode(X, "op:add", (C, mm))
-    assert emit_schedule(SGraph(nodes, X), compact=True,
-                         matchers=("gemm",)) == \
+    assert emit(schedule(SGraph(nodes, X), compact=True,
+                         matchers=("gemm",))) == \
         "gemm(tensor(), tensor(), tensor(), 1.0, 1.0)"
 
     print("\nPASS criterion 7: dead-write removal, both code-motion "

@@ -15,7 +15,7 @@ from girkit.core import (
 )
 from girkit.graphir import initial_state, synthesize
 from girkit.optimize import RULES
-from girkit.typecheck import Typing, _observable, check_lam, infer_direct
+from girkit.typecheck import infer_direct
 
 
 def q(*names: Name) -> Qualifier:
@@ -52,14 +52,6 @@ def fun_ty(p, latent, result_qual):
 
 
 class TestObservation:
-    def test_qualifier_escape(self, names):
-        x, c, f, p = names
-        ctx = cells(x, c).with_phi(q(f))
-        typing = Typing(QualifiedType(RefTy(TY_INT), q(c, x)), PURE)
-        assert message(lambda: _observable(ctx, Cst(0), typing)) == (
-            "QualifierEscape: qualifier {x#v0,c#v1} escapes observation "
-            "{f#v2}")
-
     def test_effect_escape(self, names):
         # f's qualifier reaches the cells, which are not observable
         x, c, f, p = names
@@ -145,18 +137,6 @@ class TestLambda:
         assert message(lambda: infer_direct(ctx, lam)) == (
             "QualifierEscape: closure captures {x#v0,c#v1} outside "
             "observation")
-
-    def test_latent_outside_the_closure(self, names):
-        # the lambda rule is handed no captures, so the latent effect
-        # mentions names the body cannot observe
-        x, c, f, p = names
-        lam = Lam(p, QualifiedType(TY_INT), RwEffect(q(c, x), q(p)),
-                  Deref(Nm(x)))
-        ctx = cells(x, c).with_phi(q(x, c))
-        assert message(lambda: check_lam(ctx, lam, frozenset(),
-                                         infer_direct)) == (
-            "EffectEscape: declared latent effect (r:{x#v0,c#v1};w:{p#v3}) "
-            "mentions names outside {p#v3}")
 
     def test_body_effect_not_covered(self):
         assert source_message(

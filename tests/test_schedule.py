@@ -10,8 +10,8 @@ from girkit.core import (
 )
 from girkit.interp import canonical_value, eval_graph, eval_store
 from girkit.schedule import (
-    NORMAL, SGraph, SNode, _Deps, emit, emit_schedule, flatten_config,
-    schedule, schedule_config, synthetic_graph, time_schedule,
+    NORMAL, SGraph, SNode, _Deps, emit, flatten_config, schedule,
+    synthetic_graph, time_schedule,
 )
 from girkit.testkit import GenConfig, gen_well_typed, _fresh_store_for
 from girkit.mnf import to_mnf
@@ -19,7 +19,7 @@ from girkit.graphir import synthesize_config
 
 
 def emitted(src, regime=RW, **opts):
-    return emit(schedule_config(_build_config(src, regime), **opts))
+    return emit(schedule(flatten_config(_build_config(src, regime)), **opts))
 
 
 def run_text(text):
@@ -168,12 +168,12 @@ class TestFrequencyMotion:
         return SGraph(nodes, cnd)
 
     def test_branch_only_node_sinks_into_its_branch(self):
-        out = emit_schedule(self._cond_graph(), freq=True)
+        out = emit(schedule(self._cond_graph(), freq=True))
         then_block = out.split("then (")[1].split(") else")[0]
         assert "heavy(" in then_block
 
     def test_without_frequencies_the_node_stays_outside(self):
-        out = emit_schedule(self._cond_graph(), freq=False)
+        out = emit(schedule(self._cond_graph(), freq=False))
         before_cond = out.split("if ")[0]
         assert "heavy(" in before_cond
 
@@ -190,7 +190,7 @@ class TestFrequencyMotion:
             call: SNode(call, "app", (f, a)),
         }
         for freq in (False, True):
-            out = emit_schedule(SGraph(nodes, call), freq=freq)
+            out = emit(schedule(SGraph(nodes, call), freq=freq))
             before_lam = out.split("fun ")[0]
             assert "factorial(" in before_lam
 
@@ -220,7 +220,7 @@ class TestCompactTraversal:
             e: SNode(e, "cst", lit=2),
             cnd: SNode(cnd, "cond", (p,), body_res=(t, e)),
         }
-        out = emit_schedule(SGraph(nodes, cnd), compact=True)
+        out = emit(schedule(SGraph(nodes, cnd), compact=True))
         head = out.split(" = if ")[0]
         assert f"let {p.pretty()} = positive(3) in" in head
         assert f"if {p.pretty()} then" in out
@@ -232,8 +232,8 @@ class TestCompactTraversal:
         nodes = {n: SNode(n, "op:tensor") for n in (A, B, C)}
         nodes[mm] = SNode(mm, "op:matmul", (A, B))
         nodes[X] = SNode(X, "op:add", (C, mm))
-        out = emit_schedule(SGraph(nodes, X), compact=True,
-                            matchers=("gemm",))
+        out = emit(schedule(SGraph(nodes, X), compact=True,
+                            matchers=("gemm",)))
         assert out == "gemm(tensor(), tensor(), tensor(), 1.0, 1.0)"
 
     def test_integer_multiply_add_fuses(self):
@@ -243,8 +243,8 @@ class TestCompactTraversal:
         nodes = {n: SNode(n, "cst", lit=i) for i, n in enumerate((a, b, c))}
         nodes[mul] = SNode(mul, "op:imul", (b, c))
         nodes[add] = SNode(add, "op:iadd", (a, mul))
-        out = emit_schedule(SGraph(nodes, add), compact=True,
-                            matchers=("addmul",))
+        out = emit(schedule(SGraph(nodes, add), compact=True,
+                            matchers=("addmul",)))
         assert "muladd(" in out and "iadd(" not in out
 
 
@@ -262,13 +262,13 @@ class TestSemanticPreservation:
                                         regime=regime)
                 r = eval_graph(cfg)
                 want = canonical_value(r.store, r.value)
-                out = emit(schedule_config(cfg, **opts))
+                out = emit(schedule(flatten_config(cfg), **opts))
                 assert run_text(out) == want, (seed, regime)
 
     def test_reparse_and_reschedule_is_a_fixpoint(self):
         out1 = emitted(RW_AFTER_WRITE_SRC, RW)
-        out2 = emit(schedule_config(_build_config(out1, RW)))
-        out3 = emit(schedule_config(_build_config(out2, RW)))
+        out2 = emit(schedule(flatten_config(_build_config(out1, RW))))
+        out3 = emit(schedule(flatten_config(_build_config(out2, RW))))
         assert out3 == out2
 
 
@@ -277,7 +277,7 @@ class TestSyntheticGraphs:
         sg = synthetic_graph(300, 6, seed=3)
         sg2 = synthetic_graph(300, 6, seed=3)
         assert len(sg.nodes) == 300
-        assert emit_schedule(sg) == emit_schedule(sg2)
+        assert emit(schedule(sg)) == emit(schedule(sg2))
 
     def test_nesting_depth_is_bounded(self):
         sg = synthetic_graph(2000, 4, seed=1)
