@@ -33,6 +33,6 @@ from .schedule import (  # noqa: F401
     Block, SchedOpts, flatten, synthetic_graph, time_schedule,
 )
 from .testkit import (  # noqa: F401
-    FuzzSummary, GenConfig, Verdict, brute_deps, differential, fuzz,
-    gen_well_typed, make_corrupted, opportunity, run_three, shrink,
+    FuzzSummary, GenConfig, brute_deps, fuzz, gen_well_typed,
+    make_corrupted, opportunity, run_three, shrink,
 )

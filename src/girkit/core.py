@@ -1101,7 +1101,8 @@ class Store:
 
     def typing(self) -> TypingContext:
         """Store typing: capability at Alloc^∅, cells at Ref B^∅, saved
-        introductions at their value types; phi = the whole store domain."""
+        constants at their base types; phi = the whole store domain. A saved
+        closure's result type needs the checker, so it raises TypeError."""
         ctx = TypingContext()
         for loc in self.order:
             e = self.entries[loc]
@@ -1110,19 +1111,20 @@ class Store:
             elif isinstance(e, Cell):
                 content = e.content
                 if isinstance(content, Name):
+                    # the store and graph semantics fill cells with the
+                    # locations of saved constants
                     inner = self.entries.get(content)
-                    base = (const_base(inner.value)
-                            if isinstance(inner, SavedCst) else TY_INT)
-                else:
-                    base = const_base(content)
-                ctx = ctx.bind_loc(loc, QualifiedType(RefTy(base)))
+                    if not isinstance(inner, SavedCst):
+                        raise TypeError(f"cell {loc!r} holds {content!r}, "
+                                        f"not a saved constant")
+                    content = inner.value
+                ctx = ctx.bind_loc(loc, QualifiedType(RefTy(
+                    const_base(content))))
             elif isinstance(e, SavedCst):
                 ctx = ctx.bind_loc(loc, QualifiedType(const_base(e.value)))
-            elif isinstance(e, (SavedLamTerm, SavedLamGraph)):
-                lam = e.lam
-                ctx = ctx.bind_loc(loc, QualifiedType(
-                    FunTy(lam.param, lam.param_qt, lam.latent,
-                          QualifiedType(TY_UNIT))))
+            else:
+                raise TypeError(f"cannot type the closure at {loc!r} "
+                                f"without the checker")
         return ctx.with_phi(frozenset(ctx.sigma))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .core import (
-    DepMap, EMPTY_QUAL, GLet, GName, GraphTerm, Name, NameSupply, NApp,
+    EMPTY_QUAL, GLet, GName, GraphTerm, Name, NameSupply, NApp,
     NLam, Qualifier, RwEffect, SideConditionFailed, TY_ALLOC,
     TypingContext, graph_free_names, qual_repr, rename_graph, saturate,
 )
@@ -126,20 +126,6 @@ def _alloc_only(ctx: TypingContext, eff: RwEffect) -> tuple[bool, str]:
     return True, ""
 
 
-def _dep_mentions(g, x: Name) -> bool:
-    def in_dep(d: DepMap) -> bool:
-        return d is not None and (x in d.domain() or x in d.targets())
-
-    if isinstance(g, GName):
-        return False
-    if isinstance(g, GLet):
-        return (in_dep(g.dep) or _dep_mentions(g.binding, x)
-                or _dep_mentions(g.body, x))
-    if isinstance(g, NLam):
-        return in_dep(g.body_dep) or _dep_mentions(g.body, x)
-    return False
-
-
 def _resolve_lam(defs: dict, name: Name):
     """Chase alias bindings and nested-block tails to the lambda a name
     denotes, if it is defined on the scope spine. Binders are unique, so
@@ -176,9 +162,6 @@ def rw_dce(st: SynthState, g: GraphTerm, site: tuple,
         raise SideConditionFailed(f"binding not discardable: {why}")
     if focus.var in graph_free_names(focus.body):
         raise SideConditionFailed(f"{focus.var!r} used in the continuation")
-    if _dep_mentions(focus.body, focus.var):
-        raise SideConditionFailed(
-            f"{focus.var!r} appears in continuation dependencies")
     return site.rebuild(focus.body)
 
 

@@ -11,8 +11,7 @@ import heapq
 import random
 import time
 from array import array
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
 from .core import (
     CyclicDependency, GLet, GName, Name, NameSupply, NCst, NLam,
@@ -25,9 +24,6 @@ NORMAL = 1.0
 COLD = 0.5
 
 
-_EMPTY_META = MappingProxyType({})
-
-
 @dataclass(slots=True)
 class SNode:
     """One graph node in scheduling form."""
@@ -37,13 +33,10 @@ class SNode:
     args: tuple = ()              # data-dependency symbols
     hard: tuple = ()              # hard effect-dependency symbols
     soft: tuple = ()              # soft effect-dependency symbols
-    lit: object = None            # constant payload / generic op name
+    lit: object = None            # constant payload / generic op name /
+                                  # lam (param type, latent effect) texts
     params: tuple = ()            # binders introduced by a lam node
     body_res: tuple = ()          # scope results (lam/loop: 1, cond: 2)
-    # e.g. lam annotation texts; the shared read-only default goes through
-    # a factory because Python 3.11's dataclasses reject an unhashable
-    # default such as a mappingproxy
-    meta: object = field(default_factory=lambda: _EMPTY_META)
 
 
 @dataclass
@@ -133,12 +126,10 @@ def flatten(g) -> SGraph:
                     ren = {n: resolve(n) for n in named if n in env}
                     args = tuple(sorted({ren.get(n, n) for n in named}))
                     nodes[var] = SNode(
-                        var, "lam", args, hard, soft, params=(b.param,),
-                        body_res=(r,),
-                        meta={"param_qt": qt_to_text(
-                                  rename_qt(b.param_qt, ren)),
-                              "latent": effect_to_text(
-                                  rename_effect(b.latent, ren))})
+                        var, "lam", args, hard, soft,
+                        lit=(qt_to_text(rename_qt(b.param_qt, ren)),
+                             effect_to_text(rename_effect(b.latent, ren))),
+                        params=(b.param,), body_res=(r,))
                 else:
                     o = node_operator(b)
                     nodes[var] = SNode(var, o.op,
@@ -536,10 +527,10 @@ def emit(block: Block, indent: int = 0) -> str:
         else:
             kind, sym, node = t.binder
             if kind == "lam":
+                param_qt, latent = node.lit or ("Int^{}", "rd{} wr{}")
                 head = (f"{pad}let {sym.pretty()} = fun "
-                        f"({node.params[0].pretty()}: "
-                        f"{node.meta.get('param_qt', 'Int^{}')}) "
-                        f"=>{{{node.meta.get('latent', 'rd{} wr{}')}}} (")
+                        f"({node.params[0].pretty()}: {param_qt}) "
+                        f"=>{{{latent}}} (")
                 lines.append(head)
                 lines.append(emit(Block(t.children, t.result), indent + 1))
                 lines.append(f"{pad}) in")

@@ -1,7 +1,8 @@
 """Randomized testing support: a type-directed generator of well-typed
-terms, differential runners over the three semantics, a brute-force
-dependency oracle, rule-opportunity builders for the optimizer, and
-corrupted-graph builders for the runtime dependency check.
+terms, a runner of the three semantics, a shrinker, a brute-force
+dependency oracle, rule-opportunity builders for the optimizer,
+corrupted-graph builders for the runtime dependency check, and a fuzz
+driver that shrinks every failing program it finds.
 
 Everything here is a pure function of its seed: two runs with the same
 configuration produce the same programs.
@@ -275,17 +276,8 @@ def gen_well_typed(cfg: GenConfig, store: Optional[Store] = None) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Differential running
+# Running the three semantics
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Verdict:
-    agree: bool
-    values: dict
-    steps: dict
-    counterexample: Optional[Term] = None
-    message: str = ""
-
 
 def _max_name_id(t: Term) -> int:
     ids = [n.id for n in term_free_names(t)]
@@ -329,38 +321,6 @@ def run_three(t: Term, regime: str = HARD) -> tuple[dict, dict]:
     steps["graph"] = r.steps
 
     return values, steps
-
-
-def differential(t: Term, regime: str = HARD,
-                 fault: Optional[Callable] = None) -> Verdict:
-    """Run the three semantics and compare canonical results. `fault`
-    (a function over the direct semantics' canonical value) injects a
-    deliberate discrepancy for harness self-tests. On disagreement the
-    counterexample is shrunk until locally minimal: no single-subterm
-    deletion preserves the failure."""
-
-    def observe(term):
-        values, steps = run_three(term, regime=regime)
-        if fault is not None:
-            values["direct"] = fault(values["direct"])
-        return values, steps
-
-    def disagrees(term) -> bool:
-        try:
-            infer_direct(_fresh_store_for(term).typing(), term)
-            vs, _ = observe(term)
-        except GirError:
-            return False
-        return len(set(vs.values())) > 1
-
-    values, steps = observe(t)
-    if len(set(values.values())) == 1:
-        return Verdict(True, values, steps)
-
-    small = shrink(t, disagrees)
-    values, steps = observe(small)
-    return Verdict(False, values, steps, counterexample=small,
-                   message=f"semantics disagree on {term_to_text(small)}")
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +487,7 @@ class FuzzSummary:
     check: str
     seed: int
     count: int
+    max_depth: int
     failures: int = 0
     details: list = field(default_factory=list)
 
@@ -536,6 +497,9 @@ class FuzzSummary:
                  f"{self.failures} failure(s)"]
         for idx, msg in self.details[:20]:
             lines.append(f"  #{idx}: {msg}")
+            lines.append(f"    replay: gir fuzz --count 1 "
+                         f"--seed {self.seed + idx} "
+                         f"--max-depth {self.max_depth} --check {self.check}")
         return "\n".join(lines)
 
 
@@ -572,13 +536,14 @@ def _check_deps(t: Term, store: Store) -> Optional[str]:
 
 
 def _check_differential(t: Term, store: Store) -> Optional[str]:
-    v = differential(t)
-    if not v.agree:
-        return v.message
+    values, _ = run_three(t)
+    if len(set(values.values())) > 1:
+        return f"semantics disagree: {values}"
     return None
 
 
-def _optimizer_mismatch(t: Term, store: Store) -> Optional[str]:
+def _check_optimizer(t: Term, store: Store) -> Optional[str]:
+    """All rules together must keep the result."""
     from .core import RuntimeConfig
     from .optimize import RULES, optimize
     g = to_mnf(t, store.supply)
@@ -594,27 +559,6 @@ def _optimizer_mismatch(t: Term, store: Store) -> Optional[str]:
     return None
 
 
-def _check_optimizer(t: Term, store: Store) -> Optional[str]:
-    """All rules together must keep the result; a failing program is
-    shrunk, re-running the optimizer on a fresh store for each candidate."""
-    msg = _optimizer_mismatch(t, store)
-    if msg is None:
-        return None
-
-    def still_fails(term) -> bool:
-        try:
-            store = _fresh_store_for(term)
-            infer_direct(store.typing(), term)
-            return _optimizer_mismatch(term, store) is not None
-        except GirError:
-            return False
-
-    small = shrink(t, still_fails)
-    if small is not t:
-        msg = _optimizer_mismatch(small, _fresh_store_for(small))
-    return f"{msg} on {term_to_text(small)}"
-
-
 _CHECK_FNS = {
     "translation": _check_translation,
     "synthesis": _check_synthesis,
@@ -624,25 +568,48 @@ _CHECK_FNS = {
 }
 
 
+def _run_check(fn: Callable, t: Term, store: Store) -> Optional[str]:
+    """The check's failure message; a GirError it raises is one too."""
+    try:
+        return fn(t, store)
+    except GirError as e:
+        return f"unexpected error: {type(e).__name__}: {e}"
+
+
+def _still_fails(fn: Callable, t: Term) -> bool:
+    """Whether a shrink candidate types and fails the check afresh."""
+    store = _fresh_store_for(t)
+    try:
+        infer_direct(store.typing(), t)
+    except GirError:
+        return False
+    return _run_check(fn, t, store) is not None
+
+
 def fuzz(count: int = 100, seed: int = 0, max_depth: int = 6,
          check: str = "differential") -> FuzzSummary:
     """Generate `count` well-typed programs and run the named check on
-    each; failures are collected, never raised."""
+    each; failures are collected, never raised. Each failing program is
+    shrunk to a locally minimal one that still fails, and its message
+    names that program."""
     if check not in _CHECK_FNS:
         raise ValueError(f"unknown check {check!r}; pick one of {CHECKS}")
     fn = _CHECK_FNS[check]
-    summary = FuzzSummary(check=check, seed=seed, count=count)
+    summary = FuzzSummary(check=check, seed=seed, count=count,
+                          max_depth=max_depth)
     for i in range(count):
         cfg = GenConfig(seed=seed + i, max_depth=max_depth)
         store = initial_store()
         try:
             t = gen_well_typed(cfg, store)
-            msg = fn(t, store)
         except GenerationExhausted:
-            msg = None  # a dry seed is not a failure of the system under test
-        except GirError as e:
-            msg = f"unexpected error: {type(e).__name__}: {e}"
-        if msg is not None:
-            summary.failures += 1
-            summary.details.append((i, msg))
+            continue  # a dry seed is not a failure of the system under test
+        msg = _run_check(fn, t, store)
+        if msg is None:
+            continue
+        small = shrink(t, lambda u: _still_fails(fn, u))
+        if small is not t:
+            msg = _run_check(fn, small, _fresh_store_for(small))
+        summary.failures += 1
+        summary.details.append((i, f"{msg} on {term_to_text(small)}"))
     return summary

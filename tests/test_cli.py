@@ -206,6 +206,18 @@ class TestMain:
         out = capsys.readouterr().out
         assert "fired" in out and "41" not in out.splitlines()[-1]
 
+    @pytest.mark.parametrize("regime", ["hard", "rw"])
+    def test_opt_drops_an_unused_allocation_in_both_regimes(
+            self, regime, src_file, capsys):
+        # under hard, y's allocation depends on x's; re-synthesis after the
+        # rewrite drops that edge with x
+        path = src_file("let x = ref(w, 1) in let y = ref(w, 2) in !y")
+        assert main(["opt", path, "--passes", "dce",
+                     "--regime", regime]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "dce @ []: fired"
+        assert "x_1" not in out[-1] and out[-1].startswith("let y_2 = ")
+
     def test_opt_inline_mints_no_clashing_binder(self, src_file, capsys):
         # fresh binders must come from the program's own supply; a fresh
         # store's supply re-mints ids the program already uses

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from girkit.core import (
     App, Assign, Cell, Cst, Deref, DependencyViolation, FuelExhausted, Lam,
     Let, Name, Nm, OverlapViolation, PURE, QualifiedType, RefNew,
-    SavedCst, TY_INT, initial_store,
+    SavedCst, TY_INT, initial_store, ty_to_text,
 )
 from girkit.cli import parse
 from girkit.graphir import synthesize_config
@@ -101,6 +101,33 @@ class TestEvalGraph:
         t = gen_well_typed(GenConfig(seed=seed, max_depth=4))
         values, _ = run_three(t)
         assert len(set(values.values())) == 1
+
+
+class TestStoreTyping:
+    CLOSURE = "let f = fun (p: Int^{}) =>{rd{} wr{}} p in f"
+
+    def _stored(self, semantics, src):
+        store = initial_store()
+        t = parse(src, store)
+        if semantics == "store":
+            return eval_store(store, t).store
+        return eval_graph(synthesize_config(store, to_mnf(t, store.supply))
+                          ).store
+
+    @pytest.mark.parametrize("semantics", ["store", "graph"])
+    def test_saved_closure_raises_instead_of_guessing_its_result(
+            self, semantics):
+        # the closure returns Int; the store alone cannot tell
+        store = self._stored(semantics, self.CLOSURE)
+        with pytest.raises(TypeError, match="closure at f"):
+            store.typing()
+
+    @pytest.mark.parametrize("semantics", ["store", "graph"])
+    def test_cell_of_a_saved_constant_types_at_its_base(self, semantics):
+        store = self._stored(semantics, "let x = ref(w, true) in x")
+        ctx = store.typing()
+        assert {ty_to_text(qt.ty) for qt in ctx.sigma.values()} \
+            >= {"Ref[Bool]", "Bool"}
 
 
 class TestCanonicalValue:

@@ -55,19 +55,6 @@ class TestFlatten:
         assert lam.params[0] in body.hard
 
 
-class TestSNodeMeta:
-    def test_default_meta_is_empty_read_only_and_shared(self):
-        sup = NameSupply(1)
-        a, b = sup.var("a"), sup.var("b")
-        first, second = SNode(a, "cst", lit=1), SNode(b, "cst", lit=2)
-        assert dict(first.meta) == {}
-        with pytest.raises(TypeError):
-            first.meta["param_qt"] = "Int^{}"
-        assert "param_qt" not in first.meta
-        assert dict(second.meta) == {}
-        assert first.meta is second.meta
-
-
 class TestEstimateFreq:
     def _graph(self):
         sup = NameSupply(1)

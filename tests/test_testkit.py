@@ -1,16 +1,17 @@
-"""The random-program generator, differential harness, shrinker, and the
-no-synthesis dependency oracle."""
+"""The random-program generator, the three-semantics runner, the fuzz
+driver's shrinker, and the no-synthesis dependency oracle."""
 
 import dataclasses
 
 import pytest
 
-from girkit.core import Cst, EMPTY_DEP, HARD, RW, term_to_text
+from girkit import cli, testkit
+from girkit.core import Cst, EMPTY_DEP, HARD, RW, Stuck, term_to_text
 from girkit.graphir import initial_state
 from girkit.mnf import to_mnf
 from girkit.typecheck import infer_direct
 from girkit.testkit import (
-    GenConfig, _fresh_store_for, brute_deps, differential, fuzz,
+    CHECKS, GenConfig, _fresh_store_for, _still_fails, brute_deps, fuzz,
     gen_well_typed, make_corrupted, opportunity, run_three,
     shrink_candidates,
 )
@@ -79,29 +80,8 @@ class TestDifferential:
         for seed in range(20):
             t = gen_well_typed(GenConfig(seed=seed, max_depth=4))
             for regime in (HARD, RW):
-                v = differential(t, regime=regime)
-                assert v.agree, v.message
-
-    def test_injected_fault_is_caught_and_shrunk(self):
-        def fault(value):
-            return ("cst", "Int", -999)
-
-        t = gen_well_typed(GenConfig(seed=12, max_depth=5))
-        v = differential(t, fault=fault)
-        assert not v.agree and v.counterexample is not None
-        # the counterexample is locally minimal: every one-step shrink of
-        # it either agrees or fails to reproduce the disagreement
-        def still_fails(u):
-            return not differential(u, fault=fault).agree
-
-        assert still_fails(v.counterexample)
-        for cand in shrink_candidates(v.counterexample):
-            try:
-                reproduced = still_fails(cand)
-            except Exception:
-                continue
-            assert not reproduced or (
-                term_to_text(cand) == term_to_text(v.counterexample))
+                values, _ = run_three(t, regime=regime)
+                assert len(set(values.values())) == 1, values
 
 
 class TestCorruption:
@@ -140,6 +120,59 @@ class TestFuzz:
     def test_fixed_seed_range_has_no_failures(self, check):
         s = fuzz(count=150, seed=0, check=check)
         assert s.failures == 0, s.render()
+
+    @staticmethod
+    def _inject(monkeypatch, check, fail):
+        """Make `check` also fail, through `fail`, on every program that
+        dereferences; returns the patched check."""
+        real = testkit._CHECK_FNS[check]
+
+        def patched(t, store):
+            msg = real(t, store)
+            if msg is None and "!" in term_to_text(t):
+                return fail()
+            return msg
+
+        monkeypatch.setitem(testkit._CHECK_FNS, check, patched)
+        return patched
+
+    def _assert_minimal_replayable(self, s, patched, capsys):
+        assert s.failures > 0
+        lines = s.render().splitlines()
+        for idx, msg in s.details:
+            text = msg.rpartition(" on ")[2]
+            store, t, _ = cli._front_end(text)
+            assert testkit._run_check(patched, t, store) is not None
+            for cand in shrink_candidates(t):
+                assert not _still_fails(patched, cand), term_to_text(cand)
+            replay = lines[lines.index(f"  #{idx}: {msg}") + 1]
+            assert replay == (f"    replay: gir fuzz --count 1 "
+                              f"--seed {s.seed + idx} --max-depth "
+                              f"{s.max_depth} --check {s.check}")
+            capsys.readouterr()
+            assert cli.main(replay.split()[2:]) == 1
+            assert f"  #0: {msg}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_injected_failure_shrinks_to_a_minimal_replayable_program(
+            self, check, monkeypatch, capsys):
+        patched = self._inject(monkeypatch, check,
+                               lambda: "injected: program dereferences")
+        s = fuzz(count=40, seed=0, max_depth=5, check=check)
+        self._assert_minimal_replayable(s, patched, capsys)
+        assert all(msg.startswith("injected: program dereferences on ")
+                   for _, msg in s.details)
+
+    def test_error_raised_by_a_check_is_a_shrunk_failure(
+            self, monkeypatch, capsys):
+        def fail():
+            raise Stuck("injected")
+
+        patched = self._inject(monkeypatch, "translation", fail)
+        s = fuzz(count=40, seed=100, max_depth=5, check="translation")
+        self._assert_minimal_replayable(s, patched, capsys)
+        assert all(msg.startswith("unexpected error: Stuck: injected on ")
+                   for _, msg in s.details)
 
     def test_optimizer_failure_is_shrunk_to_a_program_that_still_fails(
             self, monkeypatch):
