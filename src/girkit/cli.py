@@ -129,7 +129,7 @@ class _Parser:
         self.toks = tokenize(src)
         self.i = 0
         self.supply = store.supply
-        self.env: dict = {"w": store.w}
+        self.scope: dict = {"w": store.w}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -166,7 +166,7 @@ class _Parser:
         return self.supply.var(base)
 
     def lookup(self, tok: Token) -> Name:
-        n = self.env.get(tok.text)
+        n = self.scope.get(tok.text)
         if n is None:
             raise ParseError(f"unbound identifier {tok.text!r}",
                              span=Span(tok.start, tok.end))
@@ -197,13 +197,13 @@ class _Parser:
         bound = self.term()
         self.expect_kw("in")
         var = self.fresh(ident.text)
-        saved = self.env.get(ident.text)
-        self.env[ident.text] = var
+        saved = self.scope.get(ident.text)
+        self.scope[ident.text] = var
         body = self.term()
         if saved is None:
-            del self.env[ident.text]
+            del self.scope[ident.text]
         else:
-            self.env[ident.text] = saved
+            self.scope[ident.text] = saved
         return Let(var, bound, body, span=Span(start, self.peek().start))
 
     def lam(self) -> Term:
@@ -212,17 +212,17 @@ class _Parser:
         ident = self.expect("ident", "a parameter")
         self.expect(":")
         param = self.fresh(ident.text)
-        saved = self.env.get(ident.text)
-        self.env[ident.text] = param
+        saved = self.scope.get(ident.text)
+        self.scope[ident.text] = param
         qt = self.qualified_type()
         self.expect(")")
         self.expect("=>")
         latent = self.effect()
         body = self.term()
         if saved is None:
-            del self.env[ident.text]
+            del self.scope[ident.text]
         else:
-            self.env[ident.text] = saved
+            self.scope[ident.text] = saved
         return Lam(param, qt, latent, body,
                    span=Span(start, self.peek().start))
 
@@ -334,8 +334,8 @@ class _Parser:
             ident = self.expect("ident", "a parameter")
             self.expect(":")
             param = self.fresh(ident.text)
-            saved = self.env.get(ident.text)
-            self.env[ident.text] = param
+            saved = self.scope.get(ident.text)
+            self.scope[ident.text] = param
             pqt = self.qualified_type()
             self.expect(")")
             self.expect("=>")
@@ -343,9 +343,9 @@ class _Parser:
             rqt = self.qualified_type()
             self.expect(")")
             if saved is None:
-                del self.env[ident.text]
+                del self.scope[ident.text]
             else:
-                self.env[ident.text] = saved
+                self.scope[ident.text] = saved
             return FunTy(param, pqt, latent, rqt)
         raise ParseError(f"expected a type, found "
                          f"{tk.text or 'end of input'!r}",
@@ -755,7 +755,10 @@ def cmd_schedule(args) -> int:
         if m not in MATCHERS:
             raise ParseError(f"unknown matcher {m!r}; choose from "
                              f"{','.join(MATCHERS)}")
-    if args.synthetic:
+    if args.synthetic is not None:
+        if args.synthetic < 1:
+            raise ParseError(f"--synthetic needs N >= 1, got "
+                             f"{args.synthetic}")
         if args.time:
             t = time_schedule(args.synthetic, args.depth, args.seed,
                               freq=args.freq)

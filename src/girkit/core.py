@@ -2,15 +2,19 @@
 effects, qualified types, typing contexts, dependency maps, term and graph
 ASTs with the one table of their operators, and stores.
 
-Everything here is an immutable value after construction; the algebra on
-qualifiers and dependency maps lives next to the types it operates on.
+Names, qualifiers, effects, types, typing contexts, dependency maps and the
+term and graph ASTs are immutable values after construction; typing
+contexts share their name map until a binder extends it. Stores and their
+cells are the mutable exception: allocation and the evaluators update them
+in place. The algebra on qualifiers and dependency maps lives next to the
+types it operates on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +124,6 @@ class Name:
         return self._hash
 
     @property
-    def is_var(self) -> bool:
-        return self.kind == VAR
-
-    @property
     def is_loc(self) -> bool:
         return self.kind == LOC
 
@@ -170,7 +170,8 @@ class NameSupply:
         return self._next
 
     def reserve(self, upto: int) -> None:
-        """Make sure future ids are all >= upto (used by deserializers)."""
+        """Make sure future ids are all >= upto, so that a fresh store mints
+        no name that a given term already uses."""
         if upto > self._next:
             self._next = upto
 
@@ -339,17 +340,18 @@ def qt_free_names(qt: QualifiedType) -> frozenset:
 # ---------------------------------------------------------------------------
 
 class TypingContext:
-    """Immutable triple (gamma, sigma, phi): variable and location bindings
-    plus the current observation filter. It also carries phi's saturation
-    φ*, computed the first time `phi_star` is read unless the maker of the
+    """Immutable triple (env, phi, φ*): one map from every bound name,
+    variable or location, to its qualified type, plus the current
+    observation filter. Contexts share `env` until `bind` extends it, so
+    nothing may write into a context's map. φ* is phi's saturation,
+    computed the first time `phi_star` is read unless the maker of the
     context handed it in."""
 
-    __slots__ = ("gamma", "sigma", "phi", "_phi_star")
+    __slots__ = ("env", "phi", "_phi_star")
 
-    def __init__(self, gamma=None, sigma=None, phi: Qualifier = EMPTY_QUAL,
+    def __init__(self, env=None, phi: Qualifier = EMPTY_QUAL,
                  phi_star: Optional[Qualifier] = None):
-        self.gamma: dict = dict(gamma or {})
-        self.sigma: dict = dict(sigma or {})
+        self.env: dict = {} if env is None else env
         self.phi = phi
         self._phi_star = phi_star
 
@@ -362,36 +364,26 @@ class TypingContext:
         return self._phi_star
 
     def lookup(self, n: Name) -> QualifiedType:
-        table = self.gamma if n.is_var else self.sigma
-        qt = table.get(n)
+        qt = self.env.get(n)
         if qt is None:
             raise UnboundName(f"unbound name {n!r}", name=n)
         return qt
 
     def __contains__(self, n: Name) -> bool:
-        return n in (self.gamma if n.is_var else self.sigma)
+        return n in self.env
 
-    def domain(self) -> Iterator[Name]:
-        yield from self.gamma
-        yield from self.sigma
-
-    def bind_var(self, x: Name, qt: QualifiedType) -> "TypingContext":
-        g = dict(self.gamma)
-        g[x] = qt
-        return TypingContext(g, self.sigma, self.phi)
-
-    def bind_loc(self, loc: Name, qt: QualifiedType) -> "TypingContext":
-        s = dict(self.sigma)
-        s[loc] = qt
-        return TypingContext(self.gamma, s, self.phi)
+    def bind(self, n: Name, qt: QualifiedType) -> "TypingContext":
+        """The context with `n` bound to `qt`; the only copy of a map."""
+        env = dict(self.env)
+        env[n] = qt
+        return TypingContext(env, self.phi)
 
     def with_phi(self, phi: Qualifier,
                  phi_star: Optional[Qualifier] = None) -> "TypingContext":
-        return TypingContext(self.gamma, self.sigma, phi, phi_star)
+        return TypingContext(self.env, phi, phi_star)
 
     def __repr__(self):
-        return (f"Ctx(gamma={self.gamma!r}, sigma={self.sigma!r}, "
-                f"phi={qual_repr(self.phi)})")
+        return f"Ctx(env={self.env!r}, phi={qual_repr(self.phi)})"
 
 
 def saturate(q: Qualifier, ctx: TypingContext) -> Qualifier:
@@ -1066,18 +1058,12 @@ class Store:
 
     def __init__(self):
         self.supply = NameSupply()
-        self.entries: dict = {}
-        self.order: list = []
         self.w = self.supply.loc("w")
-        self._put(self.w, Capability())
-
-    def _put(self, loc: Name, entry: StoreEntry) -> None:
-        self.entries[loc] = entry
-        self.order.append(loc)
+        self.entries: dict = {self.w: Capability()}
 
     def alloc(self, entry: StoreEntry, text: str = "l") -> Name:
         loc = self.supply.loc(text)
-        self._put(loc, entry)
+        self.entries[loc] = entry
         return loc
 
     def __contains__(self, loc: Name) -> bool:
@@ -1092,22 +1078,19 @@ class Store:
     def copy(self) -> "Store":
         s = Store.__new__(Store)
         s.supply = NameSupply(self.supply.next_id)
-        s.entries = {}
-        s.order = list(self.order)
         s.w = self.w
-        for loc, e in self.entries.items():
-            s.entries[loc] = Cell(e.content) if isinstance(e, Cell) else e
+        s.entries = {loc: Cell(e.content) if isinstance(e, Cell) else e
+                     for loc, e in self.entries.items()}
         return s
 
     def typing(self) -> TypingContext:
         """Store typing: capability at Alloc^∅, cells at Ref B^∅, saved
         constants at their base types; phi = the whole store domain. A saved
         closure's result type needs the checker, so it raises TypeError."""
-        ctx = TypingContext()
-        for loc in self.order:
-            e = self.entries[loc]
+        env = {}
+        for loc, e in self.entries.items():
             if isinstance(e, Capability):
-                ctx = ctx.bind_loc(loc, QualifiedType(TY_ALLOC))
+                env[loc] = QualifiedType(TY_ALLOC)
             elif isinstance(e, Cell):
                 content = e.content
                 if isinstance(content, Name):
@@ -1118,14 +1101,13 @@ class Store:
                         raise TypeError(f"cell {loc!r} holds {content!r}, "
                                         f"not a saved constant")
                     content = inner.value
-                ctx = ctx.bind_loc(loc, QualifiedType(RefTy(
-                    const_base(content))))
+                env[loc] = QualifiedType(RefTy(const_base(content)))
             elif isinstance(e, SavedCst):
-                ctx = ctx.bind_loc(loc, QualifiedType(const_base(e.value)))
+                env[loc] = QualifiedType(const_base(e.value))
             else:
                 raise TypeError(f"cannot type the closure at {loc!r} "
                                 f"without the checker")
-        return ctx.with_phi(frozenset(ctx.sigma))
+        return TypingContext(env, frozenset(env))
 
 
 def initial_store() -> Store:

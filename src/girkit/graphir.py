@@ -98,7 +98,7 @@ def _synth_binding(ctx, delta, b, regime, typings):
         def synth_body(ctx2, g):
             # every last use in the body points at the parameter
             body2, body_out, slice_, tbody = _synth(
-                ctx2, points_to(ctx2.domain(), b.param), g, regime, typings)
+                ctx2, points_to(ctx2.env, b.param), g, regime, typings)
             if b.body_dep is not None and not dep_submap(b.body_dep, slice_):
                 raise DepMismatch(
                     f"latent annotation {b.body_dep!r} exceeds required "
@@ -143,7 +143,7 @@ def initial_state(store: Store, z: Name | None = None,
     ctx = store.typing()
     if z is None:
         z = store.supply.var("z")
-    delta = points_to(ctx.domain(), z)
+    delta = points_to(ctx.env, z)
     return SynthState(ctx, delta, regime), z
 
 

@@ -107,10 +107,12 @@ def _navigate(st: SynthState, g: GraphTerm, site) -> Site:
 
 
 def _capability_reach(ctx: TypingContext) -> Qualifier:
-    """The allocation capability's saturated qualifier (empty without one)."""
-    for loc, qt in ctx.sigma.items():
-        if qt.ty == TY_ALLOC:
-            return saturate(frozenset((loc,)), ctx)
+    """The allocation capability's saturated qualifier (empty without one).
+    It goes by location: a variable that aliases the capability is typed
+    Alloc too."""
+    for n, qt in ctx.env.items():
+        if n.is_loc and qt.ty == TY_ALLOC:
+            return saturate(frozenset((n,)), ctx)
     return EMPTY_QUAL
 
 

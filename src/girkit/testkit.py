@@ -104,23 +104,13 @@ class _Gen:
         return [p for _, p in sorted(keyed, reverse=True)]
 
     def _visible_vars(self, ctx, target: str):
-        out = []
-        for table in (ctx.gamma, ctx.sigma):
-            for n, qt in table.items():
-                if n in ctx.phi and _target_of(qt) == target:
-                    out.append(n)
-        out.sort()
-        return out
+        return sorted(n for n, qt in ctx.env.items()
+                      if n in ctx.phi and _target_of(qt) == target)
 
     def _visible_funs(self, ctx, result_target: str):
-        out = []
-        for table in (ctx.gamma, ctx.sigma):
-            for n, qt in table.items():
-                if (n in ctx.phi and isinstance(qt.ty, FunTy)
-                        and _target_of(qt.ty.result_qt) == result_target):
-                    out.append(n)
-        out.sort()
-        return out
+        return sorted(n for n, qt in ctx.env.items()
+                      if n in ctx.phi and isinstance(qt.ty, FunTy)
+                      and _target_of(qt.ty.result_qt) == result_target)
 
     def _bind(self, ctx, var: Name, bound: Term):
         """Extend the context exactly as let-typing does, or backtrack."""
@@ -241,7 +231,7 @@ class _Gen:
         cap_q = saturate(frozenset(captures), ctx)
         phi2 = (cap_q & ctx.phi) | {x}
         param_qt = QualifiedType(TY_INT, EMPTY_QUAL)
-        ctx2 = ctx.bind_var(x, param_qt).with_phi(phi2)
+        ctx2 = ctx.bind(x, param_qt).with_phi(phi2)
         body_target = rng.choice(("Int", "Unit", "Int"))
         body = self.gen(ctx2, body_target, depth - 1)
         try:

@@ -45,7 +45,7 @@ def ty_subtype(ctx: TypingContext, sub: Ty, sup: Ty) -> bool:
         mapping = {sub.param: x} if sub.param != x else {}
         res_sub = rename_qt(sub.result_qt, mapping)
         lat_sub = rename_effect(sub.latent, mapping)
-        ctx2 = ctx.bind_var(x, sup.param_qt)
+        ctx2 = ctx.bind(x, sup.param_qt)
         if not ty_subtype(ctx2, res_sub.ty, sup.result_qt.ty):
             return False
         if not res_sub.qual <= sup.result_qt.qual:
@@ -219,7 +219,7 @@ def bind_let(ctx: TypingContext, var: Name, bound: Typing) -> TypingContext:
         star2 = phi
     else:
         star2 = star | {var}
-    return (ctx.bind_var(var, QualifiedType(bound.qt.ty, bind_q))
+    return (ctx.bind(var, QualifiedType(bound.qt.ty, bind_q))
             .with_phi(phi, star2))
 
 
@@ -239,7 +239,7 @@ def let_typing(var: Name, bound: Typing, body: Typing,
 def lam_body_ctx(ctx: TypingContext, lam, fun_q: Qualifier) -> TypingContext:
     """The context a lambda body is checked in: the parameter bound, and
     observation narrowed to the closure's qualifier plus the parameter."""
-    return ctx.bind_var(lam.param, lam.param_qt).with_phi(fun_q | {lam.param})
+    return ctx.bind(lam.param, lam.param_qt).with_phi(fun_q | {lam.param})
 
 
 def check_lam(ctx: TypingContext, lam, free: frozenset,

@@ -244,6 +244,17 @@ class TestMain:
                      "--time"]) == 0
         assert "time=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["--synthetic", "0"],
+        ["--synthetic", "-3"],
+        ["--synthetic", "-3", "--time"],
+    ])
+    def test_schedule_rejects_a_synthetic_size_below_one(self, capsys, argv):
+        assert main(["schedule", *argv]) == 1
+        err = capsys.readouterr().err
+        assert f"--synthetic needs N >= 1, got {argv[1]}" in err
+        assert "needs FILE" not in err and "internal error" not in err
+
     @pytest.mark.parametrize("sem", ["direct", "store", "graph"])
     def test_run_agrees_across_semantics(self, src_file, capsys, sem):
         path = src_file(

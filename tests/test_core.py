@@ -1,5 +1,5 @@
-"""Qualifier algebra, dependency-map algebra, name plumbing, and the
-operator table."""
+"""Qualifier algebra, dependency-map algebra, name plumbing, typing
+contexts, and the operator table."""
 
 import dataclasses
 import json
@@ -10,14 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from girkit.cli import export_dot, export_json, import_json
 from girkit.core import (
-    App, Cst, DepMap, EMPTY_DEP, EMPTY_QUAL, GLet, GName, GraphNode, HARD,
-    JsonSchemaError, Lam, Let, Name, NameSupply, NApp, NCst, NLam,
+    App, Cell, Cst, DepMap, EMPTY_DEP, EMPTY_QUAL, GLet, GName, GraphNode,
+    HARD, JsonSchemaError, Lam, Let, Name, NameSupply, NApp, NCst, NLam,
     NODE_OPERATOR, Nm, OPERATORS, PURE, QualifiedType, RW, RwEffect,
-    TERM_OPERATOR, Term, TypingContext, TY_INT, RefTy, UnboundName,
-    alpha_equal_terms, dep_dom_subst, dep_last_use, dep_restrict, dep_rewire,
-    dep_submap, dep_update, graph_free_names, node_operands, overlap,
-    rename_graph, rename_term, saturate, subst_qual, subst_term,
-    term_free_names, term_operands,
+    SavedCst, TERM_OPERATOR, Term, TypingContext, TY_ALLOC, TY_BOOL, TY_INT,
+    RefTy, UnboundName, alpha_equal_terms, dep_dom_subst, dep_last_use,
+    dep_restrict, dep_rewire, dep_submap, dep_update, graph_free_names,
+    initial_store, node_operands, overlap, rename_graph, rename_term,
+    saturate, subst_qual, subst_term, term_free_names, term_operands,
 )
 from girkit.mnf import embed
 from girkit.schedule import flatten
@@ -39,7 +39,7 @@ def chain_ctx(pairs):
     ctx = TypingContext()
     names = []
     for n, qual in pairs:
-        ctx = ctx.bind_var(n, QualifiedType(RefTy(TY_INT), qual))
+        ctx = ctx.bind(n, QualifiedType(RefTy(TY_INT), qual))
         names.append(n)
     return ctx.with_phi(q(*names))
 
@@ -68,6 +68,39 @@ class TestName:
         n = NameSupply().var("a")
         n2 = pickle.loads(pickle.dumps(n))
         assert n2 == n and hash(n2) == hash(n)
+
+
+# ---------------------------------------------------------------------------
+# Typing contexts
+# ---------------------------------------------------------------------------
+
+class TestTypingContext:
+    def test_binding_in_a_child_leaves_parent_and_sibling_unchanged(self):
+        x, y, z = fresh_names(3)
+        parent = chain_ctx([(x, EMPTY_QUAL)])
+        before = dict(parent.env)
+        child = parent.bind(y, QualifiedType(RefTy(TY_INT), q(x)))
+        sibling = parent.bind(z, QualifiedType(TY_INT))
+        assert parent.env == before and y not in parent and z not in parent
+        assert y in child and z not in child
+        assert z in sibling and y not in sibling
+        assert list(child.env) == [x, y] and child.phi == parent.phi
+
+    def test_with_phi_shares_the_map(self):
+        x, y = fresh_names(2)
+        ctx = chain_ctx([(x, EMPTY_QUAL), (y, q(x))])
+        assert ctx.with_phi(q(y)).env is ctx.env
+        assert ctx.with_phi(q(y)).phi_star == q(x, y)
+
+    def test_store_typing_lists_locations_in_allocation_order(self):
+        store = initial_store()
+        saved = store.alloc(SavedCst(True), "s")
+        cell = store.alloc(Cell(3), "r")
+        ctx = store.typing()
+        assert list(ctx.env) == [store.w, saved, cell]
+        assert ctx.phi == frozenset(store.entries) == ctx.phi_star
+        assert [ctx.lookup(n).ty for n in ctx.env] \
+            == [TY_ALLOC, TY_BOOL, RefTy(TY_INT)]
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ def names():
 
 
 def cells(x, c) -> TypingContext:
-    return (TypingContext().bind_var(x, QualifiedType(RefTy(TY_INT)))
-            .bind_var(c, QualifiedType(RefTy(TY_INT))))
+    return (TypingContext().bind(x, QualifiedType(RefTy(TY_INT)))
+            .bind(c, QualifiedType(RefTy(TY_INT))))
 
 
 def fun_ty(p, latent, result_qual):
@@ -57,7 +57,7 @@ class TestObservation:
         x, c, f, p = names
         latent = RwEffect(q(c), q(x, c))
         ctx = (cells(x, c)
-               .bind_var(f, QualifiedType(fun_ty(p, latent, q()), q(c, x)))
+               .bind(f, QualifiedType(fun_ty(p, latent, q()), q(c, x)))
                .with_phi(q(f)))
         assert message(lambda: infer_direct(ctx, App(Nm(f), Cst(1)))) == (
             "EffectEscape: effect (r:{c#v1};w:{x#v0,c#v1}) escapes "
@@ -85,7 +85,7 @@ class TestApplication:
         x, c, f, p = names
         latent = RwEffect(q(x, c), q())
         ctx = (cells(x, c)
-               .bind_var(f, QualifiedType(fun_ty(p, latent, q())))
+               .bind(f, QualifiedType(fun_ty(p, latent, q())))
                .with_phi(q(f, c, x)))
         assert message(lambda: infer_direct(ctx, App(Nm(f), Cst(1)))) == (
             "EffectEscape: latent effect (r:{x#v0,c#v1};w:{}) not confined "
@@ -94,7 +94,7 @@ class TestApplication:
     def test_result_qualifier_escapes(self, names):
         x, c, f, p = names
         ctx = (cells(x, c)
-               .bind_var(f, QualifiedType(fun_ty(p, PURE, q(c, x, p))))
+               .bind(f, QualifiedType(fun_ty(p, PURE, q(c, x, p))))
                .with_phi(q(f)))
         assert message(lambda: infer_direct(ctx, App(Nm(f), Cst(1)))) == (
             "QualifierEscape: result qualifier {x#v0,c#v1,p#v3} escapes")
@@ -106,8 +106,8 @@ class TestStoredValues:
     def ctx(self, names):
         x, c, f, p = names
         store = initial_store()
-        ctx = (cells(x, c).bind_loc(store.w, store.typing().lookup(store.w))
-               .bind_var(f, QualifiedType(fun_ty(p, PURE, q(c, x))))
+        ctx = (cells(x, c).bind(store.w, store.typing().lookup(store.w))
+               .bind(f, QualifiedType(fun_ty(p, PURE, q(c, x))))
                .with_phi(q(store.w, x, c, f)))
         return store, ctx
 

@@ -336,8 +336,7 @@ class TestCarriedObservation:
         cell = store.alloc(Cell(0), "c")
         x = store.supply.var("x")
         ctx = store.typing()
-        ctx = (ctx.bind_var(x, QualifiedType(RefTy(TY_INT),
-                                             frozenset({cell})))
+        ctx = (ctx.bind(x, QualifiedType(RefTy(TY_INT), frozenset({cell})))
                .with_phi(frozenset({x})))
         assert ctx.phi_star == {x, cell}
         # x rebound to an untracked Int: it no longer reaches the cell

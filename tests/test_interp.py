@@ -26,7 +26,7 @@ class TestEvalDirect:
         store = initial_store()
         r = eval_direct(store.copy(), ref_and_read(store))
         assert r.value == Cst(5)
-        assert len(r.store.order) == 2  # capability + the fresh cell
+        assert len(r.store.entries) == 2  # capability + the fresh cell
 
     def test_values_do_not_step(self):
         store = initial_store()
@@ -126,7 +126,7 @@ class TestStoreTyping:
     def test_cell_of_a_saved_constant_types_at_its_base(self, semantics):
         store = self._stored(semantics, "let x = ref(w, true) in x")
         ctx = store.typing()
-        assert {ty_to_text(qt.ty) for qt in ctx.sigma.values()} \
+        assert {ty_to_text(qt.ty) for qt in ctx.env.values()} \
             >= {"Ref[Bool]", "Bool"}
 
 

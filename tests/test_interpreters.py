@@ -92,6 +92,38 @@ def test_no_import_is_unused():
     assert unused == []
 
 
+_DICT_MUTATORS = {"update", "pop", "setdefault", "clear", "popitem"}
+
+
+def test_no_module_writes_into_a_context_map():
+    """Typing contexts share their `env` map until `bind` copies it, so no
+    module may assign into or `del` from a subscript of an `.env`
+    attribute (or of a name bound to one), or call a mutating dict method
+    on it: the write would show in every context sharing the map.
+    `TypingContext.bind` writes into its fresh copy, which is no alias."""
+    def is_env(node, aliases):
+        return ((isinstance(node, ast.Attribute) and node.attr == "env")
+                or (isinstance(node, ast.Name) and node.id in aliases))
+
+    found = []
+    for path in sorted((SRC / "girkit").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {t.id for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign)
+                   and is_env(node.value, set())
+                   for t in node.targets if isinstance(t, ast.Name)}
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(tree)
+                  if (isinstance(node, ast.Subscript)
+                      and isinstance(node.ctx, (ast.Store, ast.Del))
+                      and is_env(node.value, aliases))
+                  or (isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in _DICT_MUTATORS
+                      and is_env(node.func.value, aliases))]
+    assert found == []
+
+
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 

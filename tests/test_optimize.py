@@ -10,8 +10,8 @@ import pytest
 from girkit.core import (
     App, Cell, Cst, Deref, GLet, GName, HARD, Lam, Let, NApp, NAssign,
     NCst, NDeref, NLam, NRef, Nm, PURE, QualifiedType,
-    RuntimeConfig, RwEffect, SideConditionFailed, TY_INT, TypingContext,
-    graph_to_text, initial_store,
+    RuntimeConfig, RwEffect, SideConditionFailed, TY_ALLOC, TY_INT,
+    TypingContext, graph_to_text, initial_store,
 )
 from girkit.cli import _front_end, main
 from girkit.graphir import (
@@ -19,7 +19,7 @@ from girkit.graphir import (
 )
 from girkit.interp import canonical_value, eval_graph
 from girkit.mnf import check_binding, to_mnf
-from girkit.optimize import RULES, optimize
+from girkit.optimize import RULES, _capability_reach, optimize
 from girkit.testkit import GenConfig, fuzz, opportunity
 from girkit.typecheck import Typing
 from test_graphir import cell_chain
@@ -90,6 +90,15 @@ class TestDce:
         st, _, g2, _ = synth(store, g)
         with pytest.raises(SideConditionFailed):
             rw_dce(st, g2, (1,), sup)
+
+    def test_capability_reach_goes_by_location(self):
+        # a variable aliasing w is typed Alloc too; bound before w, it
+        # must not stand in for the capability
+        store = initial_store()
+        w, a = store.w, store.supply.var("a")
+        ctx = (TypingContext().bind(a, QualifiedType(TY_ALLOC, frozenset({w})))
+               .bind(w, QualifiedType(TY_ALLOC)).with_phi(frozenset({a, w})))
+        assert _capability_reach(ctx) == frozenset({w})
 
 
 class TestComm:

@@ -26,7 +26,7 @@ def ref_ctx(*names):
     """[n: Ref Int^∅ ...] with phi covering all of them."""
     ctx = TypingContext()
     for n in names:
-        ctx = ctx.bind_var(n, QualifiedType(RefTy(TY_INT)))
+        ctx = ctx.bind(n, QualifiedType(RefTy(TY_INT)))
     return ctx.with_phi(q(*names))
 
 
@@ -177,6 +177,6 @@ class TestInferProperties:
         ctx = ref_ctx(x)
         t = Deref(Nm(x))
         before = infer_direct(ctx, t)
-        wider = (ctx.bind_var(extra, QualifiedType(RefTy(TY_INT)))
+        wider = (ctx.bind(extra, QualifiedType(RefTy(TY_INT)))
                  .with_phi(ctx.phi | {extra}))
         assert infer_direct(wider, t) == before
