@@ -726,6 +726,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_opt(args) -> int:
+    if args.fuel < 0:
+        raise ParseError(f"--fuel needs N >= 0, got {args.fuel}")
     passes = [p.strip() for p in args.passes.split(",") if p.strip()]
     for p in passes:
         if p not in RULES:
@@ -798,6 +800,8 @@ def cmd_run(args) -> int:
 
 def cmd_fuzz(args) -> int:
     from . import testkit
+    if args.count < 0:
+        raise ParseError(f"--count needs N >= 0, got {args.count}")
     summary = testkit.fuzz(count=args.count, seed=args.seed,
                            max_depth=args.max_depth, check=args.check)
     print(summary.render())

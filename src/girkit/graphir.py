@@ -3,12 +3,16 @@
 last-use coeffect Δ; plus erasure. Synthesis is a function of the types
 and effects, so it also checks annotations: one already on the input is
 correct exactly when it is a sub-map of the slice synthesized at its
-position, and the one traversal compares them.
+position, and the one traversal compares them. For the same reason a
+let node entered in the same context and Δ as before synthesizes as
+before, so after a local rewrite synthesis resumes where the rewrite
+begins and stops where its state converges with the last synthesis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     DepMap, DepMismatch, EMPTY_DEP, GLet, GName, GraphTerm, HARD, Name,
@@ -29,12 +33,28 @@ class SynthState:
     regime: str = HARD
 
 
-def synthesize(st: SynthState, g: GraphTerm,
-               typings: dict | None = None) -> tuple[GraphTerm, DepMap]:
+class Frame(NamedTuple):
+    """One let binder as synthesis met it: the context and last-use map Δ
+    the let was entered in, its binding annotated, that binding's
+    dependency map and typing, and `result`, what synthesis made of the
+    whole let from there: (annotated let, composed output, slice,
+    typing). The descent keeps the fields before `result` as a plain
+    tuple."""
+
+    var: Name
+    ctx: TypingContext
+    last_use: DepMap
+    binding: object
+    dep: DepMap
+    typing: Typing
+    result: tuple
+
+
+def synthesize(st: SynthState, g: GraphTerm) -> tuple[GraphTerm, DepMap]:
     """Annotate every binding of a well-typed MNF term with its dependency
-    map and return the whole term's dependency slice. Given a dict
-    `typings`, also record there the `Typing` of each let binder's binding,
-    nested blocks and lambda bodies included (binders are unique).
+    map and return the whole term's dependency slice. Each let spine is
+    one loop down its binders and one back up, so only lambda bodies and
+    nested blocks recurse.
 
     The slice always equals the last-use map restricted to the term's
     saturated effect; in the hard regime the rule-by-rule composition is
@@ -48,49 +68,97 @@ def synthesize(st: SynthState, g: GraphTerm,
     `body_dep`, is checked against the slice synthesized at its position
     (DepMismatch naming the let's binder or the lambda's parameter if it
     is not a sub-map of that slice), then replaced."""
-    g2, out, slice_, _typing = _synth(st.ctx, st.last_use, g, st.regime,
-                                      typings)
+    g2, _out, slice_, _typing = _synth(st.ctx, st.last_use, g, st.regime,
+                                       None)
     return g2, slice_
 
 
-def _synth(ctx, delta, g, regime, typings):
-    """Returns (annotated, composed-output, slice, typing)."""
-    if isinstance(g, GName):
-        typing = infer_direct(ctx, Nm(g.name))
-        return g, EMPTY_DEP, EMPTY_DEP, typing
-    if isinstance(g, GLet):
-        b2, d1, tb = _synth_binding(ctx, delta, g.binding, regime, typings)
-        if g.dep is not None:
+def resynthesize(st: SynthState, g: GraphTerm, record: dict,
+                 old: GraphTerm | None = None) -> GraphTerm:
+    """Annotate `g` as `synthesize` would after dropping its annotations,
+    and record the `Frame` of each let binder in `record`, nested blocks
+    and lambda bodies included (binders are unique). `record` is empty or
+    holds what the last re-synthesis under `st` left. Given `old`, the
+    graph that re-synthesis annotated and `g` was rewritten from, only
+    what the rewrite changed is synthesized again, since synthesis is a
+    function of types and effects.
+
+    The binders `g` shares with `old` from the top (the same binder bound
+    to the same binding object) keep their frames. The descent restarts
+    after them in the state the record holds, and it stops at the first
+    let node that synthesis of `old` produced, entered in the context and
+    Δ recorded for it, whose recorded result it takes. Every let above
+    that point is composed and checked again. Frames of the binders a
+    rewrite removed stay in the record; no binder of `g` names them."""
+    prefix, ctx, delta, u = [], st.ctx, st.last_use, g
+    # a kept frame needs a next one in `old`, whose entry state it leaves
+    while (isinstance(u, GLet) and isinstance(old, GLet)
+           and isinstance(old.body, GLet)
+           and u.var == old.var and u.binding is old.binding):
+        prefix.append(record[u.var][:-1])  # as the descent keeps it
+        u, old = u.body, old.body
+    if prefix:
+        ctx, delta = record[old.var].ctx, record[old.var].last_use
+    return _synth(ctx, delta, u, st.regime, record, prefix)[0]
+
+
+def _synth(ctx, delta, g, regime, record, prefix=()):
+    """Returns (annotated, composed-output, slice, typing) for `g`, a let
+    spine entered in (ctx, delta) after the let frames of `prefix`. The
+    descent keeps one frame per binder; at a let node that `record` holds
+    the result of for the same entry state it stops and takes that
+    result. The ascent composes each frame's let from its body's result
+    and checks the composition. Without a record, an annotation on the
+    input is checked against the slice synthesized at its position; with
+    one, the input is a rewritten graph whose annotations are stale, and
+    they are ignored."""
+    frames = list(prefix)
+    while isinstance(g, GLet):
+        f = record.get(g.var) if record is not None else None
+        if (f is not None and f.result[0] is g
+                and f.ctx.phi == ctx.phi and f.last_use == delta
+                and f.ctx.env == ctx.env):
+            result = f.result
+            break
+        b2, d1, tb = _synth_binding(ctx, delta, g.binding, regime, record)
+        if record is None and g.dep is not None:
             required = dep_restrict(delta, tb.eff, ctx, regime)
             if not dep_submap(g.dep, required):
                 raise DepMismatch(
                     f"annotation {g.dep!r} on {g.var!r} exceeds required "
                     f"slice {required!r}",
                     node=g.var, annotated=g.dep, required=required)
-        if typings is not None:
-            typings[g.var] = tb
-        ctx2 = bind_let(ctx, g.var, tb)
-        delta2 = dep_last_use(delta, g.var, tb.eff, ctx, regime)
-        body2, d2, _slice2, t2 = _synth(ctx2, delta2, g.body, regime,
-                                        typings)
+        frames.append((g.var, ctx, delta, b2, d1, tb))
+        delta = dep_last_use(delta, g.var, tb.eff, ctx, regime)
+        ctx = bind_let(ctx, g.var, tb)
+        g = g.body
+    else:
+        if not isinstance(g, GName):
+            raise TypeError(g)
+        result = (g, EMPTY_DEP, EMPTY_DEP, infer_direct(ctx, Nm(g.name)))
+    while frames:  # popped, so that each frame's state dies after use
+        var, ctx, delta, b2, d1, tb = frames.pop()
+        body2, d2, _slice2, t2 = result
         reroute = dep_restrict_names(delta, saturate(tb.qt.qual, ctx))
-        out = dep_update(d1, dep_rewire(d2, g.var, reroute))
-        typing = let_typing(g.var, tb, t2)
+        out = dep_update(d1, dep_rewire(d2, var, reroute))
+        typing = let_typing(var, tb, t2)
         slice_ = dep_restrict(delta, typing.eff, ctx, regime)
         if not (out == slice_ if regime == HARD
                 else dep_submap(out, slice_)):
             raise DepMismatch(
                 f"{regime}-regime composition {out!r} does not fit the "
-                f"slice {slice_!r}", node=g.var, annotated=out,
+                f"slice {slice_!r}", node=var, annotated=out,
                 required=slice_)
-        return GLet(g.var, b2, body2, d1), out, slice_, typing
-    raise TypeError(g)
+        result = GLet(var, b2, body2, d1), out, slice_, typing
+        if record is not None:
+            record[var] = Frame(var, ctx, delta, b2, d1, tb, result)
+    return result
 
 
-def _synth_binding(ctx, delta, b, regime, typings):
+def _synth_binding(ctx, delta, b, regime, record):
     """Returns (annotated-binding, binding-dep, typing)."""
     if isinstance(b, (GName, GLet)):
-        b2, out, _slice, typing = _synth(ctx, delta, b, regime, typings)
+        b2, out, _slice, typing = _synth(ctx, delta, b, regime, record)
         return b2, out, typing
     if isinstance(b, NLam):
         body = []
@@ -98,8 +166,9 @@ def _synth_binding(ctx, delta, b, regime, typings):
         def synth_body(ctx2, g):
             # every last use in the body points at the parameter
             body2, body_out, slice_, tbody = _synth(
-                ctx2, points_to(ctx2.env, b.param), g, regime, typings)
-            if b.body_dep is not None and not dep_submap(b.body_dep, slice_):
+                ctx2, points_to(ctx2.env, b.param), g, regime, record)
+            if (record is None and b.body_dep is not None
+                    and not dep_submap(b.body_dep, slice_)):
                 raise DepMismatch(
                     f"latent annotation {b.body_dep!r} exceeds required "
                     f"{slice_!r}", node=b.param, annotated=b.body_dep,

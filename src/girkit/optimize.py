@@ -1,9 +1,10 @@
 """Equational graph-to-graph rewrites (dead code, commuting, hoisting,
 inlining, common subexpressions) applied under congruence with explicit
-side-condition checks. The side conditions read the binding typings that
-dependency synthesis records; the driver re-runs synthesis on every
-rewrite that fires, which also records the rewritten graph's typings for
-the next walk.
+side-condition checks. The side conditions read the binding typings and
+contexts that dependency synthesis records; after every rewrite that
+fires, the driver re-synthesizes the rewritten graph from the first
+binder the rewrite changed until the synthesis state converges with the
+last one, which also brings the record up to date for the next walk.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .core import (
     NLam, Qualifier, RwEffect, SideConditionFailed, TY_ALLOC,
     TypingContext, graph_free_names, qual_repr, rename_graph, saturate,
 )
-from .graphir import SynthState, erase, synthesize
-from .typecheck import Typing, bind_let, lam_body_ctx
+from .graphir import SynthState, erase, resynthesize
+from .typecheck import Typing
 
 
 @dataclass
@@ -39,7 +40,7 @@ class Site:
     it (0 enters a let's binding, or a bound lambda's body; 1 its body),
     `ctx` types `focus`, whose binding has the typing `typing`; `defs`
     maps the binders on the scope spine to their (binding, typing),
-    `typings` maps every binder of the graph to its binding's typing, and
+    `record` maps every binder of the graph to its synthesis `Frame`, and
     `rebuild` reassembles the whole (unannotated) graph around a
     replacement for `focus`; a rule that fires here returns what
     `rebuild` returns."""
@@ -49,38 +50,37 @@ class Site:
     focus: GLet
     rebuild: Callable
     typing: Typing
-    typings: dict
+    record: dict
 
 
-def walk(st: SynthState, g: GraphTerm, typings: dict) -> Iterator[Site]:
-    """Every binding site, outside-in and left-to-right, each context built
-    from the binding typings that synthesis of `g` recorded in `typings`.
-    A site is valid until the walk moves on, which adds the focused binder
+def walk(g: GraphTerm, record: dict) -> Iterator[Site]:
+    """Every binding site, outside-in and left-to-right, each context and
+    typing read from the frames that synthesis of `g` left in `record`. A
+    site is valid until the walk moves on, which adds the focused binder
     to `defs`."""
-    return _scope(st.ctx, g, (), lambda frag: frag, ChainMap(), typings)
+    return _scope(g, (), lambda frag: frag, ChainMap(), record)
 
 
-def _scope(ctx, g, path, rebuild, defs, typings):
-    # a module-level generator, so that no closure cell keeps `typings`
-    # in a reference cycle
+def _scope(g, path, rebuild, defs, record):
+    # a module-level generator, so that no closure cell keeps `record` in
+    # a reference cycle
     while isinstance(g, GLet):
-        tb = typings[g.var]
-        yield Site(path, ctx, defs, g, rebuild, tb, typings)
+        f = record[g.var]
+        yield Site(path, f.ctx, defs, g, rebuild, f.typing, record)
         b = g.binding
         if isinstance(b, GLet):
-            yield from _scope(ctx, b, path + (0,),
+            yield from _scope(b, path + (0,),
                               lambda frag, g=g, rb=rebuild:
                               rb(GLet(g.var, frag, g.body, None)),
-                              defs.new_child(), typings)
+                              defs.new_child(), record)
         elif isinstance(b, NLam):
             yield from _scope(
-                lam_body_ctx(ctx, b, tb.qt.qual), b.body, path + (0,),
+                b.body, path + (0,),
                 lambda frag, g=g, b=b, rb=rebuild:
                 rb(GLet(g.var, NLam(b.param, b.param_qt, b.latent, frag,
                                     None), g.body, None)),
-                defs.new_child(), typings)
-        defs[g.var] = (b, tb)
-        ctx = bind_let(ctx, g.var, tb)
+                defs.new_child(), record)
+        defs[g.var] = (b, f.typing)
         rebuild = (lambda frag, g=g, rb=rebuild:
                    rb(GLet(g.var, g.binding, frag, None)))
         path = path + (1,)
@@ -88,18 +88,17 @@ def _scope(ctx, g, path, rebuild, defs, typings):
 
 
 def _synthesized(st: SynthState, g: GraphTerm) -> tuple[GraphTerm, dict]:
-    """`g` with its annotations synthesized afresh, and the binding typing
-    of every binder, as synthesis records them."""
-    typings: dict = {}
-    g2, _ = synthesize(st, erase(g), typings)
-    return g2, typings
+    """`g` with its annotations synthesized afresh, and the synthesis
+    frame of every binder."""
+    record: dict = {}
+    return resynthesize(st, g, record), record
 
 
 def _navigate(st: SynthState, g: GraphTerm, site) -> Site:
     """A site given as a `Site` of `walk` or as the path of one."""
     if not isinstance(site, Site):
         path = tuple(site)
-        site = next((s for s in walk(st, g, _synthesized(st, g)[1])
+        site = next((s for s in walk(g, _synthesized(st, g)[1])
                      if s.path == path), None)
         if site is None:
             raise SideConditionFailed(f"no binding at path {list(path)}")
@@ -117,13 +116,12 @@ def _capability_reach(ctx: TypingContext) -> Qualifier:
 
 
 def _alloc_only(ctx: TypingContext, eff: RwEffect) -> tuple[bool, str]:
-    """The discardability condition: no writes, reads confined to the
-    allocation capability's reach."""
+    """The discardability condition: no writes, and reads only of names
+    typed Alloc, the allocation capability or an alias of it: reading one
+    is allocating."""
     if eff.writes:
         return False, "write effect"
-    if not eff.reads:
-        return True, ""
-    if not saturate(eff.reads, ctx) <= _capability_reach(ctx):
+    if any(ctx.lookup(n).ty != TY_ALLOC for n in eff.reads):
         return False, "reads beyond the allocation capability"
     return True, ""
 
@@ -177,8 +175,8 @@ def rw_comm(st: SynthState, g: GraphTerm, site: tuple,
     x1, b1 = focus.var, focus.binding
     inner = focus.body
     x2, b2 = inner.var, inner.binding
-    t1, t2 = site.typing, site.typings[x2]
-    ctx2 = bind_let(site.ctx, x1, t1)
+    t1, f2 = site.typing, site.record[x2]
+    t2, ctx2 = f2.typing, f2.ctx
     e1 = saturate(t1.eff.flat, ctx2)
     e2 = saturate(t2.eff.flat, ctx2)
     if not e1.isdisjoint(e2):
@@ -204,7 +202,7 @@ def rw_hoist(st: SynthState, g: GraphTerm, site: tuple,
     inner = lam.body
     if not isinstance(inner, GLet):
         raise SideConditionFailed("lambda body has no binding to hoist")
-    ti = site.typings[inner.var]
+    ti = site.record[inner.var].typing
     if not ti.eff.is_pure:
         raise SideConditionFailed("hoisted binding is not pure")
     if lam.param in graph_free_names(inner.binding):
@@ -278,12 +276,12 @@ RULES = {
 }
 
 
-def _fire(st: SynthState, g: GraphTerm, rule: str, sites, supply,
-          reports: list, log_misses: bool):
+def _fire(st: SynthState, g: GraphTerm, record: dict, rule: str, sites,
+          supply, reports: list, log_misses: bool):
     """Try `rule` at each of `sites` in turn. At the first that fires,
-    synthesize the rewritten graph, which annotates and types it, and
-    return (annotated graph, its binding typings, site); if none fires,
-    (None, None, None)."""
+    re-synthesize the rewritten graph from what changed, which annotates
+    it and brings `record` up to date with it, and return (annotated
+    graph, site); if none fires, (None, None)."""
     for site in sites:
         try:
             g2 = RULES[rule](st, g, site, supply)
@@ -292,8 +290,8 @@ def _fire(st: SynthState, g: GraphTerm, rule: str, sites, supply,
                 reports.append(RewriteReport(rule, site.path, False, str(e)))
             continue
         reports.append(RewriteReport(rule, site.path, True))
-        return (*_synthesized(st, g2), site)
-    return None, None, None
+        return resynthesize(st, g2, record, g), site
+    return None, None
 
 
 def _untried(sites, tried: set):
@@ -314,12 +312,14 @@ def optimize(st: SynthState, g: GraphTerm, passes: list,
     rewrites fired in all. Returns the rewritten graph, annotated by
     synthesis even when no rule fires, and the report log.
 
-    The program is typed once by synthesis up front, which also annotates
-    it afresh (any annotation the input carries is checked, then
-    replaced), and once more after each fired rewrite: a rule returns
-    the rewritten graph unannotated, and `_fire` re-synthesizes it. The
-    walks and the rules' side conditions read the binding typings those
-    syntheses record.
+    The program is synthesized once up front, which annotates it afresh
+    (any annotation the input carries is dropped) and records each
+    binder's synthesis frame: its context, Δ and binding typing. A rule
+    returns the rewritten graph unannotated, and `_fire` re-synthesizes
+    only what the rewrite changed: from the first binder it changed until
+    a let node is entered in the state recorded for it (see
+    `resynthesize`). The walks and the rules' side conditions read the
+    frames of that record, which lives in this call alone.
 
     `supply` must be the program's own name supply, the one its binders
     were drawn from: inlining mints fresh binders from it, and a supply
@@ -328,26 +328,25 @@ def optimize(st: SynthState, g: GraphTerm, passes: list,
         if p not in RULES:
             raise SideConditionFailed(f"unknown pass {p!r}")
     reports: list = []
-    g, typings = _synthesized(st, g)
+    g, record = _synthesized(st, g)
     changed = True
     while changed and fuel > 0:
         changed = False
         for rule in passes:
             while rule != "comm" and fuel > 0:
-                g2, t2, _ = _fire(st, g, rule, walk(st, g, typings), supply,
-                                  reports, log_misses)
+                g2, _ = _fire(st, g, record, rule, walk(g, record), supply,
+                              reports, log_misses)
                 if g2 is None:
                     break
-                g, typings = g2, t2
-                fuel, changed = fuel - 1, True
+                g, fuel, changed = g2, fuel - 1, True
     # binders are unique, so they name the positions the sweep has tried
     tried: set = set()
     while "comm" in passes and fuel > 0:
-        g2, t2, site = _fire(st, g, "comm",
-                             _untried(walk(st, g, typings), tried), supply,
-                             reports, log_misses)
+        g2, site = _fire(st, g, record, "comm",
+                         _untried(walk(g, record), tried), supply, reports,
+                         log_misses)
         if g2 is None:
             break
         tried.add(site.focus.body.var)  # now at the tried position
-        g, typings, fuel = g2, t2, fuel - 1
+        g, fuel = g2, fuel - 1
     return g, reports

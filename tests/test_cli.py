@@ -1,6 +1,7 @@
 """Surface parser, DOT/JSON serialization, and the `gir` command-line
 driver (subcommands, diagnostics, exit codes)."""
 
+import hashlib
 import json
 import os
 import re
@@ -17,8 +18,10 @@ from girkit.cli import (
 from girkit.core import (
     Cst, Deref, GLet, HARD, JsonSchemaError, Let, NLam, ParseError,
     RefNew, RW, graph_free_names, graph_to_text, initial_store,
+    term_to_text,
 )
 from girkit.interp import eval_direct, eval_graph
+from girkit.testkit import GenConfig, gen_well_typed
 from girkit.typecheck import infer_direct
 
 
@@ -218,6 +221,18 @@ class TestMain:
         assert out[0] == "dce @ []: fired"
         assert "x_1" not in out[-1] and out[-1].startswith("let y_2 = ")
 
+    @pytest.mark.parametrize("regime", ["hard", "rw"])
+    def test_opt_drops_an_allocation_through_an_alias_of_w(
+            self, regime, src_file, capsys):
+        # reading `a`, typed Alloc, is allocating, so `r` is dead and
+        # discardable; then so is `a`
+        path = src_file("let a = w in let r = ref(a, 1) in 0")
+        assert main(["opt", path, "--passes", "dce",
+                     "--regime", regime]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["dce @ [1]: fired", "dce @ []: fired"]
+        assert "ref" not in out[-1] and "w" not in out[-1]
+
     def test_opt_inline_mints_no_clashing_binder(self, src_file, capsys):
         # fresh binders must come from the program's own supply; a fresh
         # store's supply re-mints ids the program already uses
@@ -254,6 +269,38 @@ class TestMain:
         err = capsys.readouterr().err
         assert f"--synthetic needs N >= 1, got {argv[1]}" in err
         assert "needs FILE" not in err and "internal error" not in err
+
+    # sha256 of the concatenated stdout below, as the optimizer gave it
+    # when every fired rewrite re-synthesized the whole graph
+    OPT_DIGEST = ("df9fb97bf26c497b7ca06d63b4e80efe"
+                  "7473ce9666d93153a3f5b50ef399003e")
+
+    def test_opt_output_is_pinned(self, src_file, capsys):
+        """`gir opt` with every pass prints the same reports and programs
+        on testkit seeds 0..49 in both regimes."""
+        digest = hashlib.sha256()
+        for seed in range(50):
+            path = src_file(term_to_text(gen_well_typed(
+                GenConfig(seed=seed, max_depth=6), initial_store())))
+            for regime in ("hard", "rw"):
+                assert main(["opt", path, "--regime", regime, "--passes",
+                             "dce,comm,hoist,inline,cse", "--report",
+                             "json", "--fuel", "50"]) == 0
+                digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == self.OPT_DIGEST
+
+    def test_opt_rejects_negative_fuel(self, src_file, capsys):
+        path = src_file("let dead = 41 in 7")
+        assert main(["opt", path, "--fuel", "-2"]) == 1
+        err = capsys.readouterr().err
+        assert "E013" in err and "--fuel needs N >= 0, got -2" in err
+
+    def test_fuzz_rejects_a_negative_count(self, capsys):
+        assert main(["fuzz", "--count", "-2"]) == 1
+        captured = capsys.readouterr()
+        assert "E013" in captured.err
+        assert "--count needs N >= 0, got -2" in captured.err
+        assert "programs checked" not in captured.out
 
     @pytest.mark.parametrize("sem", ["direct", "store", "graph"])
     def test_run_agrees_across_semantics(self, src_file, capsys, sem):

@@ -1,6 +1,7 @@
 """Dependency synthesis, checking, and erasure on graph terms."""
 
 import importlib
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from girkit.cli import _front_end
 from girkit.core import (
     Cell, DepMap, DepMismatch, EMPTY_DEP, GLet, GName, HARD, NAssign, NCst,
-    NDeref, NLam, PURE, QualifiedType, RW, RefTy, TY_INT, TypingContext,
-    dep_add_hard, graph_to_text, initial_store, saturate,
+    NDeref, NLam, PURE, QualifiedType, RW, RefTy, RwEffect, TY_INT,
+    TypingContext, dep_add_hard, graph_to_text, initial_store, saturate,
 )
 from girkit.graphir import (
-    check_deps, erase, initial_state, synthesize, synthesize_config,
+    check_deps, erase, initial_state, resynthesize, synthesize,
+    synthesize_config,
 )
 from girkit.mnf import check_binding, check_mnf, to_mnf
 from girkit.testkit import GenConfig, brute_deps, gen_well_typed
@@ -268,15 +270,15 @@ class TestLambdaBodyTypedOnce:
         store, t, _ = _front_end(self.PROGRAM)
         g = to_mnf(t, store.supply)
         st_, _ = initial_state(store)
-        typings = {}
-        synthesize(st_, g, typings)
+        record = {}
+        resynthesize(st_, g, record)
         want = {}
         todo = [(st_.ctx, g)]
         while todo:
             ctx, u = todo.pop()
             while isinstance(u, GLet):
                 tb = check_binding(ctx, u.binding)
-                want[u.var] = tb
+                want[u.var] = (ctx.env, ctx.phi, tb)
                 if isinstance(u.binding, GLet):
                     todo.append((ctx, u.binding))
                 elif isinstance(u.binding, NLam):
@@ -284,7 +286,9 @@ class TestLambdaBodyTypedOnce:
                                  u.binding.body))
                 ctx = bind_let(ctx, u.var, tb)
                 u = u.body
-        assert typings == want and len(want) > 9
+        got = {v: (f.ctx.env, f.ctx.phi, f.typing)
+               for v, f in record.items()}
+        assert got == want and len(want) > 9
 
 
 class TestCarriedObservation:
@@ -310,7 +314,7 @@ class TestCarriedObservation:
             contexts.append(ctx2)
             return ctx2
 
-        for module in ("typecheck", "mnf", "graphir", "optimize", "testkit"):
+        for module in ("typecheck", "mnf", "graphir", "testkit"):
             monkeypatch.setattr(importlib.import_module(f"girkit.{module}"),
                                 "bind_let", checked)
         programs = [_front_end(self.OPEN_PROGRAM)[:2]]
@@ -342,3 +346,63 @@ class TestCarriedObservation:
         # x rebound to an untracked Int: it no longer reaches the cell
         ctx2 = bind_let(ctx, x, Typing(QualifiedType(TY_INT), PURE))
         assert ctx2.phi_star == saturate(ctx2.phi, ctx2) == {x}
+
+
+class TestLongSpine:
+    # each binding's context and Δ are copies that grow with the spine,
+    # so its memory grows with the square of its length
+    LETS = 1500
+
+    @pytest.mark.parametrize("regime", [HARD, RW])
+    def test_synthesis_walks_a_spine_past_the_recursion_limit(self, regime):
+        assert self.LETS > sys.getrecursionlimit()
+        store = initial_store()
+        names = [store.supply.var("x") for _ in range(self.LETS)]
+        g = GName(names[-1])
+        for i, x in reversed(list(enumerate(names))):
+            g = GLet(x, NCst(i), g)
+        st_, _ = initial_state(store, regime=regime)
+        g2, slice_ = synthesize(st_, g)
+        assert check_deps(st_, g2).qt.ty == TY_INT
+        assert slice_ == EMPTY_DEP
+
+
+class TestResynthesis:
+    """`resynthesize` takes a recorded result only where the whole entry
+    state, context and Δ, is the one recorded: here the Δ entering the
+    shared node `let y = 5 in y` is unchanged, but the context is not."""
+
+    def check(self, store, old, rewrite):
+        st_, _ = initial_state(store)
+        record = {}
+        g = resynthesize(st_, old, record)
+        new = rewrite(g)
+        got = resynthesize(st_, new, record, g)
+        fresh = {}
+        resynthesize(st_, new, fresh)
+        assert got == synthesize(st_, erase(new))[0]
+        for v, f in fresh.items():
+            assert (record[v].ctx.env, record[v].ctx.phi, record[v].last_use
+                    ) == (f.ctx.env, f.ctx.phi, f.last_use), v
+
+    def test_a_retyped_binder_changes_the_context(self):
+        store = initial_store()
+        x, y = store.supply.var("x"), store.supply.var("y")
+        old = GLet(x, NCst(1), GLet(y, NCst(5), GName(y)))
+        self.check(store, old, lambda g: GLet(x, NCst(True), g.body))
+
+    def test_a_narrower_latent_effect_changes_the_observation(self):
+        store = initial_store()
+        r = store.alloc(Cell(0), "r")
+        f, p, y = (store.supply.var(n) for n in "fpy")
+        body = GLet(y, NCst(5), GName(y))
+        old = GLet(f, NLam(p, QualifiedType(TY_INT),
+                           RwEffect.read(frozenset({r})), body, None),
+                   GName(f))
+
+        def narrowed(g):
+            lam = g.binding
+            return GLet(f, NLam(p, lam.param_qt, PURE, lam.body, None),
+                        g.body)
+
+        self.check(store, old, narrowed)

@@ -10,7 +10,7 @@ import pytest
 from girkit.core import (
     App, Cell, Cst, Deref, GLet, GName, HARD, Lam, Let, NApp, NAssign,
     NCst, NDeref, NLam, NRef, Nm, PURE, QualifiedType,
-    RuntimeConfig, RwEffect, SideConditionFailed, TY_ALLOC, TY_INT,
+    RW, RuntimeConfig, RwEffect, SideConditionFailed, TY_ALLOC, TY_INT,
     TypingContext, graph_to_text, initial_store,
 )
 from girkit.cli import _front_end, main
@@ -20,7 +20,7 @@ from girkit.graphir import (
 from girkit.interp import canonical_value, eval_graph
 from girkit.mnf import check_binding, to_mnf
 from girkit.optimize import RULES, _capability_reach, optimize
-from girkit.testkit import GenConfig, fuzz, opportunity
+from girkit.testkit import GenConfig, fuzz, gen_well_typed, opportunity
 from girkit.typecheck import Typing
 from test_graphir import cell_chain
 
@@ -353,9 +353,9 @@ def check_binding_calls(monkeypatch):
 
 class TestWalkCost:
     def test_check_binding_calls_grow_linearly(self, check_binding_calls):
-        """Each fired rewrite types the program once, so four times the
-        lets make about four times the calls (re-walking from the root
-        for every site makes about sixteen)."""
+        """A fired rewrite types at most the bindings from its site on, so
+        four times the lets make at most about four times the calls
+        (re-walking from the root for every site makes about sixteen)."""
         calls = check_binding_calls
 
         def checks(lets):
@@ -476,3 +476,83 @@ class TestCommSweep:
         _, reports = self.optimized(["comm"])
         assert any(r.fired for r in reports)
         assert max(moves.values()) == 1
+
+
+class TestIncrementalSynthesis:
+    """After a fired rewrite, synthesis restarts at the first binder the
+    rewrite changed and stops where the state converges with the last
+    synthesis; what it returns must be what synthesis from scratch
+    gives."""
+
+    @pytest.fixture
+    def oracle(self, monkeypatch):
+        """Checks every re-synthesis against one from scratch: the
+        annotated graph, and each binder's typing, entry context and
+        entry Δ. Counts the re-syntheses checked."""
+        opt = importlib.import_module("girkit.optimize")
+        resynthesize, checked = opt.resynthesize, [0]
+
+        def compared(st, g, record, old=None):
+            got = resynthesize(st, g, record, old)
+            if old is None:  # synthesis from scratch
+                return got
+            fresh = {}
+            resynthesize(st, g, fresh)
+            assert got == synthesize(st, erase(g))[0]
+            for v, f in fresh.items():
+                r = record[v]
+                assert (r.typing, r.ctx.env, r.ctx.phi, r.last_use) == (
+                    f.typing, f.ctx.env, f.ctx.phi, f.last_use), v
+            checked[0] += 1
+            return got
+
+        monkeypatch.setattr(opt, "resynthesize", compared)
+        return checked
+
+    @pytest.mark.parametrize("regime", [HARD, RW])
+    def test_equals_synthesis_from_scratch(self, oracle, regime):
+        programs = [_front_end(TestCommSweep.PROGRAM)[:2]]
+        for seed in range(150):
+            store = initial_store()
+            programs.append(
+                (store, gen_well_typed(GenConfig(seed=seed, max_depth=6),
+                                       store)))
+        for store, t in programs:
+            st, _ = initial_state(store, regime=regime)
+            optimize(st, to_mnf(t, store.supply), sorted(RULES),
+                     supply=store.supply)
+        assert oracle[0] > 300  # 415 fired rewrites, each rule among them
+
+    def test_a_swap_types_only_the_swapped_pair(self, check_binding_calls,
+                                                 monkeypatch):
+        """A swap leaves the state after the pair as it was, so the
+        `check_binding` calls of each fired swap do not grow with the
+        program. Each cell is written right after it is allocated, so the
+        sweep's first swaps sit at the top whatever the program's size."""
+        opt = importlib.import_module("girkit.optimize")
+        calls, per_swap = check_binding_calls, []
+        resynthesize = opt.resynthesize
+
+        def counted(st, g, record, old=None):
+            before = calls[0]
+            got = resynthesize(st, g, record, old)
+            if old is not None:
+                per_swap.append(calls[0] - before)
+            return got
+
+        monkeypatch.setattr(opt, "resynthesize", counted)
+
+        def swaps(n):
+            src = "\n".join(
+                [f"let r{i} = ref(w, {i}) in let u{i} = r{i} := {i} in"
+                 for i in range(n)] + ["!r0"])
+            store, t, _ = _front_end(src)
+            st, _ = initial_state(store)
+            per_swap.clear()
+            optimize(st, to_mnf(t, store.supply), ["comm"], fuel=30,
+                     supply=store.supply)
+            return list(per_swap)
+
+        small = swaps(50)
+        assert len(small) == 30 and max(small) > 1
+        assert swaps(200) == small
