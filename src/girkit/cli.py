@@ -825,11 +825,11 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="type-check a source file")
     p.add_argument("file")
-    p.set_defaults(fn=cmd_check)
+    p.set_defaults(fn="cmd_check")
 
     p = sub.add_parser("mnf", help="print the normalized (graph) form")
     p.add_argument("file")
-    p.set_defaults(fn=cmd_mnf)
+    p.set_defaults(fn="cmd_mnf")
 
     p = sub.add_parser("graph", help="synthesize and export the "
                                      "dependency-annotated graph")
@@ -838,7 +838,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--dot", metavar="OUT", help="write DOT here")
     p.add_argument("--json", metavar="OUT", help="write JSON here "
                                                  "(default: stdout)")
-    p.set_defaults(fn=cmd_graph)
+    p.set_defaults(fn="cmd_graph")
 
     p = sub.add_parser("opt", help="apply graph rewrites")
     p.add_argument("file")
@@ -849,7 +849,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--fuel", type=int, default=1000,
                    help="bound on the rewrites fired")
     p.add_argument("--report", choices=("text", "json"), default="text")
-    p.set_defaults(fn=cmd_opt)
+    p.set_defaults(fn="cmd_opt")
 
     p = sub.add_parser("schedule", help="schedule a graph back to trees")
     p.add_argument("file", nargs="?")
@@ -867,7 +867,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--time", action="store_true",
                    help="print scheduling wall time instead of output")
-    p.set_defaults(fn=cmd_schedule)
+    p.set_defaults(fn="cmd_schedule")
 
     p = sub.add_parser("run", help="evaluate a source file")
     p.add_argument("file")
@@ -875,7 +875,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--semantics", choices=("direct", "store", "graph"),
                    default="graph")
     p.add_argument("--trace", action="store_true")
-    p.set_defaults(fn=cmd_run)
+    p.set_defaults(fn="cmd_run")
 
     p = sub.add_parser("fuzz", help="random differential testing")
     p.add_argument("--count", type=int, default=100)
@@ -884,16 +884,23 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--check", default="differential",
                    choices=("translation", "synthesis", "deps",
                             "differential", "optimizer"))
-    p.set_defaults(fn=cmd_fuzz)
+    p.set_defaults(fn="cmd_fuzz")
 
     return ap
 
 
+_ARGPARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list] = None) -> int:
-    args = _build_argparser().parse_args(argv)
+    global _ARGPARSER
+    if _ARGPARSER is None:  # built once per process
+        _ARGPARSER = _build_argparser()
+    args = _ARGPARSER.parse_args(argv)
     file = getattr(args, "file", None) or "<input>"
     try:
-        return args.fn(args)
+        # looked up by name at call time, so a replaced `cmd_*` runs
+        return globals()[args.fn](args)
     except GirError as err:
         print(diagnostic_of(err, file).render(), file=sys.stderr)
         return 1

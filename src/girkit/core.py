@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Iterable, Optional, Union
+from collections.abc import Mapping, Set as AbstractSet
+from typing import Callable, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +204,7 @@ def subst_qual(q: Qualifier, x: Name, p: Qualifier) -> Qualifier:
 # Read/write effects
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RwEffect:
     """An effect split into read and write footprints.
 
@@ -294,7 +295,7 @@ TY_INT = BaseTy(INT_T)
 TY_ALLOC = BaseTy(ALLOC_T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QualifiedType:
     ty: Ty
     qual: Qualifier = EMPTY_QUAL
@@ -336,35 +337,267 @@ def qt_free_names(qt: QualifiedType) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
+# Persistent maps
+# ---------------------------------------------------------------------------
+
+_ABSENT = object()  # a diff's value for a key the version does not hold
+
+
+class PMap(Mapping):
+    """A persistent map: `set` and `update` return a new version at a cost
+    of O(1) time and memory per changed key; the old version stays valid
+    and shares everything else. All versions made from one map share one
+    dict, which holds the contents of the version last read; every other
+    version holds the change that leads from it one step toward that one
+    (Baker, "Shallow Binding Makes Functional Arrays Fast", 1991). Reading
+    a version moves the dict to it first, one step per change on the way,
+    so a traversal that reads versions in about the order it makes them
+    pays O(1) a step. Iteration follows insertion order, as a dict's does;
+    equality is content equality, and versions of unequal size compare
+    unequal in O(1)."""
+
+    __slots__ = ("_data", "_diff", "_next", "_len")
+
+    def __init__(self, items=()):
+        self._data = dict(items)
+        self._diff = self._next = None
+        self._len = len(self._data)
+
+    def _root(self) -> dict:
+        """Move the shared dict to this version and return it. Each step
+        applies a version's diff (a flat key, value, key, value tuple)
+        backwards and leaves the inverse, in the order applied, on the
+        version it came from, so that insertion order survives moves."""
+        d = self._data
+        if d is not None:
+            return d
+        path, v = [self], self._next
+        while v._data is None:
+            path.append(v)
+            v = v._next
+        d = v._data
+        for u in reversed(path):
+            diff = u._diff
+            if len(diff) == 2:  # one key: _apply inlined, on the hot path
+                k, x = diff
+                if x is _ABSENT:
+                    undo = (k, d.pop(k))
+                else:
+                    undo = (k, d.get(k, _ABSENT))
+                    d[k] = x
+            else:
+                undo = ()
+                for i in range(len(diff) - 2, -1, -2):
+                    undo += PMap._apply(d, diff[i], diff[i + 1])
+            v._data, v._diff, v._next = None, undo, u
+            u._data, u._diff, u._next = d, None, None
+            v = u
+        return d
+
+    @staticmethod
+    def _apply(d: dict, k, x) -> tuple:
+        """Set `d[k]` to `x` (delete it for `_ABSENT`), hashing `k` once in
+        the common cases; returns the (key, value) that undoes it, or () if
+        nothing changed."""
+        if x is _ABSENT:
+            old = d.pop(k, _ABSENT)
+            return () if old is _ABSENT else (k, old)
+        n = len(d)
+        old = d.setdefault(k, x)
+        if len(d) != n:
+            return (k, _ABSENT)
+        if old is x:
+            return ()
+        d[k] = x
+        return (k, old)
+
+    def _child(self, d: dict, undo: tuple, n: int) -> "PMap":
+        child = PMap.__new__(PMap)
+        child._data, child._diff, child._next, child._len = d, None, None, n
+        self._data, self._diff, self._next = None, undo, child
+        return child
+
+    def update(self, changes) -> "PMap":
+        """The version with each (key, value) of `changes` set, in order;
+        a value of `_ABSENT` deletes its key."""
+        d = self._data
+        if d is None:
+            d = self._root()
+        undo = ()
+        for k, x in changes:
+            undo += PMap._apply(d, k, x)
+        return self._child(d, undo, len(d)) if undo else self
+
+    def set(self, k, x) -> "PMap":
+        """The version with `k` set to `x`."""
+        d = self._data
+        if d is None:
+            d = self._root()
+        n = len(d)
+        old = d.setdefault(k, x)
+        if len(d) != n:
+            return self._child(d, (k, _ABSENT), n + 1)
+        if old is x:
+            return self
+        d[k] = x
+        return self._child(d, (k, old), n)
+
+    def __getitem__(self, k):
+        d = self._data
+        return (self._root() if d is None else d)[k]
+
+    def get(self, k, default=None):
+        d = self._data
+        return (self._root() if d is None else d).get(k, default)
+
+    def __contains__(self, k) -> bool:
+        d = self._data
+        return k in (self._root() if d is None else d)
+
+    def __len__(self) -> int:
+        return self._len
+
+    # reading another version moves the dict, so iteration takes a copy
+    def __iter__(self):
+        return iter(list(self._root()))
+
+    def values(self) -> list:
+        return list(self._root().values())
+
+    def items(self) -> list:
+        return list(self._root().items())
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if isinstance(other, PMap):
+            if self._len != other._len:
+                return False
+            return dict(self._root()) == other._root()
+        if isinstance(other, Mapping):
+            return self._root() == dict(other.items())
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(self._root())
+
+
+# ---------------------------------------------------------------------------
 # Typing contexts
 # ---------------------------------------------------------------------------
+
+class Observation(AbstractSet):
+    """An observation filter φ, or its saturation φ*, that a let extends in
+    O(1): a base set plus the let binders bound after it. `lets` maps each
+    let binder of the context to its position among them; those at
+    `mark` or later were bound after the base was set."""
+
+    __slots__ = ("base", "lets", "mark", "_len")
+
+    def __init__(self, base: Qualifier, lets: PMap, mark: int,
+                 size: Optional[int] = None):
+        self.base, self.lets, self.mark = base, lets, mark
+        self._len = len(base) if size is None else size
+
+    def __contains__(self, n) -> bool:
+        if n in self.base:
+            return True
+        shared = self.lets._data
+        if shared is None:
+            shared = self.lets._root()
+        return shared.get(n, -1) >= self.mark
+
+    def __iter__(self):
+        yield from self.base
+        mark, base = self.mark, self.base
+        for n, pos in self.lets.items():
+            if pos >= mark and n not in base:
+                yield n
+
+    def __len__(self) -> int:
+        return self._len
+
+    # `q <= phi`, `q & phi` and `q - phi` land here: they cost O(|q|)
+    def __ge__(self, other) -> bool:
+        return not other or all(map(self.__contains__, other))
+
+    def __rand__(self, other) -> Qualifier:
+        return frozenset(filter(self.__contains__, other))
+
+    __and__ = __rand__
+
+    def __rsub__(self, other) -> Qualifier:
+        return frozenset(n for n in other if n not in self)
+
+    def __or__(self, other) -> Qualifier:
+        return frozenset(self).union(other)
+
+    __ror__ = __or__
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, AbstractSet):
+            return NotImplemented
+        return len(self) == len(other) and self >= other
+
+    __hash__ = None
+
+    def extend(self, n: Name, lets: PMap) -> "Observation":
+        """The observation with the fresh let binder `n` added; `lets`
+        records it."""
+        return Observation(self.base, lets, self.mark,
+                           self._len + (n not in self.base))
+
 
 class TypingContext:
     """Immutable triple (env, phi, φ*): one map from every bound name,
     variable or location, to its qualified type, plus the current
-    observation filter. Contexts share `env` until `bind` extends it, so
-    nothing may write into a context's map. φ* is phi's saturation,
-    computed the first time `phi_star` is read unless the maker of the
-    context handed it in."""
+    observation filter. Each part is persistent: extending a context by
+    one binder costs O(1) and shares everything else with its parent, so
+    a spine of n lets holds O(n) context memory, not O(n²).
 
-    __slots__ = ("env", "phi", "_phi_star")
+    `env` is a `PMap`, and `bind` is its only extension. φ and φ* are
+    `Observation`s: a let adds its binder to both without copying them.
+    `lets` maps each let binder to its position among them; a let
+    binder's qualifier was saturated when it was bound, so `saturate`
+    takes it whole instead of walking it. Binding a name again breaks
+    that promise for the qualifiers that mention it, so a rebound name
+    starts a fresh `lets` and a φ materialized from the old one, and φ*
+    is then recomputed on demand. φ* is computed the first time
+    `phi_star` is read unless the context was made from one that had it.
+    Equality is content equality of `env` and φ."""
 
-    def __init__(self, env=None, phi: Qualifier = EMPTY_QUAL,
-                 phi_star: Optional[Qualifier] = None):
-        self.env: dict = {} if env is None else env
-        self.phi = phi
-        self._phi_star = phi_star
+    __slots__ = ("env", "lets", "phi", "_phi_star")
+
+    def __init__(self, env=None, phi: Qualifier = EMPTY_QUAL):
+        self.env = PMap(env or ())
+        self.lets = PMap()
+        self.phi = Observation(frozenset(phi), self.lets, 0)
+        self._phi_star = None
+
+    @staticmethod
+    def _make(env: PMap, lets: PMap, phi: Observation,
+              phi_star: Optional[Observation]) -> "TypingContext":
+        ctx = TypingContext.__new__(TypingContext)
+        ctx.env, ctx.lets, ctx.phi, ctx._phi_star = env, lets, phi, phi_star
+        return ctx
 
     @property
-    def phi_star(self) -> Qualifier:
+    def phi_star(self) -> Observation:
         """saturate(phi); phi itself when phi is closed."""
         if self._phi_star is None:
-            star = saturate(self.phi, self)
-            self._phi_star = self.phi if len(star) == len(self.phi) else star
+            phi = self.phi
+            star = saturate(phi, self)
+            self._phi_star = (phi if len(star) == len(phi)
+                              else Observation(star, phi.lets, phi.mark))
         return self._phi_star
 
     def lookup(self, n: Name) -> QualifiedType:
-        qt = self.env.get(n)
+        shared = self.env._data
+        qt = (self.env._root() if shared is None else shared).get(n)
         if qt is None:
             raise UnboundName(f"unbound name {n!r}", name=n)
         return qt
@@ -372,15 +605,40 @@ class TypingContext:
     def __contains__(self, n: Name) -> bool:
         return n in self.env
 
-    def bind(self, n: Name, qt: QualifiedType) -> "TypingContext":
-        """The context with `n` bound to `qt`; the only copy of a map."""
-        env = dict(self.env)
-        env[n] = qt
-        return TypingContext(env, self.phi)
+    def bind(self, n: Name, qt: QualifiedType,
+             let: bool = False) -> "TypingContext":
+        """The context with `n` bound to `qt`. With `let`, `n` is a let
+        binder: `qt`'s qualifier must be saturated, and `n` joins φ and
+        φ*."""
+        env = self.env.set(n, qt)
+        if env._len == self.env._len:  # rebound: exact recomputation
+            lets = PMap()
+            phi = frozenset(self.phi) | {n} if let else frozenset(self.phi)
+            return TypingContext._make(env, lets, Observation(phi, lets, 0),
+                                       None)
+        if not let:
+            return TypingContext._make(env, self.lets, self.phi, None)
+        lets = self.lets.set(n, self.lets._len)
+        phi, star = self.phi, self._phi_star
+        phi2 = phi.extend(n, lets)
+        if star is phi:  # phi closed: so is phi + n
+            star = phi2
+        elif star is not None:
+            star = star.extend(n, lets)
+        return TypingContext._make(env, lets, phi2, star)
 
-    def with_phi(self, phi: Qualifier,
-                 phi_star: Optional[Qualifier] = None) -> "TypingContext":
-        return TypingContext(self.env, phi, phi_star)
+    def with_phi(self, phi: Qualifier) -> "TypingContext":
+        obs = Observation(frozenset(phi), self.lets, self.lets._len)
+        return TypingContext._make(self.env, self.lets, obs, None)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TypingContext):
+            return NotImplemented
+        return (self is other
+                or (len(self.env) == len(other.env)
+                    and self.phi == other.phi and self.env == other.env))
+
+    __hash__ = None
 
     def __repr__(self):
         return f"Ctx(env={self.env!r}, phi={qual_repr(self.phi)})"
@@ -388,13 +646,28 @@ class TypingContext:
 
 def saturate(q: Qualifier, ctx: TypingContext) -> Qualifier:
     """Transitive reachability closure q* through context-declared
-    qualifiers: least superset of q closed under member lookup."""
+    qualifiers: least superset of q closed under member lookup. A let
+    binder's qualifier was saturated when it was bound, so it joins whole
+    instead of being walked."""
+    if not q:
+        return EMPTY_QUAL
+    shared = ctx.env._data
+    if shared is None:
+        shared = ctx.env._root()
     seen = set(q)
     frontier = list(q)
     while frontier:
         x = frontier.pop()
-        qt = ctx.lookup(x)
-        for y in qt.qual:
+        qt = shared.get(x)
+        if qt is None:
+            raise UnboundName(f"unbound name {x!r}", name=x)
+        qual = qt.qual
+        if not qual:
+            continue
+        if x in ctx.lets:
+            seen.update(qual)
+            continue
+        for y in qual:
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
@@ -414,7 +687,7 @@ HARD = "hard"  # every effect yields a hard (must-run-after) dependency
 RW = "rw"      # reads give hard deps, writes soft (skippable) deps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class DepMap:
     """Hard (name -> name) and soft (name -> name set) dependency entries.
 
@@ -423,10 +696,18 @@ class DepMap:
     soft set may repeat that key's hard target: discarding such entries
     would make sequential update non-associative (the redundancy becomes
     load-bearing once a later update overrides the hard target).
-    """
 
-    hard: dict = field(default_factory=dict)
-    soft: dict = field(default_factory=dict)
+    An annotation is plain: `hard` and `soft` are dicts and `default` is
+    None. The last-use map Δ that synthesis threads is persistent: its
+    components are `PMap`s, so `dep_last_use` costs the binding's
+    footprint alone, and `default`, when set, is the hard target of every
+    name without a hard entry (the start variable at top level, the
+    parameter in a lambda body). Equality is content equality; versions
+    of Δ that differ in size compare unequal in O(1)."""
+
+    hard: Mapping = field(default_factory=dict)
+    soft: Mapping = field(default_factory=dict)
+    default: Optional[Name] = None
 
     @staticmethod
     def make(hard=None, soft=None) -> "DepMap":
@@ -436,7 +717,7 @@ class DepMap:
             t = frozenset(targets)
             if t:
                 s[k] = t
-        return DepMap(h, s)
+        return DepMap(h, s) if h or s else EMPTY_DEP
 
     def domain(self) -> frozenset:
         return frozenset(self.hard) | frozenset(self.soft)
@@ -454,9 +735,21 @@ class DepMap:
         out |= self.soft.get(key, frozenset())
         return frozenset(out)
 
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, DepMap):
+            return NotImplemented
+        return (self.default == other.default and self.hard == other.hard
+                and self.soft == other.soft)
+
+    __hash__ = None
+
     def __repr__(self):
         h = ", ".join(f"{k!r}->{v!r}" for k, v in sorted(self.hard.items()))
         s = ", ".join(f"{k!r}->{sorted(v)!r}" for k, v in sorted(self.soft.items()))
+        if self.default is not None:
+            s += f" |*->{self.default!r}"
         return f"Dep[{h}|{s}]"
 
 
@@ -481,27 +774,39 @@ def dep_restrict(d: DepMap, e: RwEffect, ctx: TypingContext,
     soft sets) merged with soft entries. HARD: the flat footprint pulls
     hard entries only.
     """
+    get, default = _contents(d.hard).get, d.default
     if regime == HARD:
-        q = saturate(e.flat, ctx)
-        return DepMap.make({k: d.hard[k] for k in q if k in d.hard}, {})
-    q = saturate(e.reads, ctx)
-    p = saturate(e.writes, ctx)
-    hard = {k: d.hard[k] for k in q if k in d.hard}
-    soft = {}
-    for k in p:
-        t = frozenset()
-        if k in d.hard:
-            t |= {d.hard[k]}
-        t |= d.soft.get(k, frozenset())
+        hard = {}
+        for k in saturate(e.flat, ctx):
+            t = get(k, default)
+            if t is not None:
+                hard[k] = t
+        return DepMap(hard, {}) if hard else EMPTY_DEP
+    hard = {}
+    for k in saturate(e.reads, ctx):
+        t = get(k, default)
+        if t is not None:
+            hard[k] = t
+    soft, soft_of = {}, _contents(d.soft).get
+    for k in saturate(e.writes, ctx):
+        t = soft_of(k, EMPTY_QUAL)
+        h = get(k, default)
+        if h is not None:
+            t = t | {h}
         if t:
             soft[k] = t
-    return DepMap.make(hard, soft)
+    return DepMap(hard, soft) if hard or soft else EMPTY_DEP
 
 
 def dep_restrict_names(d: DepMap, names: Qualifier) -> DepMap:
     """Domain restriction Δ|α by a plain name set, both components."""
-    return DepMap.make({k: d.hard[k] for k in names if k in d.hard},
-                       {k: d.soft[k] for k in names if k in d.soft})
+    get, default, soft = _contents(d.hard).get, d.default, _contents(d.soft)
+    hard = {}
+    for k in names:
+        t = get(k, default)
+        if t is not None:
+            hard[k] = t
+    return DepMap.make(hard, {k: soft[k] for k in names if k in soft})
 
 
 def dep_rewire(d1: DepMap, x: Name, d2: DepMap) -> DepMap:
@@ -537,40 +842,50 @@ def dep_dom_subst(d: DepMap, q: Qualifier, x: Name) -> DepMap:
     return DepMap.make(hard, soft)
 
 
+def _contents(m: Mapping) -> Mapping:
+    """A dict with `m`'s contents, to read until the next version is made
+    or read."""
+    if type(m) is not PMap:
+        return m
+    shared = m._data
+    return m._root() if shared is None else shared
+
+
 def dep_last_use(d: DepMap, x: Name, e: RwEffect, ctx: TypingContext,
                  regime: str) -> DepMap:
     """Record x as the latest node touching e's footprint (the Δ update a
-    let performs before checking its continuation).
+    let performs before checking its continuation). The result is a new
+    version of `d`'s persistent components that changes only the
+    footprint's entries and x's own.
 
     HARD: every used name's hard target becomes x. RW: written names point
     hard at x with soft reset; read names append x to their soft set.
     """
+    hard, soft = d.hard, d.soft
+    if type(hard) is not PMap:  # an annotation: Δ starts from a copy
+        hard, soft = PMap(hard), PMap(soft)
     if regime == HARD:
-        used = saturate(e.flat, ctx)
-        hard = dict(d.hard)
-        for k in used:
-            hard[k] = x
-        hard[x] = x
-        return DepMap.make(hard, d.soft)
-    reads = saturate(e.reads, ctx)
+        changes = [(k, x) for k in saturate(e.flat, ctx)]
+        changes.append((x, x))
+        return DepMap(hard.update(changes), soft, d.default)
     writes = saturate(e.writes, ctx)
-    hard = dict(d.hard)
-    soft = dict(d.soft)
-    for k in writes:
-        hard[k] = x
-        soft[k] = frozenset()
-    hard[x] = x
-    soft[x] = frozenset()
+    hard_changes = [(k, x) for k in writes]
+    hard_changes.append((x, x))
+    reads = saturate(e.reads, ctx)
+    old = _contents(soft)
+    soft_changes = {k: _ABSENT for k in (*writes, x) if k in old}
     for k in reads:
-        soft[k] = soft.get(k, frozenset()) | {x}
-    return DepMap.make(hard, soft)
+        reset = k in writes or k == x
+        soft_changes[k] = (EMPTY_QUAL if reset
+                           else old.get(k, EMPTY_QUAL)) | {x}
+    return DepMap(hard.update(hard_changes),
+                  soft.update(soft_changes.items()), d.default)
 
 
-def points_to(names: Iterable[Name], z: Name) -> DepMap:
-    """↦z: every given name (and z itself) hard-depends on z."""
-    hard = {n: z for n in names}
-    hard[z] = z
-    return DepMap.make(hard, {})
+def points_to(z: Name) -> DepMap:
+    """↦z: every name hard-depends on z, as the last-use map Δ in which
+    nothing has run yet."""
+    return DepMap(PMap(), PMap(), z)
 
 
 def dep_submap(d1: DepMap, d2: DepMap) -> bool:
@@ -767,7 +1082,7 @@ class GName:
     name: Name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GLet:
     var: Name
     binding: "Binding"

@@ -39,7 +39,8 @@ class Frame(NamedTuple):
     dependency map and typing, and `result`, what synthesis made of the
     whole let from there: (annotated let, composed output, slice,
     typing). The descent keeps the fields before `result` as a plain
-    tuple."""
+    tuple. Contexts and Δ are persistent, so a frame holds O(1) of
+    them."""
 
     var: Name
     ctx: TypingContext
@@ -54,7 +55,9 @@ def synthesize(st: SynthState, g: GraphTerm) -> tuple[GraphTerm, DepMap]:
     """Annotate every binding of a well-typed MNF term with its dependency
     map and return the whole term's dependency slice. Each let spine is
     one loop down its binders and one back up, so only lambda bodies and
-    nested blocks recurse.
+    nested blocks recurse. Contexts and Δ are persistent, so the frames
+    the descent keeps for the ascent cost O(1) each: a spine of n lets
+    synthesizes in O(n) memory.
 
     The slice always equals the last-use map restricted to the term's
     saturated effect; in the hard regime the rule-by-rule composition is
@@ -87,9 +90,12 @@ def resynthesize(st: SynthState, g: GraphTerm, record: dict,
     to the same binding object) keep their frames. The descent restarts
     after them in the state the record holds, and it stops at the first
     let node that synthesis of `old` produced, entered in the context and
-    Δ recorded for it, whose recorded result it takes. Every let above
-    that point is composed and checked again. Frames of the binders a
-    rewrite removed stay in the record; no binder of `g` names them."""
+    Δ recorded for it, whose recorded result it takes. That comparison is
+    exact, by content: Δ first, then φ, then the context's map, each of
+    which tells versions of unequal size apart in O(1), as they are
+    after most rewrites that do not converge. Every let above that point
+    is composed and checked again. Frames of the binders a rewrite
+    removed stay in the record; no binder of `g` names them."""
     prefix, ctx, delta, u = [], st.ctx, st.last_use, g
     # a kept frame needs a next one in `old`, whose entry state it leaves
     while (isinstance(u, GLet) and isinstance(old, GLet)
@@ -115,9 +121,9 @@ def _synth(ctx, delta, g, regime, record, prefix=()):
     frames = list(prefix)
     while isinstance(g, GLet):
         f = record.get(g.var) if record is not None else None
+        # Δ first: most unequal states differ in its size, seen in O(1)
         if (f is not None and f.result[0] is g
-                and f.ctx.phi == ctx.phi and f.last_use == delta
-                and f.ctx.env == ctx.env):
+                and f.last_use == delta and f.ctx == ctx):
             result = f.result
             break
         b2, d1, tb = _synth_binding(ctx, delta, g.binding, regime, record)
@@ -166,7 +172,7 @@ def _synth_binding(ctx, delta, b, regime, record):
         def synth_body(ctx2, g):
             # every last use in the body points at the parameter
             body2, body_out, slice_, tbody = _synth(
-                ctx2, points_to(ctx2.env, b.param), g, regime, record)
+                ctx2, points_to(b.param), g, regime, record)
             if (record is None and b.body_dep is not None
                     and not dep_submap(b.body_dep, slice_)):
                 raise DepMismatch(
@@ -212,8 +218,7 @@ def initial_state(store: Store, z: Name | None = None,
     ctx = store.typing()
     if z is None:
         z = store.supply.var("z")
-    delta = points_to(ctx.env, z)
-    return SynthState(ctx, delta, regime), z
+    return SynthState(ctx, points_to(z), regime), z
 
 
 def synthesize_config(store: Store, g: GraphTerm,

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .core import (
-    EMPTY_QUAL, GLet, GName, GraphTerm, Name, NameSupply, NApp,
+    EMPTY_QUAL, GLet, GName, GraphTerm, Name, NameSupply, NApp, NCst,
     NLam, Qualifier, RwEffect, SideConditionFailed, TY_ALLOC,
-    TypingContext, graph_free_names, qual_repr, rename_graph, saturate,
+    TypingContext, graph_free_names, node_operands, qt_free_names,
+    qual_repr, rename_graph, saturate,
 )
 from .graphir import SynthState, erase, resynthesize
 from .typecheck import Typing
@@ -40,7 +41,8 @@ class Site:
     it (0 enters a let's binding, or a bound lambda's body; 1 its body),
     `ctx` types `focus`, whose binding has the typing `typing`; `defs`
     maps the binders on the scope spine to their (binding, typing),
-    `record` maps every binder of the graph to its synthesis `Frame`, and
+    `record` maps every binder of the graph to its synthesis `Frame`,
+    `uses` holds the names that occur in the walked graph, and
     `rebuild` reassembles the whole (unannotated) graph around a
     replacement for `focus`; a rule that fires here returns what
     `rebuild` returns."""
@@ -51,6 +53,36 @@ class Site:
     rebuild: Callable
     typing: Typing
     record: dict
+    uses: "Occurrences"
+
+
+class Occurrences:
+    """The names that occur in a graph where `graph_free_names` finds
+    them: as names, as node operands, and in a lambda's parameter
+    qualifier and latent effect; binders themselves do not count.
+    Binders are unique, so a let binder is used in its continuation
+    exactly when it occurs anywhere in the graph. The graph is walked
+    once, the first time a name is asked for."""
+
+    def __init__(self, g: GraphTerm):
+        self.graph, self._names = g, None
+
+    def __contains__(self, n: Name) -> bool:
+        if self._names is None:
+            names, todo = set(), [self.graph]
+            while todo:
+                u = todo.pop()
+                if isinstance(u, GName):
+                    names.add(u.name)
+                elif isinstance(u, GLet):
+                    todo += (u.binding, u.body)
+                elif isinstance(u, NLam):
+                    names |= qt_free_names(u.param_qt) | u.latent.flat
+                    todo.append(u.body)
+                elif not isinstance(u, NCst):
+                    names.update(node_operands(u))
+            self._names = names
+        return n in self._names
 
 
 def walk(g: GraphTerm, record: dict) -> Iterator[Site]:
@@ -58,28 +90,29 @@ def walk(g: GraphTerm, record: dict) -> Iterator[Site]:
     typing read from the frames that synthesis of `g` left in `record`. A
     site is valid until the walk moves on, which adds the focused binder
     to `defs`."""
-    return _scope(g, (), lambda frag: frag, ChainMap(), record)
+    return _scope(g, (), lambda frag: frag, ChainMap(), record,
+                  Occurrences(g))
 
 
-def _scope(g, path, rebuild, defs, record):
+def _scope(g, path, rebuild, defs, record, uses):
     # a module-level generator, so that no closure cell keeps `record` in
     # a reference cycle
     while isinstance(g, GLet):
         f = record[g.var]
-        yield Site(path, f.ctx, defs, g, rebuild, f.typing, record)
+        yield Site(path, f.ctx, defs, g, rebuild, f.typing, record, uses)
         b = g.binding
         if isinstance(b, GLet):
             yield from _scope(b, path + (0,),
                               lambda frag, g=g, rb=rebuild:
                               rb(GLet(g.var, frag, g.body, None)),
-                              defs.new_child(), record)
+                              defs.new_child(), record, uses)
         elif isinstance(b, NLam):
             yield from _scope(
                 b.body, path + (0,),
                 lambda frag, g=g, b=b, rb=rebuild:
                 rb(GLet(g.var, NLam(b.param, b.param_qt, b.latent, frag,
                                     None), g.body, None)),
-                defs.new_child(), record)
+                defs.new_child(), record, uses)
         defs[g.var] = (b, f.typing)
         rebuild = (lambda frag, g=g, rb=rebuild:
                    rb(GLet(g.var, g.binding, frag, None)))
@@ -160,7 +193,7 @@ def rw_dce(st: SynthState, g: GraphTerm, site: tuple,
     ok, why = _alloc_only(site.ctx, site.typing.eff)
     if not ok:
         raise SideConditionFailed(f"binding not discardable: {why}")
-    if focus.var in graph_free_names(focus.body):
+    if focus.var in site.uses:
         raise SideConditionFailed(f"{focus.var!r} used in the continuation")
     return site.rebuild(focus.body)
 
@@ -259,8 +292,11 @@ def rw_cse(st: SynthState, g: GraphTerm, site: tuple,
     inner = focus.body
     if erase(focus.binding) != erase(inner.binding):
         raise SideConditionFailed("bindings are not identical")
+    # only the store binds locations, and a location's qualifier is empty
+    # wherever it is read: the program's initial context has the answer,
+    # without a scan of the site's
     if not saturate(site.typing.eff.reads, ctx).isdisjoint(
-            _capability_reach(ctx)):
+            _capability_reach(st.ctx)):
         raise SideConditionFailed("binding allocates")
     merged = GLet(focus.var, focus.binding,
                   rename_graph(inner.body, {inner.var: focus.var}), None)

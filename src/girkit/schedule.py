@@ -431,14 +431,14 @@ def _traverse(dv: _Deps, inner: set, path: set, inlined: frozenset,
               n: int, opts: SchedOpts):
     node = dv.node[n]
     if node.op in ("lam", "loop"):
-        body = schedule_block(dv, set(inner),
+        body = schedule_block(dv, inner,
                               path | {n} | set(dv.params_of[n]),
                               node.body_res[0], opts)
         return Scope((node.op, node.sym, node), body.trees, body.tail)
     if node.op == "cond":
         branches = []
         for tag, r in zip(("then", "else"), node.body_res):
-            blk = schedule_block(dv, set(inner), path, r, opts)
+            blk = schedule_block(dv, inner, path, r, opts)
             branches.append(Scope((tag, node.sym, node), blk.trees,
                                   blk.tail))
         return Scope(("cond", node.sym, node), branches, None)

@@ -20,7 +20,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Typing:
     qt: QualifiedType
     eff: RwEffect
@@ -138,7 +138,7 @@ def infer_direct(ctx: TypingContext, t: Term) -> Typing:
             raise EffectEscape(
                 f"latent effect {f.latent!r} not confined to the function "
                 f"qualifier plus parameter", span=span, eff=f.latent)
-        if not f.result_qt.qual <= ctx.phi | {x}:
+        if not f.result_qt.qual - {x} <= ctx.phi:
             raise QualifierEscape(
                 f"result qualifier {qual_repr(f.result_qt.qual)} escapes",
                 span=span, qual=f.result_qt.qual, phi=ctx.phi)
@@ -208,19 +208,13 @@ def bind_let(ctx: TypingContext, var: Name, bound: Typing) -> TypingContext:
     qualified by the bound qualifier's overlap with the observation, and
     observable.
 
-    The new context carries its φ* as φ* ∪ {var}: that is exact, since the
-    overlap lies in φ* and a fresh `var` reaches nothing else. A rebound
-    `var` leaves φ* to be recomputed."""
+    That qualifier is saturated: it is a saturation cut down by φ*, which
+    is closed. So the context records `var` as a let binder, whose
+    saturation is `{var}` plus its qualifier, and extends φ* by `var`:
+    that is exact, since the overlap lies in φ* and a fresh `var` reaches
+    nothing else. A rebound `var` leaves φ* to be recomputed."""
     bind_q = saturate(bound.qt.qual, ctx) & ctx.phi_star
-    star, phi = ctx.phi_star, ctx.phi | {var}
-    if var in ctx:
-        star2 = None
-    elif star is ctx.phi:  # phi closed: so is phi + var
-        star2 = phi
-    else:
-        star2 = star | {var}
-    return (ctx.bind(var, QualifiedType(bound.qt.ty, bind_q))
-            .with_phi(phi, star2))
+    return ctx.bind(var, QualifiedType(bound.qt.ty, bind_q), let=True)
 
 
 def let_typing(var: Name, bound: Typing, body: Typing,

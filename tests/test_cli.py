@@ -182,6 +182,26 @@ class TestMain:
         assert "expected a closing parenthesis" in err
         assert ":11-13:" in err  # the byte span of the offending token
 
+    def test_the_parser_is_built_once_per_process(self, src_file, capsys,
+                                                  monkeypatch):
+        built = []
+        build = cli._build_argparser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_ARGPARSER", None)
+        monkeypatch.setattr(cli, "_build_argparser", counting)
+        path = src_file("let x = ref(w, 0) in !x")
+        assert main(["check", path]) == 0
+        assert main(["check", src_file("let x = (1 in x", "bad.gir")]) == 1
+        assert built == [1]
+
+    def test_a_replaced_command_runs(self, src_file, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
+        assert main(["check", src_file("1")]) == 7
+
     def test_missing_file_is_an_internal_error(self, capsys):
         assert main(["check", "/nonexistent/input.gir"]) == 2
         assert "internal error" in capsys.readouterr().err

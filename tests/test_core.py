@@ -92,6 +92,53 @@ class TestTypingContext:
         assert ctx.with_phi(q(y)).env is ctx.env
         assert ctx.with_phi(q(y)).phi_star == q(x, y)
 
+    def test_extensions_share_the_parent_and_stay_isolated(self):
+        """A child and a sibling each extend the parent by one binder;
+        reading any one of the three, in any order, sees its own map,
+        observation and saturation."""
+        x, y, z, u = fresh_names(4)
+        parent = chain_ctx([(x, EMPTY_QUAL)])
+        child = parent.bind(y, QualifiedType(RefTy(TY_INT), q(x)), let=True)
+        grandchild = child.bind(u, QualifiedType(TY_INT), let=True)
+        sibling = parent.bind(z, QualifiedType(TY_INT), let=True)
+        for _ in range(2):
+            for ctx, names in ((grandchild, [x, y, u]), (parent, [x]),
+                               (sibling, [x, z]), (child, [x, y])):
+                assert list(ctx.env) == names
+                assert ctx.phi == frozenset(names) == ctx.phi_star
+                assert saturate(ctx.phi, ctx) == frozenset(names)
+        assert u not in child and z not in child.phi and y not in sibling
+
+    def test_a_rebound_name_shadows_and_saturates_afresh(self):
+        x, y, a, z = fresh_names(4)
+        ref = QualifiedType(RefTy(TY_INT))
+        ctx = chain_ctx([(x, EMPTY_QUAL)]).bind(y, ref, let=True)
+        ctx = ctx.bind(a, QualifiedType(RefTy(TY_INT), q(y)), let=True)
+        ctx = ctx.bind(z, ref)
+        assert saturate(q(a), ctx) == q(a, y)
+        # y rebound to reach z: a's saturation, recorded when y reached
+        # nothing, no longer holds
+        ctx2 = ctx.bind(y, QualifiedType(RefTy(TY_INT), q(z)), let=True)
+        assert ctx2.lookup(y).qual == q(z) and ctx.lookup(y) == ref
+        fresh = TypingContext(dict(ctx2.env), ctx2.phi)
+        assert saturate(q(a), ctx2) == saturate(q(a), fresh) == q(a, y, z)
+        assert ctx2.phi_star == saturate(ctx2.phi, fresh)
+        assert saturate(q(a), ctx) == q(a, y)
+
+    def test_equality_is_content_equality(self):
+        x, y, z = fresh_names(3)
+        qt = QualifiedType(TY_INT)
+        one = chain_ctx([(x, EMPTY_QUAL)]).bind(y, qt, let=True)
+        two = chain_ctx([(x, EMPTY_QUAL)]).bind(y, qt, let=True)
+        assert one == two and one.env == two.env and one.phi == two.phi
+        assert one != two.bind(z, qt, let=True)
+        assert one != chain_ctx([(x, EMPTY_QUAL)]).bind(y, qt)
+        d1 = dep_last_use(EMPTY_DEP, y, RwEffect.read(q(x)), one, HARD)
+        d2 = dep_last_use(DepMap.make({x: z}), y, RwEffect.read(q(x)), two,
+                          HARD)
+        assert d1 == d2 == DepMap.make({x: y, y: y})
+        assert d1 != dep_last_use(d1, z, PURE, one, HARD)
+
     def test_store_typing_lists_locations_in_allocation_order(self):
         store = initial_store()
         saved = store.alloc(SavedCst(True), "s")

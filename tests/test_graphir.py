@@ -1,16 +1,20 @@
 """Dependency synthesis, checking, and erasure on graph terms."""
 
+import gc
 import importlib
 import sys
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from girkit.cli import _front_end
 from girkit.core import (
-    Cell, DepMap, DepMismatch, EMPTY_DEP, GLet, GName, HARD, NAssign, NCst,
-    NDeref, NLam, PURE, QualifiedType, RW, RefTy, RwEffect, TY_INT,
-    TypingContext, dep_add_hard, graph_to_text, initial_store, saturate,
+    Cell, Cst, DepMap, DepMismatch, EMPTY_DEP, GLet, GName, HARD, Let,
+    NAssign, NCst, NDeref, NLam, Nm, PURE, QualifiedType, RW, RefTy,
+    RwEffect, TY_INT, TypingContext, dep_add_hard, graph_to_text,
+    initial_store, saturate,
 )
 from girkit.graphir import (
     check_deps, erase, initial_state, resynthesize, synthesize,
@@ -348,23 +352,96 @@ class TestCarriedObservation:
         assert ctx2.phi_star == saturate(ctx2.phi, ctx2) == {x}
 
 
+def constant_spine(lets):
+    """A hand-built spine of `lets` constant lets ending in the last."""
+    store = initial_store()
+    names = [store.supply.var("x") for _ in range(lets)]
+    g = GName(names[-1])
+    for i, x in reversed(list(enumerate(names))):
+        g = GLet(x, NCst(i), g)
+    return store, g
+
+
+def synthesize_and_check(store, g, regime):
+    st_, _ = initial_state(store, regime=regime)
+    g2, slice_ = synthesize(st_, g)
+    assert check_deps(st_, g2).qt.ty == TY_INT
+    assert slice_ == EMPTY_DEP
+
+
 class TestLongSpine:
-    # each binding's context and Δ are copies that grow with the spine,
-    # so its memory grows with the square of its length
-    LETS = 1500
+    # contexts and Δ are persistent, so a spine's synthesis holds O(1) of
+    # them per binder: 20,000 lets run in linear memory (copied per let,
+    # they took about 25 GB)
+    LETS = 20000
 
     @pytest.mark.parametrize("regime", [HARD, RW])
     def test_synthesis_walks_a_spine_past_the_recursion_limit(self, regime):
         assert self.LETS > sys.getrecursionlimit()
-        store = initial_store()
-        names = [store.supply.var("x") for _ in range(self.LETS)]
-        g = GName(names[-1])
-        for i, x in reversed(list(enumerate(names))):
-            g = GLet(x, NCst(i), g)
-        st_, _ = initial_state(store, regime=regime)
-        g2, slice_ = synthesize(st_, g)
-        assert check_deps(st_, g2).qt.ty == TY_INT
-        assert slice_ == EMPTY_DEP
+        synthesize_and_check(*constant_spine(self.LETS), regime)
+
+
+def traced_peak(run) -> int:
+    """The peak of the memory that `run()` allocates, traced."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def let_chain(lets):
+    """A direct-style chain of `lets` constant lets ending in the last."""
+    store = initial_store()
+    names = [store.supply.var("x") for _ in range(lets)]
+    t = Nm(names[-1])
+    for i, x in reversed(list(enumerate(names))):
+        t = Let(x, Cst(i), t)
+    return store, t
+
+
+class TestLinearMemory:
+    """Each binder costs O(1) context and Δ memory, so ten times the lets
+    take about ten times the peak; copies per let took about a hundred
+    times (×4 per doubling)."""
+
+    @pytest.mark.parametrize("regime", [HARD, RW])
+    def test_synthesis_peak_grows_linearly(self, regime):
+        small, large = (constant_spine(n) for n in (2000, 20000))
+        peaks = [traced_peak(lambda p=p: synthesize_and_check(*p, regime))
+                 for p in (small, large)]
+        assert peaks[1] / peaks[0] <= 15
+
+    def test_inference_peak_grows_linearly(self):
+        # 900 lets stay under the default recursion limit
+        peaks = []
+        for n in (90, 900):
+            store, t = let_chain(n)
+            peaks.append(traced_peak(
+                lambda: infer_direct(store.typing(), t)))
+        assert peaks[1] / peaks[0] <= 15
+
+    def test_synthesis_time_grows_linearly(self):
+        times = []
+        for n, runs in ((2000, 3), (20000, 2)):
+            best = []
+            for _ in range(runs):  # the best of a few, against noise
+                store, g = constant_spine(n)
+                # what the suite left alive is no part of synthesis; its
+                # collections would tax the larger run only
+                gc.collect()
+                gc.freeze()
+                try:
+                    start = time.process_time()
+                    synthesize_and_check(store, g, HARD)
+                    best.append(time.process_time() - start)
+                finally:
+                    gc.unfreeze()
+            times.append(min(best))
+        assert times[1] / times[0] <= 15
 
 
 class TestResynthesis:

@@ -93,34 +93,50 @@ def test_no_import_is_unused():
 
 
 _DICT_MUTATORS = {"update", "pop", "setdefault", "clear", "popitem"}
+# a context's maps, and the shared dict behind every version of a PMap
+_MAP_ATTRS = {"env", "lets", "_data"}
 
 
 def test_no_module_writes_into_a_context_map():
-    """Typing contexts share their `env` map until `bind` copies it, so no
-    module may assign into or `del` from a subscript of an `.env`
-    attribute (or of a name bound to one), or call a mutating dict method
-    on it: the write would show in every context sharing the map.
-    `TypingContext.bind` writes into its fresh copy, which is no alias."""
-    def is_env(node, aliases):
-        return ((isinstance(node, ast.Attribute) and node.attr == "env")
+    """Typing contexts are persistent: every version of a context's `env`
+    and `lets` maps shares one dict, which only `PMap` may change. So no
+    code outside the `PMap` class may assign into or `del` from a
+    subscript of an `env`, `lets` or `_data` attribute, of a `_root()`
+    call, or of a name bound to one of these, or call a mutating dict
+    method on it: the write would show in every version sharing the
+    dict."""
+    def is_map(node, aliases):
+        return ((isinstance(node, ast.Attribute) and node.attr in _MAP_ATTRS)
+                or (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_root")
                 or (isinstance(node, ast.Name) and node.id in aliases))
+
+    def outside_pmap(tree):
+        todo = [tree]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, ast.ClassDef) and node.name == "PMap":
+                continue
+            yield node
+            todo.extend(ast.iter_child_nodes(node))
 
     found = []
     for path in sorted((SRC / "girkit").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        aliases = {t.id for node in ast.walk(tree)
+        nodes = list(outside_pmap(ast.parse(path.read_text())))
+        aliases = {t.id for node in nodes
                    if isinstance(node, ast.Assign)
-                   and is_env(node.value, set())
+                   and is_map(node.value, set())
                    for t in node.targets if isinstance(t, ast.Name)}
         found += [f"{path.name}:{node.lineno}"
-                  for node in ast.walk(tree)
+                  for node in nodes
                   if (isinstance(node, ast.Subscript)
                       and isinstance(node.ctx, (ast.Store, ast.Del))
-                      and is_env(node.value, aliases))
+                      and is_map(node.value, aliases))
                   or (isinstance(node, ast.Call)
                       and isinstance(node.func, ast.Attribute)
                       and node.func.attr in _DICT_MUTATORS
-                      and is_env(node.func.value, aliases))]
+                      and is_map(node.func.value, aliases))]
     assert found == []
 
 
