@@ -20,7 +20,7 @@ from .core import (
     NCst, NLam, NODE_OPERATOR, Nm, OMEGA, OPERATORS, ParseError, Qualifier,
     QualifiedType, RefNew, RefTy, RuntimeConfig, RW, RwEffect, Span, Store,
     TY_ALLOC, TY_BOOL, TY_INT, TY_UNIT, Term, UNIT_V, VAR, effect_to_text,
-    graph_to_text, initial_store, qt_to_text,
+    graph_to_text, initial_store, qt_to_text, spine,
 )
 from .typecheck import infer_direct
 from .mnf import to_mnf
@@ -381,7 +381,8 @@ def export_dot(g, dep: Optional[DepMap] = None) -> str:
         return f'"{n.pretty()}"'
 
     def walk(g):
-        while isinstance(g, GLet):
+        lets, tail = spine(g)
+        for g in lets:
             b = g.binding
             lines.append(f"  {node_id(g.var)} "
                          f"[label=\"{g.var.pretty()} := {_node_label(b)}\"];")
@@ -402,9 +403,8 @@ def export_dot(g, dep: Optional[DepMap] = None) -> str:
                 walk(b.body)
             elif isinstance(b, GLet):
                 walk(b)
-            g = g.body
-        if isinstance(g, GName):
-            lines.append(f"  {node_id(g.name)} [peripheries=2];")
+        if isinstance(tail, GName):
+            lines.append(f"  {node_id(tail.name)} [peripheries=2];")
 
     walk(g)
     if dep is not None:
@@ -523,11 +523,11 @@ def _dep_json(d: Optional[DepMap]):
 def _dep_of(v) -> Optional[DepMap]:
     if v is None:
         return None
-    if not isinstance(v, dict) or set(v) != {"hard", "soft"}:
-        raise JsonSchemaError(f"dep map must have hard/soft, got {v!r}")
+    if (not isinstance(v, dict) or set(v) != {"hard", "soft"}
+            or not all(isinstance(m, dict) for m in v.values())):
+        raise JsonSchemaError(f"dep map must have hard/soft maps, got {v!r}")
     hard = {_name_of(k): _name_of(t) for k, t in v["hard"].items()}
-    soft = {_name_of(k): frozenset(_name_of(t) for t in ts)
-            for k, ts in v["soft"].items()}
+    soft = {_name_of(k): _qual_of(ts) for k, ts in v["soft"].items()}
     return DepMap.make(hard, soft)
 
 
@@ -614,16 +614,14 @@ def _exp_of(v):
 
 
 def _graph_json(g) -> dict:
-    lets = []
-    while isinstance(g, GLet):
-        entry = {"id": _name_str(g.var), **_exp_json(g.binding)}
-        if g.dep is not None:
-            entry["dep"] = _dep_json(g.dep)
-        lets.append(entry)
-        g = g.body
+    nodes, g = spine(g)
+    for i, u in enumerate(nodes):  # each let becomes its JSON entry
+        nodes[i] = {"id": _name_str(u.var), **_exp_json(u.binding)}
+        if u.dep is not None:
+            nodes[i]["dep"] = _dep_json(u.dep)
     if not isinstance(g, GName):
         raise JsonSchemaError(f"graph tail must be a name, got {g!r}")
-    return {"nodes": lets, "result": _name_str(g.name)}
+    return {"nodes": nodes, "result": _name_str(g.name)}
 
 
 def _graph_of(v):
@@ -674,16 +672,22 @@ def import_json(text: str):
 # ---------------------------------------------------------------------------
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as f:
-        return f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except OSError as e:
+        raise GirError(f"cannot read {path}: {e.strerror}") from None
 
 
 def _write_out(text: str, path: Optional[str]):
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise GirError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _regime(args) -> str:

@@ -511,6 +511,8 @@ class Observation(AbstractSet):
 
     def __iter__(self):
         yield from self.base
+        if self._len == len(self.base):  # nothing bound after the base
+            return
         mark, base = self.mark, self.base
         for n, pos in self.lets.items():
             if pos >= mark and n not in base:
@@ -1153,24 +1155,36 @@ def term_operands(t) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Free names, renaming and substitution
+# Let spines, free names, renaming and substitution
 # ---------------------------------------------------------------------------
+
+def spine(t) -> tuple[list, object]:
+    """The let spine of a term or graph term: its `Let` or `GLet` nodes,
+    outermost first, and the tail that ends it. Walkers loop over it, so
+    that only lambda bodies, operands and nested blocks recurse."""
+    lets = []
+    while isinstance(t, (Let, GLet)):
+        lets.append(t)
+        t = t.body
+    return lets, t
+
 
 def term_free_names(t: Term) -> frozenset:
     """Free names of a term, including names mentioned inside type
     annotations (qualifiers on lambda parameters and latent effects)."""
+    lets, t = spine(t)
     if isinstance(t, Cst):
-        return frozenset()
-    if isinstance(t, Nm):
-        return frozenset((t.name,))
-    if isinstance(t, Lam):
-        inner = (term_free_names(t.body) | qt_free_names(t.param_qt)
-                 | t.latent.flat)
-        return inner - {t.param}
-    if isinstance(t, Let):
-        return (term_free_names(t.bound)
-                | frozenset(term_free_names(t.body) - {t.var}))
-    return frozenset().union(*map(term_free_names, term_operands(t)))
+        free = frozenset()
+    elif isinstance(t, Nm):
+        free = frozenset((t.name,))
+    elif isinstance(t, Lam):
+        free = (term_free_names(t.body) | qt_free_names(t.param_qt)
+                | t.latent.flat) - {t.param}
+    else:
+        free = frozenset().union(*map(term_free_names, term_operands(t)))
+    for u in reversed(lets):
+        free = term_free_names(u.bound) | frozenset(free - {u.var})
+    return free
 
 
 def _rename_qual(q: Qualifier, mapping: dict) -> Qualifier:
@@ -1204,22 +1218,25 @@ def rename_term(t: Term, mapping: dict) -> Term:
     shadowing guard a formality)."""
     if not mapping:
         return t
-    if isinstance(t, Cst):
-        return t
+    lets, t = spine(t)
+    bounds = []
+    for u in lets:
+        bounds.append(rename_term(u.bound, mapping))
+        mapping = {k: v for k, v in mapping.items() if k != u.var}
     if isinstance(t, Nm):
         n = mapping.get(t.name)
-        return Nm(n, t.span) if n is not None else t
-    if isinstance(t, Lam):
+        t = Nm(n, t.span) if n is not None else t
+    elif isinstance(t, Lam):
         inner = {k: v for k, v in mapping.items() if k != t.param}
-        return Lam(t.param, rename_qt(t.param_qt, inner),
-                   rename_effect(t.latent, inner),
-                   rename_term(t.body, inner), t.span)
-    if isinstance(t, Let):
-        inner = {k: v for k, v in mapping.items() if k != t.var}
-        return Let(t.var, rename_term(t.bound, mapping),
-                   rename_term(t.body, inner), t.span)
-    return type(t)(*[rename_term(u, mapping) for u in term_operands(t)],
-                   t.span)
+        t = Lam(t.param, rename_qt(t.param_qt, inner),
+                rename_effect(t.latent, inner),
+                rename_term(t.body, inner), t.span)
+    elif not isinstance(t, Cst):
+        t = type(t)(*[rename_term(u, mapping) for u in term_operands(t)],
+                    t.span)
+    for u, bound in zip(reversed(lets), reversed(bounds)):
+        t = Let(u.var, bound, t, u.span)
+    return t
 
 
 def subst_term(t: Term, x: Name, v: Term) -> Term:
@@ -1227,30 +1244,37 @@ def subst_term(t: Term, x: Name, v: Term) -> Term:
     so v is never captured). A lambda's annotations take q[p/x], p being
     v's free names: {l} for a location, a closure's captures, and the
     empty set for a constant."""
-    if isinstance(t, Nm):
-        return v if t.name == x else t
-    if isinstance(t, Cst):
-        return t
-    if isinstance(t, Lam):
-        if t.param == x:
-            return t
+    lets, t = spine(t)
+    cut = next((i for i, u in enumerate(lets) if u.var == x), None)
+    if cut is not None:  # a let rebinds x: its body is out of scope
+        lets, t = lets[:cut + 1], lets[cut].body
+    elif isinstance(t, Nm):
+        t = v if t.name == x else t
+    elif isinstance(t, Lam) and t.param != x:
         qt, latent = t.param_qt, t.latent
         if x in latent.reads or x in latent.writes or x in qt_free_names(qt):
             p = term_free_names(v)
             qt, latent = subst_qual_qt(qt, x, p), latent.subst(x, p)
-        return Lam(t.param, qt, latent, subst_term(t.body, x, v))
-    if isinstance(t, Let):
-        bound = subst_term(t.bound, x, v)
-        body = t.body if t.var == x else subst_term(t.body, x, v)
-        return Let(t.var, bound, body)
-    return type(t)(*[subst_term(u, x, v) for u in term_operands(t)])
+        t = Lam(t.param, qt, latent, subst_term(t.body, x, v))
+    elif not isinstance(t, (Cst, Lam)):
+        t = type(t)(*[subst_term(u, x, v) for u in term_operands(t)])
+    for u in reversed(lets):
+        t = Let(u.var, subst_term(u.bound, x, v), t)
+    return t
 
 
 def alpha_equal_terms(t1: Term, t2: Term) -> bool:
     """Structural equality up to consistent renaming of bound names."""
     def go(a, b, env):
-        if type(a) is not type(b):
+        (lets_a, a), (lets_b, b) = spine(a), spine(b)
+        if len(lets_a) != len(lets_b) or type(a) is not type(b):
             return False
+        if lets_a:
+            env = dict(env)
+            for u, w in zip(lets_a, lets_b):
+                if not go(u.bound, w.bound, env):
+                    return False
+                env[u.var] = w.var
         if isinstance(a, Cst):
             return a.value == b.value and type(a.value) is type(b.value)
         if isinstance(a, Nm):
@@ -1261,30 +1285,25 @@ def alpha_equal_terms(t1: Term, t2: Term) -> bool:
             return (rename_qt(a.param_qt, env) == rename_qt(b.param_qt, {})
                     and rename_effect(a.latent, env) == b.latent
                     and go(a.body, b.body, env2))
-        if isinstance(a, Let):
-            if not go(a.bound, b.bound, env):
-                return False
-            env2 = dict(env)
-            env2[a.var] = b.var
-            return go(a.body, b.body, env2)
         return all(go(u, w, env)
                    for u, w in zip(term_operands(a), term_operands(b)))
     return go(t1, t2, {})
 
 
 def graph_free_names(g: Union[GraphTerm, GraphNode]) -> frozenset:
+    lets, g = spine(g)
     if isinstance(g, GName):
-        return frozenset((g.name,))
-    if isinstance(g, GLet):
-        return (graph_free_names(g.binding)
-                | frozenset(graph_free_names(g.body) - {g.var}))
-    if isinstance(g, NCst):
-        return frozenset()
-    if isinstance(g, NLam):
-        inner = (graph_free_names(g.body) | qt_free_names(g.param_qt)
-                 | g.latent.flat)
-        return inner - {g.param}
-    return frozenset(node_operands(g))
+        free = frozenset((g.name,))
+    elif isinstance(g, NCst):
+        free = frozenset()
+    elif isinstance(g, NLam):
+        free = (graph_free_names(g.body) | qt_free_names(g.param_qt)
+                | g.latent.flat) - {g.param}
+    else:
+        free = frozenset(node_operands(g))
+    for u in reversed(lets):
+        free = graph_free_names(u.binding) | frozenset(free - {u.var})
+    return free
 
 
 def rename_graph(g, mapping: dict, *, fresh: Optional[NameSupply] = None,
@@ -1308,21 +1327,26 @@ def rename_graph(g, mapping: dict, *, fresh: Optional[NameSupply] = None,
         return d if dep is None or d is None else dep(d)
 
     def go(g, m):
+        lets, g = spine(g)
+        bound = []
+        for u in lets:
+            v, inner = bind(u.var, m)
+            bound.append((v, go(u.binding, m)))
+            m = inner
         if isinstance(g, GName):
             n = m.get(g.name)
-            return g if n is None else GName(n)
-        if isinstance(g, GLet):
-            v, inner = bind(g.var, m)
-            return GLet(v, go(g.binding, m), go(g.body, inner), ann(g.dep))
-        if isinstance(g, NLam):
+            g = g if n is None else GName(n)
+        elif isinstance(g, NLam):
             p, inner = bind(g.param, m)
-            return NLam(p, rename_qt(g.param_qt, inner),
-                        rename_effect(g.latent, inner), go(g.body, inner),
-                        ann(g.body_dep))
-        if isinstance(g, NCst):
-            return g
-        args = node_operands(g)
-        return type(g)(*[m.get(n, n) for n in args]) if m else g
+            g = NLam(p, rename_qt(g.param_qt, inner),
+                     rename_effect(g.latent, inner), go(g.body, inner),
+                     ann(g.body_dep))
+        elif not isinstance(g, NCst):
+            args = node_operands(g)
+            g = type(g)(*[m.get(n, n) for n in args]) if m else g
+        for u, (v, b) in zip(reversed(lets), reversed(bound)):
+            g = GLet(v, b, g, ann(u.dep))
+        return g
 
     if not mapping and fresh is None and dep is None:
         return g
@@ -1500,8 +1524,9 @@ def term_to_text(t: Term) -> str:
             rhs = f"({rhs})"
         return f"{lhs} := {rhs}"
     if isinstance(t, Let):
-        return (f"let {t.var.pretty()} = {term_to_text(t.bound)} in "
-                f"{term_to_text(t.body)}")
+        lets, t = spine(t)
+        return "".join([f"let {u.var.pretty()} = {term_to_text(u.bound)} in "
+                        for u in lets]) + term_to_text(t)
     raise TypeError(t)
 
 
@@ -1510,10 +1535,14 @@ def graph_to_text(g: Union[GraphTerm, GraphNode]) -> str:
     if isinstance(g, GName):
         return g.name.pretty()
     if isinstance(g, GLet):
-        binding = graph_to_text(g.binding)
-        if isinstance(g.binding, (GLet,)):
-            binding = f"({binding})"
-        return f"let {g.var.pretty()} = {binding} in {graph_to_text(g.body)}"
+        lets, g = spine(g)
+        out = []
+        for u in lets:
+            binding = graph_to_text(u.binding)
+            if isinstance(u.binding, (GLet,)):
+                binding = f"({binding})"
+            out.append(f"let {u.var.pretty()} = {binding} in ")
+        return "".join(out) + graph_to_text(g)
     if isinstance(g, NCst):
         return const_text(g.value)
     if isinstance(g, NLam):

@@ -18,7 +18,7 @@ from .core import (
     DepMap, DepMismatch, EMPTY_DEP, GLet, GName, GraphTerm, HARD, Name,
     NLam, Nm, RuntimeConfig, Store, TypingContext, dep_last_use,
     dep_restrict, dep_restrict_names, dep_rewire, dep_submap, dep_update,
-    graph_free_names, points_to, saturate,
+    graph_free_names, points_to, saturate, spine,
 )
 from .mnf import check_binding
 from .typecheck import Typing, bind_let, check_lam, infer_direct, let_typing
@@ -119,7 +119,8 @@ def _synth(ctx, delta, g, regime, record, prefix=()):
     one, the input is a rewritten graph whose annotations are stale, and
     they are ignored."""
     frames = list(prefix)
-    while isinstance(g, GLet):
+    lets, tail = spine(g)
+    for g in lets:
         f = record.get(g.var) if record is not None else None
         # Δ first: most unequal states differ in its size, seen in O(1)
         if (f is not None and f.result[0] is g
@@ -137,11 +138,11 @@ def _synth(ctx, delta, g, regime, record, prefix=()):
         frames.append((g.var, ctx, delta, b2, d1, tb))
         delta = dep_last_use(delta, g.var, tb.eff, ctx, regime)
         ctx = bind_let(ctx, g.var, tb)
-        g = g.body
     else:
-        if not isinstance(g, GName):
-            raise TypeError(g)
-        result = (g, EMPTY_DEP, EMPTY_DEP, infer_direct(ctx, Nm(g.name)))
+        if not isinstance(tail, GName):
+            raise TypeError(tail)
+        result = (tail, EMPTY_DEP, EMPTY_DEP,
+                  infer_direct(ctx, Nm(tail.name)))
     while frames:  # popped, so that each frame's state dies after use
         var, ctx, delta, b2, d1, tb = frames.pop()
         body2, d2, _slice2, t2 = result
@@ -202,12 +203,11 @@ def check_deps(st: SynthState, g: GraphTerm) -> Typing:
 
 def erase(g):
     """Drop every dependency annotation, preserving structure."""
-    if isinstance(g, GName):
-        return g
-    if isinstance(g, GLet):
-        return GLet(g.var, erase(g.binding), erase(g.body), None)
+    lets, g = spine(g)
     if isinstance(g, NLam):
-        return NLam(g.param, g.param_qt, g.latent, erase(g.body), None)
+        g = NLam(g.param, g.param_qt, g.latent, erase(g.body), None)
+    for u in reversed(lets):
+        g = GLet(u.var, erase(u.binding), g, None)
     return g
 
 

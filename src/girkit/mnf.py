@@ -10,7 +10,7 @@ from __future__ import annotations
 from .core import (
     App, Assign, Cst, Deref, GLet, GName, GraphTerm, Lam, Let, NameSupply,
     NApp, NAssign, NCst, NDeref, NLam, NRef, Nm, RefNew, TERM_OPERATOR,
-    Term, TypingContext, graph_free_names, node_operator, subst_term,
+    Term, TypingContext, graph_free_names, node_operator, spine, subst_term,
 )
 from .typecheck import Typing, bind_let, check_lam, infer_direct, let_typing
 
@@ -54,33 +54,38 @@ def to_mnf(t: Term, supply: NameSupply) -> GraphTerm:
                     GLet(x2, to_mnf(t.value, supply),
                          GLet(x3, NAssign(x1, x2), GName(x3))))
     if isinstance(t, Let):
-        return GLet(t.var, to_mnf(t.bound, supply), to_mnf(t.body, supply))
+        lets, t = spine(t)
+        bounds = [to_mnf(u.bound, supply) for u in lets]
+        g = to_mnf(t, supply)
+        for u, bound in zip(reversed(lets), reversed(bounds)):
+            g = GLet(u.var, bound, g)
+        return g
     raise TypeError(t)
 
 
 def embed(g) -> Term:
     """Read a graph term back as a direct-style term (annotations dropped)."""
+    lets, g = spine(g)
     if isinstance(g, GName):
-        return Nm(g.name)
-    if isinstance(g, GLet):
-        return Let(g.var, embed(g.binding), embed(g.body))
-    if isinstance(g, NCst):
-        return Cst(g.value)
-    if isinstance(g, NLam):
-        return Lam(g.param, g.param_qt, g.latent, embed(g.body))
-    o = node_operator(g)
-    return o.term(*map(Nm, o.operands(g)))
+        t = Nm(g.name)
+    elif isinstance(g, NCst):
+        t = Cst(g.value)
+    elif isinstance(g, NLam):
+        t = Lam(g.param, g.param_qt, g.latent, embed(g.body))
+    else:
+        o = node_operator(g)
+        t = o.term(*map(Nm, o.operands(g)))
+    for u in reversed(lets):
+        t = Let(u.var, embed(u.binding), t)
+    return t
 
 
 def is_mnf(t: Term) -> bool:
     """True iff the term fits the MNF grammar (node operands are names,
     let chains end in a name)."""
     def graph_like(t: Term) -> bool:
-        if isinstance(t, Nm):
-            return True
-        if isinstance(t, Let):
-            return binding_like(t.bound) and graph_like(t.body)
-        return False
+        lets, t = spine(t)
+        return isinstance(t, Nm) and all(binding_like(u.bound) for u in lets)
 
     def binding_like(t: Term) -> bool:
         return node_like(t) or graph_like(t)
@@ -102,13 +107,17 @@ def check_mnf(ctx: TypingContext, g) -> Typing:
     rules with name operands, so node cases delegate to the direct checker
     on the embedded one-node term; lets and lambdas recurse structurally
     through the binder rules the direct checker uses."""
-    if isinstance(g, GName):
-        return infer_direct(ctx, Nm(g.name))
-    if isinstance(g, GLet):
-        bound = check_binding(ctx, g.binding)
-        body = check_mnf(bind_let(ctx, g.var, bound), g.body)
-        return let_typing(g.var, bound, body)
-    raise TypeError(g)
+    lets, g = spine(g)
+    bounds = []
+    for u in lets:
+        bounds.append(check_binding(ctx, u.binding))
+        ctx = bind_let(ctx, u.var, bounds[-1])
+    if not isinstance(g, GName):
+        raise TypeError(g)
+    typing = infer_direct(ctx, Nm(g.name))
+    for u, bound in zip(reversed(lets), reversed(bounds)):
+        typing = let_typing(u.var, bound, typing)
+    return typing
 
 
 def check_binding(ctx: TypingContext, b) -> Typing:
@@ -124,21 +133,13 @@ def collapse_administrative(g, watermark: int) -> Term:
     introduced (those whose variable id is >= the supply watermark taken
     before translating), reconstructing a term α-equivalent to the source."""
     def go(g) -> Term:
-        if isinstance(g, GName):
-            return Nm(g.name)
-        if isinstance(g, GLet):
-            bound = go_binding(g.binding)
-            body = go(g.body)
-            if g.var.id >= watermark:
-                return subst_term(body, g.var, bound)
-            return Let(g.var, bound, body)
-        return go_binding(g)
-
-    def go_binding(b) -> Term:
-        if isinstance(b, (GName, GLet)):
-            return go(b)
-        if isinstance(b, NLam):
-            return Lam(b.param, b.param_qt, b.latent, go(b.body))
-        return embed(b)
+        lets, g = spine(g)
+        t = (Lam(g.param, g.param_qt, g.latent, go(g.body))
+             if isinstance(g, NLam) else embed(g))
+        for u in reversed(lets):
+            bound = go(u.binding)
+            t = (subst_term(t, u.var, bound) if u.var.id >= watermark
+                 else Let(u.var, bound, t))
+        return t
 
     return go(g)

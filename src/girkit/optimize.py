@@ -17,7 +17,7 @@ from .core import (
     EMPTY_QUAL, GLet, GName, GraphTerm, Name, NameSupply, NApp, NCst,
     NLam, Qualifier, RwEffect, SideConditionFailed, TY_ALLOC,
     TypingContext, graph_free_names, node_operands, qt_free_names,
-    qual_repr, rename_graph, saturate,
+    qual_repr, rename_graph, saturate, spine,
 )
 from .graphir import SynthState, erase, resynthesize
 from .typecheck import Typing
@@ -97,7 +97,7 @@ def walk(g: GraphTerm, record: dict) -> Iterator[Site]:
 def _scope(g, path, rebuild, defs, record, uses):
     # a module-level generator, so that no closure cell keeps `record` in
     # a reference cycle
-    while isinstance(g, GLet):
+    for g in spine(g)[0]:
         f = record[g.var]
         yield Site(path, f.ctx, defs, g, rebuild, f.typing, record, uses)
         b = g.binding
@@ -117,7 +117,6 @@ def _scope(g, path, rebuild, defs, record, uses):
         rebuild = (lambda frag, g=g, rb=rebuild:
                    rb(GLet(g.var, g.binding, frag, None)))
         path = path + (1,)
-        g = g.body
 
 
 def _synthesized(st: SynthState, g: GraphTerm) -> tuple[GraphTerm, dict]:
@@ -167,9 +166,8 @@ def _resolve_lam(defs: dict, name: Name):
     local: dict = {}
     b = GName(name)
     while True:
-        while isinstance(b, GLet):  # a nested block: go to its tail
-            local[b.var] = b.binding
-            b = b.body
+        lets, b = spine(b)  # a nested block: go to its tail
+        local.update((u.var, u.binding) for u in lets)
         if not isinstance(b, GName):
             return b if isinstance(b, NLam) else None
         if b.name in local:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .core import (
     CyclicDependency, GLet, GName, Name, NameSupply, NCst, NLam,
     RuntimeConfig, const_text, effect_to_text, node_operator, qt_free_names,
-    qt_to_text, rename_effect, rename_qt,
+    qt_to_text, rename_effect, rename_qt, spine,
 )
 
 HOT = 100.0
@@ -106,8 +106,9 @@ def flatten(g) -> SGraph:
 
     def go(g) -> Name:
         """Flatten a block, returning its (resolved) result symbol."""
-        while isinstance(g, GLet):
-            var, b, d = g.var, g.binding, g.dep
+        lets, g = spine(g)
+        for u in lets:
+            var, b, d = u.var, u.binding, u.dep
             if isinstance(b, GName):
                 env[var] = resolve(b.name)
             elif isinstance(b, GLet):
@@ -135,7 +136,6 @@ def flatten(g) -> SGraph:
                     nodes[var] = SNode(var, o.op,
                                        tuple(map(resolve, o.operands(b))),
                                        hard, soft)
-            g = g.body
         if not isinstance(g, GName):
             raise TypeError(g)
         return resolve(g.name)

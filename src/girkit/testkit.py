@@ -20,7 +20,7 @@ from .core import (
     NAssign, NCst, NLam, NRef, Nm, PURE,
     QualifiedType, RefNew, RefTy, RW, Store, Term, TY_BOOL,
     TY_INT, TY_UNIT, UNIT_V, dep_add_hard, dep_restrict, initial_store,
-    saturate, term_free_names, term_operands, term_to_text,
+    saturate, spine, term_free_names, term_operands, term_to_text,
 )
 from .graphir import SynthState, initial_state, synthesize, synthesize_config
 from .interp import canonical_value, eval_direct, eval_graph, eval_store
@@ -271,14 +271,12 @@ def gen_well_typed(cfg: GenConfig, store: Optional[Store] = None) -> Term:
 
 def _max_name_id(t: Term) -> int:
     ids = [n.id for n in term_free_names(t)]
-
-    def walk(u):
+    todo = [t]
+    while todo:
+        u = todo.pop()
         if isinstance(u, (Lam, Let)):
             ids.append(u.param.id if isinstance(u, Lam) else u.var.id)
-        for v in _subterms(u):
-            walk(v)
-
-    walk(t)
+        todo += _subterms(u)
     return max(ids, default=0)
 
 
@@ -392,26 +390,18 @@ def make_corrupted(t: Term, regime: str = HARD,
     g = to_mnf(t, store.supply)
     cfg = synthesize_config(store, g, regime=regime)
 
-    spine = []
-    u = cfg.graph
-    while isinstance(u, GLet):
-        spine.append(u)
-        u = u.body
-    if not spine:
+    lets, g = spine(cfg.graph)
+    if not lets:
         raise ValueError("graph has no bindings to corrupt")
-    node = spine[pick % len(spine)].var
+    node = lets[pick % len(lets)].var
     ghost = store.supply.var("ghost")
-
-    def rewrite(u):
-        if isinstance(u, GLet):
-            dep = u.dep
-            if u.var == node:
-                dep = dep_add_hard(dep if dep is not None else EMPTY_DEP,
-                                   ghost, cfg.z)
-            return GLet(u.var, u.binding, rewrite(u.body), dep)
-        return u
-
-    return (type(cfg)(cfg.store, cfg.z, rewrite(cfg.graph), cfg.dep), node)
+    for u in reversed(lets):
+        dep = u.dep
+        if u.var == node:
+            dep = dep_add_hard(dep if dep is not None else EMPTY_DEP,
+                               ghost, cfg.z)
+        g = GLet(u.var, u.binding, g, dep)
+    return (type(cfg)(cfg.store, cfg.z, g, cfg.dep), node)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from .core import (
     OverlapViolation, PURE, Qualifier, QualifiedType, QualifierEscape,
     RefNew, RefTy, RwEffect, Span, Term, Ty, TypeMismatch, TypingContext,
     TY_ALLOC, TY_UNIT, UnboundName, const_base, overlap, qual_repr,
-    rename_effect, rename_qt, saturate, subst_qual, term_free_names,
+    rename_effect, rename_qt, saturate, spine, subst_qual, term_free_names,
     ty_free_names, EMPTY_QUAL,
 )
 
@@ -192,9 +192,17 @@ def infer_direct(ctx: TypingContext, t: Term) -> Typing:
         return _observable(ctx, t, Typing(QualifiedType(TY_UNIT), eff))
 
     if isinstance(t, Let):
-        bound = infer_direct(ctx, t.bound)
-        body = infer_direct(bind_let(ctx, t.var, bound), t.body)
-        return _observable(ctx, t, let_typing(t.var, bound, body, span))
+        lets, t = spine(t)
+        frames = []
+        for u in lets:
+            bound = infer_direct(ctx, u.bound)
+            frames.append((ctx, u, bound))
+            ctx = bind_let(ctx, u.var, bound)
+        typing = infer_direct(ctx, t)
+        for ctx, u, bound in reversed(frames):
+            typing = _observable(ctx, u, let_typing(u.var, bound, typing,
+                                                    u.span))
+        return typing
 
     raise TypeError(t)
 

@@ -143,6 +143,23 @@ class TestJsonRoundtrip:
         with pytest.raises(JsonSchemaError, match="invalid JSON"):
             import_json("{")
 
+    @pytest.mark.parametrize("field, dep", [
+        ("dep", {"hard": [], "soft": {}}),
+        ("dep", {"hard": {}, "soft": {"v1:x": 3}}),
+        ("bodyDep", {"hard": 1, "soft": {}}),
+    ], ids=["hard-list", "soft-int", "body-hard-int"])
+    def test_malformed_dep_map_is_a_schema_error(self, field, dep):
+        cfg = self._cfg()
+        doc = json.loads(export_json(cfg.graph, cfg.dep, cfg.store.w))
+        todo = [doc]
+        while field not in todo[-1]:  # the first node that has `field`
+            u = todo.pop()
+            todo += [v for v in u.values() if isinstance(v, dict)]
+            todo += [v for v in u.get("nodes", ()) if isinstance(v, dict)]
+        todo[-1][field] = dep
+        with pytest.raises(JsonSchemaError, match="dep map|qualifier"):
+            import_json(json.dumps(doc))
+
 
 def graph_names(g):
     """Every name a graph term binds or mentions."""
@@ -202,9 +219,16 @@ class TestMain:
         monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
         assert main(["check", src_file("1")]) == 7
 
-    def test_missing_file_is_an_internal_error(self, capsys):
-        assert main(["check", "/nonexistent/input.gir"]) == 2
-        assert "internal error" in capsys.readouterr().err
+    def test_missing_file_is_a_diagnostic(self, capsys):
+        assert main(["check", "/nonexistent/input.gir"]) == 1
+        err = capsys.readouterr().err
+        assert "[E000]" in err and "/nonexistent/input.gir" in err
+
+    def test_unwritable_output_is_a_diagnostic(self, src_file, capsys):
+        path = src_file("let x = ref(w, 0) in !x")
+        assert main(["graph", path, "--dot", "/nonexistent/x.dot"]) == 1
+        err = capsys.readouterr().err
+        assert "[E000]" in err and "/nonexistent/x.dot" in err
 
     def test_mnf_prints_a_graph_term(self, src_file, capsys):
         path = src_file("!ref(w, 1)")

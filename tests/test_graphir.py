@@ -362,6 +362,23 @@ def constant_spine(lets):
     return store, g
 
 
+def lambda_spine(lets):
+    """`constant_spine`, but every fourth let binds
+    `fun (p: Int^{}) => let y = p in y` instead of a constant."""
+    store = initial_store()
+    names = [store.supply.var("x") for _ in range(lets)]
+    g = GName(names[-1])
+    for i, x in reversed(list(enumerate(names))):
+        if i % 4:
+            g = GLet(x, NCst(i), g)
+        else:
+            p, y = store.supply.var("p"), store.supply.var("y")
+            lam = NLam(p, QualifiedType(TY_INT), PURE,
+                       GLet(y, GName(p), GName(y)), None)
+            g = GLet(x, lam, g)
+    return store, g
+
+
 def synthesize_and_check(store, g, regime):
     st_, _ = initial_state(store, regime=regime)
     g2, slice_ = synthesize(st_, g)
@@ -416,9 +433,8 @@ class TestLinearMemory:
         assert peaks[1] / peaks[0] <= 15
 
     def test_inference_peak_grows_linearly(self):
-        # 900 lets stay under the default recursion limit
         peaks = []
-        for n in (90, 900):
+        for n in (2000, 20000):
             store, t = let_chain(n)
             peaks.append(traced_peak(
                 lambda: infer_direct(store.typing(), t)))
@@ -442,6 +458,26 @@ class TestLinearMemory:
                     gc.unfreeze()
             times.append(min(best))
         assert times[1] / times[0] <= 15
+
+    def test_synthesis_time_grows_linearly_with_lambdas(self):
+        """A lambda body's φ* is saturated from the closure's qualifier;
+        listing every let binder of the spine there made 20,000 lets
+        take ×733 the time of 2,000."""
+        times = {2000: [], 20000: []}
+        for _ in range(5):  # the best of five, the sizes alternating
+            for n, best in times.items():
+                store, g = lambda_spine(n)
+                # collections, of what the suite left alive and of what
+                # the run's own growth makes, would tax the larger run
+                gc.collect()
+                gc.disable()
+                try:
+                    start = time.process_time()
+                    synthesize_and_check(store, g, HARD)
+                    best.append(time.process_time() - start)
+                finally:
+                    gc.enable()
+        assert min(times[20000]) / min(times[2000]) <= 15
 
 
 class TestResynthesis:
