@@ -677,6 +677,9 @@ def _read(path: str) -> str:
             return f.read()
     except OSError as e:
         raise GirError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise GirError(f"cannot read {path}: not UTF-8 (byte {e.start})"
+                       ) from None
 
 
 def _write_out(text: str, path: Optional[str]):

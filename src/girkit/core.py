@@ -768,9 +768,18 @@ def dep_update(d1: DepMap, d2: DepMap) -> DepMap:
     return DepMap.make(hard, soft)
 
 
-def dep_restrict(d: DepMap, e: RwEffect, ctx: TypingContext,
-                 regime: str) -> DepMap:
-    """Restrict to an effect's saturated footprint.
+def footprint(e: RwEffect, ctx: TypingContext, regime: str):
+    """An effect's saturated footprint, as `regime` tells its names apart:
+    the flat footprint (HARD), or the pair (reads, writes) (RW). A
+    binding's footprint is saturated once and serves both its
+    annotation (`dep_restrict`) and its Δ update (`dep_last_use`)."""
+    if regime == HARD:
+        return saturate(e.flat, ctx)
+    return saturate(e.reads, ctx), saturate(e.writes, ctx)
+
+
+def dep_restrict(d: DepMap, foot, regime: str) -> DepMap:
+    """Restrict to an effect's saturated footprint (see `footprint`).
 
     RW: reads pull hard entries; writes route hard entries (as singleton
     soft sets) merged with soft entries. HARD: the flat footprint pulls
@@ -779,18 +788,19 @@ def dep_restrict(d: DepMap, e: RwEffect, ctx: TypingContext,
     get, default = _contents(d.hard).get, d.default
     if regime == HARD:
         hard = {}
-        for k in saturate(e.flat, ctx):
+        for k in foot:
             t = get(k, default)
             if t is not None:
                 hard[k] = t
         return DepMap(hard, {}) if hard else EMPTY_DEP
+    reads, writes = foot
     hard = {}
-    for k in saturate(e.reads, ctx):
+    for k in reads:
         t = get(k, default)
         if t is not None:
             hard[k] = t
     soft, soft_of = {}, _contents(d.soft).get
-    for k in saturate(e.writes, ctx):
+    for k in writes:
         t = soft_of(k, EMPTY_QUAL)
         h = get(k, default)
         if h is not None:
@@ -853,12 +863,12 @@ def _contents(m: Mapping) -> Mapping:
     return m._root() if shared is None else shared
 
 
-def dep_last_use(d: DepMap, x: Name, e: RwEffect, ctx: TypingContext,
-                 regime: str) -> DepMap:
-    """Record x as the latest node touching e's footprint (the Δ update a
-    let performs before checking its continuation). The result is a new
-    version of `d`'s persistent components that changes only the
-    footprint's entries and x's own.
+def dep_last_use(d: DepMap, x: Name, foot, regime: str) -> DepMap:
+    """Record x as the latest node touching an effect's saturated
+    footprint (see `footprint`): the Δ update a let performs before
+    checking its continuation. The result is a new version of `d`'s
+    persistent components that changes only the footprint's entries and
+    x's own.
 
     HARD: every used name's hard target becomes x. RW: written names point
     hard at x with soft reset; read names append x to their soft set.
@@ -867,13 +877,12 @@ def dep_last_use(d: DepMap, x: Name, e: RwEffect, ctx: TypingContext,
     if type(hard) is not PMap:  # an annotation: Δ starts from a copy
         hard, soft = PMap(hard), PMap(soft)
     if regime == HARD:
-        changes = [(k, x) for k in saturate(e.flat, ctx)]
+        changes = [(k, x) for k in foot]
         changes.append((x, x))
         return DepMap(hard.update(changes), soft, d.default)
-    writes = saturate(e.writes, ctx)
+    reads, writes = foot
     hard_changes = [(k, x) for k in writes]
     hard_changes.append((x, x))
-    reads = saturate(e.reads, ctx)
     old = _contents(soft)
     soft_changes = {k: _ABSENT for k in (*writes, x) if k in old}
     for k in reads:
@@ -1023,6 +1032,12 @@ class Let:
     body: "Term"
     span: Optional[Span] = field(default=None, compare=False)
 
+    def __eq__(self, other):
+        return _spine_eq(self, other, ("var", "bound"))
+
+    def __hash__(self):
+        return _spine_hash(self, ("var", "bound"))
+
 
 Term = Union[Cst, Nm, Lam, App, RefNew, Deref, Assign, Let]
 
@@ -1090,6 +1105,39 @@ class GLet:
     binding: "Binding"
     body: "GraphTerm"
     dep: Optional[DepMap] = None  # dependency annotation on the binding
+
+    def __eq__(self, other):
+        return _spine_eq(self, other, ("var", "binding", "dep"))
+
+    def __hash__(self):
+        return _spine_hash(self, ("var", "binding", "dep"))
+
+
+# Let and GLet compare and hash down their spine in a loop, so that a
+# spine of any length stays within the default recursion limit; only the
+# fields other than `body` recurse.
+
+def _spine_eq(a, b, fields: tuple) -> bool:
+    if type(b) is not type(a):
+        return NotImplemented
+    cls = type(a)
+    while type(a) is cls and type(b) is cls:
+        if a is b:
+            return True
+        for f in fields:
+            x, y = getattr(a, f), getattr(b, f)
+            if x is not y and x != y:
+                return False
+        a, b = a.body, b.body
+    return a == b
+
+
+def _spine_hash(t, fields: tuple) -> int:
+    lets, tail = spine(t)
+    h = hash(tail)
+    for u in reversed(lets):
+        h = hash((*(getattr(u, f) for f in fields), h))
+    return h
 
 
 GraphTerm = Union[GName, GLet]

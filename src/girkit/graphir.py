@@ -6,7 +6,11 @@ correct exactly when it is a sub-map of the slice synthesized at its
 position, and the one traversal compares them. For the same reason a
 let node entered in the same context and Δ as before synthesizes as
 before, so after a local rewrite synthesis resumes where the rewrite
-begins and stops where its state converges with the last synthesis.
+begins and stops where its state converges with the last synthesis; a
+let above that point whose body came out as before keeps its result;
+and after a deleted let whose binder occurs nowhere, every typing below
+stays as it was (strengthening), so the lets below only have their
+context and Δ re-threaded.
 """
 
 from __future__ import annotations
@@ -18,10 +22,12 @@ from .core import (
     DepMap, DepMismatch, EMPTY_DEP, GLet, GName, GraphTerm, HARD, Name,
     NLam, Nm, RuntimeConfig, Store, TypingContext, dep_last_use,
     dep_restrict, dep_restrict_names, dep_rewire, dep_submap, dep_update,
-    graph_free_names, points_to, saturate, spine,
+    footprint, graph_free_names, points_to, saturate, spine,
 )
 from .mnf import check_binding
-from .typecheck import Typing, bind_let, check_lam, infer_direct, let_typing
+from .typecheck import (
+    Typing, bind_let, check_lam, infer_direct, lam_body_ctx, let_typing,
+)
 
 
 @dataclass
@@ -36,11 +42,13 @@ class SynthState:
 class Frame(NamedTuple):
     """One let binder as synthesis met it: the context and last-use map Δ
     the let was entered in, its binding annotated, that binding's
-    dependency map and typing, and `result`, what synthesis made of the
-    whole let from there: (annotated let, composed output, slice,
-    typing). The descent keeps the fields before `result` as a plain
-    tuple. Contexts and Δ are persistent, so a frame holds O(1) of
-    them."""
+    dependency map and typing, the binding's effect footprint and
+    qualifier saturated in that context (`core.footprint`), `body`, the
+    (composed output, typing) of the let's body, and `result`, what
+    synthesis made of the whole let from there: (annotated let, composed
+    output, slice, typing). The descent keeps the fields before `body` as
+    a plain tuple. Contexts and Δ are persistent, so a frame holds O(1)
+    of them."""
 
     var: Name
     ctx: TypingContext
@@ -48,6 +56,9 @@ class Frame(NamedTuple):
     binding: object
     dep: DepMap
     typing: Typing
+    foot: object
+    qual: frozenset
+    body: tuple
     result: tuple
 
 
@@ -82,29 +93,50 @@ def resynthesize(st: SynthState, g: GraphTerm, record: dict,
     and record the `Frame` of each let binder in `record`, nested blocks
     and lambda bodies included (binders are unique). `record` is empty or
     holds what the last re-synthesis under `st` left. Given `old`, the
-    graph that re-synthesis annotated and `g` was rewritten from, only
-    what the rewrite changed is synthesized again, since synthesis is a
-    function of types and effects.
+    well-typed graph that re-synthesis annotated and `g` was rewritten
+    from, only what the rewrite changed is synthesized again, since
+    synthesis is a function of types and effects.
 
     The binders `g` shares with `old` from the top (the same binder bound
-    to the same binding object) keep their frames. The descent restarts
-    after them in the state the record holds, and it stops at the first
-    let node that synthesis of `old` produced, entered in the context and
-    Δ recorded for it, whose recorded result it takes. That comparison is
-    exact, by content: Δ first, then φ, then the context's map, each of
-    which tells versions of unequal size apart in O(1), as they are
-    after most rewrites that do not converge. Every let above that point
-    is composed and checked again. Frames of the binders a rewrite
-    removed stay in the record; no binder of `g` names them."""
+    to the same binding object) keep their frames. After them, one of two
+    things happens:
+
+    - `g` goes on with the very body of the let of `old` that comes next,
+      and that let's binding writes nothing: the rewrite deleted the let,
+      whose binder occurs nowhere. Deleting such a binder leaves every
+      other typing as it was (strengthening), so each let below keeps its
+      binding typing and only has its context and Δ re-threaded from the
+      deleted let's entry state, in lambda bodies and nested blocks too.
+      The new Δ differs from the recorded one only where the recorded one
+      names a deleted binder (the let's own or one inside its binding);
+      as the deleted binding writes nothing, a recorded annotation,
+      composed output or slice changes only if it names one, and is
+      computed again only then (`_rebase`).
+    - Otherwise the descent restarts in the state the record holds, and
+      it stops at the first let node that synthesis of `old` produced,
+      entered in the context and Δ recorded for it, whose recorded result
+      it takes. That comparison is exact, by content: Δ first, then φ,
+      then the context's map, each of which tells versions of unequal
+      size apart in O(1), as they are after most rewrites that do not
+      converge.
+
+    Every let above that point is composed again only if its body's
+    output or typing changed; one whose did not keeps its recorded
+    result. Frames of the binders a rewrite removed stay in the record; no
+    binder of `g` names them."""
     prefix, ctx, delta, u = [], st.ctx, st.last_use, g
     # a kept frame needs a next one in `old`, whose entry state it leaves
     while (isinstance(u, GLet) and isinstance(old, GLet)
            and isinstance(old.body, GLet)
            and u.var == old.var and u.binding is old.binding):
-        prefix.append(record[u.var][:-1])  # as the descent keeps it
+        prefix.append(record[u.var][:-2])  # as the descent keeps it
         u, old = u.body, old.body
     if prefix:
         ctx, delta = record[old.var].ctx, record[old.var].last_use
+    if (isinstance(old, GLet) and u is old.body
+            and not record[old.var].typing.eff.writes):
+        result = _rebase(ctx, delta, u, st.regime, record, _let_binders(old))
+        return _ascend(prefix, result, st.regime, record)[0]
     return _synth(ctx, delta, u, st.regime, record, prefix)[0]
 
 
@@ -113,11 +145,9 @@ def _synth(ctx, delta, g, regime, record, prefix=()):
     spine entered in (ctx, delta) after the let frames of `prefix`. The
     descent keeps one frame per binder; at a let node that `record` holds
     the result of for the same entry state it stops and takes that
-    result. The ascent composes each frame's let from its body's result
-    and checks the composition. Without a record, an annotation on the
-    input is checked against the slice synthesized at its position; with
-    one, the input is a rewritten graph whose annotations are stale, and
-    they are ignored."""
+    result. Without a record, an annotation on the input is checked
+    against the slice synthesized at its position; with one, the input is
+    a rewritten graph whose annotations are stale, and they are ignored."""
     frames = list(prefix)
     lets, tail = spine(g)
     for g in lets:
@@ -128,42 +158,124 @@ def _synth(ctx, delta, g, regime, record, prefix=()):
             result = f.result
             break
         b2, d1, tb = _synth_binding(ctx, delta, g.binding, regime, record)
+        foot = footprint(tb.eff, ctx, regime)
+        if d1 is None:  # a node: Δ restricted to its effect
+            d1 = dep_restrict(delta, foot, regime)
         if record is None and g.dep is not None:
-            required = dep_restrict(delta, tb.eff, ctx, regime)
+            required = dep_restrict(delta, foot, regime)
             if not dep_submap(g.dep, required):
                 raise DepMismatch(
                     f"annotation {g.dep!r} on {g.var!r} exceeds required "
                     f"slice {required!r}",
                     node=g.var, annotated=g.dep, required=required)
-        frames.append((g.var, ctx, delta, b2, d1, tb))
-        delta = dep_last_use(delta, g.var, tb.eff, ctx, regime)
-        ctx = bind_let(ctx, g.var, tb)
+        qual = saturate(tb.qt.qual, ctx)
+        frames.append((g.var, ctx, delta, b2, d1, tb, foot, qual))
+        delta = dep_last_use(delta, g.var, foot, regime)
+        ctx = bind_let(ctx, g.var, tb, qual)
     else:
-        if not isinstance(tail, GName):
-            raise TypeError(tail)
-        result = (tail, EMPTY_DEP, EMPTY_DEP,
-                  infer_direct(ctx, Nm(tail.name)))
+        result = _tail(ctx, tail)
+    return _ascend(frames, result, regime, record)
+
+
+def _rebase(ctx, delta, g, regime, record, gone):
+    """Returns what `_synth` does for `g`, a let spine that synthesis
+    recorded, entered in (ctx, delta), which differ from the recorded
+    entry state only by the deleted binders `gone` (see `resynthesize`).
+    No binding is typed again: each frame's recorded typing, footprint
+    and qualifier re-thread the context and Δ, and a recorded annotation
+    is restricted from Δ again only if it names a binder of `gone`."""
+    frames = []
+    lets, tail = spine(g)
+    for g in lets:
+        f = record[g.var]
+        b2, d1 = f.binding, f.dep
+        if isinstance(b2, GLet):
+            b2, d1 = _rebase(ctx, delta, b2, regime, record, gone)[:2]
+        elif isinstance(b2, NLam):
+            lam = b2
+            body2, body_out = _rebase(
+                lam_body_ctx(ctx, lam, f.typing.qt.qual),
+                points_to(lam.param), lam.body, regime, record, gone)[:2]
+            if body2 is not lam.body:
+                b2 = NLam(lam.param, lam.param_qt, lam.latent, body2,
+                          body_out)
+        elif not gone.isdisjoint(d1.targets()):
+            # a target names one, never a key: no footprint holds a binder
+            # that occurs nowhere
+            d1 = dep_restrict(delta, f.foot, regime)
+        frames.append((g.var, ctx, delta, b2, d1, f.typing, f.foot, f.qual))
+        delta = dep_last_use(delta, g.var, f.foot, regime)
+        ctx = bind_let(ctx, g.var, f.typing, f.qual)
+    return _ascend(frames, _tail(ctx, tail), regime, record, gone)
+
+
+def _ascend(frames, result, regime, record, gone=None):
+    """Compose each frame's let, innermost first, from its body's
+    `result`, check the composition, and record the frame. A frame whose
+    binding is the recorded one keeps its recorded output, slice and
+    typing when they cannot have changed: for frames `_rebase` made
+    (given `gone`), when the recorded slice names no binder of `gone`;
+    for the others, when its entry state is the recorded one and its
+    body's output and typing equal the recorded ones. Only its let node
+    is then rebuilt, if its parts changed."""
     while frames:  # popped, so that each frame's state dies after use
-        var, ctx, delta, b2, d1, tb = frames.pop()
+        frame = frames.pop()
+        var, ctx, delta, b2, d1, tb, _foot, qual = frame
         body2, d2, _slice2, t2 = result
-        reroute = dep_restrict_names(delta, saturate(tb.qt.qual, ctx))
-        out = dep_update(d1, dep_rewire(d2, var, reroute))
-        typing = let_typing(var, tb, t2)
-        slice_ = dep_restrict(delta, typing.eff, ctx, regime)
-        if not (out == slice_ if regime == HARD
-                else dep_submap(out, slice_)):
-            raise DepMismatch(
-                f"{regime}-regime composition {out!r} does not fit the "
-                f"slice {slice_!r}", node=var, annotated=out,
-                required=slice_)
-        result = GLet(var, b2, body2, d1), out, slice_, typing
+        body = d2, t2
+        f = record.get(var) if record is not None else None
+        if f is None or f.binding is not b2:
+            keep = False
+        elif gone is None:
+            keep = f.ctx is ctx and f.last_use is delta and f.body == body
+        else:  # the output is a sub-map of the slice, which stands for both
+            keep = gone.isdisjoint(f.result[2].targets())
+        if keep:
+            let, out, slice_, typing = f.result
+            if let.body is not body2 or let.dep is not d1:
+                let = GLet(var, b2, body2, d1)
+        else:
+            reroute = dep_restrict_names(delta, qual)
+            out = dep_update(d1, dep_rewire(d2, var, reroute))
+            typing = let_typing(var, tb, t2)
+            slice_ = dep_restrict(delta, footprint(typing.eff, ctx, regime),
+                                  regime)
+            if not (out == slice_ if regime == HARD
+                    else dep_submap(out, slice_)):
+                raise DepMismatch(
+                    f"{regime}-regime composition {out!r} does not fit the "
+                    f"slice {slice_!r}", node=var, annotated=out,
+                    required=slice_)
+            let = GLet(var, b2, body2, d1)
+        result = let, out, slice_, typing
         if record is not None:
-            record[var] = Frame(var, ctx, delta, b2, d1, tb, result)
+            record[var] = Frame(*frame, body, result)
     return result
 
 
+def _tail(ctx, tail):
+    """The result of a let spine's tail name."""
+    if not isinstance(tail, GName):
+        raise TypeError(tail)
+    return tail, EMPTY_DEP, EMPTY_DEP, infer_direct(ctx, Nm(tail.name))
+
+
+def _let_binders(g: GLet) -> frozenset:
+    """The let binders of `g`, its own and those inside its binding."""
+    names, todo = {g.var}, [g.binding]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, GLet):
+            names.add(u.var)
+            todo += (u.binding, u.body)
+        elif isinstance(u, NLam):
+            todo.append(u.body)
+    return frozenset(names)
+
+
 def _synth_binding(ctx, delta, b, regime, record):
-    """Returns (annotated-binding, binding-dep, typing)."""
+    """Returns (annotated-binding, binding-dep, typing); the dep is None
+    for a graph node, whose dependency is Δ restricted to its effect."""
     if isinstance(b, (GName, GLet)):
         b2, out, _slice, typing = _synth(ctx, delta, b, regime, record)
         return b2, out, typing
@@ -187,10 +299,7 @@ def _synth_binding(ctx, delta, b, regime, record):
         typing = check_lam(ctx, b, graph_free_names(b), synth_body)
         annotated = NLam(b.param, b.param_qt, b.latent, *body)
         return annotated, EMPTY_DEP, typing
-    # plain graph nodes: dependency = Δ restricted to the node's effect
-    typing = check_binding(ctx, b)
-    d = dep_restrict(delta, typing.eff, ctx, regime)
-    return b, d, typing
+    return b, None, check_binding(ctx, b)
 
 
 def check_deps(st: SynthState, g: GraphTerm) -> Typing:

@@ -4,7 +4,11 @@ side-condition checks. The side conditions read the binding typings and
 contexts that dependency synthesis records; after every rewrite that
 fires, the driver re-synthesizes the rewritten graph from the first
 binder the rewrite changed until the synthesis state converges with the
-last one, which also brings the record up to date for the next walk.
+last one, which also brings the record up to date for the next walk. A
+`dce` deletion types nothing again: the lets below it keep their
+typings and have their context and Δ re-threaded, and the lets above
+any fired site keep their results once their body's comes out as
+before (`graphir.resynthesize`).
 """
 
 from __future__ import annotations
@@ -351,7 +355,8 @@ def optimize(st: SynthState, g: GraphTerm, passes: list,
     binder's synthesis frame: its context, Δ and binding typing. A rule
     returns the rewritten graph unannotated, and `_fire` re-synthesizes
     only what the rewrite changed: from the first binder it changed until
-    a let node is entered in the state recorded for it (see
+    a let node is entered in the state recorded for it, or, below a
+    deleted let, by re-threading the recorded typings (see
     `resynthesize`). The walks and the rules' side conditions read the
     frames of that record, which lives in this call alone.
 

@@ -19,8 +19,9 @@ from .core import (
     GenerationExhausted, GirError, GLet, GName, HARD, Lam, Let, Name,
     NAssign, NCst, NLam, NRef, Nm, PURE,
     QualifiedType, RefNew, RefTy, RW, Store, Term, TY_BOOL,
-    TY_INT, TY_UNIT, UNIT_V, dep_add_hard, dep_restrict, initial_store,
-    saturate, spine, term_free_names, term_operands, term_to_text,
+    TY_INT, TY_UNIT, UNIT_V, dep_add_hard, dep_restrict, footprint,
+    initial_store, saturate, spine, term_free_names, term_operands,
+    term_to_text,
 )
 from .graphir import SynthState, initial_state, synthesize, synthesize_config
 from .interp import canonical_value, eval_direct, eval_graph, eval_store
@@ -373,7 +374,8 @@ def brute_deps(st: SynthState, g) -> DepMap:
     checker's effect — Δ restricted to the graph's overall effect — with
     no synthesis pass involved."""
     eff = check_mnf(st.ctx, g).eff
-    return dep_restrict(st.last_use, eff, st.ctx, st.regime)
+    return dep_restrict(st.last_use, footprint(eff, st.ctx, st.regime),
+                        st.regime)
 
 
 # ---------------------------------------------------------------------------

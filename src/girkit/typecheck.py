@@ -211,17 +211,21 @@ def infer_direct(ctx: TypingContext, t: Term) -> Typing:
 # Binder rules, shared by direct typing, MNF typing, synthesis and rewrites
 # ---------------------------------------------------------------------------
 
-def bind_let(ctx: TypingContext, var: Name, bound: Typing) -> TypingContext:
+def bind_let(ctx: TypingContext, var: Name, bound: Typing,
+             sat: Qualifier | None = None) -> TypingContext:
     """The context a let body is checked in: `var` at the bound type,
     qualified by the bound qualifier's overlap with the observation, and
-    observable.
+    observable. `sat` is the bound qualifier saturated in `ctx`, if the
+    caller has it already.
 
     That qualifier is saturated: it is a saturation cut down by φ*, which
     is closed. So the context records `var` as a let binder, whose
     saturation is `{var}` plus its qualifier, and extends φ* by `var`:
     that is exact, since the overlap lies in φ* and a fresh `var` reaches
     nothing else. A rebound `var` leaves φ* to be recomputed."""
-    bind_q = saturate(bound.qt.qual, ctx) & ctx.phi_star
+    if sat is None:
+        sat = saturate(bound.qt.qual, ctx)
+    bind_q = sat & ctx.phi_star
     return ctx.bind(var, QualifiedType(bound.qt.ty, bind_q), let=True)
 
 

@@ -224,6 +224,13 @@ class TestMain:
         err = capsys.readouterr().err
         assert "[E000]" in err and "/nonexistent/input.gir" in err
 
+    def test_non_utf8_input_is_a_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "bad.gir"
+        path.write_bytes(b"let x = 1 in x\xff")
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "[E000]" in err and str(path) in err and "UTF-8" in err
+
     def test_unwritable_output_is_a_diagnostic(self, src_file, capsys):
         path = src_file("let x = ref(w, 0) in !x")
         assert main(["graph", path, "--dot", "/nonexistent/x.dot"]) == 1

@@ -15,7 +15,8 @@ from girkit.core import (
     NODE_OPERATOR, Nm, OPERATORS, PURE, QualifiedType, RW, RwEffect,
     SavedCst, TERM_OPERATOR, Term, TypingContext, TY_ALLOC, TY_BOOL, TY_INT,
     RefTy, UnboundName, alpha_equal_terms, dep_dom_subst, dep_last_use,
-    dep_restrict, dep_rewire, dep_submap, dep_update, graph_free_names,
+    dep_restrict, dep_rewire, dep_submap, dep_update, footprint,
+    graph_free_names,
     initial_store, node_operands, overlap, rename_graph, rename_term,
     saturate, subst_qual, subst_term, term_free_names, term_operands,
 )
@@ -133,11 +134,12 @@ class TestTypingContext:
         assert one == two and one.env == two.env and one.phi == two.phi
         assert one != two.bind(z, qt, let=True)
         assert one != chain_ctx([(x, EMPTY_QUAL)]).bind(y, qt)
-        d1 = dep_last_use(EMPTY_DEP, y, RwEffect.read(q(x)), one, HARD)
-        d2 = dep_last_use(DepMap.make({x: z}), y, RwEffect.read(q(x)), two,
-                          HARD)
+        d1 = dep_last_use(EMPTY_DEP, y,
+                          footprint(RwEffect.read(q(x)), one, HARD), HARD)
+        d2 = dep_last_use(DepMap.make({x: z}), y,
+                          footprint(RwEffect.read(q(x)), two, HARD), HARD)
         assert d1 == d2 == DepMap.make({x: y, y: y})
-        assert d1 != dep_last_use(d1, z, PURE, one, HARD)
+        assert d1 != dep_last_use(d1, z, footprint(PURE, one, HARD), HARD)
 
     def test_store_typing_lists_locations_in_allocation_order(self):
         store = initial_store()
@@ -299,28 +301,30 @@ class TestDepRestrict:
         x, u, z = fresh_names(3)
         ctx = chain_ctx([(x, EMPTY_QUAL), (u, EMPTY_QUAL)])
         d = DepMap.make({x: z, u: z})
-        got = dep_restrict(d, RwEffect.read(q(x)), ctx, RW)
+        got = dep_restrict(d, footprint(RwEffect.read(q(x)), ctx, RW), RW)
         assert got == DepMap.make({x: z})
 
     def test_pure_effect_restricts_to_nothing(self):
         x, z = fresh_names(2)
         ctx = chain_ctx([(x, EMPTY_QUAL)])
         d = DepMap.make({x: z}, {x: {z}})
-        assert dep_restrict(d, PURE, ctx, RW) == EMPTY_DEP
-        assert dep_restrict(d, PURE, ctx, HARD) == EMPTY_DEP
+        assert dep_restrict(d, footprint(PURE, ctx, RW), RW) == EMPTY_DEP
+        assert dep_restrict(d, footprint(PURE, ctx, HARD),
+                            HARD) == EMPTY_DEP
 
     def test_write_routes_hard_and_soft_into_soft(self):
         x, a, b = fresh_names(3)
         ctx = chain_ctx([(x, EMPTY_QUAL)])
         d = DepMap.make({x: a}, {x: {b}})
-        got = dep_restrict(d, RwEffect.write(q(x)), ctx, RW)
+        got = dep_restrict(d, footprint(RwEffect.write(q(x)), ctx, RW), RW)
         assert got == DepMap.make({}, {x: {a, b}})
 
     def test_hard_regime_uses_the_flat_footprint(self):
         x, a = fresh_names(2)
         ctx = chain_ctx([(x, EMPTY_QUAL)])
         d = DepMap.make({x: a}, {x: {a}})
-        got = dep_restrict(d, RwEffect.write(q(x)), ctx, HARD)
+        got = dep_restrict(d, footprint(RwEffect.write(q(x)), ctx, HARD),
+                           HARD)
         assert got == DepMap.make({x: a})
 
 
@@ -363,28 +367,31 @@ class TestDepLastUse:
         r, x, old = fresh_names(3)
         ctx = chain_ctx([(r, EMPTY_QUAL)])
         d = DepMap.make({}, {r: {old}})
-        got = dep_last_use(d, x, RwEffect.write(q(r)), ctx, RW)
+        got = dep_last_use(d, x, footprint(RwEffect.write(q(r)), ctx, RW),
+                           RW)
         assert got == DepMap.make({r: x, x: x})
 
     def test_pure_only_registers_the_new_node(self):
         r, x, z = fresh_names(3)
         ctx = chain_ctx([(r, EMPTY_QUAL)])
         d = DepMap.make({r: z})
-        got = dep_last_use(d, x, PURE, ctx, RW)
+        got = dep_last_use(d, x, footprint(PURE, ctx, RW), RW)
         assert got == DepMap.make({r: z, x: x})
 
     def test_read_appends_to_the_soft_set(self):
         r, x, a = fresh_names(3)
         ctx = chain_ctx([(r, EMPTY_QUAL)])
         d = DepMap.make({}, {r: {a}})
-        got = dep_last_use(d, x, RwEffect.read(q(r)), ctx, RW)
+        got = dep_last_use(d, x, footprint(RwEffect.read(q(r)), ctx, RW),
+                           RW)
         assert got.soft[r] == frozenset({a, x})
 
     def test_hard_regime_points_every_used_name_at_the_node(self):
         r, x, z = fresh_names(3)
         ctx = chain_ctx([(r, EMPTY_QUAL)])
         d = DepMap.make({r: z})
-        got = dep_last_use(d, x, RwEffect.read(q(r)), ctx, HARD)
+        got = dep_last_use(d, x, footprint(RwEffect.read(q(r)), ctx, HARD),
+                           HARD)
         assert got == DepMap.make({r: x, x: x})
 
 

@@ -312,8 +312,8 @@ class TestCarriedObservation:
     def test_every_let_context_carries_its_saturation(self, monkeypatch):
         contexts = []
 
-        def checked(ctx, var, bound):
-            ctx2 = bind_let(ctx, var, bound)
+        def checked(ctx, var, bound, sat=None):
+            ctx2 = bind_let(ctx, var, bound, sat)
             assert ctx2.phi_star == saturate(ctx2.phi, ctx2)
             contexts.append(ctx2)
             return ctx2

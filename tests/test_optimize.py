@@ -556,3 +556,131 @@ class TestIncrementalSynthesis:
         small = swaps(50)
         assert len(small) == 30 and max(small) > 1
         assert swaps(200) == small
+
+    # Deletions the generator rarely makes. A dead let is deleted by
+    # re-threading the state of each let below it (see `resynthesize`);
+    # the oracle checks the record it leaves against synthesis from
+    # scratch.
+    DELETIONS = (
+        # a dead allocation followed by more: Δ(w) names it (hard[w] in
+        # the hard regime, soft[w] in the read/write one), in the hard
+        # regime until the next allocation
+        """let r = ref(w, 0) in
+        let d = ref(w, 1) in
+        let s = ref(w, 2) in
+        let u = s := 3 in
+        let f = fun (p: Int^{}) =>{rd{s} wr{}} !s in
+        let t = ref(w, 4) in
+        let y = f 0 in
+        let v = (let a = !r in let b = !t in b) in
+        !s""",
+        # a dead alias of the allocation capability
+        """let r = ref(w, 0) in
+        let a = w in
+        let s = ref(w, 1) in
+        let u = r := 2 in
+        !s""",
+        # a dead closure that captures a cell, and a live one below whose
+        # body observes an alias of it (an observation that is not closed)
+        """let r = ref(w, 0) in
+        let a = r in
+        let f = fun (p: Int^{}) =>{rd{r} wr{}} !r in
+        let u = r := 1 in
+        let s = ref(w, 2) in
+        let g = fun (p: Int^{}) =>{rd{s} wr{a}} (let x = !s in a := x) in
+        let v = g 3 in
+        !r""",
+        # a dead binding inside a lambda body that observes an alias
+        """let r = ref(w, 0) in
+        let a = r in
+        let f = fun (p: Int^{}) =>{rd{a} wr{a}}
+            (let d = p in let x = !a in let u = a := p in x) in
+        let y = f 5 in
+        !r""",
+        # a dead binding inside a nested block
+        """let r = ref(w, 0) in
+        let y = (let d = ref(w, 1) in let x = !r in x) in
+        let u = r := y in
+        !r""",
+    )
+
+    @pytest.mark.parametrize("regime", [HARD, RW])
+    def test_deletions_equal_synthesis_from_scratch(self, oracle, regime):
+        for src in self.DELETIONS:
+            for passes in (["dce"], sorted(RULES)):
+                store, t, _ = _front_end(src)
+                st, _ = initial_state(store, regime=regime)
+                before = oracle[0]
+                _, reports = optimize(st, to_mnf(t, store.supply), passes,
+                                      supply=store.supply)
+                fired = sum(r.fired and r.rule == "dce" for r in reports)
+                assert fired and oracle[0] - before >= fired, src
+
+    def test_a_deletion_types_no_binding_again(self, check_binding_calls,
+                                               monkeypatch):
+        """A top-level `dce` leaves every typing below the deleted let as
+        it was, so its `check_binding` calls per fire do not grow with the
+        program."""
+        opt = importlib.import_module("girkit.optimize")
+        calls, per_fire = check_binding_calls, []
+        resynthesize = opt.resynthesize
+
+        def counted(st, g, record, old=None):
+            before = calls[0]
+            got = resynthesize(st, g, record, old)
+            if old is not None:
+                per_fire.append(calls[0] - before)
+            return got
+
+        monkeypatch.setattr(opt, "resynthesize", counted)
+
+        def deletions(n, regime):
+            src = "\n".join(
+                ["let r = ref(w, 0) in"]
+                + [f"let d{i} = ref(w, {i}) in let u{i} = r := {i} in"
+                   for i in range(n // 2)] + ["!r"])
+            store, t, _ = _front_end(src)
+            st, _ = initial_state(store, regime=regime)
+            per_fire.clear()
+            optimize(st, to_mnf(t, store.supply), ["dce"],
+                     supply=store.supply)
+            assert len(per_fire) == n // 2
+            return set(per_fire)
+
+        for regime in (HARD, RW):
+            assert deletions(200, regime) == deletions(50, regime)
+
+    def test_a_deep_swap_composes_no_more_than_a_shallow_one(self,
+                                                             monkeypatch):
+        """The lets above a swapped pair keep their recorded results once
+        the output and typing below them are as recorded, so a swap under
+        many lets composes no more lets than one under a few."""
+        graphir = importlib.import_module("girkit.graphir")
+        compositions = [0]
+        let_typing = graphir.let_typing
+
+        def counted(*args):
+            compositions[0] += 1
+            return let_typing(*args)
+
+        monkeypatch.setattr(graphir, "let_typing", counted)
+
+        def swap(depth):
+            # only the last write and the allocation after it commute
+            src = "\n".join(
+                ["let v = 7 in let r = ref(w, v) in"]
+                + [f"let u{i} = r := v in" for i in range(depth)]
+                + ["let s = ref(w, v) in let x = !s in !r"])
+            store, t, _ = _front_end(src)
+            st, _ = initial_state(store)
+            g, record = to_mnf(t, store.supply), {}
+            g = graphir.resynthesize(st, g, record)
+            g2 = rw_comm(st, g, (1,) * (depth + 1), store.supply)
+            compositions[0] = 0
+            got = graphir.resynthesize(st, g2, record, g)
+            composed = compositions[0]
+            assert got == synthesize(st, erase(g2))[0]
+            return composed
+
+        shallow, deep = swap(2), swap(100)
+        assert 0 < deep <= shallow

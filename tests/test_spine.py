@@ -102,3 +102,26 @@ def test_the_evaluators_step_a_spine_in_a_few_frames():
         sys.setrecursionlimit(limit)
     assert [canonical_value(r.store, r.value) for r in results] == [
         ("cst", "Int", 399)] * 3
+
+
+def test_long_spines_compare_and_hash_in_a_loop():
+    """`Let` and `GLet` equality and `Let`'s hash walk the spine: a long
+    program compares with a rebuilt copy of itself at the default
+    recursion limit."""
+    from benchmark import gen
+    text = gen.chain_program(random.Random(0), LETS, 4, False).text
+    store, parsed = initial_store(), []
+    with_deep_recursion(lambda: parsed.append(parse(text, store)))
+    t = parsed[0]
+    assert sys.getrecursionlimit() < LETS
+    lets, tail = spine(t)
+    copy, changed = tail, tail
+    for i, u in enumerate(reversed(lets)):
+        copy = Let(u.var, u.bound, copy)
+        changed = Let(u.var, Cst(-1) if i == 0 else u.bound, changed)
+    assert copy is not t and copy == t and hash(copy) == hash(t)
+    assert changed != t
+    g = to_mnf(t, store.supply)
+    cfg = synthesize_config(store, g, HARD)
+    assert erase(cfg.graph) == g
+    assert cfg.graph != g  # the annotations differ
