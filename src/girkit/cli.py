@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    App, Assign, BaseTy, Cst, Deref, DepMap, FunTy,
+    App, Assign, BASE_TYPES, BaseTy, Cst, Deref, DepMap, FunTy,
     GirError, GLet, GName, HARD, JsonSchemaError, Lam, Let, LOC, Name,
     NCst, NLam, NODE_OPERATOR, Nm, OMEGA, OPERATORS, ParseError, Qualifier,
     QualifiedType, RefNew, RefTy, RuntimeConfig, RW, RwEffect, Span, Store,
-    TY_ALLOC, TY_BOOL, TY_INT, TY_UNIT, Term, UNIT_V, VAR, effect_to_text,
-    graph_to_text, initial_store, qt_to_text, spine,
+    Term, UNIT_V, VAR, const_key, effect_to_text, graph_to_text,
+    initial_store, qt_to_text, spine,
 )
+from . import testkit
 from .typecheck import infer_direct
 from .mnf import to_mnf
 from .graphir import erase, initial_state, synthesize_config
@@ -312,10 +313,9 @@ class _Parser:
     def type_(self):
         tk = self.peek()
         if tk.kind == "ident":
-            if tk.text in ("Unit", "Bool", "Int", "Alloc"):
+            if tk.text in BASE_TYPES:
                 self.next()
-                return {"Unit": TY_UNIT, "Bool": TY_BOOL, "Int": TY_INT,
-                        "Alloc": TY_ALLOC}[tk.text]
+                return BASE_TYPES[tk.text]
             if tk.text == "Ref":
                 self.next()
                 self.expect("[")
@@ -325,8 +325,7 @@ class _Parser:
                         f"references hold base values, got {base.text!r}",
                         span=Span(base.start, base.end))
                 self.expect("]")
-                return RefTy({"Unit": TY_UNIT, "Bool": TY_BOOL,
-                              "Int": TY_INT}[base.text])
+                return RefTy(BASE_TYPES[base.text])
         if tk.kind == "(":
             # ((x: TY^{q}) =>{rd{q} wr{q}} TY^{q})
             self.next()
@@ -478,19 +477,16 @@ def _ty_json(ty) -> object:
     raise JsonSchemaError(f"unserializable type {ty!r}")
 
 
-_BASE = {"Unit": TY_UNIT, "Bool": TY_BOOL, "Int": TY_INT, "Alloc": TY_ALLOC}
-
-
 def _ty_of(v):
     if isinstance(v, str):
-        if v not in _BASE:
+        if v not in BASE_TYPES:
             raise JsonSchemaError(f"unknown base type {v!r}")
-        return _BASE[v]
+        return BASE_TYPES[v]
     if isinstance(v, dict) and set(v) == {"ref"}:
         p = v["ref"]
         if p not in ("Unit", "Bool", "Int"):
             raise JsonSchemaError(f"bad reference payload {p!r}")
-        return RefTy(_BASE[p])
+        return RefTy(BASE_TYPES[p])
     if isinstance(v, dict) and set(v) == {"fun"}:
         f = v["fun"]
         try:
@@ -531,29 +527,14 @@ def _dep_of(v) -> Optional[DepMap]:
     return DepMap.make(hard, soft)
 
 
-def _value_json(value) -> list:
-    if value is UNIT_V:
-        return ["Unit"]
-    if value is OMEGA:
-        return ["Alloc"]
-    if isinstance(value, bool):
-        return ["Bool", value]
-    if isinstance(value, int):
-        return ["Int", value]
-    raise JsonSchemaError(f"unserializable constant {value!r}")
-
-
 def _value_of(v):
-    if not isinstance(v, list) or not v:
-        raise JsonSchemaError(f"malformed constant {v!r}")
-    if v[0] == "Unit":
-        return UNIT_V
-    if v[0] == "Alloc":
-        return OMEGA
-    if v[0] == "Bool" and len(v) == 2 and isinstance(v[1], bool):
-        return v[1]
-    if v[0] == "Int" and len(v) == 2 and isinstance(v[1], int):
-        return v[1]
+    """The constant whose `core.const_key` is the list `v`."""
+    try:
+        value = {"Unit": UNIT_V, "Alloc": OMEGA}.get(v[0], v[-1])
+        if isinstance(v, list) and list(const_key(value)) == v:
+            return value
+    except (IndexError, KeyError, TypeError):
+        pass
     raise JsonSchemaError(f"malformed constant {v!r}")
 
 
@@ -562,7 +543,7 @@ _OPERATOR_NAMED = {o.op: o for o in OPERATORS}
 
 def _exp_json(b) -> dict:
     if isinstance(b, NCst):
-        return {"op": "cst", "value": _value_json(b.value)}
+        return {"op": "cst", "value": list(const_key(b.value))}
     if isinstance(b, NLam):
         out = {"op": "lam", "param": _name_str(b.param),
                "paramQt": _qt_json(b.param_qt),
@@ -765,6 +746,9 @@ def cmd_schedule(args) -> int:
             raise ParseError(f"unknown matcher {m!r}; choose from "
                              f"{','.join(MATCHERS)}")
     if args.synthetic is not None:
+        if args.file:
+            raise ParseError("schedule takes FILE or --synthetic N, "
+                             "not both")
         if args.synthetic < 1:
             raise ParseError(f"--synthetic needs N >= 1, got "
                              f"{args.synthetic}")
@@ -806,7 +790,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    from . import testkit
     if args.count < 0:
         raise ParseError(f"--count needs N >= 0, got {args.count}")
     summary = testkit.fuzz(count=args.count, seed=args.seed,
@@ -889,8 +872,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-depth", type=int, default=6)
     p.add_argument("--check", default="differential",
-                   choices=("translation", "synthesis", "deps",
-                            "differential", "optimizer"))
+                   choices=testkit.CHECKS)
     p.set_defaults(fn="cmd_fuzz")
 
     return ap

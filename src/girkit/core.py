@@ -252,16 +252,9 @@ PURE = RwEffect()
 # Types
 # ---------------------------------------------------------------------------
 
-UNIT_T = "Unit"
-BOOL_T = "Bool"
-INT_T = "Int"
-ALLOC_T = "Alloc"
-BASE_NAMES = (UNIT_T, BOOL_T, INT_T, ALLOC_T)
-
-
 @dataclass(frozen=True)
 class BaseTy:
-    name: str  # one of BASE_NAMES
+    name: str  # a key of BASE_TYPES
 
     def __repr__(self):
         return self.name
@@ -289,10 +282,12 @@ class FunTy:
 
 Ty = Union[BaseTy, RefTy, FunTy]
 
-TY_UNIT = BaseTy(UNIT_T)
-TY_BOOL = BaseTy(BOOL_T)
-TY_INT = BaseTy(INT_T)
-TY_ALLOC = BaseTy(ALLOC_T)
+TY_UNIT = BaseTy("Unit")
+TY_BOOL = BaseTy("Bool")
+TY_INT = BaseTy("Int")
+TY_ALLOC = BaseTy("Alloc")
+# the base types by the names the surface syntax and JSON give them
+BASE_TYPES = {t.name: t for t in (TY_UNIT, TY_BOOL, TY_INT, TY_ALLOC)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -951,16 +946,34 @@ UNIT_V = _Unit()
 OMEGA = _Omega()
 
 
-def const_base(value) -> BaseTy:
+def const_key(value) -> tuple:
+    """A constant as its base type's name and, for Bool and Int, its
+    value: ("Unit",), ("Alloc",), ("Bool", b) or ("Int", n). bool is an
+    int subtype, so plain value equality has 1 == true; keys tell them
+    apart."""
     if value is UNIT_V:
-        return TY_UNIT
+        return ("Unit",)
     if value is OMEGA:
-        return TY_ALLOC
+        return ("Alloc",)
     if isinstance(value, bool):
-        return TY_BOOL
+        return ("Bool", value)
     if isinstance(value, int):
-        return TY_INT
+        return ("Int", value)
     raise TypeError(f"not a constant: {value!r}")
+
+
+def const_base(value) -> BaseTy:
+    return BASE_TYPES[const_key(value)[0]]
+
+
+def _const_eq(self, other) -> bool:
+    """`Cst` and `NCst` compare and hash by `const_key`."""
+    return (type(other) is type(self)
+            and const_key(self.value) == const_key(other.value))
+
+
+def _const_hash(self) -> int:
+    return hash(const_key(self.value))
 
 
 def const_text(value) -> str:
@@ -981,6 +994,8 @@ def const_text(value) -> str:
 class Cst:
     value: object
     span: Optional[Span] = field(default=None, compare=False)
+
+    __eq__, __hash__ = _const_eq, _const_hash
 
 
 @dataclass(frozen=True)
@@ -1050,13 +1065,7 @@ Term = Union[Cst, Nm, Lam, App, RefNew, Deref, Assign, Let]
 class NCst:
     value: object
 
-    # bool is an int subtype, so plain value equality has 0 == False
-    def __eq__(self, other):
-        return (type(other) is NCst and type(self.value) is type(other.value)
-                and self.value == other.value)
-
-    def __hash__(self):
-        return hash((type(self.value), self.value))
+    __eq__, __hash__ = _const_eq, _const_hash
 
 
 @dataclass(frozen=True)
@@ -1261,32 +1270,6 @@ def rename_qt(qt: QualifiedType, mapping: dict) -> QualifiedType:
     return QualifiedType(_rename_ty(qt.ty, mapping), _rename_qual(qt.qual, mapping))
 
 
-def rename_term(t: Term, mapping: dict) -> Term:
-    """Capture-avoiding renaming of free names (Barendregt inputs make the
-    shadowing guard a formality)."""
-    if not mapping:
-        return t
-    lets, t = spine(t)
-    bounds = []
-    for u in lets:
-        bounds.append(rename_term(u.bound, mapping))
-        mapping = {k: v for k, v in mapping.items() if k != u.var}
-    if isinstance(t, Nm):
-        n = mapping.get(t.name)
-        t = Nm(n, t.span) if n is not None else t
-    elif isinstance(t, Lam):
-        inner = {k: v for k, v in mapping.items() if k != t.param}
-        t = Lam(t.param, rename_qt(t.param_qt, inner),
-                rename_effect(t.latent, inner),
-                rename_term(t.body, inner), t.span)
-    elif not isinstance(t, Cst):
-        t = type(t)(*[rename_term(u, mapping) for u in term_operands(t)],
-                    t.span)
-    for u, bound in zip(reversed(lets), reversed(bounds)):
-        t = Let(u.var, bound, t, u.span)
-    return t
-
-
 def subst_term(t: Term, x: Name, v: Term) -> Term:
     """t[v/x]: substitute a value term for a variable (Barendregt inputs,
     so v is never captured). A lambda's annotations take q[p/x], p being
@@ -1324,7 +1307,7 @@ def alpha_equal_terms(t1: Term, t2: Term) -> bool:
                     return False
                 env[u.var] = w.var
         if isinstance(a, Cst):
-            return a.value == b.value and type(a.value) is type(b.value)
+            return a == b
         if isinstance(a, Nm):
             return env.get(a.name, a.name) == b.name
         if isinstance(a, Lam):
@@ -1362,6 +1345,10 @@ def rename_graph(g, mapping: dict, *, fresh: Optional[NameSupply] = None,
     outside-in, each before its binding) and its uses follow. `dep` maps
     every dependency annotation; by default they are kept (their updates
     go through rewiring and domain substitution)."""
+    if not mapping and (fresh is None and dep is None
+                        or not isinstance(g, (GLet, NLam))):
+        return g  # no name, binder or annotation to change
+
     def bind(v: Name, m: dict):
         """A binder's new name and the mapping its scope sees."""
         if fresh is not None:
@@ -1389,15 +1376,12 @@ def rename_graph(g, mapping: dict, *, fresh: Optional[NameSupply] = None,
             g = NLam(p, rename_qt(g.param_qt, inner),
                      rename_effect(g.latent, inner), go(g.body, inner),
                      ann(g.body_dep))
-        elif not isinstance(g, NCst):
-            args = node_operands(g)
-            g = type(g)(*[m.get(n, n) for n in args]) if m else g
+        elif m and not isinstance(g, NCst):
+            g = type(g)(*[m.get(n, n) for n in node_operands(g)])
         for u, (v, b) in zip(reversed(lets), reversed(bound)):
             g = GLet(v, b, g, ann(u.dep))
         return g
 
-    if not mapping and fresh is None and dep is None:
-        return g
     return go(g, mapping)
 
 

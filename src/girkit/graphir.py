@@ -22,7 +22,7 @@ from .core import (
     DepMap, DepMismatch, EMPTY_DEP, GLet, GName, GraphTerm, HARD, Name,
     NLam, Nm, RuntimeConfig, Store, TypingContext, dep_last_use,
     dep_restrict, dep_restrict_names, dep_rewire, dep_submap, dep_update,
-    footprint, graph_free_names, points_to, saturate, spine,
+    footprint, graph_free_names, points_to, rename_graph, saturate, spine,
 )
 from .mnf import check_binding
 from .typecheck import (
@@ -192,13 +192,11 @@ def _rebase(ctx, delta, g, regime, record, gone):
         if isinstance(b2, GLet):
             b2, d1 = _rebase(ctx, delta, b2, regime, record, gone)[:2]
         elif isinstance(b2, NLam):
-            lam = b2
-            body2, body_out = _rebase(
-                lam_body_ctx(ctx, lam, f.typing.qt.qual),
-                points_to(lam.param), lam.body, regime, record, gone)[:2]
-            if body2 is not lam.body:
-                b2 = NLam(lam.param, lam.param_qt, lam.latent, body2,
-                          body_out)
+            # a body's Δ starts at its parameter, so nothing recorded in
+            # it names a binder of `gone`: its lets keep their results,
+            # and only their recorded contexts change
+            _rebase(lam_body_ctx(ctx, b2, f.typing.qt.qual),
+                    points_to(b2.param), b2.body, regime, record, gone)
         elif not gone.isdisjoint(d1.targets()):
             # a target names one, never a key: no footprint holds a binder
             # that occurs nowhere
@@ -312,12 +310,7 @@ def check_deps(st: SynthState, g: GraphTerm) -> Typing:
 
 def erase(g):
     """Drop every dependency annotation, preserving structure."""
-    lets, g = spine(g)
-    if isinstance(g, NLam):
-        g = NLam(g.param, g.param_qt, g.latent, erase(g.body), None)
-    for u in reversed(lets):
-        g = GLet(u.var, erase(u.binding), g, None)
-    return g
+    return rename_graph(g, {}, dep=lambda d: None)
 
 
 def initial_state(store: Store, z: Name | None = None,

@@ -11,10 +11,9 @@ from typing import Optional
 from .core import (
     App, Assign, Capability, Cell, Cst, Deref, DepMap, DependencyViolation,
     EMPTY_DEP, FuelExhausted, GLet, GName, GraphTerm, Lam, Let, Name, Nm,
-    OMEGA, OverlapViolation, RefNew, RuntimeConfig, SavedCst,
-    SavedLamGraph, SavedLamTerm, Store, Stuck, Term, UNIT_V, dep_add_hard,
-    dep_dom_subst, dep_rewire, qual_repr, rename_graph, rename_term, saturate,
-    subst_term,
+    OMEGA, OverlapViolation, RefNew, RuntimeConfig, SavedCst, SavedLamGraph,
+    SavedLamTerm, Store, Stuck, Term, UNIT_V, const_key, dep_add_hard,
+    dep_dom_subst, dep_rewire, qual_repr, rename_graph, saturate, subst_term,
     NLam, NApp, NRef, NDeref, NAssign, NCst,
 )
 from .typecheck import infer_direct
@@ -150,12 +149,12 @@ def _step_store(store: Store, t: Term):
         if not isinstance(entry, SavedLamTerm):
             raise Stuck(f"applied non-function location {t.fn.name!r}")
         lam = entry.lam
-        return rename_term(lam.body, {lam.param: t.arg.name}), "beta"
+        return subst_term(lam.body, lam.param, t.arg), "beta"
     if isinstance(t, Let):
         if not _is_loc(t.bound):
             t2, rule = _step_store(store, t.bound)
             return Let(t.var, t2, t.body), rule
-        return rename_term(t.body, {t.var: t.bound.name}), "let"
+        return subst_term(t.body, t.var, t.bound), "let"
     if isinstance(t, RefNew):
         if not _is_loc(t.cap):
             t2, rule = _step_store(store, t.cap)
@@ -348,22 +347,12 @@ def eval_graph(cfg: RuntimeConfig, fuel: int = DEFAULT_FUEL,
 # Canonical result comparison
 # ---------------------------------------------------------------------------
 
-def _const_key(v):
-    if v is UNIT_V:
-        return ("Unit",)
-    if v is OMEGA:
-        return ("Alloc",)
-    if isinstance(v, bool):
-        return ("Bool", v)
-    return ("Int", v)
-
-
 def canonical_value(store: Store, value) -> tuple:
     """Semantics-independent shape of a result: constants by value,
     references by (transitively resolved) content, closures by their
     source parameter (stable across all three semantics)."""
     if isinstance(value, Cst):
-        return ("cst",) + _const_key(value.value)
+        return ("cst",) + const_key(value.value)
     if isinstance(value, Lam):
         return ("closure", value.param.id)
     if isinstance(value, Nm):
@@ -375,10 +364,10 @@ def canonical_value(store: Store, value) -> tuple:
         if isinstance(entry, Cell):
             return ("ref", canonical_value(store, entry.content))
         if isinstance(entry, SavedCst):
-            return ("cst",) + _const_key(entry.value)
+            return ("cst",) + const_key(entry.value)
         if isinstance(entry, (SavedLamTerm, SavedLamGraph)):
             return ("closure", entry.lam.param.id)
-    return ("cst",) + _const_key(value)
+    return ("cst",) + const_key(value)
 
 
 # ---------------------------------------------------------------------------

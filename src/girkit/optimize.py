@@ -13,7 +13,6 @@ before (`graphir.resynthesize`).
 
 from __future__ import annotations
 
-from collections import ChainMap
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -24,7 +23,6 @@ from .core import (
     qual_repr, rename_graph, saturate, spine,
 )
 from .graphir import SynthState, erase, resynthesize
-from .typecheck import Typing
 
 
 @dataclass
@@ -41,21 +39,16 @@ class RewriteReport:
 
 @dataclass
 class Site:
-    """A binding position with its scope already built. `path` addresses
-    it (0 enters a let's binding, or a bound lambda's body; 1 its body),
-    `ctx` types `focus`, whose binding has the typing `typing`; `defs`
-    maps the binders on the scope spine to their (binding, typing),
-    `record` maps every binder of the graph to its synthesis `Frame`,
-    `uses` holds the names that occur in the walked graph, and
-    `rebuild` reassembles the whole (unannotated) graph around a
-    replacement for `focus`; a rule that fires here returns what
-    `rebuild` returns."""
+    """A binding position. `path` addresses it (0 enters a let's binding,
+    or a bound lambda's body; 1 its body); `record` maps every binder of
+    the graph to its synthesis `Frame`, so `record[focus.var]` holds the
+    context that types `focus` and its binding's typing; `uses` holds the
+    names that occur in the walked graph; and `rebuild` reassembles the
+    whole (unannotated) graph around a replacement for `focus`: a rule
+    that fires here returns what `rebuild` returns."""
     path: tuple
-    ctx: TypingContext
-    defs: ChainMap
     focus: GLet
     rebuild: Callable
-    typing: Typing
     record: dict
     uses: "Occurrences"
 
@@ -90,34 +83,29 @@ class Occurrences:
 
 
 def walk(g: GraphTerm, record: dict) -> Iterator[Site]:
-    """Every binding site, outside-in and left-to-right, each context and
-    typing read from the frames that synthesis of `g` left in `record`. A
-    site is valid until the walk moves on, which adds the focused binder
-    to `defs`."""
-    return _scope(g, (), lambda frag: frag, ChainMap(), record,
-                  Occurrences(g))
+    """Every binding site, outside-in and left-to-right, of `g`, whose
+    synthesis left its frames in `record`."""
+    return _scope(g, (), lambda frag: frag, record, Occurrences(g))
 
 
-def _scope(g, path, rebuild, defs, record, uses):
+def _scope(g, path, rebuild, record, uses):
     # a module-level generator, so that no closure cell keeps `record` in
     # a reference cycle
     for g in spine(g)[0]:
-        f = record[g.var]
-        yield Site(path, f.ctx, defs, g, rebuild, f.typing, record, uses)
+        yield Site(path, g, rebuild, record, uses)
         b = g.binding
         if isinstance(b, GLet):
             yield from _scope(b, path + (0,),
                               lambda frag, g=g, rb=rebuild:
                               rb(GLet(g.var, frag, g.body, None)),
-                              defs.new_child(), record, uses)
+                              record, uses)
         elif isinstance(b, NLam):
             yield from _scope(
                 b.body, path + (0,),
                 lambda frag, g=g, b=b, rb=rebuild:
                 rb(GLet(g.var, NLam(b.param, b.param_qt, b.latent, frag,
                                     None), g.body, None)),
-                defs.new_child(), record, uses)
-        defs[g.var] = (b, f.typing)
+                record, uses)
         rebuild = (lambda frag, g=g, rb=rebuild:
                    rb(GLet(g.var, g.binding, frag, None)))
         path = path + (1,)
@@ -162,24 +150,21 @@ def _alloc_only(ctx: TypingContext, eff: RwEffect) -> tuple[bool, str]:
     return True, ""
 
 
-def _resolve_lam(defs: dict, name: Name):
-    """Chase alias bindings and nested-block tails to the lambda a name
-    denotes, if it is defined on the scope spine. Binders are unique, so
-    the chase cannot cycle, and a nested block's definitions never shadow
-    the spine's."""
-    local: dict = {}
+def _resolve_lam(record: dict, name: Name):
+    """Chase alias bindings and nested-block tails through the synthesis
+    `record` to the lambda a name denotes, if a let binds it. Binders are
+    unique and every name the chase meets is bound where it is used, so
+    the binding its frame holds is the one in scope, and the chase cannot
+    cycle."""
     b = GName(name)
     while True:
-        lets, b = spine(b)  # a nested block: go to its tail
-        local.update((u.var, u.binding) for u in lets)
+        b = spine(b)[1]  # a nested block: go to its tail
         if not isinstance(b, GName):
             return b if isinstance(b, NLam) else None
-        if b.name in local:
-            b = local[b.name]
-        elif b.name in defs:
-            b = defs[b.name][0]
-        else:
+        f = record.get(b.name)
+        if f is None:
             return None
+        b = f.binding
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +177,8 @@ def rw_dce(st: SynthState, g: GraphTerm, site: tuple,
     allocation."""
     site = _navigate(st, g, site)
     focus = site.focus
-    ok, why = _alloc_only(site.ctx, site.typing.eff)
+    f = site.record[focus.var]
+    ok, why = _alloc_only(f.ctx, f.typing.eff)
     if not ok:
         raise SideConditionFailed(f"binding not discardable: {why}")
     if focus.var in site.uses:
@@ -210,7 +196,7 @@ def rw_comm(st: SynthState, g: GraphTerm, site: tuple,
     x1, b1 = focus.var, focus.binding
     inner = focus.body
     x2, b2 = inner.var, inner.binding
-    t1, f2 = site.typing, site.record[x2]
+    t1, f2 = site.record[x1].typing, site.record[x2]
     t2, ctx2 = f2.typing, f2.ctx
     e1 = saturate(t1.eff.flat, ctx2)
     e2 = saturate(t2.eff.flat, ctx2)
@@ -257,11 +243,12 @@ def rw_inline(st: SynthState, g: GraphTerm, site: tuple,
     """Replace an application of a locally-bound lambda to a locally-bound
     discardable argument by the lambda's (freshened) body."""
     site = _navigate(st, g, site)
-    ctx, defs, focus = site.ctx, site.defs, site.focus
+    focus, record = site.focus, site.record
+    ctx = record[focus.var].ctx
     app = focus.binding
     if not isinstance(app, NApp):
         raise SideConditionFailed("binding is not an application")
-    lam = _resolve_lam(defs, app.fn)
+    lam = _resolve_lam(record, app.fn)
     if lam is None:
         raise SideConditionFailed(
             f"function {app.fn!r} is not locally bound to a lambda")
@@ -270,11 +257,11 @@ def rw_inline(st: SynthState, g: GraphTerm, site: tuple,
     if missing:
         raise SideConditionFailed(
             f"callee mentions {sorted(missing)!r}, out of scope here")
-    adef = defs.get(app.arg)
+    adef = record.get(app.arg)
     if adef is None:
         raise SideConditionFailed(
             f"argument {app.arg!r} is not locally bound")
-    ok, why = _alloc_only(ctx, adef[1].eff)
+    ok, why = _alloc_only(ctx, adef.typing.eff)
     if not ok:
         raise SideConditionFailed(f"argument binding not discardable: {why}")
     body = rename_graph(lam.body, {lam.param: app.arg}, fresh=supply,
@@ -288,7 +275,8 @@ def rw_cse(st: SynthState, g: GraphTerm, site: tuple,
     """Collapse two syntactically identical adjacent bindings that do not
     allocate; the second's uses are renamed to the first."""
     site = _navigate(st, g, site)
-    ctx, focus = site.ctx, site.focus
+    focus = site.focus
+    f = site.record[focus.var]
     if not isinstance(focus.body, GLet):
         raise SideConditionFailed("no adjacent second binding")
     inner = focus.body
@@ -297,7 +285,7 @@ def rw_cse(st: SynthState, g: GraphTerm, site: tuple,
     # only the store binds locations, and a location's qualifier is empty
     # wherever it is read: the program's initial context has the answer,
     # without a scan of the site's
-    if not saturate(site.typing.eff.reads, ctx).isdisjoint(
+    if not saturate(f.typing.eff.reads, f.ctx).isdisjoint(
             _capability_reach(st.ctx)):
         raise SideConditionFailed("binding allocates")
     merged = GLet(focus.var, focus.binding,

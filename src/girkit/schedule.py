@@ -71,9 +71,6 @@ class Scope:
     result: object = None         # the scope's tail (Name or Exp)
 
 
-TreeNode = (Leaf, Scope)
-
-
 # ---------------------------------------------------------------------------
 # Flattening annotated graph terms
 # ---------------------------------------------------------------------------

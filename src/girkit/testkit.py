@@ -461,9 +461,6 @@ def opportunity(rule: str, cfg: GenConfig) -> tuple:
 # Fuzz driver
 # ---------------------------------------------------------------------------
 
-CHECKS = ("translation", "synthesis", "deps", "differential", "optimizer")
-
-
 @dataclass
 class FuzzSummary:
     check: str
@@ -548,6 +545,7 @@ _CHECK_FNS = {
     "differential": _check_differential,
     "optimizer": _check_optimizer,
 }
+CHECKS = tuple(_CHECK_FNS)
 
 
 def _run_check(fn: Callable, t: Term, store: Store) -> Optional[str]:

@@ -143,6 +143,22 @@ class TestJsonRoundtrip:
         with pytest.raises(JsonSchemaError, match="invalid JSON"):
             import_json("{")
 
+    @pytest.mark.parametrize("value", [["Int", True], ["Bool", 1]],
+                             ids=["int-true", "bool-one"])
+    def test_a_constant_tagged_with_another_type_is_a_schema_error(
+            self, value):
+        """A constant's tag names its type: true is no Int, 1 no Bool."""
+        cfg = self._cfg()
+        doc = json.loads(export_json(cfg.graph, cfg.dep, cfg.store.w))
+        todo = [doc]
+        while todo[-1].get("op") != "cst":  # the first constant node
+            u = todo.pop()
+            todo += [v for v in u.values() if isinstance(v, dict)]
+            todo += [v for v in u.get("nodes", ()) if isinstance(v, dict)]
+        todo[-1]["value"] = value
+        with pytest.raises(JsonSchemaError, match="malformed constant"):
+            import_json(json.dumps(doc))
+
     @pytest.mark.parametrize("field, dep", [
         ("dep", {"hard": [], "soft": {}}),
         ("dep", {"hard": {}, "soft": {"v1:x": 3}}),
@@ -310,6 +326,26 @@ class TestMain:
                      "--time"]) == 0
         assert "time=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra", [[], ["--compact", "--match", "gemm"]],
+                             ids=["plain", "compact-gemm"])
+    def test_schedule_synthetic_output_is_a_function_of_the_seed(
+            self, capsys, extra):
+        def run(seed):
+            assert main(["schedule", "--synthetic", "60", "--depth", "3",
+                         "--seed", str(seed), *extra]) == 0
+            return capsys.readouterr().out
+        first = run(0)
+        assert first.startswith("let ")
+        assert run(0) == first and run(1) != first
+
+    def test_schedule_rejects_a_file_beside_synthetic(self, src_file,
+                                                       capsys):
+        path = src_file("let x = ref(w, 5) in !x")
+        assert main(["schedule", path, "--synthetic", "5"]) == 1
+        captured = capsys.readouterr()
+        assert "E013" in captured.err and "not both" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         ["--synthetic", "0"],
         ["--synthetic", "-3"],
@@ -360,6 +396,18 @@ class TestMain:
         assert main(["run", path, "--semantics", sem]) == 0
         out = capsys.readouterr().out
         assert "('cst', 'Int', 2)" in out and "steps:" in out
+
+    @pytest.mark.parametrize("sem", ["direct", "store", "graph"])
+    def test_run_trace_prints_a_rule_line_per_step(self, src_file, capsys,
+                                                   sem):
+        path = src_file(
+            "let r = ref(w, 1) in let u = r := 2 in !r")
+        assert main(["run", path, "--semantics", sem, "--trace"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rules = [s for s in lines if re.fullmatch(r"  \[[a-z-]+\]", s)]
+        assert lines[-1].startswith("steps: ")
+        steps = int(lines[-1].split()[1])
+        assert steps > 0 and len(rules) == steps == len(lines) - 2
 
     def test_run_starts_from_a_name_the_graph_does_not_use(
             self, src_file, capsys, monkeypatch):

@@ -12,12 +12,12 @@ from girkit.cli import export_dot, export_json, import_json
 from girkit.core import (
     App, Cell, Cst, DepMap, EMPTY_DEP, EMPTY_QUAL, GLet, GName, GraphNode,
     HARD, JsonSchemaError, Lam, Let, Name, NameSupply, NApp, NCst, NLam,
-    NODE_OPERATOR, Nm, OPERATORS, PURE, QualifiedType, RW, RwEffect,
-    SavedCst, TERM_OPERATOR, Term, TypingContext, TY_ALLOC, TY_BOOL, TY_INT,
-    RefTy, UnboundName, alpha_equal_terms, dep_dom_subst, dep_last_use,
-    dep_restrict, dep_rewire, dep_submap, dep_update, footprint,
-    graph_free_names,
-    initial_store, node_operands, overlap, rename_graph, rename_term,
+    NODE_OPERATOR, Nm, OMEGA, OPERATORS, PURE, QualifiedType, RW, RwEffect,
+    SavedCst, Span, TERM_OPERATOR, Term, TypingContext, TY_ALLOC, TY_BOOL,
+    TY_INT, RefTy, UNIT_V, UnboundName, alpha_equal_terms, const_key,
+    dep_dom_subst, dep_last_use, dep_restrict, dep_rewire, dep_submap,
+    dep_update, footprint, graph_free_names,
+    initial_store, node_operands, overlap, rename_graph,
     saturate, subst_qual, subst_term, term_free_names, term_operands,
 )
 from girkit.mnf import embed
@@ -423,6 +423,21 @@ class TestNCst:
             assert NCst(v) == NCst(v)
             assert hash(NCst(v)) == hash(NCst(v))
 
+    def test_source_constants_compare_by_the_same_key(self):
+        """`Cst` and `NCst` both compare and hash by `const_key`, so a
+        source 1 is no source true either, and a span does not count."""
+        assert Cst(1) != Cst(True) and Cst(0) != Cst(False)
+        assert len({Cst(0), Cst(False)}) == 2
+        assert Cst(1, Span(0, 1)) == Cst(1)
+        assert hash(Cst(1, Span(0, 1))) == hash(Cst(1))
+        assert Cst(1) != NCst(1)
+        x = NameSupply().var("x")
+        assert Let(x, Cst(1), Nm(x)) != Let(x, Cst(True), Nm(x))
+        assert not alpha_equal_terms(Let(x, Cst(1), Nm(x)),
+                                     Let(x, Cst(True), Nm(x)))
+        assert [const_key(v) for v in (UNIT_V, OMEGA, True, 1)] == [
+            ("Unit",), ("Alloc",), ("Bool", True), ("Int", 1)]
+
 
 def _binders(g):
     """Every let variable and lambda parameter, outside-in."""
@@ -527,7 +542,7 @@ class TestOperatorTable:
         x, y = fresh_names(2)
         walkers = (term_operands, node_operands, term_free_names,
                    graph_free_names, embed,
-                   lambda t: rename_term(t, {x: y}),
+                   lambda t: subst_term(t, x, Nm(y)),
                    lambda t: rename_graph(t, {x: y}),
                    lambda t: subst_term(t, x, Cst(1)),
                    lambda t: alpha_equal_terms(t, t))
@@ -546,7 +561,7 @@ class TestOperatorTable:
                 walk(term)
         with pytest.raises(JsonSchemaError):
             export_json(GLet(x, term, GName(x)))
-        term_walkers = (term_free_names, lambda t: rename_term(t, {a: b}),
+        term_walkers = (term_free_names, lambda t: subst_term(t, a, Nm(b)),
                         lambda t: subst_term(t, a, Cst(1)),
                         lambda t: alpha_equal_terms(t, t))
         for walk in term_walkers:
@@ -569,7 +584,7 @@ class TestOperatorTable:
             assert term_free_names(term) == frozenset(args)
             assert rename_graph(node, {a: c}) == o.node(c, *args[1:])
             rest = term_operands(term)[1:]
-            assert rename_term(term, {a: c}) == o.term(Nm(c), *rest)
+            assert subst_term(term, a, Nm(c)) == o.term(Nm(c), *rest)
             assert subst_term(term, a, Cst(1)) == o.term(Cst(1), *rest)
             assert alpha_equal_terms(term, term)
             assert embed(node) == term

@@ -47,16 +47,34 @@ def test_no_invariant_is_an_assert():
     assert found == []
 
 
+def _defined(tree: ast.Module):
+    """(line, name) of every function and method, and of every class and
+    name a module binds at its top level."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.lineno, node.name
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield node.lineno, node.name
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for n in (n for t in targets for n in ast.walk(t)):
+            if isinstance(n, ast.Name):
+                yield node.lineno, n.id
+
+
 def test_no_helper_is_dead():
-    """Every function or method in the package is named somewhere in the
-    package, the tests or the benchmark: as a name, an attribute, an
-    import alias or a string (the benchmark's tracer wraps functions by
-    name)."""
+    """Every function or method in the package, and every class or name a
+    module binds at its top level, is read somewhere in the package, the
+    tests or the benchmark: as a name, an attribute, an import alias or a
+    string (the benchmark's tracer wraps functions by name)."""
     used = set()
     for d in ("src", "tests", "benchmark"):
         for path in sorted((SRC.parent / d).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and not isinstance(
+                        node.ctx, ast.Store):
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
@@ -65,12 +83,11 @@ def test_no_helper_is_dead():
                 elif (isinstance(node, ast.Constant)
                       and isinstance(node.value, str)):
                     used.add(node.value)
-    dead = [f"{path.name}:{node.lineno} {node.name}"
+    dead = [f"{path.name}:{line} {name}"
             for path in sorted((SRC / "girkit").glob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))
-            and node.name not in used]
+            for line, name in _defined(ast.parse(path.read_text()))
+            if not (name.startswith("__") and name.endswith("__"))
+            and name not in used]
     assert dead == []
 
 
