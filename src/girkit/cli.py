@@ -754,7 +754,8 @@ def cmd_schedule(args) -> int:
                              f"{args.synthetic}")
         if args.time:
             t = time_schedule(args.synthetic, args.depth, args.seed,
-                              freq=args.freq)
+                              freq=args.freq, compact=args.compact,
+                              matchers=matchers)
             print(f"n={args.synthetic} depth={args.depth} "
                   f"seed={args.seed} time={t:.3f}s")
             return 0

@@ -7,11 +7,10 @@ traversal with pluggable tree matchers, and a synthetic benchmark mode.
 from __future__ import annotations
 
 import gc
-import heapq
 import random
 import time
-from array import array
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .core import (
     CyclicDependency, GLet, GName, Name, NameSupply, NCst, NLam,
@@ -45,26 +44,26 @@ class SGraph:
     result: Name
 
 
-@dataclass
+@dataclass(slots=True)
 class Exp:
     op: str
     args: tuple = ()              # Name or nested Exp
     lit: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Leaf:
     name: Name
     expr: Exp
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     trees: list
     tail: object                  # Name, or an Exp when the result inlines
 
 
-@dataclass
+@dataclass(slots=True)
 class Scope:
     binder: tuple                 # ("lam", sym, node) / ("loop",...) / branch
     children: list                # Blocks (cond) or the body Block's trees
@@ -154,137 +153,119 @@ _NO_FREQ: dict = {}
 
 class _Deps:
     """Precomputed dependency views over one graph, on dense integer ids:
-    data/effect/hard sets, per-edge frequencies, a consumers-first
-    topological rank, and the transitive bound-variable requirements."""
+    nodes are 0..nnodes-1 in table order, lambda parameters follow. Per
+    node i, as tuples of node ids:
+    - `args[i]`, kept only for compaction (`operands`): one id per data
+      operand, in order (-1 for a name outside the table);
+    - `data[i]`: the distinct data targets, operands then scope results;
+    - `hard[i]`: the distinct hard effect targets;
+    - `both[i]`: the data targets, then the hard effect targets, then the
+      soft ones that are not hard; a target may repeat.
+    Also: per-edge frequencies, a consumers-first topological `order` with
+    `rank` its inverse, and the transitive bound-variable requirements."""
 
-    def __init__(self, sg: SGraph):
-        self.sg = sg
+    def __init__(self, sg: SGraph, operands: bool = False):
         names = list(sg.nodes)
+        nodes = self.node = list(sg.nodes.values())
         nn = self.nnodes = len(names)
-        for node in sg.nodes.values():
-            for p in node.params:
-                names.append(p)
+        for node in nodes:
+            names.extend(node.params)
         self.names = names
         idx = self._idx = {n: i for i, n in enumerate(names)}
 
-        self.node = [sg.nodes[names[i]] for i in range(nn)]
-        # per node, one flat run of edges: data targets, then hard effect
-        # targets, then soft effect targets; off/dm/hm mark the boundaries
-        off = array("l", bytes(8 * (nn + 1)))
-        dm = array("l", bytes(8 * nn))
-        hm = array("l", bytes(8 * nn))
-        edges = array("l")
-        self.freq = [_NO_FREQ] * nn
-        self.params_of = [()] * nn
-        self._param_args = [()] * nn
-        for i in range(nn):
-            node = self.node[i]
+        args = self.args = [()] * nn
+        data_of = self.data = [()] * nn
+        hard_of = self.hard = [()] * nn
+        both = self.both = [()] * nn
+        freq = self.freq = [_NO_FREQ] * nn
+        params_of = self.params_of = [()] * nn
+        param_args = self._param_args = [()] * nn
+        for i, node in enumerate(nodes):
+            ids = tuple([idx.get(a, -1) for a in node.args])
+            if operands:
+                args[i] = ids
             data = set()
-            pa = []
-            for a in node.args:
-                j = idx.get(a, -1)
-                if 0 <= j < nn:
-                    data.add(j)
-                elif j >= nn:
+            pa = []                 # enclosing lambdas' parameters
+            for j in ids:
+                if j >= nn:
                     pa.append(j)
-            for a in node.body_res:
-                j = idx.get(a, -1)
-                if 0 <= j < nn:
+                elif j >= 0:
                     data.add(j)
-            edges.extend(data)
-            dm[i] = hm[i] = len(edges)
+            for a in node.body_res:
+                if 0 <= (j := idx.get(a, -1)) < nn:
+                    data.add(j)
+            data = tuple(data)
+            data = data_of[i] = both[i] = ids if data == ids else data
             if node.hard or node.soft:
                 hard = set()
                 for h in node.hard:
-                    j = idx.get(h, -1)
-                    if 0 <= j < nn:
+                    if (j := idx.get(h, -1)) >= nn:
+                        pa.append(j)
+                    elif j >= 0:
                         hard.add(j)
-                    elif j >= nn:
-                        pa.append(j)  # an enclosing lambda's parameter
-                edges.extend(hard)
-                hm[i] = len(edges)
-                for x in node.soft:
-                    j = idx.get(x, -1)
-                    if 0 <= j < nn and j not in hard:
-                        edges.append(j)
-            off[i + 1] = len(edges)
-            self.params_of[i] = tuple(idx[p] for p in node.params)
+                hard_of[i] = tuple(hard)
+                both[i] = data + hard_of[i] + tuple([
+                    j for x in node.soft
+                    if 0 <= (j := idx.get(x, -1)) < nn and j not in hard])
+            if node.params:
+                params_of[i] = tuple(idx[p] for p in node.params)
             if pa:
-                self._param_args[i] = tuple(pa)
+                param_args[i] = tuple(pa)
             # store only the non-default frequencies (scope-result edges)
             if node.op in ("lam", "loop"):
-                self.freq[i] = {j: HOT for m in node.body_res
-                                if 0 <= (j := self.index_of(m)) < nn}
+                freq[i] = {j: HOT for m in node.body_res
+                           if 0 <= (j := idx.get(m, -1)) < nn}
             elif node.op == "cond":
                 argset = set(node.args)
-                self.freq[i] = {j: COLD for m in node.body_res
-                                if 0 <= (j := self.index_of(m)) < nn
-                                and m not in argset}
-        self._off, self._dm, self._hm, self._edges = off, dm, hm, edges
-        self.rank = self._topo_rank()
+                freq[i] = {j: COLD for m in node.body_res
+                           if 0 <= (j := idx.get(m, -1)) < nn
+                           and m not in argset}
+        self._topo_rank()
         self.bound = self._bound_deps()
 
     def index_of(self, n: Name) -> int:
         """Dense index of a node or parameter name, -1 if absent."""
         return self._idx.get(n, -1)
 
-    def data_of(self, i: int):
-        return self._edges[self._off[i]:self._dm[i]]
-
-    def eff_of(self, i: int):
-        return self._edges[self._dm[i]:self._off[i + 1]]
-
-    def hard_of(self, i: int):
-        return self._edges[self._dm[i]:self._hm[i]]
-
-    def both_of(self, i: int):
-        """Data and effect targets; may repeat a shared target."""
-        return self._edges[self._off[i]:self._off[i + 1]]
-
     def _topo_rank(self):
-        """Rank such that every consumer ranks before its dependencies."""
-        nn = self.nnodes
+        """Order every consumer before its dependencies; rank[i] is i's
+        position in that order."""
+        nn, both = self.nnodes, self.both
         indeg = [0] * nn
-        for m in self._edges:
-            indeg[m] += 1
+        for targets in both:
+            for m in targets:
+                indeg[m] += 1
         order = [i for i in range(nn) if indeg[i] == 0]
-        ready = list(order)
-        off, edges = self._off, self._edges
-        while ready:
-            nxt = []
-            for i in ready:
-                for m in edges[off[i]:off[i + 1]]:
-                    indeg[m] -= 1
-                    if indeg[m] == 0:
-                        nxt.append(m)
-                        order.append(m)
-            ready = nxt
+        for i in order:             # a queue: appended to while read
+            for m in both[i]:
+                indeg[m] -= 1
+                if indeg[m] == 0:
+                    order.append(m)
         if len(order) != nn:
             cyc = sorted(self.names[i] for i in range(nn) if indeg[i] > 0)
             raise CyclicDependency(
                 f"dependency cycle through {cyc[:5]!r}", nodes=cyc)
-        self._order = order
-        rank = array("l", bytes(8 * nn))
+        self.order = order
+        rank = self.rank = [0] * nn
         for r, i in enumerate(order):
             rank[i] = r
-        return rank
 
     def _bound_deps(self) -> list:
         """Transitive bound-variable requirements, producers first."""
-        nn = self.nnodes
-        bound = [()] * nn
-        off, edges = self._off, self._edges
-        for i in reversed(self._order):
-            parts = [b for m in edges[off[i]:off[i + 1]]
-                     if (b := bound[m])]
+        bound = [()] * self.nnodes
+        both = self.both
+        for i in reversed(self.order):
+            parts = [b for m in both[i] if (b := bound[m])]
             pa = self._param_args[i]
             if not parts and not pa:
                 continue
             acc = set(pa)
-            for b in parts:
-                acc.update(b)
+            acc.update(*parts)
             if self.params_of[i]:
                 acc.difference_update(self.params_of[i])
+            elif parts and len(parts[0]) == len(acc):
+                bound[i] = parts[0]   # it holds every requirement: share it
+                continue
             bound[i] = tuple(acc)
         return bound
 
@@ -304,149 +285,145 @@ def schedule_block(dv: _Deps, scope: set, path: set, res,
                    opts: SchedOpts) -> Block:
     """Partition the reachable part of `scope` into nodes emitted here and
     nodes pushed into inner scopes, then emit in topological order. The
-    scope and path sets hold dense node/param indices; `res` is a Name."""
+    scope and path sets hold dense node/param indices; `res` is a Name.
+    Only data and hard effect edges reach: what only soft edges reach is
+    dead. The heap holds ranks (`order` maps one back to its node), so
+    each node is classified after every consumer of it."""
     ri = dv.index_of(res)
-    if ri < 0 or ri >= dv.nnodes:
-        return Block([], res)  # result is a bound variable or location
+    if ri not in scope:
+        return Block([], res)  # a bound variable, location or outer node
 
-    pq: list = []
-    queued = set()
-    rank = dv.rank
-
-    def push(i: int):
-        if i not in queued:
-            queued.add(i)
-            heapq.heappush(pq, (rank[i], i))
-
-    push(ri)
-    reachable_hard = {ri}
-    reachable_hot = {ri}
+    data_of, hard_of, both = dv.data, dv.hard, dv.both
+    freq, bound, rank, order = dv.freq, dv.bound, dv.rank, dv.order
+    pq = [rank[ri]]
+    queued = {ri}
+    hot = {ri}
     current: list = []
     inner: set = set()
-    local_def: set = set()
-    inner_use: dict = {}
-    current_use: dict = {ri: 1}
     freq_on = opts.freq
-    bound = dv.bound
-
     while pq:
-        _, n = heapq.heappop(pq)
-        if n not in scope:
-            continue
-        data = scope.intersection(dv.data_of(n))
-        eff = scope.intersection(dv.eff_of(n))
-        nf = dv.freq[n]
-        if n in reachable_hard:
-            hot = (not freq_on) or n in reachable_hot
-            if hot and path.issuperset(bound[n]):  # available
-                current.append(n)
-                local_def.add(n)
-                for m in data:
-                    if nf.get(m, NORMAL) == NORMAL:
-                        current_use[m] = current_use.get(m, 0) + 1
-                    else:
-                        inner_use[m] = inner_use.get(m, 0) + 1
-                for m in data | eff:
-                    if nf.get(m, NORMAL) > COLD:
-                        reachable_hot.add(m)
-            else:
-                inner.add(n)
-                for m in data:
-                    inner_use[m] = inner_use.get(m, 0) + 1
-                if n in reachable_hot:
-                    reachable_hot |= data | eff
-            reachable_hard |= data | scope.intersection(dv.hard_of(n))
-        for m in data | eff:
-            push(m)
+        n = order[heappop(pq)]
+        for m in data_of[n] + hard_of[n]:
+            if m not in queued and m in scope:
+                queued.add(m)
+                heappush(pq, rank[m])
+        # targets outside the scope may enter `hot`; only scope nodes are
+        # ever looked up in it
+        if (not freq_on or n in hot) and path.issuperset(bound[n]):
+            current.append(n)  # available here
+            nf = freq[n]
+            hot.update([m for m in both[n] if nf.get(m, NORMAL) > COLD]
+                       if nf else both[n])
+        else:
+            inner.add(n)
+            if n in hot:
+                hot.update(both[n])
+    current.reverse()  # visited consumers-first; emission is producers-first
 
-    current.reverse()  # popped consumers-first; emission is producers-first
+    inlined = _inlined(dv, current, inner, ri) if opts.compact else set()
 
-    if not opts.compact:
-        return Block([_traverse(dv, inner, path, frozenset(), n, opts)
-                      for n in current], res)
-
-    # compact traversal: local successors, then the backward inline check
-    succ: dict = {}
-    for c in current:
-        for m in local_def.intersection(dv.both_of(c)):
-            succ.setdefault(m, set()).add(c)
-
-    # the emitter prints a cond's predicate and the names a lambda's
-    # annotations mention by name, so they stay leaves
-    named = set()
+    # producers first, so an inlined operand is built before its consumer
+    matchers = [MATCHERS[m] for m in opts.matchers]
+    trees: list = []
+    built: dict = {}
     for n in current:
         node = dv.node[n]
-        if node.op == "cond":
-            named.add(dv.index_of(node.args[0]))
-        elif node.op == "lam":
-            named.update(map(dv.index_of, node.args))
-    should_inline = {n for n in local_def
-                     if current_use.get(n, 0) == 1
-                     and inner_use.get(n, 0) == 0
-                     and dv.node[n].op not in ("lam", "loop", "cond")
-                     and n not in named}
+        if node.op in ("lam", "loop", "cond"):
+            trees.append(_scope(dv, inner, path, n, opts))
+            continue
+        args = node.args
+        if inlined and not inlined.isdisjoint(ids := dv.args[n]):
+            args = tuple([built[k] if k in inlined else a
+                          for a, k in zip(args, ids)])
+        e = Exp(node.op, args, node.lit)
+        for match in matchers:
+            e = match(e)
+        if n in inlined:
+            built[n] = e
+        else:
+            trees.append(Leaf(node.sym, e))
+    return Block(trees, built[ri] if ri in inlined else res)
+
+
+def _inlined(dv: _Deps, current: list, inner: set, ri: int) -> set:
+    """The nodes of a block (emitted in the order `current`, pushed into
+    inner scopes `inner`, result `ri`) that compaction folds into their
+    only consumer. A candidate has one data use, by a node of this block
+    on an ordinary edge (the result counts as one), and is not printed by
+    name. It stays one only if every local successor, effect successors
+    included, is seen before it in a depth-first check from the result,
+    then from each kept node in reverse emission order, that checks a
+    node's operands in descending rank, each one's subtree first."""
+    here: dict = {ri: 1}
+    elsewhere: set = set()        # used in an inner scope or a scope result
+    # the emitter prints a cond's predicate and the names a lambda's
+    # annotations mention by name, so they stay leaves
+    named: set = set()
+    for n in current:
+        nf = dv.freq[n]
+        for m in dv.data[n]:
+            if nf.get(m, NORMAL) == NORMAL:
+                here[m] = here.get(m, 0) + 1
+            else:
+                elsewhere.add(m)
+        op = dv.node[n].op
+        if op == "cond":
+            named.add(dv.args[n][0])
+        elif op == "lam":
+            named.update(dv.args[n])
+    for n in inner:
+        elsewhere.update(dv.data[n])
+    inline = {n for n in current
+              if here.get(n) == 1 and n not in elsewhere and n not in named
+              and dv.node[n].op not in ("lam", "loop", "cond")}
+
+    succ: dict = {}               # candidate -> its consumers in the block
+    for c in current:
+        for m in inline.intersection(dv.both[c]):
+            succ.setdefault(m, set()).add(c)
+
+    # a node that is not a candidate when its consumer is checked is never
+    # one later (candidates are only dropped), so only candidates are queued
+    rank = dv.rank.__getitem__
     seen: set = set()
 
-    def check_inline(n: int):
-        if n in should_inline and all(s in seen for s in succ.get(n, ())):
-            process_here(n)
-        else:
-            should_inline.discard(n)
+    def check(todo: list):
+        while todo:
+            n = todo.pop()
+            if n in inline and seen.issuperset(succ.get(n, ())):
+                seen.add(n)
+                todo.extend(sorted(inline.intersection(dv.data[n]),
+                                   key=rank))
+            else:
+                inline.discard(n)
 
-    def process_here(n: int):
-        seen.add(n)
-        for s in reversed(sorted(local_def.intersection(dv.data_of(n)),
-                                 key=rank.__getitem__)):
-            check_inline(s)
-
-    check_inline(ri)
+    check([ri])
     for n in reversed(current):
-        if n not in should_inline:
-            process_here(n)
-
-    inlined = frozenset(dv.names[i] for i in should_inline)
-    trees = [_traverse(dv, inner, path, inlined, n, opts)
-             for n in current if n not in should_inline]
-    tail = _as_exp(dv, inlined, res, opts) if ri in should_inline else res
-    return Block(trees, tail)
+        if n not in inline:
+            seen.add(n)
+            check(sorted(inline.intersection(dv.data[n]), key=rank))
+    return inline
 
 
-def _as_exp(dv: _Deps, inlined: frozenset, name: Name,
-            opts: SchedOpts) -> Exp:
-    def build(m: Name) -> Exp:
-        sub = dv.sg.nodes[m]
-        args = tuple(build(a) if a in inlined else a for a in sub.args)
-        return Exp(sub.op, args, sub.lit)
-
-    expr = build(name)
-    for mname in opts.matchers:
-        expr = MATCHERS[mname](expr)
-    return expr
-
-
-def _traverse(dv: _Deps, inner: set, path: set, inlined: frozenset,
-              n: int, opts: SchedOpts):
+def _scope(dv: _Deps, inner: set, path: set, n: int, opts: SchedOpts):
     node = dv.node[n]
     if node.op in ("lam", "loop"):
         body = schedule_block(dv, inner,
                               path | {n} | set(dv.params_of[n]),
                               node.body_res[0], opts)
         return Scope((node.op, node.sym, node), body.trees, body.tail)
-    if node.op == "cond":
-        branches = []
-        for tag, r in zip(("then", "else"), node.body_res):
-            blk = schedule_block(dv, inner, path, r, opts)
-            branches.append(Scope((tag, node.sym, node), blk.trees,
-                                  blk.tail))
-        return Scope(("cond", node.sym, node), branches, None)
-    return Leaf(node.sym, _as_exp(dv, inlined, node.sym, opts))
+    branches = []
+    for tag, r in zip(("then", "else"), node.body_res):
+        blk = schedule_block(dv, inner, path, r, opts)
+        branches.append(Scope((tag, node.sym, node), blk.trees, blk.tail))
+    return Scope(("cond", node.sym, node), branches, None)
 
 
 def schedule(sg: SGraph, freq: bool = False, compact: bool = False,
              matchers: tuple = ()) -> Block:
     """Schedule a whole graph into a scoped block."""
     opts = SchedOpts(freq, compact, tuple(matchers))
-    dv = _Deps(sg)
+    dv = _Deps(sg, compact)
     return schedule_block(dv, set(range(dv.nnodes)), set(), sg.result, opts)
 
 
@@ -454,10 +431,15 @@ def schedule(sg: SGraph, freq: bool = False, compact: bool = False,
 # Tree matchers (instruction selection payload)
 # ---------------------------------------------------------------------------
 
+# A matcher rewrites one node whose operands are already matched, and
+# returns its argument when it does not fire. The scheduler applies the
+# matchers at each expression node, operands first, in the order given:
+# none reads an operator another writes, so this equals running each over
+# a whole tree in turn.
+
 def match_gemm(e: Exp) -> Exp:
     """Add(C, Matmul(A, B)) -> Gemm(A, B, C, 1.0, 1.0) (in-place update)."""
-    args = tuple(match_gemm(a) if isinstance(a, Exp) else a for a in e.args)
-    e = Exp(e.op, args, e.lit)
+    args = e.args
     if (e.op == "op:add" and len(args) == 2
             and isinstance(args[1], Exp) and args[1].op == "op:matmul"
             and len(args[1].args) == 2):
@@ -468,9 +450,7 @@ def match_gemm(e: Exp) -> Exp:
 
 def match_addmul(e: Exp) -> Exp:
     """add(a, mul(b, c)) -> muladd(b, c, a) for scalar integer ops."""
-    args = tuple(match_addmul(a) if isinstance(a, Exp) else a
-                 for a in e.args)
-    e = Exp(e.op, args, e.lit)
+    args = e.args
     if (e.op == "op:iadd" and len(args) == 2
             and isinstance(args[1], Exp) and args[1].op == "op:imul"):
         b, c = args[1].args
@@ -485,31 +465,49 @@ MATCHERS = {"gemm": match_gemm, "addmul": match_addmul}
 # Emission
 # ---------------------------------------------------------------------------
 
-def _exp_text(e, atom: bool = False) -> str:
+_FORMS = {"app": "{} {}", "ref": "ref({}, {})", "deref": "!{}",
+          "assign": "{} := {}"}
+
+
+def _exp_text(e) -> str:
+    """Surface text of an operand or expression, built without recursion
+    so that any depth prints: the expression nodes are listed in preorder,
+    then printed in reverse, each taking its operands' texts off a stack."""
     if isinstance(e, Name):
         return e.pretty()
-    if e.op == "cst":
-        return const_text(e.lit)
-    if e.op == "app":
-        f, a = (_exp_text(x, True) for x in e.args)
-        s = f"{f} {a}"
-        return f"({s})" if atom else s
-    if e.op == "ref":
-        c, i = (_exp_text(x) for x in e.args)
-        return f"ref({c}, {i})"
-    if e.op == "deref":
-        return f"!{_exp_text(e.args[0], True)}"
-    if e.op == "assign":
-        r, v = (_exp_text(x, True) for x in e.args)
-        s = f"{r} := {v}"
-        return f"({s})" if atom else s
-    if e.op.startswith("op:"):
-        parts = [_exp_text(x) for x in e.args]
-        if e.lit is not None:
-            parts += [str(v) for v in (
-                e.lit if isinstance(e.lit, tuple) else (e.lit,))]
-        return f"{e.op[3:]}({', '.join(parts)})"
-    raise TypeError(e)
+    nodes = []
+    todo = [e]
+    while todo:
+        x = todo.pop()
+        nodes.append(x)
+        for a in reversed(x.args):
+            if isinstance(a, Exp):
+                todo.append(a)
+    done: list = []               # texts of printed nodes not yet used
+    for x in reversed(nodes):
+        op = x.op
+        # the operands of an application, read or write print as atoms
+        atom = op in ("app", "deref", "assign")
+        args = []
+        for a in x.args:
+            if isinstance(a, Name):
+                args.append(a.pretty())
+            elif atom and a.op in ("app", "assign"):
+                args.append(f"({done.pop()})")
+            else:
+                args.append(done.pop())
+        if op.startswith("op:"):
+            if x.lit is not None:
+                args += [str(v) for v in (
+                    x.lit if isinstance(x.lit, tuple) else (x.lit,))]
+            done.append(f"{op[3:]}({', '.join(args)})")
+        elif op == "cst":
+            done.append(const_text(x.lit))
+        elif op in _FORMS:
+            done.append(_FORMS[op].format(*args))
+        else:
+            raise TypeError(x)
+    return done[0]
 
 
 def emit(block: Block, indent: int = 0) -> str:
@@ -607,7 +605,8 @@ def synthetic_graph(n: int, depth: int = 8, seed: int = 0) -> SGraph:
 
 
 def time_schedule(n: int, depth: int = 8, seed: int = 0,
-                  freq: bool = False, repeat: int = 5) -> float:
+                  freq: bool = False, compact: bool = False,
+                  matchers: tuple = (), repeat: int = 5) -> float:
     """Best wall time over `repeat` runs of scheduling a synthetic
     n-node graph (minimum filters out allocator and cache noise)."""
     sg = synthetic_graph(n, depth, seed)
@@ -615,10 +614,10 @@ def time_schedule(n: int, depth: int = 8, seed: int = 0,
     gc_was_on = gc.isenabled()
     try:
         gc.disable()
-        schedule(sg, freq=freq)  # warm up code paths
+        schedule(sg, freq, compact, matchers)  # warm up code paths
         for _ in range(repeat):
             t0 = time.perf_counter()
-            schedule(sg, freq=freq)
+            schedule(sg, freq, compact, matchers)
             times.append(time.perf_counter() - t0)
     finally:
         if gc_was_on:

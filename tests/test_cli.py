@@ -326,6 +326,21 @@ class TestMain:
                      "--time"]) == 0
         assert "time=" in capsys.readouterr().out
 
+    def test_schedule_synthetic_timing_runs_the_asked_configuration(
+            self, monkeypatch, capsys):
+        import girkit.schedule as sched
+        real, calls = sched.schedule, []
+
+        def spy(sg, freq=False, compact=False, matchers=()):
+            calls.append((freq, compact, tuple(matchers)))
+            return real(sg, freq, compact, matchers)
+
+        monkeypatch.setattr(sched, "schedule", spy)
+        assert main(["schedule", "--synthetic", "50", "--depth", "3",
+                     "--time", "--freq", "--compact", "--match", "gemm"]) == 0
+        assert "time=" in capsys.readouterr().out
+        assert calls and set(calls) == {(True, True, ("gemm",))}
+
     @pytest.mark.parametrize("extra", [[], ["--compact", "--match", "gemm"]],
                              ids=["plain", "compact-gemm"])
     def test_schedule_synthetic_output_is_a_function_of_the_seed(

@@ -2,6 +2,10 @@
 frequency-driven code motion, compact traversal, instruction matchers,
 and the synthetic benchmark plumbing."""
 
+import hashlib
+import itertools
+from random import Random
+
 import pytest
 
 from girkit.cli import _build_config, parse
@@ -223,6 +227,24 @@ class TestCompactTraversal:
                             matchers=("gemm",)))
         assert out == "gemm(tensor(), tensor(), tensor(), 1.0, 1.0)"
 
+    @pytest.mark.parametrize("matchers", [(), ("gemm",)],
+                             ids=["plain", "gemm"])
+    def test_long_single_use_chain_inlines_at_the_default_limit(
+            self, matchers):
+        # every step of the chain is folded into one tail expression; the
+        # compaction, matchers and printer must not recurse per node
+        sup = NameSupply(1)
+        prev = sup.var("c")
+        nodes = {prev: SNode(prev, "cst", lit=1)}
+        for _ in range(5000):
+            n = sup.var("n")
+            nodes[n] = SNode(n, "op:neg", (prev,))
+            prev = n
+        out = emit(schedule(SGraph(nodes, prev), compact=True,
+                            matchers=matchers))
+        assert out.count("neg(") == 5000
+        assert out == "neg(" * 5000 + "1" + ")" * 5000
+
     def test_integer_multiply_add_fuses(self):
         sup = NameSupply(1)
         a, b, c = sup.var("a"), sup.var("b"), sup.var("c")
@@ -257,6 +279,30 @@ class TestSemanticPreservation:
         out2 = emit(schedule(flatten_config(_build_config(out1, RW))))
         out3 = emit(schedule(flatten_config(_build_config(out2, RW))))
         assert out3 == out2
+
+
+# sha256 of the scheduler's output on the graphs and options below; a change
+# to the scheduler must reproduce it byte for byte
+SCHEDULE_PIN = (
+    "f9493858c28566caecb3a5574e40167dc8db2714e642a7e3f027bfd1e71c0c7b")
+
+
+def test_schedule_output_is_pinned():
+    from benchmark import gen
+    digest = hashlib.sha256()
+    for s in range(3):
+        # sched_graph has lam/loop/cond scopes, effect chains and
+        # matmul/add pairs; synthetic_graph has deep lambda nesting
+        for sg in (gen.sched_graph(Random(s), 3000, shared_predicates=s > 0),
+                   synthetic_graph(2000, 8, s)):
+            for freq, compact, matchers in itertools.product(
+                    (False, True), (False, True),
+                    ((), ("gemm",), ("addmul",))):
+                block = schedule(sg, freq=freq, compact=compact,
+                                 matchers=matchers)
+                digest.update(emit(block).encode())
+                digest.update(b"\0")
+    assert digest.hexdigest() == SCHEDULE_PIN
 
 
 class TestSyntheticGraphs:
