@@ -236,10 +236,11 @@ class _Parser:
         return lhs
 
     def app(self) -> Term:
+        start = self.peek().start
         t = self.atom()
         while self._starts_atom(self.peek()):
             arg = self.atom()
-            t = App(t, arg)
+            t = App(t, arg, span=Span(start, self.peek().start))
         return t
 
     @staticmethod

@@ -441,10 +441,6 @@ class PMap(Mapping):
         d = self._data
         return (self._root() if d is None else d)[k]
 
-    def get(self, k, default=None):
-        d = self._data
-        return (self._root() if d is None else d).get(k, default)
-
     def __contains__(self, k) -> bool:
         d = self._data
         return k in (self._root() if d is None else d)

@@ -106,12 +106,17 @@ def resynthesize(st: SynthState, g: GraphTerm, record: dict,
       whose binder occurs nowhere. Deleting such a binder leaves every
       other typing as it was (strengthening), so each let below keeps its
       binding typing and only has its context and Δ re-threaded from the
-      deleted let's entry state, in lambda bodies and nested blocks too.
-      The new Δ differs from the recorded one only where the recorded one
-      names a deleted binder (the let's own or one inside its binding);
-      as the deleted binding writes nothing, a recorded annotation,
-      composed output or slice changes only if it names one, and is
-      computed again only then (`_rebase`).
+      deleted let's entry state, in lambda bodies and nested blocks too
+      (`_synth`'s `gone` mode). The new Δ differs from the recorded one
+      only where the recorded one names the deleted let's binder. No
+      binder inside its binding can be named below it: a nested block's
+      composed output names only targets of its entry Δ, since the
+      ascent rewires each inner binder away, and a lambda body's Δ starts
+      at its parameter, so by induction no annotation, output, slice or
+      Δ outside the binding names one. As the deleted binding writes
+      nothing, a recorded annotation, composed output or slice changes
+      only if it names the deleted binder, and is computed again only
+      then.
     - Otherwise the descent restarts in the state the record holds, and
       it stops at the first let node that synthesis of `old` produced,
       entered in the context and Δ recorded for it, whose recorded result
@@ -133,86 +138,77 @@ def resynthesize(st: SynthState, g: GraphTerm, record: dict,
         u, old = u.body, old.body
     if prefix:
         ctx, delta = record[old.var].ctx, record[old.var].last_use
-    if (isinstance(old, GLet) and u is old.body
-            and not record[old.var].typing.eff.writes):
-        result = _rebase(ctx, delta, u, st.regime, record, _let_binders(old))
-        return _ascend(prefix, result, st.regime, record)[0]
-    return _synth(ctx, delta, u, st.regime, record, prefix)[0]
+    deleted = (isinstance(old, GLet) and u is old.body
+               and not record[old.var].typing.eff.writes)
+    result = _synth(ctx, delta, u, st.regime, record,
+                    old.var if deleted else None)
+    return _ascend(prefix, result, st.regime, record)[0]
 
 
-def _synth(ctx, delta, g, regime, record, prefix=()):
+def _synth(ctx, delta, g, regime, record, gone=None):
     """Returns (annotated, composed-output, slice, typing) for `g`, a let
-    spine entered in (ctx, delta) after the let frames of `prefix`. The
-    descent keeps one frame per binder; at a let node that `record` holds
-    the result of for the same entry state it stops and takes that
-    result. Without a record, an annotation on the input is checked
-    against the slice synthesized at its position; with one, the input is
-    a rewritten graph whose annotations are stale, and they are ignored."""
-    frames = list(prefix)
+    spine entered in (ctx, delta). The descent keeps one frame per
+    binder; at a let node that `record` holds the result of for the same
+    entry state it stops and takes that result. Without a record, an
+    annotation on the input is checked against the slice synthesized at
+    its position; with one, the input is a rewritten graph whose
+    annotations are stale, and they are ignored.
+
+    Given `gone`, the binder of a deleted let that `g`, a recorded
+    spine, came after (see `resynthesize`), no binding is typed again:
+    each frame's recorded typing, footprint and qualifier re-thread the
+    context and Δ, and a recorded annotation is restricted from Δ again
+    only if it names `gone`."""
+    frames = []
     lets, tail = spine(g)
     for g in lets:
         f = record.get(g.var) if record is not None else None
+        if gone is not None:
+            b2, d1, tb, foot, qual = f.binding, f.dep, f.typing, f.foot, f.qual
+            if isinstance(b2, GLet):
+                b2, d1 = _synth(ctx, delta, b2, regime, record, gone)[:2]
+            elif isinstance(b2, NLam):
+                # a body's Δ starts at its parameter, so nothing recorded
+                # in it names `gone`: its lets keep their results, and
+                # only their recorded contexts change
+                _synth(lam_body_ctx(ctx, b2, tb.qt.qual),
+                       points_to(b2.param), b2.body, regime, record, gone)
+            elif gone in d1.targets():
+                # a target names it, never a key: no footprint holds a
+                # binder that occurs nowhere
+                d1 = dep_restrict(delta, foot, regime)
         # Δ first: most unequal states differ in its size, seen in O(1)
-        if (f is not None and f.result[0] is g
+        elif (f is not None and f.result[0] is g
                 and f.last_use == delta and f.ctx == ctx):
             result = f.result
             break
-        b2, d1, tb = _synth_binding(ctx, delta, g.binding, regime, record)
-        foot = footprint(tb.eff, ctx, regime)
-        if d1 is None:  # a node: Δ restricted to its effect
-            d1 = dep_restrict(delta, foot, regime)
-        if record is None and g.dep is not None:
-            required = dep_restrict(delta, foot, regime)
-            if not dep_submap(g.dep, required):
-                raise DepMismatch(
-                    f"annotation {g.dep!r} on {g.var!r} exceeds required "
-                    f"slice {required!r}",
-                    node=g.var, annotated=g.dep, required=required)
-        qual = saturate(tb.qt.qual, ctx)
+        else:
+            b2, d1, tb = _synth_binding(ctx, delta, g.binding, regime, record)
+            foot = footprint(tb.eff, ctx, regime)
+            if d1 is None:  # a node: Δ restricted to its effect
+                d1 = dep_restrict(delta, foot, regime)
+            if record is None and g.dep is not None:
+                required = dep_restrict(delta, foot, regime)
+                if not dep_submap(g.dep, required):
+                    raise DepMismatch(
+                        f"annotation {g.dep!r} on {g.var!r} exceeds "
+                        f"required slice {required!r}",
+                        node=g.var, annotated=g.dep, required=required)
+            qual = saturate(tb.qt.qual, ctx)
         frames.append((g.var, ctx, delta, b2, d1, tb, foot, qual))
         delta = dep_last_use(delta, g.var, foot, regime)
         ctx = bind_let(ctx, g.var, tb, qual)
     else:
         result = _tail(ctx, tail)
-    return _ascend(frames, result, regime, record)
-
-
-def _rebase(ctx, delta, g, regime, record, gone):
-    """Returns what `_synth` does for `g`, a let spine that synthesis
-    recorded, entered in (ctx, delta), which differ from the recorded
-    entry state only by the deleted binders `gone` (see `resynthesize`).
-    No binding is typed again: each frame's recorded typing, footprint
-    and qualifier re-thread the context and Δ, and a recorded annotation
-    is restricted from Δ again only if it names a binder of `gone`."""
-    frames = []
-    lets, tail = spine(g)
-    for g in lets:
-        f = record[g.var]
-        b2, d1 = f.binding, f.dep
-        if isinstance(b2, GLet):
-            b2, d1 = _rebase(ctx, delta, b2, regime, record, gone)[:2]
-        elif isinstance(b2, NLam):
-            # a body's Δ starts at its parameter, so nothing recorded in
-            # it names a binder of `gone`: its lets keep their results,
-            # and only their recorded contexts change
-            _rebase(lam_body_ctx(ctx, b2, f.typing.qt.qual),
-                    points_to(b2.param), b2.body, regime, record, gone)
-        elif not gone.isdisjoint(d1.targets()):
-            # a target names one, never a key: no footprint holds a binder
-            # that occurs nowhere
-            d1 = dep_restrict(delta, f.foot, regime)
-        frames.append((g.var, ctx, delta, b2, d1, f.typing, f.foot, f.qual))
-        delta = dep_last_use(delta, g.var, f.foot, regime)
-        ctx = bind_let(ctx, g.var, f.typing, f.qual)
-    return _ascend(frames, _tail(ctx, tail), regime, record, gone)
+    return _ascend(frames, result, regime, record, gone)
 
 
 def _ascend(frames, result, regime, record, gone=None):
     """Compose each frame's let, innermost first, from its body's
     `result`, check the composition, and record the frame. A frame whose
     binding is the recorded one keeps its recorded output, slice and
-    typing when they cannot have changed: for frames `_rebase` made
-    (given `gone`), when the recorded slice names no binder of `gone`;
+    typing when they cannot have changed: for frames `_synth` made in
+    its `gone` mode, when the recorded slice does not name `gone`;
     for the others, when its entry state is the recorded one and its
     body's output and typing equal the recorded ones. Only its let node
     is then rebuilt, if its parts changed."""
@@ -227,7 +223,7 @@ def _ascend(frames, result, regime, record, gone=None):
         elif gone is None:
             keep = f.ctx is ctx and f.last_use is delta and f.body == body
         else:  # the output is a sub-map of the slice, which stands for both
-            keep = gone.isdisjoint(f.result[2].targets())
+            keep = gone not in f.result[2].targets()
         if keep:
             let, out, slice_, typing = f.result
             if let.body is not body2 or let.dep is not d1:
@@ -256,19 +252,6 @@ def _tail(ctx, tail):
     if not isinstance(tail, GName):
         raise TypeError(tail)
     return tail, EMPTY_DEP, EMPTY_DEP, infer_direct(ctx, Nm(tail.name))
-
-
-def _let_binders(g: GLet) -> frozenset:
-    """The let binders of `g`, its own and those inside its binding."""
-    names, todo = {g.var}, [g.binding]
-    while todo:
-        u = todo.pop()
-        if isinstance(u, GLet):
-            names.add(u.var)
-            todo += (u.binding, u.body)
-        elif isinstance(u, NLam):
-            todo.append(u.body)
-    return frozenset(names)
 
 
 def _synth_binding(ctx, delta, b, regime, record):

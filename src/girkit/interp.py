@@ -102,21 +102,24 @@ def _step_direct(store: Store, t: Term):
     raise TypeError(t)
 
 
-def eval_direct(store: Store, t: Term, fuel: int = DEFAULT_FUEL,
-                trace: bool = False) -> EvalResult:
+def _reduce(step, store: Store, t: Term, fuel: int, trace: bool):
+    """Step `t` on a copy of `store` until `step` finds a value."""
     sigma = store.copy()
     tr = [] if trace else None
     steps = 0
-    while True:
-        r = _step_direct(sigma, t)
-        if r is None:
-            return EvalResult(sigma, t, steps, tr)
+    while (r := step(sigma, t)) is not None:
         t, rule = r
         steps += 1
         if steps > fuel:
             raise FuelExhausted(f"no value after {fuel} steps")
         if tr is not None:
             tr.append((rule, t))
+    return EvalResult(sigma, t, steps, tr)
+
+
+def eval_direct(store: Store, t: Term, fuel: int = DEFAULT_FUEL,
+                trace: bool = False) -> EvalResult:
+    return _reduce(_step_direct, store, t, fuel, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +194,9 @@ def _step_store(store: Store, t: Term):
 
 def eval_store(store: Store, t: Term, fuel: int = DEFAULT_FUEL,
                trace: bool = False) -> EvalResult:
-    sigma = store.copy()
-    tr = [] if trace else None
-    steps = 0
-    while True:
-        r = _step_store(sigma, t)
-        if r is None:
-            return EvalResult(sigma, t.name, steps, tr)
-        t, rule = r
-        steps += 1
-        if steps > fuel:
-            raise FuelExhausted(f"no value after {fuel} steps")
-        if tr is not None:
-            tr.append((rule, t))
+    res = _reduce(_step_store, store, t, fuel, trace)
+    res.value = res.value.name
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -282,13 +282,15 @@ class SchedOpts:
 
 
 def schedule_block(dv: _Deps, scope: set, path: set, res,
-                   opts: SchedOpts) -> Block:
+                   opts: SchedOpts, todo: list) -> Block:
     """Partition the reachable part of `scope` into nodes emitted here and
     nodes pushed into inner scopes, then emit in topological order. The
     scope and path sets hold dense node/param indices; `res` is a Name.
     Only data and hard effect edges reach: what only soft edges reach is
     dead. The heap holds ranks (`order` maps one back to its node), so
-    each node is classified after every consumer of it."""
+    each node is classified after every consumer of it. Each inner
+    block is left to a task `(scope, path, res, Scope)` on `todo` that
+    fills its empty `Scope`."""
     ri = dv.index_of(res)
     if ri not in scope:
         return Block([], res)  # a bound variable, location or outer node
@@ -328,8 +330,17 @@ def schedule_block(dv: _Deps, scope: set, path: set, res,
     built: dict = {}
     for n in current:
         node = dv.node[n]
-        if node.op in ("lam", "loop", "cond"):
-            trees.append(_scope(dv, inner, path, n, opts))
+        if node.op in ("lam", "loop"):
+            trees.append(body := Scope((node.op, node.sym, node), []))
+            todo.append((inner, path | {n} | set(dv.params_of[n]),
+                         node.body_res[0], body))
+            continue
+        if node.op == "cond":
+            branches = []
+            for tag, r in zip(("then", "else"), node.body_res):
+                branches.append(body := Scope((tag, node.sym, node), []))
+                todo.append((inner, path, r, body))
+            trees.append(Scope(("cond", node.sym, node), branches))
             continue
         args = node.args
         if inlined and not inlined.isdisjoint(ids := dv.args[n]):
@@ -405,26 +416,20 @@ def _inlined(dv: _Deps, current: list, inner: set, ri: int) -> set:
     return inline
 
 
-def _scope(dv: _Deps, inner: set, path: set, n: int, opts: SchedOpts):
-    node = dv.node[n]
-    if node.op in ("lam", "loop"):
-        body = schedule_block(dv, inner,
-                              path | {n} | set(dv.params_of[n]),
-                              node.body_res[0], opts)
-        return Scope((node.op, node.sym, node), body.trees, body.tail)
-    branches = []
-    for tag, r in zip(("then", "else"), node.body_res):
-        blk = schedule_block(dv, inner, path, r, opts)
-        branches.append(Scope((tag, node.sym, node), blk.trees, blk.tail))
-    return Scope(("cond", node.sym, node), branches, None)
-
-
 def schedule(sg: SGraph, freq: bool = False, compact: bool = False,
              matchers: tuple = ()) -> Block:
-    """Schedule a whole graph into a scoped block."""
+    """Schedule a whole graph into a scoped block. Blocks are scheduled
+    from a worklist; given its scope and path, each is independent of
+    the others, so their order does not change the output."""
     opts = SchedOpts(freq, compact, tuple(matchers))
     dv = _Deps(sg, compact)
-    return schedule_block(dv, set(range(dv.nnodes)), set(), sg.result, opts)
+    top = Scope(None, [])
+    todo = [(set(range(dv.nnodes)), set(), sg.result, top)]
+    while todo:
+        scope, path, res, out = todo.pop()
+        blk = schedule_block(dv, scope, path, res, opts, todo)
+        out.children, out.result = blk.trees, blk.tail
+    return Block(top.children, top.result)
 
 
 # ---------------------------------------------------------------------------
@@ -510,43 +515,46 @@ def _exp_text(e) -> str:
     return done[0]
 
 
-def emit(block: Block, indent: int = 0) -> str:
+def emit(block: Block) -> str:
     """Deterministic nested-let text: one binding per leaf, two-space
-    indentation per scope; calculus nodes emit parseable surface syntax."""
-    pad = "  " * indent
+    indentation per scope; calculus nodes emit parseable surface syntax.
+    Nested blocks wait on an explicit stack, so any depth prints."""
     lines = []
-    for t in block.trees:
-        if isinstance(t, Leaf):
-            lines.append(f"{pad}let {t.name.pretty()} = "
-                         f"{_exp_text(t.expr)} in")
-        else:
+    todo: list = [(block.trees, block.tail, "")]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        trees, tail, pad = item
+        inner = pad + "  "
+        out: list = []            # lines, and blocks as (trees, tail, pad)
+        for t in trees:
+            if isinstance(t, Leaf):
+                out.append(f"{pad}let {t.name.pretty()} = "
+                           f"{_exp_text(t.expr)} in")
+                continue
             kind, sym, node = t.binder
             if kind == "lam":
                 param_qt, latent = node.lit or ("Int^{}", "rd{} wr{}")
-                head = (f"{pad}let {sym.pretty()} = fun "
+                out += [f"{pad}let {sym.pretty()} = fun "
                         f"({node.params[0].pretty()}: {param_qt}) "
-                        f"=>{{{latent}}} (")
-                lines.append(head)
-                lines.append(emit(Block(t.children, t.result), indent + 1))
-                lines.append(f"{pad}) in")
+                        f"=>{{{latent}}} (", (t.children, t.result, inner)]
             elif kind == "loop":
-                lines.append(f"{pad}let {sym.pretty()} = loop (")
-                lines.append(emit(Block(t.children, t.result), indent + 1))
-                lines.append(f"{pad}) in")
+                out += [f"{pad}let {sym.pretty()} = loop (",
+                        (t.children, t.result, inner)]
             elif kind == "cond":
                 then_s, else_s = t.children
-                lines.append(f"{pad}let {sym.pretty()} = if "
-                             f"{node.args[0].pretty()} then (")
-                lines.append(emit(Block(then_s.children, then_s.result),
-                                  indent + 1))
-                lines.append(f"{pad}) else (")
-                lines.append(emit(Block(else_s.children, else_s.result),
-                                  indent + 1))
-                lines.append(f"{pad}) in")
+                out += [f"{pad}let {sym.pretty()} = if "
+                        f"{node.args[0].pretty()} then (",
+                        (then_s.children, then_s.result, inner),
+                        f"{pad}) else (",
+                        (else_s.children, else_s.result, inner)]
             else:
                 raise TypeError(t.binder)
-    tail = block.tail
-    lines.append(f"{pad}{_exp_text(tail)}")
+            out.append(f"{pad}) in")
+        out.append(f"{pad}{_exp_text(tail)}")
+        todo += reversed(out)
     return "\n".join(lines)
 
 

@@ -94,6 +94,16 @@ class TestDotExport:
         assert plain  # operand edges carry no style attribute
 
 
+def lam_graph(**fields):
+    """The graph of a document whose one node is a lambda, with `fields`
+    replacing the lambda's own."""
+    lam = {"id": "v1:f", "op": "lam", "param": "v2:p",
+           "paramQt": {"ty": "Int", "qual": []},
+           "latent": {"rd": [], "wr": []},
+           "body": {"nodes": [], "result": "v2:p"}, **fields}
+    return {"graph": {"nodes": [lam], "result": "v1:f"}}
+
+
 class TestJsonRoundtrip:
     def _cfg(self, regime=HARD):
         src = ("let r = ref(w, 0) in "
@@ -176,6 +186,40 @@ class TestJsonRoundtrip:
         with pytest.raises(JsonSchemaError, match="dep map|qualifier"):
             import_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"version": 2}, "unsupported version 2"),
+        ({"graph": {"nodes": []}}, "graph must have nodes/result"),
+        ({"graph": {"nodes": {}, "result": "v1:x"}}, "nodes must be a list"),
+        ({"graph": {"nodes": [3], "result": "v1:x"}},
+         "malformed node entry 3"),
+        ({"graph": {"nodes": [{"id": "v1:x"}], "result": "v1:x"}},
+         "malformed node"),
+        ({"graph": {"nodes": [], "result": 5}}, "name must be a string"),
+        ({"graph": {"nodes": [{"id": "v1:x", "op": "deref", "args": []}],
+                    "result": "v1:x"}}, "op 'deref' needs 1 args"),
+        ({"graph": {"nodes": [{"id": "v1:f", "op": "lam"}],
+                    "result": "v1:f"}}, "lam node missing 'param'"),
+        (lam_graph(latent={"rd": []}), "effect must have rd/wr"),
+        (lam_graph(paramQt={"ty": "Int"}),
+         "qualified type must have ty/qual"),
+        (lam_graph(paramQt={"ty": "Float", "qual": []}),
+         "unknown base type"),
+        (lam_graph(paramQt={"ty": {"ref": "Alloc"}, "qual": []}),
+         "bad reference payload"),
+        (lam_graph(paramQt={"ty": {"fun": {}}, "qual": []}),
+         "malformed function type"),
+        (lam_graph(paramQt={"ty": 3, "qual": []}),
+         "unknown type encoding"),
+    ], ids=["version", "graph-keys", "nodes-dict", "entry-int",
+            "entry-without-op", "name-int", "args-count", "lam-no-param",
+            "effect-keys", "qt-keys", "base-type", "ref-payload",
+            "fun-type", "type-int"])
+    def test_each_malformed_part_is_a_schema_error(self, doc, message):
+        doc = {"format": "gir-graph", "version": 1, "start": None,
+               "dep": None, "graph": {"nodes": [], "result": "v1:x"}, **doc}
+        with pytest.raises(JsonSchemaError, match=re.escape(message)):
+            import_json(json.dumps(doc))
+
 
 def graph_names(g):
     """Every name a graph term binds or mentions."""
@@ -234,6 +278,45 @@ class TestMain:
     def test_a_replaced_command_runs(self, src_file, monkeypatch):
         monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
         assert main(["check", src_file("1")]) == 7
+
+    def test_an_internal_failure_exits_2(self, src_file, capsys,
+                                         monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_check", broken)
+        assert main(["check", src_file("1")]) == 2
+        assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("src, code, spanned, msg", [
+        # an application spans its function and arguments
+        ("let f = fun (p: Int^{}) =>{rd{} wr{}} p in f true", "E002",
+         "f true", "argument type Bool does not match domain Int"),
+        ("let f = fun (p: Ref[Int]^{}) =>{rd{} wr{}} "
+         "fun (q: Int^{}) =>{rd{p} wr{}} !p in let r = ref(w, 0) in f r",
+         "E002", "f r", "parameter p#v1 occurs in the result type"),
+        ("1 2", "E002", "1 2", "applied non-function Int^{}"),
+        ("ref(1, 2)", "E002", "ref(1, 2)",
+         "ref needs the allocation capability, got Int"),
+        ("let r = ref(w, 0) in r := true", "E002", ":=",
+         "assignment payload Bool vs cell Ref[Int]"),
+        ("let r = ref(w, 0) in fun (q: Int^{}) =>{rd{r} wr{}} !r", "E002",
+         "let r = ref(w, 0) in fun (q: Int^{}) =>{rd{r} wr{}} !r",
+         "let-bound r#v1 occurs in the body's result type"),
+        ("let x = 1 in $", "E013", "$", "unexpected character '$'"),
+        ("let x = ) in x", "E013", ")", "expected a term, found ')'"),
+        ("fun (p: Ref[Alloc]^{}) =>{rd{} wr{}} p", "E013", "Alloc",
+         "references hold base values, got 'Alloc'"),
+        ("fun (p: 3^{}) =>{rd{} wr{}} p", "E013", "3",
+         "expected a type, found '3'"),
+    ])
+    def test_check_spans_each_diagnostic(self, src_file, capsys, src, code,
+                                         spanned, msg):
+        assert main(["check", src_file(src)]) == 1
+        err = capsys.readouterr().err
+        m = re.search(r":(\d+)-(\d+): \[(E\d+)\] (.*)", err)
+        assert m, err
+        assert (m[3], src[int(m[1]):int(m[2])], m[4]) == (code, spanned, msg)
 
     def test_missing_file_is_a_diagnostic(self, capsys):
         assert main(["check", "/nonexistent/input.gir"]) == 1

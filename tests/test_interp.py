@@ -103,6 +103,35 @@ class TestEvalGraph:
         assert len(set(values.values())) == 1
 
 
+class TestCongruence:
+    """Each semantics steps inside an application's function, a `ref`'s
+    capability and an assignment's reference before it reduces the
+    redex; the values and step counts below pin all three."""
+
+    @pytest.mark.parametrize("src, value, steps", [
+        ("let f = fun (p: Int^{}) =>{rd{} wr{}} p in (let g = f in g) 3",
+         ("cst", "Int", 3), (3, 5, 8)),
+        ("ref((let c = w in c), 1)", ("ref", ("cst", "Int", 1)), (2, 3, 5)),
+        ("let r = ref(w, 0) in let u = (let s = r in s) := 5 in !r",
+         ("cst", "Int", 5), (6, 9, 15)),
+    ], ids=["app-function", "ref-capability", "assign-reference"])
+    def test_value_and_steps(self, src, value, steps):
+        got = []
+        for semantics in (eval_direct, eval_store, "graph"):
+            store = initial_store()
+            t = parse(src, store)
+            if semantics == "graph":
+                r = eval_graph(synthesize_config(store,
+                                                 to_mnf(t, store.supply)))
+            else:
+                r = semantics(store, t, trace=True)
+                last = r.value if semantics is eval_direct else Nm(r.value)
+                assert len(r.trace) == r.steps and r.trace[-1][1] == last
+            assert canonical_value(r.store, r.value) == value
+            got.append(r.steps)
+        assert tuple(got) == steps
+
+
 class TestStoreTyping:
     CLOSURE = "let f = fun (p: Int^{}) =>{rd{} wr{}} p in f"
 

@@ -330,6 +330,33 @@ class TestSyntheticGraphs:
     def test_timer_reports_a_positive_duration(self):
         assert time_schedule(500, depth=4, seed=0, repeat=2) > 0.0
 
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_deeply_nested_scopes_schedule_and_emit(self, compact):
+        """2,000 lambdas, each the body result of the one before and each
+        using its parent's parameter, so that none can leave its parent:
+        scheduling and emission nest them all at the default recursion
+        limit, which one frame per scope would exceed twice over."""
+        n, sup = 2000, NameSupply(1)
+        fs = [sup.var("f") for _ in range(n)]
+        xs = [sup.var("x") for _ in range(n)]
+        leaf = sup.var("n")
+        nodes = {leaf: SNode(leaf, "op:gen", (xs[-1],))}
+        for i, f in enumerate(fs):
+            nodes[f] = SNode(f, "lam", (xs[i - 1],) if i else (),
+                             params=(xs[i],),
+                             body_res=(fs[i + 1] if i + 1 < n else leaf,))
+        pad = ["  " * i for i in range(n + 1)]
+        gen = f"gen({xs[-1].pretty()})"
+        want = ([f"{pad[i]}let {f.pretty()} = fun ({xs[i].pretty()}: "
+                 "Int^{}) =>{rd{} wr{}} (" for i, f in enumerate(fs)]
+                + ([pad[n] + gen] if compact
+                   else [f"{pad[n]}let {leaf.pretty()} = {gen} in",
+                         pad[n] + leaf.pretty()]))
+        for i in reversed(range(n)):
+            want += [f"{pad[i]}) in", pad[i] + fs[i].pretty()]
+        sg = SGraph(nodes, fs[0])
+        assert emit(schedule(sg, compact=compact)) == "\n".join(want)
+
     def test_cyclic_dependencies_are_reported(self):
         sup = NameSupply(1)
         a, b = sup.var("a"), sup.var("b")
