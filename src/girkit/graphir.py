@@ -8,9 +8,10 @@ let node entered in the same context and Δ as before synthesizes as
 before, so after a local rewrite synthesis resumes where the rewrite
 begins and stops where its state converges with the last synthesis; a
 let above that point whose body came out as before keeps its result;
-and after a deleted let whose binder occurs nowhere, every typing below
-stays as it was (strengthening), so the lets below only have their
-context and Δ re-threaded.
+and after a deleted, swapped or merged let every typing below stays as
+it was, up to renaming (weakening and strengthening), so the lets below
+only have their context and Δ re-threaded. A recorded frame equals
+synthesis from scratch modulo binders that occur nowhere.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .core import (
     DepMap, DepMismatch, EMPTY_DEP, GLet, GName, GraphTerm, HARD, Name,
     NLam, Nm, RuntimeConfig, Store, TypingContext, dep_last_use,
     dep_restrict, dep_restrict_names, dep_rewire, dep_submap, dep_update,
-    footprint, graph_free_names, points_to, rename_graph, saturate, spine,
+    footprint, graph_free_names, points_to, rename_effect, rename_graph,
+    rename_qt, saturate,
 )
 from .mnf import check_binding
 from .typecheck import (
@@ -89,63 +91,165 @@ def synthesize(st: SynthState, g: GraphTerm) -> tuple[GraphTerm, DepMap]:
 
 def resynthesize(st: SynthState, g: GraphTerm, record: dict,
                  old: GraphTerm | None = None) -> GraphTerm:
-    """Annotate `g` as `synthesize` would after dropping its annotations,
-    and record the `Frame` of each let binder in `record`, nested blocks
-    and lambda bodies included (binders are unique). `record` is empty or
-    holds what the last re-synthesis under `st` left. Given `old`, the
-    well-typed graph that re-synthesis annotated and `g` was rewritten
-    from, only what the rewrite changed is synthesized again, since
-    synthesis is a function of types and effects.
+    """Annotate `g`, a let spine entered in the state `st`, as `synthesize`
+    would after dropping its annotations, and record the `Frame` of each
+    let binder in `record`, nested blocks and lambda bodies included
+    (binders are unique). `record` is empty or holds what the last
+    re-synthesis under `st` left. Given `old`, the well-typed graph that
+    re-synthesis annotated and `g` was rewritten from by one of the
+    optimizer's rules, only what the rewrite changed is synthesized
+    again, since synthesis is a function of types and effects.
+
+    The record's contract: each frame equals what synthesis from scratch
+    gives, modulo binders that occur nowhere. A binder that occurs
+    nowhere changes no typing (strengthening), and binders are unique,
+    so such a binder can only stand in a recorded context, as its own
+    key of Δ, or as a Δ target that no later let reads; comparisons of
+    recorded states hold modulo such binders too.
 
     The binders `g` shares with `old` from the top (the same binder bound
-    to the same binding object) keep their frames. After them, one of two
-    things happens:
+    to the same binding object) keep their frames; where the same binder
+    is bound to a rewritten lambda (same parameter, qualifier, latent
+    effect and captures) or nested block with the same continuation, the
+    walk goes on inside it, so no let above the rewritten one is typed
+    again. At the rewritten let, one of four things happens:
 
-    - `g` goes on with the very body of the let of `old` that comes next,
-      and that let's binding writes nothing: the rewrite deleted the let,
-      whose binder occurs nowhere. Deleting such a binder leaves every
-      other typing as it was (strengthening), so each let below keeps its
-      binding typing and only has its context and Δ re-threaded from the
-      deleted let's entry state, in lambda bodies and nested blocks too
-      (`_synth`'s `gone` mode). The new Δ differs from the recorded one
-      only where the recorded one names the deleted let's binder. No
-      binder inside its binding can be named below it: a nested block's
-      composed output names only targets of its entry Δ, since the
-      ascent rewires each inner binder away, and a lambda body's Δ starts
-      at its parameter, so by induction no annotation, output, slice or
-      Δ outside the binding names one. As the deleted binding writes
-      nothing, a recorded annotation, composed output or slice changes
-      only if it names the deleted binder, and is computed again only
-      then.
-    - Otherwise the descent restarts in the state the record holds, and
-      it stops at the first let node that synthesis of `old` produced,
-      entered in the context and Δ recorded for it, whose recorded result
-      it takes. That comparison is exact, by content: Δ first, then φ,
-      then the context's map, each of which tells versions of unequal
-      size apart in O(1), as they are after most rewrites that do not
-      converge.
+    - `g` goes on with the very body of the let of `old` that comes
+      next, and that let's binding writes nothing: the rewrite deleted
+      the let, whose binder occurs nowhere. Each let below keeps its
+      binding typing and only has its context, Δ and annotation
+      re-threaded (`_synth`'s `gone` mode), in nested blocks too, until
+      the first let whose recorded Δ names the deleted binder nowhere
+      but at its own key: the recorded keys that the deleted let's
+      footprint pointed at it are tracked, and each let's recorded
+      footprint overwrites some. From there on the record holds, modulo
+      the deleted binder. Lambda bodies are not re-threaded: a body's Δ
+      starts at its parameter, so only their contexts hold the binder.
+      No binder inside the deleted binding can be named below it: a
+      nested block's composed output names only targets of its entry Δ,
+      since the ascent rewires each inner binder away, and a lambda
+      body's Δ starts at its parameter, so by induction no annotation,
+      output, slice or Δ outside the binding names one.
+    - Two adjacent lets swapped places (`comm`): the swap holds only for
+      disjoint footprints where the second binding does not mention the
+      first binder, so by weakening and strengthening both keep their
+      recorded typings, footprints and qualifiers, and are re-threaded,
+      bindings included.
+    - A let was merged into the equal one before it (`cse`): the
+      continuation is the old one with the duplicate binder renamed to
+      the kept one, which has the same type and saturated qualifier, so
+      each let below is re-threaded with its recorded typing, footprint
+      and qualifier renamed likewise.
+    - Otherwise the descent types the rewritten lets again, and it stops
+      at the first let node that synthesis of `old` produced, entered in
+      the context and Δ recorded for it, whose recorded result it takes.
+      That comparison is by content: Δ first, then φ, then the context's
+      map, each of which tells versions of unequal size apart in O(1).
 
     Every let above that point is composed again only if its body's
     output or typing changed; one whose did not keeps its recorded
     result. Frames of the binders a rewrite removed stay in the record; no
     binder of `g` names them."""
-    prefix, ctx, delta, u = [], st.ctx, st.last_use, g
-    # a kept frame needs a next one in `old`, whose entry state it leaves
-    while (isinstance(u, GLet) and isinstance(old, GLet)
-           and isinstance(old.body, GLet)
-           and u.var == old.var and u.binding is old.binding):
-        prefix.append(record[u.var][:-2])  # as the descent keeps it
-        u, old = u.body, old.body
-    if prefix:
-        ctx, delta = record[old.var].ctx, record[old.var].last_use
-    deleted = (isinstance(old, GLet) and u is old.body
-               and not record[old.var].typing.eff.writes)
-    result = _synth(ctx, delta, u, st.regime, record,
-                    old.var if deleted else None)
-    return _ascend(prefix, result, st.regime, record)[0]
+    if old is None:
+        return _synth(st.ctx, st.last_use, g, st.regime, record)[0]
+    return _resynth(st.ctx, st.last_use, g, old, st.regime, record)[0]
 
 
-def _synth(ctx, delta, g, regime, record, gone=None):
+def _resynth(ctx, delta, g, old, regime, record):
+    """Result of `g`, a let spine rewritten from the recorded `old`,
+    entered in (ctx, delta), the state recorded for `old`."""
+    frames, prev = [], None
+    while isinstance(g, GLet) and isinstance(old, GLet) and g.var == old.var:
+        b, ob = g.binding, old.binding
+        if b is not ob:
+            if g.body is old.body and _same_scope(b, ob):
+                result = _resynth_binding(ctx, delta, g, old, regime, record)
+                return _ascend(frames, result, regime, record)
+            break
+        if not isinstance(old.body, GLet):
+            break
+        frames.append(record[old.var][:-2])  # as the descent keeps it
+        prev, g, old = old.var, g.body, old.body
+        f = record[old.var]
+        ctx, delta = f.ctx, f.last_use
+    return _ascend(frames, _resynth_site(ctx, delta, g, old, prev, regime,
+                                         record), regime, record)
+
+
+def _same_scope(b, ob) -> bool:
+    """Whether `b` rewrites the inside of `ob` and keeps its scope: two
+    nested blocks, or two lambdas with the same parameter, qualifier and
+    latent effect, whose body the old one has a let in."""
+    if isinstance(ob, GLet):
+        return isinstance(b, GLet)
+    return (isinstance(ob, NLam) and isinstance(b, NLam)
+            and isinstance(ob.body, GLet) and b.param == ob.param
+            and b.param_qt == ob.param_qt and b.latent == ob.latent)
+
+
+def _resynth_binding(ctx, delta, g, old, regime, record):
+    """Result of the let `g`, whose binding rewrites the inside of that of
+    `old`, the recorded let it keeps the binder and continuation of."""
+    f = record[old.var]
+    b, ob = g.binding, old.binding
+    if isinstance(ob, GLet):  # a nested block, entered in the let's state
+        body = _resynth(ctx, delta, b, ob, regime, record)
+        b2, d1, tb = body[0], body[1], body[3]
+    else:
+        free = graph_free_names(b)
+        if free != f.typing.qt.qual:  # the body's observation changed
+            b2, d1, tb = _synth_binding(ctx, delta, b, regime, record)
+        else:
+            first = record[ob.body.var]
+            body = _resynth(first.ctx, first.last_use, b.body, ob.body,
+                            regime, record)
+            tb = check_lam(ctx, b, free, lambda _ctx, _body: body[3])
+            b2, d1 = NLam(b.param, b.param_qt, b.latent, *body[:2]), EMPTY_DEP
+    if tb == f.typing:  # the state after the let is the recorded one
+        foot, qual = f.foot, f.qual
+        result = (g.body, f.body[0], None, f.body[1])
+    else:
+        foot = footprint(tb.eff, ctx, regime)
+        qual = saturate(tb.qt.qual, ctx)
+        result = _synth(bind_let(ctx, g.var, tb, qual),
+                        dep_last_use(delta, g.var, foot, regime), g.body,
+                        regime, record)
+    return _ascend([(g.var, ctx, delta, b2, d1, tb, foot, qual)], result,
+                   regime, record)
+
+
+def _resynth_site(ctx, delta, g, old, prev, regime, record):
+    """Result of `g`, which replaced the recorded let `old` (entered in
+    (ctx, delta)); `prev` is the binder of the let before both, if any."""
+    if not isinstance(old, GLet):
+        return _synth(ctx, delta, g, regime, record)
+    f, nxt = record[old.var], old.body
+    if g is nxt and not f.typing.eff.writes:  # deleted
+        return _synth(ctx, delta, g, regime, record, _gone(f, regime))
+    if (isinstance(g, GLet) and isinstance(nxt, GLet)
+            and g.binding is nxt.binding and isinstance(g.body, GLet)
+            and g.body.binding is old.binding and g.body.body is nxt.body):
+        return _synth(ctx, delta, g, regime, record, rethread=2,
+                      was=old)  # swapped
+    if (prev is not None and old.binding == record[prev].binding
+            and (isinstance(g, GLet) and isinstance(nxt, GLet)
+                 and g.var == nxt.var
+                 or isinstance(g, GName) and isinstance(nxt, GName))):
+        # merged into `prev`: the continuation, renamed
+        return _synth(ctx, delta, g, regime, record, rename={old.var: prev})
+    return _synth(ctx, delta, g, regime, record, was=old)
+
+
+def _gone(f, regime) -> tuple:
+    """`_synth`'s `gone` pair for the deleted let of frame `f`: its
+    binder, and the keys that its footprint pointed at it in Δ, hard ones
+    in the hard regime and soft sets of its reads in the read/write one
+    (it writes nothing)."""
+    return f.var, set(f.foot if regime == HARD else f.foot[0])
+
+
+def _synth(ctx, delta, g, regime, record, gone=None, rename=None,
+           rethread=0, was=None):
     """Returns (annotated, composed-output, slice, typing) for `g`, a let
     spine entered in (ctx, delta). The descent keeps one frame per
     binder; at a let node that `record` holds the result of for the same
@@ -154,32 +258,45 @@ def _synth(ctx, delta, g, regime, record, gone=None):
     its position; with one, the input is a rewritten graph whose
     annotations are stale, and they are ignored.
 
-    Given `gone`, the binder of a deleted let that `g`, a recorded
-    spine, came after (see `resynthesize`), no binding is typed again:
-    each frame's recorded typing, footprint and qualifier re-thread the
-    context and Δ, and a recorded annotation is restricted from Δ again
-    only if it names `gone`."""
+    Three modes type no binding; each reads the frames `record` holds for
+    the binders of `g` (see `resynthesize`):
+
+    - `gone`, a (deleted binder, pending keys) pair: each let keeps its
+      recorded typing, footprint and qualifier to re-thread the context
+      and Δ, and its recorded annotation unless it names the binder,
+      until the pending keys, those whose recorded Δ target is the
+      binder, run out: that let keeps its recorded result;
+    - `rethread`, a count: the first that many lets, bindings included,
+      are re-threaded so, and the rest synthesized;
+    - `rename`, a map: every let, bindings included, is re-threaded with
+      its recorded typing, footprint and qualifier renamed by it.
+
+    `was` is the recorded let that `g` replaced, if any, entered in the
+    same state: see `_same_state`. The descent walks only as far as it
+    goes, never the rest of the spine. What it records equals synthesis
+    from scratch modulo binders that occur nowhere (see `resynthesize`)."""
     frames = []
-    lets, tail = spine(g)
-    for g in lets:
+    while isinstance(g, GLet):
         f = record.get(g.var) if record is not None else None
-        if gone is not None:
+        if rename is not None or rethread > 0:
+            rethread -= 1
+            tb, foot, qual = _renamed(f, rename, regime)
+            b2, d1 = _rethread(ctx, delta, g.binding, tb, foot, regime,
+                               record, rename or {})
+        elif gone is not None:
+            var, pending = gone
+            if not pending:  # the record holds from here, modulo `var`
+                result = f.result
+                break
             b2, d1, tb, foot, qual = f.binding, f.dep, f.typing, f.foot, f.qual
             if isinstance(b2, GLet):
-                b2, d1 = _synth(ctx, delta, b2, regime, record, gone)[:2]
-            elif isinstance(b2, NLam):
-                # a body's Δ starts at its parameter, so nothing recorded
-                # in it names `gone`: its lets keep their results, and
-                # only their recorded contexts change
-                _synth(lam_body_ctx(ctx, b2, tb.qt.qual),
-                       points_to(b2.param), b2.body, regime, record, gone)
-            elif gone in d1.targets():
-                # a target names it, never a key: no footprint holds a
-                # binder that occurs nowhere
+                b2, d1 = _synth(ctx, delta, b2, regime, record,
+                                (var, set(pending)))[:2]
+            elif not isinstance(b2, NLam) and var in d1.targets():
                 d1 = dep_restrict(delta, foot, regime)
-        # Δ first: most unequal states differ in its size, seen in O(1)
+            pending.difference_update(foot if regime == HARD else foot[1])
         elif (f is not None and f.result[0] is g
-                and f.last_use == delta and f.ctx == ctx):
+                and _same_state(f, ctx, delta, frames, was, record, regime)):
             result = f.result
             break
         else:
@@ -198,9 +315,82 @@ def _synth(ctx, delta, g, regime, record, gone=None):
         frames.append((g.var, ctx, delta, b2, d1, tb, foot, qual))
         delta = dep_last_use(delta, g.var, foot, regime)
         ctx = bind_let(ctx, g.var, tb, qual)
+        g = g.body
     else:
-        result = _tail(ctx, tail)
-    return _ascend(frames, result, regime, record, gone)
+        result = _tail(ctx, g)
+    return _ascend(frames, result, regime, record,
+                   gone[0] if gone is not None else None)
+
+
+_LOCAL = 16  # the most lets a region may bind to be compared key by key
+
+
+def _same_state(f, ctx, delta, frames, was, record, regime) -> bool:
+    """Whether (ctx, delta), the state after the lets of `frames`, equals
+    the recorded entry state of the let whose frame is `f`. Given `was`,
+    the recorded let that the frames' region replaced, both states extend
+    the one the region was entered in by the binders of a region: they
+    are equal exactly when the regions bind the same binders to the same
+    entries and agree on Δ at every key a footprint or binder of either
+    region touched, which is all that is compared. A long region, or one
+    without `was`, is compared by content: Δ first, since most unequal
+    states differ in its size, seen in O(1), then φ and the context's
+    map."""
+    if was is not None and len(frames) <= _LOCAL:
+        olds, o, stop = [], was, f.result[0]
+        while o is not stop and isinstance(o, GLet) and len(olds) <= _LOCAL:
+            olds.append(record[o.var])
+            o = o.body
+        if o is stop:
+            binders = {frame[0] for frame in frames}
+            if binders != {old.var for old in olds}:
+                return False
+            keys = set(binders)
+            for foot in [frame[6] for frame in frames] + [old.foot
+                                                          for old in olds]:
+                keys.update(foot if regime == HARD else foot[0] | foot[1])
+            return (_entries(ctx, delta, binders, keys)
+                    == _entries(f.ctx, f.last_use, binders, keys))
+    return f.last_use == delta and f.ctx == ctx
+
+
+def _entries(ctx, delta, binders, keys) -> tuple:
+    """The context entries of `binders` and the Δ entries of `keys`, each
+    read at once, since reading another version of a persistent map moves
+    it."""
+    env, hard, soft = ctx.env, delta.hard, delta.soft
+    return ([env.get(b) for b in binders], [hard.get(k) for k in keys],
+            [soft.get(k) for k in keys])
+
+
+def _renamed(f, m, regime):
+    """A frame's recorded typing, footprint and qualifier, renamed by `m`."""
+    if not m:
+        return f.typing, f.foot, f.qual
+    t = f.typing
+    tb = Typing(rename_qt(t.qt, m), rename_effect(t.eff, m))
+    if regime == HARD:
+        return tb, _rename_names(f.foot, m), _rename_names(f.qual, m)
+    reads, writes = f.foot
+    return (tb, (_rename_names(reads, m), _rename_names(writes, m)),
+            _rename_names(f.qual, m))
+
+
+def _rename_names(q, m):
+    return frozenset(m.get(n, n) for n in q) if any(n in m for n in q) else q
+
+
+def _rethread(ctx, delta, b, tb, foot, regime, record, m):
+    """(annotated binding, dependency) of `b`, whose lets `record` holds
+    frames for under the renaming `m`, re-threaded from (ctx, delta):
+    its lets keep their recorded typings, renamed by `m`."""
+    if isinstance(b, GLet):
+        return _synth(ctx, delta, b, regime, record, rename=m)[:2]
+    if isinstance(b, NLam):
+        body = _synth(lam_body_ctx(ctx, b, tb.qt.qual), points_to(b.param),
+                      b.body, regime, record, rename=m)
+        return NLam(b.param, b.param_qt, b.latent, *body[:2]), EMPTY_DEP
+    return b, dep_restrict(delta, foot, regime)
 
 
 def _ascend(frames, result, regime, record, gone=None):
@@ -245,6 +435,24 @@ def _ascend(frames, result, regime, record, gone=None):
         if record is not None:
             record[var] = Frame(*frame, body, result)
     return result
+
+
+def recompose(st: SynthState, lets: list, rest, record: dict) -> GraphTerm:
+    """The annotated spine of the lets `lets` (outermost first, as
+    re-synthesis under `st` annotated them) put back above `rest`, the
+    annotated spine that follows the last: each let keeps the frame
+    `record` holds and only has its result composed again (`_ascend`),
+    which records it."""
+    if isinstance(rest, GLet):
+        result = record[rest.var].result
+    else:
+        ctx = st.ctx
+        if lets:
+            f = record[lets[-1].var]
+            ctx = bind_let(f.ctx, f.var, f.typing, f.qual)
+        result = _tail(ctx, rest)
+    return _ascend([record[u.var][:-2] for u in lets], result, st.regime,
+                   record)[0]
 
 
 def _tail(ctx, tail):

@@ -1,14 +1,11 @@
 """Equational graph-to-graph rewrites (dead code, commuting, hoisting,
 inlining, common subexpressions) applied under congruence with explicit
 side-condition checks. The side conditions read the binding typings and
-contexts that dependency synthesis records; after every rewrite that
-fires, the driver re-synthesizes the rewritten graph from the first
-binder the rewrite changed until the synthesis state converges with the
-last one, which also brings the record up to date for the next walk. A
-`dce` deletion types nothing again: the lets below it keep their
-typings and have their context and Δ re-threaded, and the lets above
-any fired site keep their results once their body's comes out as
-before (`graphir.resynthesize`).
+contexts that dependency synthesis records, and a use census; after
+every rewrite that fires, the driver re-synthesizes only what the
+rewrite changed, which also brings the record up to date for the next
+site (`graphir.resynthesize`), and the site walk goes on from the fired
+site instead of starting again at the root.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from .core import (
     TypingContext, graph_free_names, node_operands, qt_free_names,
     qual_repr, rename_graph, saturate, spine,
 )
-from .graphir import SynthState, erase, resynthesize
+from .graphir import SynthState, erase, recompose, resynthesize
 
 
 @dataclass
@@ -39,82 +36,104 @@ class RewriteReport:
 
 @dataclass
 class Site:
-    """A binding position. `path` addresses it (0 enters a let's binding,
-    or a bound lambda's body; 1 its body); `record` maps every binder of
-    the graph to its synthesis `Frame`, so `record[focus.var]` holds the
-    context that types `focus` and its binding's typing; `uses` holds the
-    names that occur in the walked graph; and `rebuild` reassembles the
-    whole (unannotated) graph around a replacement for `focus`: a rule
-    that fires here returns what `rebuild` returns."""
-    path: tuple
+    """A binding position: `depth` lets down the top-level spine, then
+    `rel` (0 enters a let's binding, or a bound lambda's body; 1 its
+    body), which `path` joins. `record` maps every binder of the graph to
+    its synthesis `Frame`, so `record[focus.var]` holds the context that
+    types `focus` and its binding's typing; `uses` counts the occurrences
+    of each name in the walked graph (see `_count`); and `rebuild`
+    reassembles what the rule returns around a replacement for `focus`:
+    for a path-form call the whole (unannotated) graph, for the driver's
+    own sites the let of the top-level spine that holds `focus`."""
+    depth: int
+    rel: tuple
     focus: GLet
     rebuild: Callable
     record: dict
-    uses: "Occurrences"
+    uses: dict
+
+    @property
+    def path(self) -> tuple:
+        return (1,) * self.depth + self.rel
 
 
-class Occurrences:
-    """The names that occur in a graph where `graph_free_names` finds
-    them: as names, as node operands, and in a lambda's parameter
-    qualifier and latent effect; binders themselves do not count.
-    Binders are unique, so a let binder is used in its continuation
-    exactly when it occurs anywhere in the graph. The graph is walked
-    once, the first time a name is asked for."""
+def _count(uses: dict, g, step: int) -> list:
+    """Add `step` to the count in `uses` of every name that occurs in `g`
+    where `graph_free_names` finds names: as names, as node operands, and
+    in a lambda's parameter qualifier and latent effect; binders
+    themselves do not count. A count that reaches zero is dropped, so a
+    name is in `uses` exactly when it occurs. Binders are unique, so a
+    let binder is used in its continuation exactly when it occurs
+    anywhere in the graph. Returns the names dropped."""
+    todo, dropped = [g], []
+    while todo:
+        u = todo.pop()
+        if isinstance(u, GName):
+            names = (u.name,)
+        elif isinstance(u, GLet):
+            todo += (u.binding, u.body)
+            continue
+        elif isinstance(u, NLam):
+            names = qt_free_names(u.param_qt) | u.latent.flat
+            todo.append(u.body)
+        elif isinstance(u, NCst):
+            continue
+        else:
+            names = node_operands(u)
+        for n in names:
+            c = uses.get(n, 0) + step
+            if c:
+                uses[n] = c
+            else:
+                del uses[n]
+                dropped.append(n)
+    return dropped
 
-    def __init__(self, g: GraphTerm):
-        self.graph, self._names = g, None
 
-    def __contains__(self, n: Name) -> bool:
-        if self._names is None:
-            names, todo = set(), [self.graph]
-            while todo:
-                u = todo.pop()
-                if isinstance(u, GName):
-                    names.add(u.name)
-                elif isinstance(u, GLet):
-                    todo += (u.binding, u.body)
-                elif isinstance(u, NLam):
-                    names |= qt_free_names(u.param_qt) | u.latent.flat
-                    todo.append(u.body)
-                elif not isinstance(u, NCst):
-                    names.update(node_operands(u))
-            self._names = names
-        return n in self._names
+def _census(g: GraphTerm) -> dict:
+    uses: dict = {}
+    _count(uses, g, 1)
+    return uses
 
 
 def walk(g: GraphTerm, record: dict) -> Iterator[Site]:
     """Every binding site, outside-in and left-to-right, of `g`, whose
     synthesis left its frames in `record`."""
-    return _scope(g, (), lambda frag: frag, record, Occurrences(g))
+    return _scope(g, (), _same, record, _census(g))
 
 
 def _scope(g, path, rebuild, record, uses):
     # a module-level generator, so that no closure cell keeps `record` in
     # a reference cycle
     for g in spine(g)[0]:
-        yield Site(path, g, rebuild, record, uses)
-        b = g.binding
-        if isinstance(b, GLet):
-            yield from _scope(b, path + (0,),
-                              lambda frag, g=g, rb=rebuild:
-                              rb(GLet(g.var, frag, g.body, None)),
-                              record, uses)
-        elif isinstance(b, NLam):
-            yield from _scope(
-                b.body, path + (0,),
-                lambda frag, g=g, b=b, rb=rebuild:
-                rb(GLet(g.var, NLam(b.param, b.param_qt, b.latent, frag,
-                                    None), g.body, None)),
-                record, uses)
+        yield Site(0, path, g, rebuild, record, uses)
+        yield from _inside(g, path, rebuild, record, uses)
         rebuild = (lambda frag, g=g, rb=rebuild:
                    rb(GLet(g.var, g.binding, frag, None)))
         path = path + (1,)
 
 
+def _inside(g, path, rebuild, record, uses):
+    """The sites nested in the binding of the let `g`."""
+    b = g.binding
+    if isinstance(b, GLet):
+        yield from _scope(b, path + (0,),
+                          lambda frag, g=g, rb=rebuild:
+                          rb(GLet(g.var, frag, g.body, None)),
+                          record, uses)
+    elif isinstance(b, NLam):
+        yield from _scope(
+            b.body, path + (0,),
+            lambda frag, g=g, b=b, rb=rebuild:
+            rb(GLet(g.var, NLam(b.param, b.param_qt, b.latent, frag,
+                                None), g.body, None)),
+            record, uses)
+
+
 def _synthesized(st: SynthState, g: GraphTerm) -> tuple[GraphTerm, dict]:
     """`g` with its annotations synthesized afresh, and the synthesis
     frame of every binder."""
-    record: dict = {}
+    record = _Record()
     return resynthesize(st, g, record), record
 
 
@@ -280,7 +299,10 @@ def rw_cse(st: SynthState, g: GraphTerm, site: tuple,
     if not isinstance(focus.body, GLet):
         raise SideConditionFailed("no adjacent second binding")
     inner = focus.body
-    if erase(focus.binding) != erase(inner.binding):
+    b1, b2 = focus.binding, inner.binding
+    if isinstance(b1, (GLet, NLam)):  # only these carry annotations
+        b1, b2 = erase(b1), erase(b2)
+    if b1 != b2:
         raise SideConditionFailed("bindings are not identical")
     # only the store binds locations, and a location's qualifier is empty
     # wherever it is read: the program's initial context has the answer,
@@ -302,29 +324,127 @@ RULES = {
 }
 
 
-def _fire(st: SynthState, g: GraphTerm, record: dict, rule: str, sites,
-          supply, reports: list, log_misses: bool):
-    """Try `rule` at each of `sites` in turn. At the first that fires,
-    re-synthesize the rewritten graph from what changed, which annotates
-    it and brings `record` up to date with it, and return (annotated
-    graph, site); if none fires, (None, None)."""
-    for site in sites:
-        try:
-            g2 = RULES[rule](st, g, site, supply)
-        except SideConditionFailed as e:
-            if log_misses:
-                reports.append(RewriteReport(rule, site.path, False, str(e)))
-            continue
-        reports.append(RewriteReport(rule, site.path, True))
-        return resynthesize(st, g2, record, g), site
-    return None, None
+# ---------------------------------------------------------------------------
+# The driver
+# ---------------------------------------------------------------------------
 
+class _Cursor:
+    """The site walk's position on the top-level let spine, kept as a
+    zipper (Huet, "The Zipper", JFP 1997): `above` holds the lets before
+    the cursor, outermost first, and `cur` the annotated rest of the
+    spine, whose frames in `record` are all up to date. The lets in
+    `above` keep their recorded context, Δ, binding and typing, which is
+    all the rules read; their recorded results are composed again only
+    when the cursor moves back over them (`back`), so a rewrite at the
+    cursor touches nothing above it. `at` maps the binder of each let in
+    `above` to its position there."""
 
-def _untried(sites, tried: set):
-    for site in sites:
-        if site.focus.var not in tried:
-            tried.add(site.focus.var)
+    def __init__(self, st: SynthState, g: GraphTerm, record: dict, uses):
+        self.st, self.record, self.uses = st, record, uses
+        self.above: list = []
+        self.at: dict = {}
+        self.cur = g
+
+    def forward(self) -> None:
+        self.at[self.cur.var] = len(self.above)
+        self.above.append(self.cur)
+        self.cur = self.cur.body
+
+    def back(self, i: int) -> None:
+        """Move the cursor to the `i`th let of the spine, at or above it."""
+        above = self.above
+        if i < len(above):
+            for u in above[i:]:
+                del self.at[u.var]
+            self.cur = recompose(self.st, above[i:], self.cur, self.record)
+            del above[i:]
+
+    def sites(self) -> Iterator[Site]:
+        """The let at the cursor and the sites nested in its binding; a
+        rule that fires at one returns the replacement for that let."""
+        cur, depth = self.cur, len(self.above)
+        yield Site(depth, (), cur, _same, self.record, self.uses)
+        for site in _inside(cur, (), _same, self.record, self.uses):
+            site.depth = depth
             yield site
+
+    def fire(self, rule: str, site: Site, new: GraphTerm) -> set:
+        """Put `new`, which `rule` made at `site`, in place of the let at
+        the cursor, re-synthesize what changed and update the census.
+        Returns the binders whose sites a rule may now hold at where it
+        failed before: those of the lets on the site's path (`_on_path`),
+        those whose frame changed in the context, binding or typing that
+        the rules read, and those whose count dropped to zero."""
+        cur, record = self.cur, self.record
+        prev = self.above[-1].var if self.above else None
+        enclosing, before = _on_path(prev, cur, site.rel)
+        cleared = {site.focus.var, *enclosing, *before}
+        f = record[cur.var]
+        record.changed = []
+        self.cur = resynthesize(SynthState(f.ctx, f.last_use, self.st.regime),
+                                new, record, cur)
+        cleared.update(record.changed)
+        cleared.update(_recount(self.uses, rule, site.focus, record))
+        return cleared
+
+
+def _on_path(prev, cur: GLet, rel: tuple) -> tuple[list, list]:
+    """The binders of the lets on the path `rel` from the let `cur`, which
+    comes after the one `prev` binds (if any), to a site: those whose
+    binding holds the site, and those just before a let on the path in
+    its own spine, the site's last unless the site begins a nested
+    spine. The first are re-typed when the site changes; the second read
+    the let after them (`comm`, `cse`)."""
+    enclosing, before, u = [], [] if prev is None else [prev], cur
+    for step in rel:
+        if step:
+            before.append(u.var)
+            u = u.body
+        else:
+            enclosing.append(u.var)
+            u = u.binding if isinstance(u.binding, GLet) else u.binding.body
+    return enclosing, before
+
+
+def _recount(uses: dict, rule: str, focus: GLet, record: dict) -> list:
+    """Update the census by what `rule`, fired at `focus` and
+    re-synthesized into `record`, removed and added: a deleted binding's
+    names, an application replaced by the inlined body, a merged
+    duplicate's binding and uses, renamed to the binder kept. Returns the
+    names whose count dropped to zero."""
+    dropped = []
+    if rule in ("dce", "inline"):
+        dropped = _count(uses, focus.binding, -1)
+    if rule == "inline":
+        _count(uses, record[focus.var].binding, 1)
+    elif rule == "cse":
+        dup = focus.body
+        dropped = _count(uses, dup.binding, -1)
+        n = uses.pop(dup.var, 0)
+        if n:
+            uses[focus.var] = uses.get(focus.var, 0) + n
+    return [n for n in dropped if n not in uses]
+
+
+def _same(frag):
+    return frag
+
+
+class _Record(dict):
+    """Synthesis frames by binder, which list in `changed` each binder
+    whose frame changed in what the rules read: its context, binding or
+    typing."""
+
+    def __init__(self):
+        super().__init__()
+        self.changed: list = []
+
+    def __setitem__(self, var, f):
+        old = self.get(var)
+        if (old is None or old.ctx is not f.ctx
+                or old.binding is not f.binding or old.typing is not f.typing):
+            self.changed.append(var)
+        dict.__setitem__(self, var, f)
 
 
 def optimize(st: SynthState, g: GraphTerm, passes: list,
@@ -332,21 +452,34 @@ def optimize(st: SynthState, g: GraphTerm, passes: list,
              log_misses: bool = False) -> tuple[GraphTerm, list]:
     """Apply the named rules other than `comm` to a fixpoint, each rule in
     list order trying the sites of one outside-in, left-to-right walk and
-    starting a new walk after every rewrite it fires. Then, if `comm` is
-    named, sweep the sites once with it: each site is tried once, and the
-    binding a swap pushes down is not tried again. `fuel` bounds the
-    rewrites fired in all. Returns the rewritten graph, annotated by
-    synthesis even when no rule fires, and the report log.
+    firing at the first site it holds at, until a walk finds none. Then,
+    if `comm` is named, sweep the sites once with it: each site is tried
+    once, and the binding a swap pushes down is not tried again. `fuel`
+    bounds the rewrites fired in all. Returns the rewritten graph,
+    annotated by synthesis even when no rule fires, and the report log.
 
     The program is synthesized once up front, which annotates it afresh
     (any annotation the input carries is dropped) and records each
-    binder's synthesis frame: its context, Δ and binding typing. A rule
-    returns the rewritten graph unannotated, and `_fire` re-synthesizes
-    only what the rewrite changed: from the first binder it changed until
-    a let node is entered in the state recorded for it, or, below a
-    deleted let, by re-threading the recorded typings (see
-    `resynthesize`). The walks and the rules' side conditions read the
-    frames of that record, which lives in this call alone.
+    binder's synthesis frame: its context, Δ and binding typing. A use
+    census counts the occurrences of each name (after Appel and Jim,
+    "Shrinking Lambda Expressions in Linear Time", JFP 1997); each fire
+    updates it by what the rule removed and added. A rule returns the
+    rewritten let unannotated, and only what it changed is synthesized
+    again (see `resynthesize`), from the record, whose frames equal
+    synthesis from scratch modulo binders that occur nowhere. The walks
+    and the rules' side conditions read the record and the census, which
+    live in this call alone.
+
+    A rule fails at a site again for as long as what it reads there, the
+    site's frame, the next let and its frame, and the census, stays as it
+    was. So each rule keeps the binders where it failed, and each fire
+    clears those whose inputs it changed (`_Cursor.fire`). Every site
+    before the walk's position is one it failed at, so after a fire the
+    walk re-tries the cleared sites in walk order and then goes on from
+    the fired site: the same site fires next as after a walk from the
+    root, and the same reports come out. Misses are logged when a site
+    is tried, so each is logged once for each state of the site's
+    inputs.
 
     `supply` must be the program's own name supply, the one its binders
     were drawn from: inlining mints fresh binders from it, and a supply
@@ -356,24 +489,62 @@ def optimize(st: SynthState, g: GraphTerm, passes: list,
             raise SideConditionFailed(f"unknown pass {p!r}")
     reports: list = []
     g, record = _synthesized(st, g)
+    cursor = _Cursor(st, g, record, _census(g))
+    failed = {rule: set() for rule in RULES}
+
+    def next_fire(rule: str, skip: set, sweep: bool):
+        """Try `rule` at each site from the cursor on whose binder is not
+        in `skip`, adding those it fails at (every site it meets, in a
+        sweep); at the first it holds at, return the site and the let
+        that replaces the cursor's."""
+        while isinstance(cursor.cur, GLet):
+            for site in cursor.sites():
+                var = site.focus.var
+                if var in skip:
+                    continue
+                if sweep:
+                    skip.add(var)
+                try:
+                    new = RULES[rule](st, cursor.cur, site, supply)
+                except SideConditionFailed as e:
+                    skip.add(var)
+                    if log_misses:
+                        reports.append(
+                            RewriteReport(rule, site.path, False, str(e)))
+                    continue
+                reports.append(RewriteReport(rule, site.path, True))
+                return site, new
+            cursor.forward()
+        return None, None
+
     changed = True
     while changed and fuel > 0:
         changed = False
         for rule in passes:
-            while rule != "comm" and fuel > 0:
-                g2, _ = _fire(st, g, record, rule, walk(g, record), supply,
-                              reports, log_misses)
-                if g2 is None:
+            if rule == "comm":
+                continue
+            cursor.back(0)
+            while fuel > 0:
+                site, new = next_fire(rule, failed[rule], False)
+                if site is None:
                     break
-                g, fuel, changed = g2, fuel - 1, True
+                cleared = cursor.fire(rule, site, new)
+                for skip in failed.values():
+                    skip.difference_update(cleared)
+                at = cursor.at
+                cursor.back(min((at[v] for v in cleared if v in at),
+                                default=len(cursor.above)))
+                fuel, changed = fuel - 1, True
     # binders are unique, so they name the positions the sweep has tried
     tried: set = set()
+    if "comm" in passes:
+        cursor.back(0)
     while "comm" in passes and fuel > 0:
-        g2, site = _fire(st, g, record, "comm",
-                         _untried(walk(g, record), tried), supply, reports,
-                         log_misses)
-        if g2 is None:
+        site, new = next_fire("comm", tried, True)
+        if site is None:
             break
+        cursor.fire("comm", site, new)
         tried.add(site.focus.body.var)  # now at the tried position
-        g, fuel = g2, fuel - 1
-    return g, reports
+        fuel -= 1
+    cursor.back(0)
+    return cursor.cur, reports

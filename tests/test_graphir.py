@@ -441,23 +441,21 @@ class TestLinearMemory:
         assert peaks[1] / peaks[0] <= 15
 
     def test_synthesis_time_grows_linearly(self):
-        times = []
-        for n, runs in ((2000, 3), (20000, 2)):
-            best = []
-            for _ in range(runs):  # the best of a few, against noise
+        times = {2000: [], 20000: []}
+        for _ in range(5):  # the best of five, the sizes alternating
+            for n, best in times.items():
                 store, g = constant_spine(n)
-                # what the suite left alive is no part of synthesis; its
-                # collections would tax the larger run only
+                # collections, of what the suite left alive and of what
+                # the run's own growth makes, would tax the larger run
                 gc.collect()
-                gc.freeze()
+                gc.disable()
                 try:
                     start = time.process_time()
                     synthesize_and_check(store, g, HARD)
                     best.append(time.process_time() - start)
                 finally:
-                    gc.unfreeze()
-            times.append(min(best))
-        assert times[1] / times[0] <= 15
+                    gc.enable()
+        assert min(times[20000]) / min(times[2000]) <= 15
 
     def test_synthesis_time_grows_linearly_with_lambdas(self):
         """A lambda body's φ* is saturated from the closure's qualifier;

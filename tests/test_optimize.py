@@ -2,24 +2,28 @@
 rule, plus fixpoint-driver behavior and soundness spot checks."""
 
 import gc
+import hashlib
 import importlib
+import random
 from collections import Counter
 
 import pytest
 
 from girkit.core import (
-    App, Cell, Cst, Deref, GLet, GName, HARD, Lam, Let, NApp, NAssign,
+    App, Cell, Cst, Deref, GLet, GName, GirError, HARD, Lam, Let, NApp,
+    NAssign,
     NCst, NDeref, NLam, NRef, Nm, PURE, QualifiedType,
     RW, RuntimeConfig, RwEffect, SideConditionFailed, TY_ALLOC, TY_INT,
-    TypingContext, graph_to_text, initial_store,
+    TypingContext, graph_free_names, graph_to_text, initial_store,
+    term_to_text,
 )
 from girkit.cli import _front_end, main
 from girkit.graphir import (
-    erase, initial_state, synthesize, synthesize_config,
+    erase, initial_state, resynthesize, synthesize, synthesize_config,
 )
 from girkit.interp import canonical_value, eval_graph
 from girkit.mnf import check_binding, to_mnf
-from girkit.optimize import RULES, _capability_reach, optimize
+from girkit.optimize import RULES, _capability_reach, optimize, walk
 from girkit.testkit import GenConfig, fuzz, gen_well_typed, opportunity
 from girkit.typecheck import Typing
 from test_graphir import cell_chain
@@ -478,36 +482,85 @@ class TestCommSweep:
         assert max(moves.values()) == 1
 
 
+def occurring(g):
+    """The binders of `g` and the names that occur in it."""
+    out, todo = set(graph_free_names(g)), [g]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, GLet):
+            out.add(u.var)
+            todo += (u.binding, u.body)
+        elif isinstance(u, NLam):
+            out.add(u.param)
+            todo.append(u.body)
+    return out
+
+
+def assert_frames_agree(record, fresh, g):
+    """Each binder's recorded typing, entry context and entry Δ equal the
+    ones synthesis from scratch gives, modulo binders that occur nowhere
+    in `g`: such a binder may stand in a recorded context (its map and
+    φ) and as a key of a recorded Δ, and nowhere else."""
+    alive = occurring(g)
+    for v, f in fresh.items():
+        r = record[v]
+        assert r.typing == f.typing, v
+        ghosts = set(r.ctx.env) - set(f.ctx.env)
+        assert not ghosts & alive, (v, ghosts & alive)
+        assert set(f.ctx.env) <= set(r.ctx.env), v
+        assert {k: t for k, t in r.ctx.env.items() if k not in ghosts} == \
+            dict(f.ctx.env.items()), v
+        assert set(r.ctx.phi) - ghosts == set(f.ctx.phi), v
+        d, e = r.last_use, f.last_use
+        assert d.default == e.default, v
+        for mine, theirs in ((d.hard, e.hard), (d.soft, e.soft)):
+            kept = {k: t for k, t in mine.items() if k not in ghosts}
+            assert kept == dict(theirs.items()), v
+        targets = set(d.hard.values()).union(*d.soft.values())
+        assert not targets & (ghosts - set(d.hard)), v
+
+
 class TestIncrementalSynthesis:
     """After a fired rewrite, synthesis restarts at the first binder the
     rewrite changed and stops where the state converges with the last
     synthesis; what it returns must be what synthesis from scratch
-    gives."""
+    gives, and what it records must be too, modulo binders that occur
+    nowhere."""
+
+    class Oracle:
+        def __init__(self):
+            self.checked, self.record = 0, None
+
+        def final(self, st, got):
+            """The optimized program against synthesis from scratch: the
+            annotated graph exactly, and every binder's frame."""
+            fresh = {}
+            assert got == resynthesize(st, erase(got), fresh)
+            assert_frames_agree(self.record, fresh, got)
 
     @pytest.fixture
     def oracle(self, monkeypatch):
-        """Checks every re-synthesis against one from scratch: the
-        annotated graph, and each binder's typing, entry context and
-        entry Δ. Counts the re-syntheses checked."""
+        """Checks every re-synthesis against synthesis from scratch in
+        the same entry state: the annotated graph exactly, and each
+        binder's typing, entry context and entry Δ modulo binders that
+        occur nowhere. Counts the re-syntheses checked."""
         opt = importlib.import_module("girkit.optimize")
-        resynthesize, checked = opt.resynthesize, [0]
+        resynthesize, oracle = opt.resynthesize, self.Oracle()
 
         def compared(st, g, record, old=None):
             got = resynthesize(st, g, record, old)
+            oracle.record = record
             if old is None:  # synthesis from scratch
                 return got
             fresh = {}
             resynthesize(st, g, fresh)
             assert got == synthesize(st, erase(g))[0]
-            for v, f in fresh.items():
-                r = record[v]
-                assert (r.typing, r.ctx.env, r.ctx.phi, r.last_use) == (
-                    f.typing, f.ctx.env, f.ctx.phi, f.last_use), v
-            checked[0] += 1
+            assert_frames_agree(record, fresh, got)
+            oracle.checked += 1
             return got
 
         monkeypatch.setattr(opt, "resynthesize", compared)
-        return checked
+        return oracle
 
     @pytest.mark.parametrize("regime", [HARD, RW])
     def test_equals_synthesis_from_scratch(self, oracle, regime):
@@ -519,16 +572,18 @@ class TestIncrementalSynthesis:
                                        store)))
         for store, t in programs:
             st, _ = initial_state(store, regime=regime)
-            optimize(st, to_mnf(t, store.supply), sorted(RULES),
-                     supply=store.supply)
-        assert oracle[0] > 300  # 415 fired rewrites, each rule among them
+            got, _ = optimize(st, to_mnf(t, store.supply), sorted(RULES),
+                              supply=store.supply)
+            oracle.final(st, got)
+        assert oracle.checked > 300  # 415 fired rewrites, each rule among them
 
     def test_a_swap_types_only_the_swapped_pair(self, check_binding_calls,
                                                  monkeypatch):
-        """A swap leaves the state after the pair as it was, so the
-        `check_binding` calls of each fired swap do not grow with the
-        program. Each cell is written right after it is allocated, so the
-        sweep's first swaps sit at the top whatever the program's size."""
+        """A swap leaves the state after the pair as it was, and the pair
+        keeps its recorded typings (weakening and strengthening), so a
+        fired swap types no binding at all, whatever the program's size.
+        Each cell is written right after it is allocated, so the sweep's
+        first swaps sit at the top whatever the program's size."""
         opt = importlib.import_module("girkit.optimize")
         calls, per_swap = check_binding_calls, []
         resynthesize = opt.resynthesize
@@ -554,8 +609,31 @@ class TestIncrementalSynthesis:
             return list(per_swap)
 
         small = swaps(50)
-        assert len(small) == 30 and max(small) > 1
+        assert small == [0] * 30
         assert swaps(200) == small
+
+    def test_the_walk_resumes_as_a_walk_from_the_root(self):
+        """The driver fires the rules at the very sites a walk from the
+        root after every fire would, on the programs that need a passed
+        site re-tried and on testkit seeds, with the rules in two
+        orders."""
+        assert walks_agree()
+        for seed in range(60):
+            text = term_to_text(gen_well_typed(
+                GenConfig(seed=seed, max_depth=6), initial_store()))
+            for passes in (sorted(RULES), sorted(RULES, reverse=True)):
+                out = []
+                for driver in (optimize, walk_from_the_root):
+                    store, t, _ = _front_end(text)
+                    st, _ = initial_state(store)
+                    got, reports = driver(st, to_mnf(t, store.supply),
+                                          passes, fuel=50,
+                                          supply=store.supply)
+                    if driver is optimize:
+                        reports = [(r.rule, r.site) for r in reports
+                                   if r.fired]
+                    out.append((graph_to_text(erase(got)), reports))
+                assert out[0] == out[1], (seed, passes)
 
     # Deletions the generator rarely makes. A dead let is deleted by
     # re-threading the state of each let below it (see `resynthesize`);
@@ -610,11 +688,12 @@ class TestIncrementalSynthesis:
             for passes in (["dce"], sorted(RULES)):
                 store, t, _ = _front_end(src)
                 st, _ = initial_state(store, regime=regime)
-                before = oracle[0]
-                _, reports = optimize(st, to_mnf(t, store.supply), passes,
-                                      supply=store.supply)
+                before = oracle.checked
+                got, reports = optimize(st, to_mnf(t, store.supply), passes,
+                                        supply=store.supply)
+                oracle.final(st, got)
                 fired = sum(r.fired and r.rule == "dce" for r in reports)
-                assert fired and oracle[0] - before >= fired, src
+                assert fired and oracle.checked - before >= fired, src
 
     def test_a_deletion_types_no_binding_again(self, check_binding_calls,
                                                monkeypatch):
@@ -684,3 +763,254 @@ class TestIncrementalSynthesis:
 
         shallow, deep = swap(2), swap(100)
         assert 0 < deep <= shallow
+
+
+class TestFirePerCost:
+    """A fired rewrite costs what it changed: on the benchmark's `chain`
+    program, all five passes with unbounded fuel make, per fire, as many
+    rule attempts, typings (`_synth_binding` calls), threaded lets
+    (`bind_let` calls, one per let typed or re-threaded) and composed
+    frames (`_ascend`'s, the prefix frames a re-synthesis or a move of
+    the walk back touches) at 2,000 lets as at 200. Re-walking from the
+    root after each fire, or re-threading to the end of the spine after a
+    deletion, makes them grow with the program."""
+
+    def test_work_per_fire_is_flat(self, monkeypatch):
+        from benchmark.gen import chain_program
+        from test_higher_order import with_deep_recursion
+        graphir = importlib.import_module("girkit.graphir")
+        counts = Counter()
+
+        def counting(key, fn, weight=lambda *args: 1):
+            def counted(*args, **kwargs):
+                counts[key] += weight(*args)
+                return fn(*args, **kwargs)
+            return counted
+
+        for rule, fn in list(RULES.items()):
+            monkeypatch.setitem(RULES, rule, counting("attempts", fn))
+        monkeypatch.setattr(graphir, "_synth_binding", counting(
+            "typings", graphir._synth_binding))
+        monkeypatch.setattr(graphir, "bind_let", counting(
+            "threaded", graphir.bind_let))
+        monkeypatch.setattr(graphir, "_ascend", counting(
+            "frames", graphir._ascend, lambda frames, *rest: len(frames)))
+
+        programs = {}
+
+        def front_ends():  # the parser recurses once per let
+            for n in (200, 2000):
+                text = chain_program(random.Random(0), n, 4, False).text
+                store, t, _ = _front_end(text)
+                programs[n] = store, to_mnf(t, store.supply)
+
+        with_deep_recursion(front_ends)
+        per_fire = {}
+        for n, (store, g) in programs.items():
+            st, _ = initial_state(store)
+            counts.clear()
+            _, reports = optimize(st, g, sorted(RULES), fuel=10 ** 9,
+                                  supply=store.supply)
+            fired = sum(r.fired for r in reports)
+            assert fired > n // 2
+            per_fire[n] = {k: v / fired for k, v in counts.items()}
+        assert set(per_fire[2000]) == {"attempts", "typings", "threaded",
+                                       "frames"}
+        for key, small in per_fire[200].items():
+            assert per_fire[2000][key] <= 1.5 * small, (key, per_fire)
+
+
+def walk_from_the_root(st, g, passes, fuel, supply):
+    """The driver the incremental one must agree with: after each fired
+    rewrite it synthesizes the whole program from scratch and walks
+    again from the root. Returns the program and the fired sites."""
+    record, fired = {}, []
+    g = resynthesize(st, g, record)
+
+    def fire(rule, skip):
+        for site in walk(g, record):
+            if site.focus.var in skip:
+                continue
+            if rule == "comm":
+                skip.add(site.focus.var)
+            try:
+                g2 = RULES[rule](st, g, site, supply)
+            except SideConditionFailed:
+                continue
+            fired.append((rule, site.path))
+            return site, g2
+        return None, None
+
+    changed = True
+    while changed and fuel > 0:
+        changed = False
+        for rule in passes:
+            while rule != "comm" and fuel > 0:
+                site, g2 = fire(rule, ())
+                if site is None:
+                    break
+                record = {}
+                g, fuel, changed = resynthesize(st, g2, record), fuel - 1, True
+    tried = set()
+    while "comm" in passes and fuel > 0:
+        site, g2 = fire("comm", tried)
+        if site is None:
+            break
+        tried.add(site.focus.body.var)
+        record = {}
+        g, fuel = resynthesize(st, g2, record), fuel - 1
+    return g, fired
+
+
+# Programs where a fire makes a rule hold at a site the walk has passed.
+WALKS = {
+    # dce of `d` puts the reads `a` and `b` side by side: `cse` at the
+    # let before the fired site holds now
+    "let before": ("""let r = ref(w, 1) in
+        let a = !r in
+        let d = 5 in
+        let b = !r in
+        let u = r := a in
+        let v = r := b in
+        !r""", ["cse", "dce"]),
+    # dce inside `f`'s body leaves a hoistable first binding: `hoist` at
+    # the enclosing let holds now
+    "enclosing": ("""let f = fun (p: Int^{}) =>{rd{} wr{}}
+            (let d = p in let k = 5 in k) in
+        let y = f 1 in
+        y""", ["hoist", "dce"]),
+}
+
+
+def walks_agree(regimes=(HARD, RW)):
+    """Whether the driver fires what the walk from the root fires, and
+    makes the same program, on `WALKS` in each regime."""
+    for src, passes in WALKS.values():
+        for regime in regimes:
+            out = []
+            for driver in (optimize, walk_from_the_root):
+                store, t, _ = _front_end(src)
+                st, _ = initial_state(store, regime=regime)
+                got, reports = driver(st, to_mnf(t, store.supply), passes,
+                                      fuel=50, supply=store.supply)
+                if driver is optimize:
+                    reports = [(r.rule, r.site) for r in reports if r.fired]
+                out.append((graph_to_text(erase(got)), reports))
+            if out[0] != out[1]:
+                return False
+    return True
+
+
+def _pinned_corpus_digest():
+    """What `TestCommands.test_opt_output_is_pinned` digests: `gir opt`
+    with every pass on testkit seeds 0..49 in both regimes."""
+    digest = hashlib.sha256()
+    for seed in range(50):
+        text = term_to_text(gen_well_typed(GenConfig(seed=seed, max_depth=6),
+                                           initial_store()))
+        for regime in (HARD, RW):
+            store, t, _ = _front_end(text)
+            st, _ = initial_state(store, regime=regime)
+            got, reports = optimize(st, to_mnf(t, store.supply),
+                                    sorted(RULES), fuel=50,
+                                    supply=store.supply)
+            digest.update(repr([(r.rule, r.site, r.fired) for r in reports]
+                               + [graph_to_text(erase(got))]).encode())
+    return digest.hexdigest()
+
+
+class TestExactnessMutants:
+    """Each argument that makes the incremental driver exact is killed
+    when broken: a mutant applied by monkeypatch makes the pinned corpus
+    come out otherwise, the `TestIncrementalSynthesis` oracle fail, or
+    the composed-rules fuzz find a miscompilation."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return _pinned_corpus_digest()
+
+    def killed(self, pinned, monkeypatch):
+        try:
+            if _pinned_corpus_digest() != pinned:
+                return "pinned corpus"
+            oracle = TestIncrementalSynthesis.Oracle()
+            opt = importlib.import_module("girkit.optimize")
+            resynth = opt.resynthesize
+
+            def compared(st, g, record, old=None):
+                got = resynth(st, g, record, old)
+                oracle.record = record
+                if old is not None:
+                    fresh = {}
+                    resynthesize(st, g, fresh)
+                    assert got == synthesize(st, erase(g))[0]
+                    assert_frames_agree(record, fresh, got)
+                return got
+
+            monkeypatch.setattr(opt, "resynthesize", compared)
+            for regime in (HARD, RW):
+                for src in TestIncrementalSynthesis.DELETIONS:
+                    store, t, _ = _front_end(src)
+                    st, _ = initial_state(store, regime=regime)
+                    got, _ = optimize(st, to_mnf(t, store.supply),
+                                      sorted(RULES), supply=store.supply)
+                    oracle.final(st, got)
+        except (AssertionError, GirError):  # GirError: synthesis's own check
+            return "oracle"
+        if not walks_agree():
+            return "walk oracle"
+        if fuzz(count=150, seed=0, check="optimizer").failures:
+            return "fuzz"
+        return None
+
+    def test_unmutated_driver_survives(self, pinned, monkeypatch):
+        assert self.killed(pinned, monkeypatch) is None
+
+    def test_resume_without_the_enclosing_lets(self, pinned, monkeypatch):
+        opt = importlib.import_module("girkit.optimize")
+        fire = opt._Cursor.fire
+
+        def mutant(cursor, rule, site, new):
+            enclosing = opt._on_path(None, cursor.cur, site.rel)[0]
+            return fire(cursor, rule, site, new) - set(enclosing)
+
+        monkeypatch.setattr(opt._Cursor, "fire", mutant)
+        assert self.killed(pinned, monkeypatch)
+
+    def test_resume_without_the_let_before(self, pinned, monkeypatch):
+        opt = importlib.import_module("girkit.optimize")
+        fire = opt._Cursor.fire
+
+        def mutant(cursor, rule, site, new):
+            prev = cursor.above[-1].var if cursor.above else None
+            before = opt._on_path(prev, cursor.cur, site.rel)[1]
+            cleared = fire(cursor, rule, site, new)
+            if before and (not site.rel or site.rel[-1]):
+                cleared.discard(before[-1])
+            return cleared
+
+        monkeypatch.setattr(opt._Cursor, "fire", mutant)
+        assert self.killed(pinned, monkeypatch)
+
+    @pytest.mark.parametrize("rule", ["inline", "cse"])
+    def test_a_census_the_rule_does_not_update(self, pinned, monkeypatch,
+                                               rule):
+        opt = importlib.import_module("girkit.optimize")
+        recount = opt._recount
+        monkeypatch.setattr(
+            opt, "_recount",
+            lambda uses, r, focus, record:
+            [] if r == rule else recount(uses, r, focus, record))
+        assert self.killed(pinned, monkeypatch)
+
+    def test_gone_mode_that_stops_at_once(self, pinned, monkeypatch):
+        graphir = importlib.import_module("girkit.graphir")
+        monkeypatch.setattr(graphir, "_gone", lambda f, regime: (f.var, set()))
+        assert self.killed(pinned, monkeypatch)
+
+    def test_gone_mode_that_chases_no_binder(self, pinned, monkeypatch):
+        graphir = importlib.import_module("girkit.graphir")
+        gone = graphir._gone
+        monkeypatch.setattr(graphir, "_gone",
+                            lambda f, regime: (object(), gone(f, regime)[1]))
+        assert self.killed(pinned, monkeypatch)

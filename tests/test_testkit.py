@@ -178,7 +178,6 @@ class TestFuzz:
             self, monkeypatch):
         from girkit.cli import _front_end
         from girkit.core import SideConditionFailed, graph_free_names
-        from girkit.graphir import erase, synthesize
         from girkit.optimize import RULES
         from girkit.testkit import _check_optimizer
 
@@ -186,7 +185,7 @@ class TestFuzz:
             # dce without its effect premise: drops unused writes too
             if site.focus.var in graph_free_names(site.focus.body):
                 raise SideConditionFailed("used")
-            return synthesize(st, erase(site.rebuild(site.focus.body)))[0]
+            return site.rebuild(site.focus.body)
 
         monkeypatch.setitem(RULES, "dce", drop_unused)
         # few generated programs write a cell they return; seed 189 does
