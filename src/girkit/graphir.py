@@ -142,9 +142,12 @@ def resynthesize(st: SynthState, g: GraphTerm, record: dict,
       and qualifier renamed likewise.
     - Otherwise the descent types the rewritten lets again, and it stops
       at the first let node that synthesis of `old` produced, entered in
-      the context and Δ recorded for it, whose recorded result it takes.
-      That comparison is by content: Δ first, then φ, then the context's
-      map, each of which tells versions of unequal size apart in O(1).
+      the context and Δ recorded for it modulo binders that occur
+      nowhere, whose recorded result it takes. Both states extend the
+      one the rewritten let was entered in, so only the binders and Δ
+      keys that the lets between touched are compared (`_same_state`);
+      so is the state after a let whose binding was rewritten inside
+      and whose typing changed.
 
     Every let above that point is composed again only if its body's
     output or typing changed; one whose did not keeps its recorded
@@ -205,17 +208,15 @@ def _resynth_binding(ctx, delta, g, old, regime, record):
                             regime, record)
             tb = check_lam(ctx, b, free, lambda _ctx, _body: body[3])
             b2, d1 = NLam(b.param, b.param_qt, b.latent, *body[:2]), EMPTY_DEP
+    frame = (g.var, ctx, delta, b2, d1, tb)
     if tb == f.typing:  # the state after the let is the recorded one
-        foot, qual = f.foot, f.qual
-        result = (g.body, f.body[0], None, f.body[1])
-    else:
-        foot = footprint(tb.eff, ctx, regime)
-        qual = saturate(tb.qt.qual, ctx)
-        result = _synth(bind_let(ctx, g.var, tb, qual),
-                        dep_last_use(delta, g.var, foot, regime), g.body,
-                        regime, record)
-    return _ascend([(g.var, ctx, delta, b2, d1, tb, foot, qual)], result,
-                   regime, record)
+        return _ascend([frame + (f.foot, f.qual)],
+                       (g.body, f.body[0], None, f.body[1]), regime, record)
+    foot = footprint(tb.eff, ctx, regime)
+    qual = saturate(tb.qt.qual, ctx)
+    return _synth(bind_let(ctx, g.var, tb, qual),
+                  dep_last_use(delta, g.var, foot, regime), g.body, regime,
+                  record, was=old, frames=[frame + (foot, qual)])
 
 
 def _resynth_site(ctx, delta, g, old, prev, regime, record):
@@ -229,14 +230,15 @@ def _resynth_site(ctx, delta, g, old, prev, regime, record):
     if (isinstance(g, GLet) and isinstance(nxt, GLet)
             and g.binding is nxt.binding and isinstance(g.body, GLet)
             and g.body.binding is old.binding and g.body.body is nxt.body):
-        return _synth(ctx, delta, g, regime, record, rethread=2,
+        return _synth(ctx, delta, g, regime, record, rename=({}, 2),
                       was=old)  # swapped
     if (prev is not None and old.binding == record[prev].binding
             and (isinstance(g, GLet) and isinstance(nxt, GLet)
                  and g.var == nxt.var
                  or isinstance(g, GName) and isinstance(nxt, GName))):
         # merged into `prev`: the continuation, renamed
-        return _synth(ctx, delta, g, regime, record, rename={old.var: prev})
+        return _synth(ctx, delta, g, regime, record,
+                      rename=({old.var: prev}, _ALL))
     return _synth(ctx, delta, g, regime, record, was=old)
 
 
@@ -248,17 +250,26 @@ def _gone(f, regime) -> tuple:
     return f.var, set(f.foot if regime == HARD else f.foot[0])
 
 
+_ALL = float("inf")  # `rename`'s count for a whole spine
+
+
 def _synth(ctx, delta, g, regime, record, gone=None, rename=None,
-           rethread=0, was=None):
+           was=None, frames=None):
     """Returns (annotated, composed-output, slice, typing) for `g`, a let
     spine entered in (ctx, delta). The descent keeps one frame per
-    binder; at a let node that `record` holds the result of for the same
-    entry state it stops and takes that result. Without a record, an
-    annotation on the input is checked against the slice synthesized at
-    its position; with one, the input is a rewritten graph whose
-    annotations are stale, and they are ignored.
+    binder, after `frames`, those of the lets above `g` that it is to
+    compose too. Without a record, an annotation on the input is checked
+    against the slice synthesized at its position; with one, the input
+    is a rewritten graph whose annotations are stale, and they are
+    ignored.
 
-    Three modes type no binding; each reads the frames `record` holds for
+    `was` is the recorded let that the region from the first of `frames`
+    (from `g` if there are none) replaced, entered in the same state:
+    at a let node that `record` holds the result of, in that result's
+    entry state (`_same_state`), the descent stops and takes the result.
+    Without `was` it never stops so.
+
+    Two modes type no binding; each reads the frames `record` holds for
     the binders of `g` (see `resynthesize`):
 
     - `gone`, a (deleted binder, pending keys) pair: each let keeps its
@@ -266,23 +277,22 @@ def _synth(ctx, delta, g, regime, record, gone=None, rename=None,
       and Δ, and its recorded annotation unless it names the binder,
       until the pending keys, those whose recorded Δ target is the
       binder, run out: that let keeps its recorded result;
-    - `rethread`, a count: the first that many lets, bindings included,
-      are re-threaded so, and the rest synthesized;
-    - `rename`, a map: every let, bindings included, is re-threaded with
-      its recorded typing, footprint and qualifier renamed by it.
+    - `rename`, a (map, count) pair: the first count lets, bindings
+      included, are re-threaded with their recorded typings, footprints
+      and qualifiers renamed by the map, and the rest synthesized.
 
-    `was` is the recorded let that `g` replaced, if any, entered in the
-    same state: see `_same_state`. The descent walks only as far as it
-    goes, never the rest of the spine. What it records equals synthesis
-    from scratch modulo binders that occur nowhere (see `resynthesize`)."""
-    frames = []
+    The descent walks only as far as it goes, never the rest of the
+    spine. What it records equals synthesis from scratch modulo binders
+    that occur nowhere (see `resynthesize`)."""
+    frames = [] if frames is None else frames
     while isinstance(g, GLet):
         f = record.get(g.var) if record is not None else None
-        if rename is not None or rethread > 0:
-            rethread -= 1
-            tb, foot, qual = _renamed(f, rename, regime)
+        if rename is not None:
+            m, n = rename
+            rename = (m, n - 1) if n > 1 else None
+            tb, foot, qual = _renamed(f, m, regime)
             b2, d1 = _rethread(ctx, delta, g.binding, tb, foot, regime,
-                               record, rename or {})
+                               record, m)
         elif gone is not None:
             var, pending = gone
             if not pending:  # the record holds from here, modulo `var`
@@ -295,11 +305,15 @@ def _synth(ctx, delta, g, regime, record, gone=None, rename=None,
             elif not isinstance(b2, NLam) and var in d1.targets():
                 d1 = dep_restrict(delta, foot, regime)
             pending.difference_update(foot if regime == HARD else foot[1])
-        elif (f is not None and f.result[0] is g
-                and _same_state(f, ctx, delta, frames, was, record, regime)):
-            result = f.result
-            break
         else:
+            if was is not None and f is not None and f.result[0] is g:
+                same = _same_state(f, ctx, delta, frames, was, record,
+                                   regime)
+                if same:
+                    result = f.result
+                    break
+                if same is None:  # nor at any let below
+                    was = None
             b2, d1, tb = _synth_binding(ctx, delta, g.binding, regime, record)
             foot = footprint(tb.eff, ctx, regime)
             if d1 is None:  # a node: Δ restricted to its effect
@@ -322,36 +336,38 @@ def _synth(ctx, delta, g, regime, record, gone=None, rename=None,
                    gone[0] if gone is not None else None)
 
 
-_LOCAL = 16  # the most lets a region may bind to be compared key by key
-
-
-def _same_state(f, ctx, delta, frames, was, record, regime) -> bool:
+def _same_state(f, ctx, delta, frames, was, record, regime):
     """Whether (ctx, delta), the state after the lets of `frames`, equals
-    the recorded entry state of the let whose frame is `f`. Given `was`,
-    the recorded let that the frames' region replaced, both states extend
-    the one the region was entered in by the binders of a region: they
-    are equal exactly when the regions bind the same binders to the same
-    entries and agree on Δ at every key a footprint or binder of either
-    region touched, which is all that is compared. A long region, or one
-    without `was`, is compared by content: Δ first, since most unequal
-    states differ in its size, seen in O(1), then φ and the context's
-    map."""
-    if was is not None and len(frames) <= _LOCAL:
-        olds, o, stop = [], was, f.result[0]
-        while o is not stop and isinstance(o, GLet) and len(olds) <= _LOCAL:
-            olds.append(record[o.var])
-            o = o.body
-        if o is stop:
-            binders = {frame[0] for frame in frames}
-            if binders != {old.var for old in olds}:
-                return False
-            keys = set(binders)
-            for foot in [frame[6] for frame in frames] + [old.foot
-                                                          for old in olds]:
-                keys.update(foot if regime == HARD else foot[0] | foot[1])
-            return (_entries(ctx, delta, binders, keys)
-                    == _entries(f.ctx, f.last_use, binders, keys))
-    return f.last_use == delta and f.ctx == ctx
+    the recorded entry state of the let whose frame is `f`, modulo
+    binders that occur nowhere: True, False, or None when it cannot at
+    any let below either. `was` is the recorded let that the frames'
+    region replaced, entered in the same state, so both states extend
+    that one, the new by the lets of `frames` and the recorded by those
+    from `was` to `f`'s. They are equal exactly when the two regions
+    bind the same binders to the same context entries and agree on Δ at
+    every key that a footprint or binder of either touched, which is all
+    that is compared: every other entry of both is the one they were
+    entered with, and a binder that occurs nowhere is touched by no
+    footprint. A context entry is never bound again, so regions that
+    differ in their binders or in an entry differ at every let below
+    too."""
+    olds, o, stop = [], was, f.result[0]
+    while o is not stop:
+        if not isinstance(o, GLet) or len(olds) == len(frames):
+            return None
+        olds.append(record[o.var])
+        o = o.body
+    binders = [frame[0] for frame in frames]
+    if set(binders) != {old.var for old in olds}:
+        return None
+    keys = set(binders)
+    for foot in [frame[6] for frame in frames] + [old.foot for old in olds]:
+        keys.update(foot if regime == HARD else foot[0] | foot[1])
+    new = _entries(ctx, delta, binders, keys)
+    recorded = _entries(f.ctx, f.last_use, binders, keys)
+    if new[0] != recorded[0]:
+        return None
+    return new == recorded
 
 
 def _entries(ctx, delta, binders, keys) -> tuple:
@@ -385,10 +401,10 @@ def _rethread(ctx, delta, b, tb, foot, regime, record, m):
     frames for under the renaming `m`, re-threaded from (ctx, delta):
     its lets keep their recorded typings, renamed by `m`."""
     if isinstance(b, GLet):
-        return _synth(ctx, delta, b, regime, record, rename=m)[:2]
+        return _synth(ctx, delta, b, regime, record, rename=(m, _ALL))[:2]
     if isinstance(b, NLam):
         body = _synth(lam_body_ctx(ctx, b, tb.qt.qual), points_to(b.param),
-                      b.body, regime, record, rename=m)
+                      b.body, regime, record, rename=(m, _ALL))
         return NLam(b.param, b.param_qt, b.latent, *body[:2]), EMPTY_DEP
     return b, dep_restrict(delta, foot, regime)
 

@@ -169,21 +169,33 @@ def _alloc_only(ctx: TypingContext, eff: RwEffect) -> tuple[bool, str]:
     return True, ""
 
 
-def _resolve_lam(record: dict, name: Name):
+def _resolve_lam(record: dict, name: Name, chased: list | None = None):
     """Chase alias bindings and nested-block tails through the synthesis
-    `record` to the lambda a name denotes, if a let binds it. Binders are
-    unique and every name the chase meets is bound where it is used, so
-    the binding its frame holds is the one in scope, and the chase cannot
-    cycle."""
+    `record` to the lambda a name denotes, if a let binds it, adding each
+    name whose frame the chase reads to `chased`. Binders are unique and
+    every name the chase meets is bound where it is used, so the binding
+    its frame holds is the one in scope, and the chase cannot cycle."""
     b = GName(name)
     while True:
         b = spine(b)[1]  # a nested block: go to its tail
         if not isinstance(b, GName):
             return b if isinstance(b, NLam) else None
+        if chased is not None:
+            chased.append(b.name)
         f = record.get(b.name)
         if f is None:
             return None
         b = f.binding
+
+
+def _inline_reads(record: dict, focus: GLet) -> list:
+    """The binders beside the site's own whose frames `rw_inline` reads at
+    `focus`: those of the callee's chase, and the argument's."""
+    app, chased = focus.binding, []
+    if isinstance(app, NApp):
+        _resolve_lam(record, app.fn, chased)
+        chased.append(app.arg)
+    return chased
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +371,13 @@ class _Cursor:
             self.cur = recompose(self.st, above[i:], self.cur, self.record)
             del above[i:]
 
-    def sites(self) -> Iterator[Site]:
-        """The let at the cursor and the sites nested in its binding; a
-        rule that fires at one returns the replacement for that let."""
-        cur, depth = self.cur, len(self.above)
-        yield Site(depth, (), cur, _same, self.record, self.uses)
-        for site in _inside(cur, (), _same, self.record, self.uses):
+    def sites(self, depth: int) -> Iterator[Site]:
+        """The `depth`th let of the spine, at or above the cursor, and the
+        sites nested in its binding; a rule that fires at one returns the
+        replacement for that let."""
+        u = self.cur if depth == len(self.above) else self.above[depth]
+        yield Site(depth, (), u, _same, self.record, self.uses)
+        for site in _inside(u, (), _same, self.record, self.uses):
             site.depth = depth
             yield site
 
@@ -470,16 +483,18 @@ def optimize(st: SynthState, g: GraphTerm, passes: list,
     and the rules' side conditions read the record and the census, which
     live in this call alone.
 
-    A rule fails at a site again for as long as what it reads there, the
-    site's frame, the next let and its frame, and the census, stays as it
-    was. So each rule keeps the binders where it failed, and each fire
-    clears those whose inputs it changed (`_Cursor.fire`). Every site
-    before the walk's position is one it failed at, so after a fire the
-    walk re-tries the cleared sites in walk order and then goes on from
-    the fired site: the same site fires next as after a walk from the
-    root, and the same reports come out. Misses are logged when a site
-    is tried, so each is logged once for each state of the site's
-    inputs.
+    A rule fails at a site again for as long as what it reads there stays
+    as it was: the site's frame, the next let and its frame, the census,
+    and for `inline` the frames of the binders its callee chase and its
+    argument name (`_inline_reads`). So each rule keeps the binders where
+    it failed, and each fire clears those whose inputs it changed: the
+    ones `_Cursor.fire` returns, and the `inline` sites that read the
+    frame of one of those. Every site before the walk's position is one
+    it failed at, so after a fire the walk re-tries the cleared sites in
+    walk order and then goes on from the fired site: the same site fires
+    next as after a walk from the root, and the same reports come out.
+    With `log_misses`, each walk logs a miss at every site it passes, as
+    a walk from the root does, with the reason the rule last gave there.
 
     `supply` must be the program's own name supply, the one its binders
     were drawn from: inlining mints fresh binders from it, and a supply
@@ -490,32 +505,40 @@ def optimize(st: SynthState, g: GraphTerm, passes: list,
     reports: list = []
     g, record = _synthesized(st, g)
     cursor = _Cursor(st, g, record, _census(g))
-    failed = {rule: set() for rule in RULES}
+    failed = {rule: {} for rule in RULES}  # binder -> the rule's reason
+    readers: dict = {}  # binder -> `inline` sites that failed reading it
 
-    def next_fire(rule: str, skip: set, sweep: bool):
+    def next_fire(rule: str, skip: dict, sweep: bool):
         """Try `rule` at each site from the cursor on whose binder is not
         in `skip`, adding those it fails at (every site it meets, in a
         sweep); at the first it holds at, return the site and the let
         that replaces the cursor's."""
         while isinstance(cursor.cur, GLet):
-            for site in cursor.sites():
+            for site in cursor.sites(len(cursor.above)):
                 var = site.focus.var
                 if var in skip:
+                    if log_misses and not sweep:
+                        miss(rule, site, skip[var])
                     continue
                 if sweep:
-                    skip.add(var)
+                    skip[var] = ""
                 try:
                     new = RULES[rule](st, cursor.cur, site, supply)
                 except SideConditionFailed as e:
-                    skip.add(var)
+                    skip[var] = str(e)
+                    if rule == "inline":
+                        for v in _inline_reads(record, site.focus):
+                            readers.setdefault(v, set()).add(var)
                     if log_misses:
-                        reports.append(
-                            RewriteReport(rule, site.path, False, str(e)))
+                        miss(rule, site, skip[var])
                     continue
                 reports.append(RewriteReport(rule, site.path, True))
                 return site, new
             cursor.forward()
         return None, None
+
+    def miss(rule: str, site: Site, reason: str) -> None:
+        reports.append(RewriteReport(rule, site.path, False, reason))
 
     changed = True
     while changed and fuel > 0:
@@ -525,18 +548,25 @@ def optimize(st: SynthState, g: GraphTerm, passes: list,
                 continue
             cursor.back(0)
             while fuel > 0:
+                if log_misses:  # each walk logs the misses above the cursor
+                    for depth in range(len(cursor.above)):
+                        for above in cursor.sites(depth):
+                            miss(rule, above, failed[rule][above.focus.var])
                 site, new = next_fire(rule, failed[rule], False)
                 if site is None:
                     break
                 cleared = cursor.fire(rule, site, new)
+                for v in list(cleared):
+                    cleared.update(readers.pop(v, ()))
                 for skip in failed.values():
-                    skip.difference_update(cleared)
+                    for v in cleared:
+                        skip.pop(v, None)
                 at = cursor.at
                 cursor.back(min((at[v] for v in cleared if v in at),
                                 default=len(cursor.above)))
                 fuel, changed = fuel - 1, True
     # binders are unique, so they name the positions the sweep has tried
-    tried: set = set()
+    tried: dict = {}
     if "comm" in passes:
         cursor.back(0)
     while "comm" in passes and fuel > 0:
@@ -544,7 +574,7 @@ def optimize(st: SynthState, g: GraphTerm, passes: list,
         if site is None:
             break
         cursor.fire("comm", site, new)
-        tried.add(site.focus.body.var)  # now at the tried position
+        tried[site.focus.body.var] = ""  # now at the tried position
         fuel -= 1
     cursor.back(0)
     return cursor.cur, reports

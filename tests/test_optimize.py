@@ -614,9 +614,9 @@ class TestIncrementalSynthesis:
 
     def test_the_walk_resumes_as_a_walk_from_the_root(self):
         """The driver fires the rules at the very sites a walk from the
-        root after every fire would, on the programs that need a passed
-        site re-tried and on testkit seeds, with the rules in two
-        orders."""
+        root after every fire would, and logs the same misses with the
+        same reasons, on the programs that need a passed site re-tried
+        and on testkit seeds, with the rules in two orders."""
         assert walks_agree()
         for seed in range(60):
             text = term_to_text(gen_well_typed(
@@ -626,12 +626,9 @@ class TestIncrementalSynthesis:
                 for driver in (optimize, walk_from_the_root):
                     store, t, _ = _front_end(text)
                     st, _ = initial_state(store)
-                    got, reports = driver(st, to_mnf(t, store.supply),
-                                          passes, fuel=50,
-                                          supply=store.supply)
-                    if driver is optimize:
-                        reports = [(r.rule, r.site) for r in reports
-                                   if r.fired]
+                    got, reports = reported(driver, st,
+                                            to_mnf(t, store.supply), passes,
+                                            store.supply)
                     out.append((graph_to_text(erase(got)), reports))
                 assert out[0] == out[1], (seed, passes)
 
@@ -729,6 +726,50 @@ class TestIncrementalSynthesis:
         for regime in (HARD, RW):
             assert deletions(200, regime) == deletions(50, regime)
 
+    def test_a_rewrite_above_a_deletion_converges(self, monkeypatch):
+        """A deletion leaves the frames below the point where its
+        re-threading stopped holding the deleted binder, which occurs
+        nowhere. A later rewrite above that point that changes a typing
+        (the dead `d` inside `y`'s block) still converges with them a few
+        lets below, so it types no more bindings under many lets than
+        under a few."""
+        graphir = importlib.import_module("girkit.graphir")
+        opt = importlib.import_module("girkit.optimize")
+        typings, per_fire = [0], []
+        synth_binding, resynth = graphir._synth_binding, opt.resynthesize
+
+        def counted(*args):
+            typings[0] += 1
+            return synth_binding(*args)
+
+        def fired(st, g, record, old=None):
+            before = typings[0]
+            got = resynth(st, g, record, old)
+            if old is not None:
+                per_fire.append(typings[0] - before)
+            return got
+
+        monkeypatch.setattr(graphir, "_synth_binding", counted)
+        monkeypatch.setattr(opt, "resynthesize", fired)
+
+        def typed(n):
+            src = "\n".join(
+                ["let r = ref(w, 0) in let e = ref(w, 1) in",
+                 "let y = (let d = ref(w, 2) in let x = !r in x) in",
+                 "let s = ref(w, 3) in"]
+                + [f"let u{i} = s := y in" for i in range(n)] + ["!s"])
+            store, t, _ = _front_end(src)
+            st, _ = initial_state(store)
+            per_fire.clear()
+            got, reports = optimize(st, to_mnf(t, store.supply), ["dce"],
+                                    supply=store.supply)
+            assert [r.site for r in reports] == [(1,), (1, 0)]
+            assert got == synthesize(st, erase(got))[0]
+            return list(per_fire)
+
+        few = typed(10)
+        assert typed(200) == few
+
     def test_a_deep_swap_composes_no_more_than_a_shallow_one(self,
                                                              monkeypatch):
         """The lets above a swapped pair keep their recorded results once
@@ -823,8 +864,9 @@ class TestFirePerCost:
 def walk_from_the_root(st, g, passes, fuel, supply):
     """The driver the incremental one must agree with: after each fired
     rewrite it synthesizes the whole program from scratch and walks
-    again from the root. Returns the program and the fired sites."""
-    record, fired = {}, []
+    again from the root. Returns the program and the reports, each miss
+    of each walk among them."""
+    record, reports = {}, []
     g = resynthesize(st, g, record)
 
     def fire(rule, skip):
@@ -835,9 +877,10 @@ def walk_from_the_root(st, g, passes, fuel, supply):
                 skip.add(site.focus.var)
             try:
                 g2 = RULES[rule](st, g, site, supply)
-            except SideConditionFailed:
+            except SideConditionFailed as e:
+                reports.append((rule, site.path, False, str(e)))
                 continue
-            fired.append((rule, site.path))
+            reports.append((rule, site.path, True, ""))
             return site, g2
         return None, None
 
@@ -859,7 +902,16 @@ def walk_from_the_root(st, g, passes, fuel, supply):
         tried.add(site.focus.body.var)
         record = {}
         g, fuel = resynthesize(st, g2, record), fuel - 1
-    return g, fired
+    return g, reports
+
+
+def reported(driver, st, g, passes, supply, fuel=50):
+    """The program `driver` makes and its reports, misses included."""
+    if driver is optimize:
+        got, reports = optimize(st, g, passes, fuel, supply=supply,
+                                log_misses=True)
+        return got, [(r.rule, r.site, r.fired, r.reason) for r in reports]
+    return driver(st, g, passes, fuel, supply)
 
 
 # Programs where a fire makes a rule hold at a site the walk has passed.
@@ -879,6 +931,15 @@ WALKS = {
             (let d = p in let k = 5 in k) in
         let y = f 1 in
         y""", ["hoist", "dce"]),
+    # dce inside the callee drops its only mention of `c`, which is out
+    # of scope at `y`: `inline` at `y`, below the fired site, holds now,
+    # though `f`'s typing is as it was
+    "callee": ("""let f = (let c = 5 in
+            let l = fun (p: Int^{}) =>{rd{} wr{}} (let u = c in p) in
+            l) in
+        let z = 1 in
+        let y = f z in
+        y""", ["inline", "dce"]),
 }
 
 
@@ -891,10 +952,8 @@ def walks_agree(regimes=(HARD, RW)):
             for driver in (optimize, walk_from_the_root):
                 store, t, _ = _front_end(src)
                 st, _ = initial_state(store, regime=regime)
-                got, reports = driver(st, to_mnf(t, store.supply), passes,
-                                      fuel=50, supply=store.supply)
-                if driver is optimize:
-                    reports = [(r.rule, r.site) for r in reports if r.fired]
+                got, reports = reported(driver, st, to_mnf(t, store.supply),
+                                        passes, store.supply)
                 out.append((graph_to_text(erase(got)), reports))
             if out[0] != out[1]:
                 return False
@@ -990,6 +1049,11 @@ class TestExactnessMutants:
             return cleared
 
         monkeypatch.setattr(opt._Cursor, "fire", mutant)
+        assert self.killed(pinned, monkeypatch)
+
+    def test_resume_without_the_callee_readers(self, pinned, monkeypatch):
+        opt = importlib.import_module("girkit.optimize")
+        monkeypatch.setattr(opt, "_inline_reads", lambda record, focus: [])
         assert self.killed(pinned, monkeypatch)
 
     @pytest.mark.parametrize("rule", ["inline", "cse"])
