@@ -753,6 +753,8 @@ def cmd_schedule(args) -> int:
         if args.synthetic < 1:
             raise ParseError(f"--synthetic needs N >= 1, got "
                              f"{args.synthetic}")
+        if args.depth < 0:
+            raise ParseError(f"--depth needs N >= 0, got {args.depth}")
         if args.time:
             t = time_schedule(args.synthetic, args.depth, args.seed,
                               freq=args.freq, compact=args.compact,
@@ -794,6 +796,8 @@ def cmd_run(args) -> int:
 def cmd_fuzz(args) -> int:
     if args.count < 0:
         raise ParseError(f"--count needs N >= 0, got {args.count}")
+    if args.max_depth < 0:
+        raise ParseError(f"--max-depth needs N >= 0, got {args.max_depth}")
     summary = testkit.fuzz(count=args.count, seed=args.seed,
                            max_depth=args.max_depth, check=args.check)
     print(summary.render())

@@ -104,67 +104,102 @@ VAR = 0
 LOC = 1
 
 
-@dataclass(frozen=True, slots=True)
-class Name:
+class Name(int):
     """An interned name: a program variable (VAR) or store location (LOC).
 
-    Equality and ordering are by (id, kind); the display text is cosmetic.
-    Canonical order is interning order, which makes every iteration in the
-    kit deterministic.
+    A name is an `int` whose value is 2·(id + 1) + kind, so hashing,
+    equality and ordering run in C in every set, dict and sort that holds
+    names: a qualifier is a set of names and a last-use map keys on them,
+    so every typing rule pays for these operations. Equality and ordering
+    are by (id, kind); the display text is cosmetic. Canonical order is
+    interning order, which makes every iteration in the kit
+    deterministic. The offset keeps every name truthy, id 0 included (ids
+    are never negative).
+
+    `text` lives in the name's attribute dict (an `int` subtype cannot
+    have `__slots__`). The names one `NameSupply` mints with one text
+    share a dict, and so do the copies `fresh_like` makes, so such a name
+    costs little more than its int; a name whose text no other name
+    shares pays for a dict of its own, as does every `Name(kind, id,
+    text)`. Setting or deleting an attribute raises, so no name writes a
+    shared dict (writing through `vars(n)` would rename every name that
+    shares it). `repr`, `str` and f-strings print `text#v<id>` or
+    `text#l<id>`.
     """
 
-    kind: int
-    id: int
-    text: str = field(compare=False)
-    _hash: int = field(init=False, compare=False, repr=False)
+    def __new__(cls, kind: int, id: int, text: str):
+        return _name(kind, id, {"text": text})
 
-    def __post_init__(self):  # hash is a hot path: compute once
-        object.__setattr__(self, "_hash", hash((self.kind, self.id)))
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"a name is immutable: cannot set {attr!r}")
 
-    def __hash__(self):
-        return self._hash
+    def __delattr__(self, attr):
+        raise AttributeError(f"a name is immutable: cannot delete {attr!r}")
+
+    def __reduce__(self):
+        return Name, (self.kind, self.id, self.text)
+
+    @property
+    def kind(self) -> int:
+        return self & 1
+
+    @property
+    def id(self) -> int:
+        return (self >> 1) - 1
 
     @property
     def is_loc(self) -> bool:
-        return self.kind == LOC
-
-    def sort_key(self):
-        return (self.id, self.kind)
-
-    def __lt__(self, other: "Name"):
-        return self.sort_key() < other.sort_key()
+        return self & 1 == LOC
 
     def __repr__(self):
-        tag = "v" if self.kind == VAR else "l"
-        return f"{self.text}#{tag}{self.id}"
+        return f"{self.text}#{'l' if self.is_loc else 'v'}{self.id}"
 
     def pretty(self) -> str:
         """Parseable display form (unique per name)."""
-        if self.kind == LOC and self.text == "w":
-            return "w"
-        base = self.text if self.text else ("x" if self.kind == VAR else "l")
-        return f"{base}_{self.id}"
+        text = self.text
+        if self & 1:
+            if text == "w":
+                return "w"
+            return f"{text or 'l'}_{(self >> 1) - 1}"
+        return f"{text or 'x'}_{(self >> 1) - 1}"
+
+
+def _name(kind: int, id: int, attrs: dict) -> Name:
+    """The name (kind, id) whose attribute dict is `attrs`."""
+    self = int.__new__(Name, 2 * id + 2 + kind)
+    object.__setattr__(self, "__dict__", attrs)
+    return self
 
 
 class NameSupply:
-    """Monotone fresh-name source; ids are unique across vars and locs."""
+    """Monotone fresh-name source; ids are unique across vars and locs.
+
+    The names it mints with one text share one attribute dict (see
+    `Name`), kept in `_attrs` for as long as the supply lives."""
 
     def __init__(self, start: int = 0):
         self._next = start
+        self._attrs: dict = {}  # text -> the attribute dict its names share
 
     def _take(self) -> int:
         n = self._next
         self._next += 1
         return n
 
+    def _mint(self, kind: int, text: str) -> Name:
+        attrs = self._attrs.get(text)
+        if attrs is None:
+            attrs = self._attrs[text] = {"text": text}
+        return _name(kind, self._take(), attrs)
+
     def var(self, text: str = "x") -> Name:
-        return Name(VAR, self._take(), text)
+        return self._mint(VAR, text)
 
     def loc(self, text: str = "l") -> Name:
-        return Name(LOC, self._take(), text)
+        return self._mint(LOC, text)
 
     def fresh_like(self, n: Name) -> Name:
-        return Name(n.kind, self._take(), n.text)
+        return _name(n.kind, self._take(), n.__dict__)
 
     @property
     def next_id(self) -> int:
@@ -946,14 +981,14 @@ def const_key(value) -> tuple:
     """A constant as its base type's name and, for Bool and Int, its
     value: ("Unit",), ("Alloc",), ("Bool", b) or ("Int", n). bool is an
     int subtype, so plain value equality has 1 == true; keys tell them
-    apart."""
+    apart, and a `Name` (an int subtype too) is no constant."""
     if value is UNIT_V:
         return ("Unit",)
     if value is OMEGA:
         return ("Alloc",)
     if isinstance(value, bool):
         return ("Bool", value)
-    if isinstance(value, int):
+    if type(value) is int:
         return ("Int", value)
     raise TypeError(f"not a constant: {value!r}")
 

@@ -455,6 +455,15 @@ class TestMain:
         assert f"--synthetic needs N >= 1, got {argv[1]}" in err
         assert "needs FILE" not in err and "internal error" not in err
 
+    @pytest.mark.parametrize("time", [[], ["--time"]])
+    def test_schedule_rejects_a_negative_depth(self, capsys, time):
+        assert main(["schedule", "--synthetic", "5", "--depth", "-1",
+                     *time]) == 1
+        captured = capsys.readouterr()
+        assert "E013" in captured.err
+        assert "--depth needs N >= 0, got -1" in captured.err
+        assert captured.out == ""
+
     # sha256 of the concatenated stdout below, as the optimizer gave it
     # when every fired rewrite re-synthesized the whole graph
     OPT_DIGEST = ("df9fb97bf26c497b7ca06d63b4e80efe"
@@ -485,6 +494,13 @@ class TestMain:
         captured = capsys.readouterr()
         assert "E013" in captured.err
         assert "--count needs N >= 0, got -2" in captured.err
+        assert "programs checked" not in captured.out
+
+    def test_fuzz_rejects_a_negative_max_depth(self, capsys):
+        assert main(["fuzz", "--count", "1", "--max-depth", "-2"]) == 1
+        captured = capsys.readouterr()
+        assert "E013" in captured.err
+        assert "--max-depth needs N >= 0, got -2" in captured.err
         assert "programs checked" not in captured.out
 
     @pytest.mark.parametrize("sem", ["direct", "store", "graph"])

@@ -70,6 +70,64 @@ class TestName:
         n2 = pickle.loads(pickle.dumps(n))
         assert n2 == n and hash(n2) == hash(n)
 
+    def test_hash_equality_and_order_are_ints(self):
+        """No Python-level dunder slows a set, dict or sort of names."""
+        for dunder in ("__hash__", "__eq__", "__lt__"):
+            assert getattr(Name, dunder) is getattr(int, dunder), dunder
+
+    def test_every_name_is_truthy(self):
+        assert Name(0, 0, "x") and Name(1, 0, "l")
+        assert all(fresh_names(3))
+
+    def test_str_and_format_print_the_repr(self):
+        for n in (Name(0, 0, "x"), Name(1, 12, "w"), Name(0, 3, "")):
+            assert str(n) == f"{n}" == "%s" % n == repr(n)
+        assert repr(Name(1, 12, "w")) == "w#l12"
+
+    def test_pickling_keeps_the_text(self):
+        n = pickle.loads(pickle.dumps(Name(1, 4, "cell")))
+        assert (n.kind, n.id, n.text) == (1, 4, "cell")
+        assert n.is_loc and n.pretty() == "cell_4"
+
+    def test_order_is_id_then_kind(self):
+        assert Name(0, 3, "a") < Name(1, 3, "a") < Name(0, 4, "a")
+        assert sorted([Name(0, 4, "c"), Name(1, 3, "b"),
+                       Name(0, 3, "a")]) == [Name(0, 3, "a"),
+                                             Name(1, 3, "b"),
+                                             Name(0, 4, "c")]
+
+    def test_a_var_and_a_loc_with_one_id_are_two_keys(self):
+        d = {Name(0, 5, "n"): "var", Name(1, 5, "n"): "loc"}
+        assert len(d) == 2 and d[Name(1, 5, "other")] == "loc"
+
+    def test_a_name_is_immutable(self):
+        sup = NameSupply()
+        n, m = sup.var("x"), sup.var("x")
+        with pytest.raises(AttributeError):
+            n.text = "y"
+        with pytest.raises(AttributeError):
+            del n.text
+        assert n.text == m.text == "x"
+
+    def test_names_share_a_dict_within_their_supply(self):
+        """A supply's names with one text, and their `fresh_like` copies
+        in any supply, share one attribute dict; another supply, or a name
+        built directly, has its own."""
+        sup, other = NameSupply(), NameSupply()
+        a, b, c = sup.var("t"), sup.loc("t"), sup.var("u")
+        assert vars(a) is vars(b) and vars(a) is not vars(c)
+        assert vars(other.fresh_like(a)) is vars(a)
+        assert vars(other.var("t")) is not vars(a)
+        assert vars(Name(0, 9, "t")) is not vars(Name(0, 9, "t"))
+        texts = [f"u{i}" for i in range(5000)]  # unique, as in `chain`
+        names = [sup.var(t) for t in texts]
+        assert [n.text for n in names] == texts
+        assert (a.text, b.text, c.text) == ("t", "t", "u")
+
+    def test_a_name_is_no_constant(self):
+        with pytest.raises(TypeError):
+            const_key(Name(0, 1, "x"))
+
 
 # ---------------------------------------------------------------------------
 # Typing contexts

@@ -26,17 +26,40 @@ VERSIONS = ("3.10", "3.11", "3.12", "3.13")
         reason=f"python{v} is not on PATH"))
     for v in VERSIONS
 ])
-def test_package_imports(version):
+def test_package_imports(version, tmp_path):
+    """Beyond the import, the interpreter mints, pickles and sorts names
+    (an `int` subtype with an instance dict, laid out differently per
+    version) and runs a 3-let program on the graph semantics."""
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     # a pyenv shim only runs the version it is asked for; other launchers
     # ignore the variable
     env["PYENV_VERSION"] = version
+    prog = tmp_path / "three.gir"
+    prog.write_text("let r = ref(w, 1) in let u = r := 41 in "
+                    "let x = !r in x\n")
     p = subprocess.run(
-        [f"python{version}", "-c",
-         "import sys, girkit; print('%d.%d' % sys.version_info[:2])"],
+        [f"python{version}", "-c", _NAMES_AND_RUN, str(prog)],
         env=env, capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr
-    assert p.stdout.split() == [version]
+    lines = p.stdout.splitlines()
+    assert lines[0] == version
+    assert lines[1:] == ["value: ('cst', 'Int', 41)", "steps: 15"], p.stdout
+
+
+_NAMES_AND_RUN = """
+import pickle, sys, girkit
+from girkit.cli import main
+from girkit.core import Name, NameSupply
+print('%d.%d' % sys.version_info[:2])
+sup = NameSupply()
+v, l = sup.var("x"), sup.loc("c")
+back = pickle.loads(pickle.dumps([l, v]))
+if not (back == [l, v] and back[0].text == "c" and back[1].is_loc is False
+        and sorted(back) == [v, l] and Name(0, 0, "x") and repr(l) == "c#l1"
+        and hash(v) == hash(Name(0, 0, "y")) and len({v, l}) == 2):
+    sys.exit("names misbehave: %r" % (back,))
+sys.exit(main(["run", "--semantics", "graph", sys.argv[1]]))
+"""
 
 
 def test_no_invariant_is_an_assert():
