@@ -30,7 +30,7 @@ from .interp import (  # noqa: F401
 # submodule's name would replace the package attribute that names it
 from .optimize import RULES, RewriteReport  # noqa: F401
 from .schedule import (  # noqa: F401
-    Block, SchedOpts, flatten, synthetic_graph, time_schedule,
+    Block, flatten, synthetic_graph, time_schedule,
 )
 from .testkit import (  # noqa: F401
     FuzzSummary, GenConfig, brute_deps, fuzz, gen_well_typed,

@@ -22,12 +22,20 @@ from .core import (
 from .graphir import SynthState, erase, recompose, resynthesize
 
 
-@dataclass
+@dataclass(slots=True)
 class RewriteReport:
+    """One rule tried at one site, kept as the site's `depth` and `rel`
+    (see `Site`): `site` builds the path when read, so a report's size
+    does not grow with the depth of its site."""
     rule: str
-    site: tuple
+    depth: int
+    rel: tuple
     fired: bool
     reason: str = ""
+
+    @property
+    def site(self) -> tuple:
+        return (1,) * self.depth + self.rel
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +540,14 @@ def optimize(st: SynthState, g: GraphTerm, passes: list,
                     if log_misses:
                         miss(rule, site, skip[var])
                     continue
-                reports.append(RewriteReport(rule, site.path, True))
+                reports.append(RewriteReport(rule, site.depth, site.rel, True))
                 return site, new
             cursor.forward()
         return None, None
 
     def miss(rule: str, site: Site, reason: str) -> None:
-        reports.append(RewriteReport(rule, site.path, False, reason))
+        reports.append(RewriteReport(rule, site.depth, site.rel, False,
+                                     reason))
 
     changed = True
     while changed and fuel > 0:

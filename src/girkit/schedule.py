@@ -162,7 +162,9 @@ class _Deps:
     - `both[i]`: the data targets, then the hard effect targets, then the
       soft ones that are not hard; a target may repeat.
     Also: per-edge frequencies, a consumers-first topological `order` with
-    `rank` its inverse, and the transitive bound-variable requirements."""
+    `rank` its inverse, the transitive bound-variable requirements
+    `bound`, and `low`, the shallowest home of a node at or below each
+    node (see `_homes`)."""
 
     def __init__(self, sg: SGraph, operands: bool = False):
         names = list(sg.nodes)
@@ -180,6 +182,7 @@ class _Deps:
         freq = self.freq = [_NO_FREQ] * nn
         params_of = self.params_of = [()] * nn
         param_args = self._param_args = [()] * nn
+        soft_in = self._soft_in = set()  # targets of soft-only edges
         for i, node in enumerate(nodes):
             ids = tuple([idx.get(a, -1) for a in node.args])
             if operands:
@@ -204,9 +207,11 @@ class _Deps:
                     elif j >= 0:
                         hard.add(j)
                 hard_of[i] = tuple(hard)
-                both[i] = data + hard_of[i] + tuple([
-                    j for x in node.soft
-                    if 0 <= (j := idx.get(x, -1)) < nn and j not in hard])
+                soft = tuple([j for x in node.soft
+                              if 0 <= (j := idx.get(x, -1)) < nn
+                              and j not in hard])
+                both[i] = data + hard_of[i] + soft
+                soft_in.update(soft)
             if node.params:
                 params_of[i] = tuple(idx[p] for p in node.params)
             if pa:
@@ -222,6 +227,7 @@ class _Deps:
                            and m not in argset}
         self._topo_rank()
         self.bound = self._bound_deps()
+        self.low = self._homes()
 
     def index_of(self, n: Name) -> int:
         """Dense index of a node or parameter name, -1 if absent."""
@@ -251,8 +257,12 @@ class _Deps:
             rank[i] = r
 
     def _bound_deps(self) -> list:
-        """Transitive bound-variable requirements, producers first."""
+        """Transitive bound-variable requirements, producers first. Also
+        lists, in that order, the binders that have requirements
+        (`_binders`) and the nodes that have some and whose targets all
+        have some (`_closed`), for `_homes`."""
         bound = [()] * self.nnodes
+        binders, closed = self._binders, self._closed = [], []
         both = self.both
         for i in reversed(self.order):
             parts = [b for m in both[i] if (b := bound[m])]
@@ -263,85 +273,205 @@ class _Deps:
             acc.update(*parts)
             if self.params_of[i]:
                 acc.difference_update(self.params_of[i])
+                if not acc:
+                    continue
+                binders.append(i)
+                bound[i] = tuple(acc)
             elif parts and len(parts[0]) == len(acc):
                 bound[i] = parts[0]   # it holds every requirement: share it
-                continue
-            bound[i] = tuple(acc)
+            else:
+                bound[i] = tuple(acc)
+            if len(parts) == len(both[i]):
+                closed.append(i)
         return bound
+
+    def _homes(self) -> list:
+        """Per node, the shallowest home depth of a node at or below it.
+        A node's home depth is that of the deepest parameter it needs (0
+        if none), and a parameter's is one more than its binder's. Every
+        parameter bound at a block of nesting depth d (lam and loop
+        bodies count, cond branches do not) has depth at most d, so a
+        node with home depth above d cannot be placed there.
+
+        Binders come before the nodes that need their parameters in
+        `order`, so one pass over the binders sets every parameter's
+        depth; a binder that its enclosing binder does not reach may read
+        a depth before it is set (it starts at 1), which only weakens the
+        bound. A node with a target that needs no parameter is at 0, so
+        the second pass visits only `_closed` nodes."""
+        bound, params_of, nn = self.bound, self.params_of, self.nnodes
+        low = [0] * nn + [1] * (len(self.names) - nn)  # then parameters
+        at = low.__getitem__
+        for i in reversed(self._binders):
+            h = max(map(at, bound[i]))
+            for p in params_of[i]:
+                low[p] = h + 1
+        both = self.both
+        for i in self._closed:
+            if not (t := both[i]):
+                low[i] = max(map(at, bound[i]))
+            elif below := min(map(at, t)):
+                low[i] = min(below, max(map(at, bound[i])))
+        return low
+
+    def soft_reach(self):
+        """Per node, whether it or a node below it is the target of a
+        soft-only edge, the one way a node can turn hot without the node
+        that heats it reaching it; None when the graph has no such
+        edge."""
+        if not self._soft_in:
+            return None
+        reach = bytearray(self.nnodes)
+        for i in self._soft_in:
+            reach[i] = 1
+        both = self.both
+        for i in reversed(self.order):
+            if not reach[i] and any(reach[m] for m in both[i]):
+                reach[i] = 1
+        return reach
 
 
 # ---------------------------------------------------------------------------
 # Block scheduling (basic + soft-dep DCE + frequency + compact)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SchedOpts:
-    freq: bool = False
-    compact: bool = False
-    matchers: tuple = ()
+def _place(dv: _Deps, held: bytearray, path: set, ri: int, depth: int,
+           freq_on: bool, soft) -> list:
+    """The nodes that the block with result index `ri`, at nesting depth
+    `depth` under the parameters `path`, places, producers first: those
+    its result reaches on data and hard effect edges that no enclosing
+    block holds, whose parameters are all bound here and, under `freq`,
+    that are hot. What only soft edges reach is dead. The heap holds
+    ranks (`order` maps one back to its node), so each node is classified
+    after every consumer of it.
 
-
-def schedule_block(dv: _Deps, scope: set, path: set, res,
-                   opts: SchedOpts, todo: list) -> Block:
-    """Partition the reachable part of `scope` into nodes emitted here and
-    nodes pushed into inner scopes, then emit in topological order. The
-    scope and path sets hold dense node/param indices; `res` is a Name.
-    Only data and hard effect edges reach: what only soft edges reach is
-    dead. The heap holds ranks (`order` maps one back to its node), so
-    each node is classified after every consumer of it. Each inner
-    block is left to a task `(scope, path, res, Scope)` on `todo` that
-    fills its empty `Scope`."""
-    ri = dv.index_of(res)
-    if ri not in scope:
-        return Block([], res)  # a bound variable, location or outer node
-
+    The walk goes on only below a node under which it may still find one
+    to place. It stops at an unavailable node whose `low` exceeds
+    `depth`. Under `freq` it stops at a node that is not hot when popped,
+    as that node is placed elsewhere and heats nothing: what a hot node
+    heats on a data or hard edge it also queues, so only the nodes that
+    `soft` marks are still walked below it."""
     data_of, hard_of, both = dv.data, dv.hard, dv.both
-    freq, bound, rank, order = dv.freq, dv.bound, dv.rank, dv.order
+    freq, bound, low = dv.freq, dv.bound, dv.low
+    rank, order = dv.rank, dv.order
     pq = [rank[ri]]
     queued = {ri}
     hot = {ri}
     current: list = []
-    inner: set = set()
-    freq_on = opts.freq
     while pq:
         n = order[heappop(pq)]
-        for m in data_of[n] + hard_of[n]:
-            if m not in queued and m in scope:
+        if freq_on and n not in hot:
+            if soft is None or low[n] > depth:
+                continue
+            targets = [m for m in data_of[n] + hard_of[n] if soft[m]]
+        elif path.issuperset(bound[n]):
+            current.append(n)  # available here
+            targets = data_of[n] + hard_of[n]
+            if freq_on:
+                nf = freq[n]
+                hot.update([m for m in both[n] if nf.get(m, NORMAL) > COLD]
+                           if nf else both[n])
+        elif low[n] > depth:
+            continue
+        else:
+            targets = data_of[n] + hard_of[n]
+            if freq_on:
+                hot.update(both[n])
+        for m in targets:
+            if m not in queued and not held[m]:
                 queued.add(m)
                 heappush(pq, rank[m])
-        # targets outside the scope may enter `hot`; only scope nodes are
-        # ever looked up in it
-        if (not freq_on or n in hot) and path.issuperset(bound[n]):
-            current.append(n)  # available here
-            nf = freq[n]
-            hot.update([m for m in both[n] if nf.get(m, NORMAL) > COLD]
-                       if nf else both[n])
-        else:
-            inner.add(n)
-            if n in hot:
-                hot.update(both[n])
     current.reverse()  # visited consumers-first; emission is producers-first
+    return current
 
-    inlined = _inlined(dv, current, inner, ri) if opts.compact else set()
 
-    # producers first, so an inlined operand is built before its consumer
-    matchers = [MATCHERS[m] for m in opts.matchers]
+def _inlined(dv: _Deps, current: list, ri: int, held: bytearray,
+             deeper: bytearray) -> set:
+    """The nodes of a block (placed in the order `current`, result `ri`)
+    that compaction folds into their only consumer. A candidate has one
+    data use by a node of this block, on an ordinary edge (the result
+    counts as one), none by a node of a block inside this one, and is not
+    printed by name. It stays one only if every local successor, effect
+    successors included, is seen before it in a depth-first check from
+    the result, then from each kept node in reverse emission order, that
+    checks a node's operands in descending rank, each one's subtree
+    first.
+
+    Blocks close inside out, and a closing block no longer holds its own
+    nodes, so the nodes it uses that `held` still marks are those of
+    enclosing blocks: it marks them in `deeper`, which each block reads
+    and clears for its own nodes when it closes."""
+    data = dv.data
+    here: dict = {ri: 1}
+    elsewhere: set = set()        # used as a scope result
+    # the emitter prints a cond's predicate and the names a lambda's
+    # annotations mention by name, so they stay leaves
+    named: set = set()
+    for n in current:
+        nf = dv.freq[n]
+        for m in data[n]:
+            if held[m]:
+                deeper[m] = 1
+            elif nf.get(m, NORMAL) == NORMAL:
+                here[m] = here.get(m, 0) + 1
+            else:
+                elsewhere.add(m)
+        op = dv.node[n].op
+        if op == "cond":
+            named.add(dv.args[n][0])
+        elif op == "lam":
+            named.update(dv.args[n])
+    inline = {n for n in current
+              if here.get(n) == 1 and not deeper[n] and n not in elsewhere
+              and n not in named
+              and dv.node[n].op not in ("lam", "loop", "cond")}
+    for n in current:
+        deeper[n] = 0
+
+    # a candidate is checked only once its one data consumer is seen, so
+    # only its consumers on effect edges can be unseen then
+    succ: dict = {}               # candidate -> those consumers here
+    for c in current:
+        if (both := dv.both[c]) is not data[c]:
+            for m in inline.intersection(both[len(data[c]):]):
+                succ.setdefault(m, set()).add(c)
+
+    # a node that is not a candidate when its consumer is checked is never
+    # one later (candidates are only dropped), so only candidates are queued
+    rank = dv.rank.__getitem__
+    seen: set = set()
+
+    def check(todo: list):
+        while todo:
+            n = todo.pop()
+            if n in inline and seen.issuperset(succ.get(n, ())):
+                seen.add(n)
+                if ops := inline.intersection(data[n]):
+                    todo.extend(sorted(ops, key=rank))
+            else:
+                inline.discard(n)
+
+    check([ri])
+    for n in reversed(current):
+        if n not in inline:
+            seen.add(n)
+            if ops := inline.intersection(data[n]):
+                check(sorted(ops, key=rank))
+    return inline
+
+
+def _build(dv: _Deps, current: list, ri: int, res, scopes: dict,
+           inlined: set, matchers: list) -> Block:
+    """The trees of a block, producers first, so that an inlined operand
+    is built before its consumer; `scopes` holds the `Scope` of each
+    lam, loop and cond node."""
     trees: list = []
     built: dict = {}
     for n in current:
+        if n in scopes:
+            trees.append(scopes[n])
+            continue
         node = dv.node[n]
-        if node.op in ("lam", "loop"):
-            trees.append(body := Scope((node.op, node.sym, node), []))
-            todo.append((inner, path | {n} | set(dv.params_of[n]),
-                         node.body_res[0], body))
-            continue
-        if node.op == "cond":
-            branches = []
-            for tag, r in zip(("then", "else"), node.body_res):
-                branches.append(body := Scope((tag, node.sym, node), []))
-                todo.append((inner, path, r, body))
-            trees.append(Scope(("cond", node.sym, node), branches))
-            continue
         args = node.args
         if inlined and not inlined.isdisjoint(ids := dv.args[n]):
             args = tuple([built[k] if k in inlined else a
@@ -356,78 +486,59 @@ def schedule_block(dv: _Deps, scope: set, path: set, res,
     return Block(trees, built[ri] if ri in inlined else res)
 
 
-def _inlined(dv: _Deps, current: list, inner: set, ri: int) -> set:
-    """The nodes of a block (emitted in the order `current`, pushed into
-    inner scopes `inner`, result `ri`) that compaction folds into their
-    only consumer. A candidate has one data use, by a node of this block
-    on an ordinary edge (the result counts as one), and is not printed by
-    name. It stays one only if every local successor, effect successors
-    included, is seen before it in a depth-first check from the result,
-    then from each kept node in reverse emission order, that checks a
-    node's operands in descending rank, each one's subtree first."""
-    here: dict = {ri: 1}
-    elsewhere: set = set()        # used in an inner scope or a scope result
-    # the emitter prints a cond's predicate and the names a lambda's
-    # annotations mention by name, so they stay leaves
-    named: set = set()
-    for n in current:
-        nf = dv.freq[n]
-        for m in dv.data[n]:
-            if nf.get(m, NORMAL) == NORMAL:
-                here[m] = here.get(m, 0) + 1
-            else:
-                elsewhere.add(m)
-        op = dv.node[n].op
-        if op == "cond":
-            named.add(dv.args[n][0])
-        elif op == "lam":
-            named.update(dv.args[n])
-    for n in inner:
-        elsewhere.update(dv.data[n])
-    inline = {n for n in current
-              if here.get(n) == 1 and n not in elsewhere and n not in named
-              and dv.node[n].op not in ("lam", "loop", "cond")}
-
-    succ: dict = {}               # candidate -> its consumers in the block
-    for c in current:
-        for m in inline.intersection(dv.both[c]):
-            succ.setdefault(m, set()).add(c)
-
-    # a node that is not a candidate when its consumer is checked is never
-    # one later (candidates are only dropped), so only candidates are queued
-    rank = dv.rank.__getitem__
-    seen: set = set()
-
-    def check(todo: list):
-        while todo:
-            n = todo.pop()
-            if n in inline and seen.issuperset(succ.get(n, ())):
-                seen.add(n)
-                todo.extend(sorted(inline.intersection(dv.data[n]),
-                                   key=rank))
-            else:
-                inline.discard(n)
-
-    check([ri])
-    for n in reversed(current):
-        if n not in inline:
-            seen.add(n)
-            check(sorted(inline.intersection(dv.data[n]), key=rank))
-    return inline
-
-
 def schedule(sg: SGraph, freq: bool = False, compact: bool = False,
              matchers: tuple = ()) -> Block:
-    """Schedule a whole graph into a scoped block. Blocks are scheduled
-    from a worklist; given its scope and path, each is independent of
-    the others, so their order does not change the output."""
-    opts = SchedOpts(freq, compact, tuple(matchers))
+    """Schedule a whole graph into a scoped block, depth first from a
+    worklist. A block opens when the node that binds it is placed: it
+    places its nodes (`_place`), then holds them and binds its binder's
+    parameters while the blocks inside it run. It closes once they have
+    all closed: it releases its nodes and parameters and builds its
+    trees. So a block walks only nodes that no enclosing block places,
+    and sibling blocks never see each other's."""
     dv = _Deps(sg, compact)
+    soft = dv.soft_reach() if freq else None
+    matchers = [MATCHERS[m] for m in matchers]
+    nn = dv.nnodes
+    held = bytearray(nn)
+    deeper = bytearray(nn) if compact else None
+    path: set = set()
     top = Scope(None, [])
-    todo = [(set(range(dv.nnodes)), set(), sg.result, top)]
+    # (result, nesting depth, parameters bound, Scope to fill, and once
+    # the block is open, its nodes and their Scopes)
+    todo: list = [(sg.result, 0, (), top, None)]
     while todo:
-        scope, path, res, out = todo.pop()
-        blk = schedule_block(dv, scope, path, res, opts, todo)
+        res, depth, params, out, placed = todo.pop()
+        ri = dv.index_of(res)
+        if placed is None:
+            if not 0 <= ri < nn or held[ri]:
+                out.result = res  # a bound variable, location or outer node
+                continue
+            path.update(params)
+            current = _place(dv, held, path, ri, depth, freq, soft)
+            scopes: dict = {}
+            todo.append((res, depth, params, out, (current, scopes)))
+            for n in current:
+                held[n] = 1
+                node = dv.node[n]
+                if node.op in ("lam", "loop"):
+                    scopes[n] = body = Scope((node.op, node.sym, node), [])
+                    todo.append((node.body_res[0], depth + 1,
+                                 dv.params_of[n], body, None))
+                elif node.op == "cond":
+                    branches = []
+                    for tag, r in zip(("then", "else"), node.body_res):
+                        branches.append(body := Scope((tag, node.sym, node),
+                                                      []))
+                        todo.append((r, depth, (), body, None))
+                    scopes[n] = Scope(("cond", node.sym, node), branches)
+            continue
+        current, scopes = placed
+        for n in current:
+            held[n] = 0
+        path.difference_update(params)
+        inlined = (_inlined(dv, current, ri, held, deeper) if compact
+                   else set())
+        blk = _build(dv, current, ri, res, scopes, inlined, matchers)
         out.children, out.result = blk.trees, blk.tail
     return Block(top.children, top.result)
 
@@ -474,12 +585,32 @@ _FORMS = {"app": "{} {}", "ref": "ref({}, {})", "deref": "!{}",
           "assign": "{} := {}"}
 
 
+def _node_text(x: Exp, args: list) -> str:
+    """Surface text of expression node `x` given its operands' texts."""
+    op = x.op
+    if op.startswith("op:"):
+        if x.lit is not None:
+            args += [str(v) for v in (
+                x.lit if isinstance(x.lit, tuple) else (x.lit,))]
+        return f"{op[3:]}({', '.join(args)})"
+    if op == "cst":
+        return const_text(x.lit)
+    if op in _FORMS:
+        return _FORMS[op].format(*args)
+    raise TypeError(x)
+
+
 def _exp_text(e) -> str:
     """Surface text of an operand or expression, built without recursion
     so that any depth prints: the expression nodes are listed in preorder,
     then printed in reverse, each taking its operands' texts off a stack."""
     if isinstance(e, Name):
         return e.pretty()
+    for a in e.args:
+        if isinstance(a, Exp):
+            break
+    else:                         # no operand is an expression
+        return _node_text(e, [a.pretty() for a in e.args])
     nodes = []
     todo = [e]
     while todo:
@@ -490,9 +621,8 @@ def _exp_text(e) -> str:
                 todo.append(a)
     done: list = []               # texts of printed nodes not yet used
     for x in reversed(nodes):
-        op = x.op
         # the operands of an application, read or write print as atoms
-        atom = op in ("app", "deref", "assign")
+        atom = x.op in ("app", "deref", "assign")
         args = []
         for a in x.args:
             if isinstance(a, Name):
@@ -501,60 +631,52 @@ def _exp_text(e) -> str:
                 args.append(f"({done.pop()})")
             else:
                 args.append(done.pop())
-        if op.startswith("op:"):
-            if x.lit is not None:
-                args += [str(v) for v in (
-                    x.lit if isinstance(x.lit, tuple) else (x.lit,))]
-            done.append(f"{op[3:]}({', '.join(args)})")
-        elif op == "cst":
-            done.append(const_text(x.lit))
-        elif op in _FORMS:
-            done.append(_FORMS[op].format(*args))
-        else:
-            raise TypeError(x)
+        done.append(_node_text(x, args))
     return done[0]
 
 
 def emit(block: Block) -> str:
     """Deterministic nested-let text: one binding per leaf, two-space
     indentation per scope; calculus nodes emit parseable surface syntax.
-    Nested blocks wait on an explicit stack, so any depth prints."""
+    A block waits on an explicit stack, with an iterator at the tree to
+    resume from, while the scopes inside it print, so any depth prints."""
     lines = []
-    todo: list = [(block.trees, block.tail, "")]
+    todo: list = [(iter(block.trees), block.tail, "")]
     while todo:
         item = todo.pop()
         if isinstance(item, str):
             lines.append(item)
             continue
         trees, tail, pad = item
-        inner = pad + "  "
-        out: list = []            # lines, and blocks as (trees, tail, pad)
         for t in trees:
             if isinstance(t, Leaf):
-                out.append(f"{pad}let {t.name.pretty()} = "
-                           f"{_exp_text(t.expr)} in")
+                lines.append(f"{pad}let {t.name.pretty()} = "
+                             f"{_exp_text(t.expr)} in")
                 continue
             kind, sym, node = t.binder
+            inner = pad + "  "
+            todo += [item, f"{pad}) in"]  # this block resumes after `t`
             if kind == "lam":
                 param_qt, latent = node.lit or ("Int^{}", "rd{} wr{}")
-                out += [f"{pad}let {sym.pretty()} = fun "
-                        f"({node.params[0].pretty()}: {param_qt}) "
-                        f"=>{{{latent}}} (", (t.children, t.result, inner)]
+                lines.append(f"{pad}let {sym.pretty()} = fun "
+                             f"({node.params[0].pretty()}: {param_qt}) "
+                             f"=>{{{latent}}} (")
+                todo.append((iter(t.children), t.result, inner))
             elif kind == "loop":
-                out += [f"{pad}let {sym.pretty()} = loop (",
-                        (t.children, t.result, inner)]
+                lines.append(f"{pad}let {sym.pretty()} = loop (")
+                todo.append((iter(t.children), t.result, inner))
             elif kind == "cond":
                 then_s, else_s = t.children
-                out += [f"{pad}let {sym.pretty()} = if "
-                        f"{node.args[0].pretty()} then (",
-                        (then_s.children, then_s.result, inner),
-                        f"{pad}) else (",
-                        (else_s.children, else_s.result, inner)]
+                lines.append(f"{pad}let {sym.pretty()} = if "
+                             f"{node.args[0].pretty()} then (")
+                todo += [(iter(else_s.children), else_s.result, inner),
+                         f"{pad}) else (",
+                         (iter(then_s.children), then_s.result, inner)]
             else:
                 raise TypeError(t.binder)
-            out.append(f"{pad}) in")
-        out.append(f"{pad}{_exp_text(tail)}")
-        todo += reversed(out)
+            break
+        else:
+            lines.append(f"{pad}{_exp_text(tail)}")
     return "\n".join(lines)
 
 

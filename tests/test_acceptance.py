@@ -4,6 +4,7 @@ pinned in the constants below."""
 
 import gc
 import time
+from random import Random
 
 import pytest
 
@@ -415,6 +416,82 @@ def test_criterion_8_scheduling_scales():
     print(f"\nPASS criterion 8: scheduled {BIG_N} nodes in {t_big:.2f}s "
           f"(budget {SCHED_BUDGET_S:.0f}s); T({BIG_N})/T({SMALL_N}) = "
           f"{ratio:.1f} (limit {SCHED_RATIO_LIMIT:.0f})")
+
+
+def reaching_graph(n, depth, seed):
+    """A random graph of about `n` nodes, with lambda scopes nested up to
+    `depth` deep, whose result reaches every node: each node uses up to
+    three recent nodes of its own scope, its parameter or nodes of the
+    enclosing scopes, and each scope ends in joins of the nodes that
+    nothing in it uses yet."""
+    rng, sup, nodes = Random(seed), NameSupply(1), {}
+
+    def block(budget, d, param, env):
+        made, unused = [], {}     # unused: an ordered set
+        while budget > 0:
+            if d < depth and budget > 40 and rng.random() < 0.02:
+                sub = rng.randint(20, min(budget - 1, 400))
+                x = sup.var("x")
+                res = block(sub - 1, d + 1, x, env + made[-3:])
+                sym = sup.var("f")
+                nodes[sym] = SNode(sym, "lam", params=(x,), body_res=(res,))
+                budget -= sub
+            else:
+                pool = made[-6:] + env[-3:] + ([param] if param else [])
+                args = rng.sample(pool, min(len(pool), rng.randint(1, 3)))
+                sym = sup.var("n")
+                nodes[sym] = SNode(sym, "op:gen", tuple(args))
+                for a in args:
+                    unused.pop(a, None)
+                budget -= 1
+            made.append(sym)
+            unused[sym] = None
+        pending = list(unused)
+        while len(pending) > 1 or not pending:
+            sym = sup.var("j")
+            nodes[sym] = SNode(sym, "op:join", tuple(pending[-4:]) or (param,))
+            pending[-4:] = [sym]
+        return pending[0]
+
+    return SGraph(nodes, block(n, 0, None, []))
+
+
+def test_scheduling_walk_scales():
+    """Criterion 8's graph reaches one leaf from its result, so it times
+    set-up; this graph's result reaches every node, so the walk, the
+    placement and the trees grow with it. Timed as criterion 8 is, but
+    in CPU time, which a shared machine's other work does not inflate."""
+    graphs = [reaching_graph(n, SCHED_DEPTH, seed=0)
+              for n in (SMALL_N, BIG_N)]
+    for sg in graphs:
+        seen, todo = {sg.result}, [sg.result]
+        while todo:
+            node = sg.nodes[todo.pop()]
+            for m in node.args + node.body_res:
+                if m in sg.nodes and m not in seen:
+                    seen.add(m)
+                    todo.append(m)
+        assert len(seen) == len(sg.nodes)
+    best = [float("inf")] * len(graphs)
+    gc_was_on = gc.isenabled()
+    try:
+        gc.disable()
+        for sg in graphs:
+            schedule(sg, freq=True, compact=True)  # warm up code paths
+        for _ in range(SCHED_ROUNDS):
+            for i, sg in enumerate(graphs):
+                t0 = time.process_time()
+                schedule(sg, freq=True, compact=True)
+                best[i] = min(best[i], time.process_time() - t0)
+    finally:
+        if gc_was_on:
+            gc.enable()
+    t_small, t_big = best
+    ratio = t_big / t_small
+    assert ratio <= SCHED_RATIO_LIMIT
+    print(f"\nPASS scheduling walk: {len(graphs[1].nodes)} reached nodes in "
+          f"{t_big:.2f}s; T({BIG_N})/T({SMALL_N}) = {ratio:.1f} "
+          f"(limit {SCHED_RATIO_LIMIT:.0f})")
 
 
 def test_criterion_9_separation_is_preserved():

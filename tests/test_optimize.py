@@ -4,7 +4,9 @@ rule, plus fixpoint-driver behavior and soundness spot checks."""
 import gc
 import hashlib
 import importlib
+import pickle
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -817,8 +819,6 @@ class TestFirePerCost:
     deletion, makes them grow with the program."""
 
     def test_work_per_fire_is_flat(self, monkeypatch):
-        from benchmark.gen import chain_program
-        from test_higher_order import with_deep_recursion
         graphir = importlib.import_module("girkit.graphir")
         counts = Counter()
 
@@ -837,17 +837,8 @@ class TestFirePerCost:
         monkeypatch.setattr(graphir, "_ascend", counting(
             "frames", graphir._ascend, lambda frames, *rest: len(frames)))
 
-        programs = {}
-
-        def front_ends():  # the parser recurses once per let
-            for n in (200, 2000):
-                text = chain_program(random.Random(0), n, 4, False).text
-                store, t, _ = _front_end(text)
-                programs[n] = store, to_mnf(t, store.supply)
-
-        with_deep_recursion(front_ends)
         per_fire = {}
-        for n, (store, g) in programs.items():
+        for n, (store, g) in chain_programs((200, 2000)).items():
             st, _ = initial_state(store)
             counts.clear()
             _, reports = optimize(st, g, sorted(RULES), fuel=10 ** 9,
@@ -859,6 +850,44 @@ class TestFirePerCost:
                                        "frames"}
         for key, small in per_fire[200].items():
             assert per_fire[2000][key] <= 1.5 * small, (key, per_fire)
+
+    def test_reports_grow_with_the_program_not_its_depth(self):
+        """A report keeps its site's depth and relative path, not the
+        path, so the reports of all five passes take memory linear in
+        the program: at most 15 times as much at 2,000 lets as at 200. A
+        report's size is that of its copy, rebuilt under tracing."""
+        size = {}
+        for n, (store, g) in chain_programs((200, 2000)).items():
+            st, _ = initial_state(store)
+            _, reports = optimize(st, g, sorted(RULES), fuel=10 ** 9,
+                                  supply=store.supply)
+            data = pickle.dumps(reports)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                copy = pickle.loads(data)
+                size[n] = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            assert [r.site for r in copy] == [r.site for r in reports]
+        assert size[2000] <= 15 * size[200], size
+
+
+def chain_programs(sizes) -> dict:
+    """The benchmark's `chain` program (seed 0, 4 cells) of each number
+    of lets in `sizes`, parsed and in MNF, with its store."""
+    from benchmark.gen import chain_program
+    from test_higher_order import with_deep_recursion
+    programs = {}
+
+    def front_ends():  # the parser recurses once per let
+        for n in sizes:
+            text = chain_program(random.Random(0), n, 4, False).text
+            store, t, _ = _front_end(text)
+            programs[n] = store, to_mnf(t, store.supply)
+
+    with_deep_recursion(front_ends)
+    return programs
 
 
 def walk_from_the_root(st, g, passes, fuel, supply):

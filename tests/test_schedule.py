@@ -2,8 +2,10 @@
 frequency-driven code motion, compact traversal, instruction matchers,
 and the synthetic benchmark plumbing."""
 
+import gc
 import hashlib
 import itertools
+import time
 from random import Random
 
 import pytest
@@ -185,6 +187,40 @@ class TestFrequencyMotion:
             before_lam = out.split("fun ")[0]
             assert "factorial(" in before_lam
 
+    def test_a_read_before_a_write_stays_there_when_only_a_branch_uses_it(
+            self):
+        """The write's soft edge makes the read hot, so the read stays
+        outside the branch and before the write, though the walk reaches
+        it only through the branch's (cold) result."""
+        sup = NameSupply(1)
+        c1, x, d, c2, s, u, z, p, k = (sup.var(t) for t in "cxdcsuzpk")
+        nodes = {
+            c1: SNode(c1, "cst", lit=1),
+            x: SNode(x, "op:cell", (c1,)),
+            d: SNode(d, "deref", (x,)),
+            c2: SNode(c2, "cst", lit=2),
+            s: SNode(s, "assign", (x, c2), soft=(d,)),
+            u: SNode(u, "op:inc", (d,)),
+            z: SNode(z, "cst", lit=0),
+            p: SNode(p, "cst", lit=True),
+            k: SNode(k, "cond", (p,), hard=(s,), body_res=(u, z)),
+        }
+        assert emit(schedule(SGraph(nodes, k), freq=True)) == (
+            "let c_1 = 1 in\n"
+            "let x_2 = cell(c_1) in\n"
+            "let d_3 = !x_2 in\n"
+            "let c_4 = 2 in\n"
+            "let s_5 = x_2 := c_4 in\n"
+            "let p_8 = true in\n"
+            "let k_9 = if p_8 then (\n"
+            "  let u_6 = inc(d_3) in\n"
+            "  u_6\n"
+            ") else (\n"
+            "  let z_7 = 0 in\n"
+            "  z_7\n"
+            ") in\n"
+            "k_9")
+
 
 class TestCompactTraversal:
     def test_single_use_chain_collapses_to_one_expression(self):
@@ -305,6 +341,56 @@ def test_schedule_output_is_pinned():
     assert digest.hexdigest() == SCHEDULE_PIN
 
 
+def nested_lambdas(n, free=False):
+    """A graph of `n` nested lambdas, each the body result of the one
+    before and each using its parent's parameter; the innermost returns
+    a node using its own parameter and, if `free`, a node that needs no
+    parameter. Returns the graph, the lambdas, their parameters and the
+    innermost result."""
+    sup = NameSupply(1)
+    fs = [sup.var("f") for _ in range(n)]
+    xs = [sup.var("x") for _ in range(n)]
+    leaf = sup.var("n")
+    nodes = {}
+    if free:
+        g = sup.var("g")
+        nodes[g] = SNode(g, "op:gen")
+    nodes[leaf] = SNode(leaf, "op:gen", (xs[-1], g) if free else (xs[-1],))
+    for i, f in enumerate(fs):
+        nodes[f] = SNode(f, "lam", (xs[i - 1],) if i else (),
+                         params=(xs[i],),
+                         body_res=(fs[i + 1] if i + 1 < n else leaf,))
+    return SGraph(nodes, fs[0]), fs, xs, leaf
+
+
+def nested_text(fs, xs, innermost, top=()):
+    """The text `emit` prints for `nested_lambdas`' graph: the `top`
+    lines, each lambda's header, the `innermost` lines in the innermost
+    body, then each lambda's close and name."""
+    n = len(fs)
+    pad = ["  " * i for i in range(n + 1)]
+    want = list(top)
+    want += [f"{pad[i]}let {f.pretty()} = fun ({xs[i].pretty()}: "
+             "Int^{}) =>{rd{} wr{}} (" for i, f in enumerate(fs)]
+    want += [pad[n] + line for line in innermost]
+    for i in reversed(range(n)):
+        want += [f"{pad[i]}) in", pad[i] + fs[i].pretty()]
+    return "\n".join(want)
+
+
+# sha256 of the output of the `sched` benchmark op (`benchmark/workloads.py`
+# `sched_op`) on one graph of the workload's size
+SCHED_OP_PIN = (
+    "e50eb018d4dfd75615871d1f0dd5a57a8cfa8a19e0e168147affa570e4e99138")
+
+
+def test_schedule_output_is_pinned_at_the_workload_size():
+    from benchmark import gen
+    sg = gen.sched_graph(Random(0), 20000)
+    block = schedule(sg, freq=True, compact=True, matchers=("gemm",))
+    assert hashlib.sha256(emit(block).encode()).hexdigest() == SCHED_OP_PIN
+
+
 class TestSyntheticGraphs:
     def test_generator_is_seeded_and_sized(self):
         sg = synthetic_graph(300, 6, seed=3)
@@ -330,32 +416,59 @@ class TestSyntheticGraphs:
     def test_timer_reports_a_positive_duration(self):
         assert time_schedule(500, depth=4, seed=0, repeat=2) > 0.0
 
-    @pytest.mark.parametrize("compact", [False, True])
-    def test_deeply_nested_scopes_schedule_and_emit(self, compact):
+    @pytest.mark.parametrize(
+        "compact,freq", [(False, False), (True, False), (False, True),
+                         (True, True)],
+        ids=["False", "True", "False-freq", "True-freq"])
+    def test_deeply_nested_scopes_schedule_and_emit(self, compact, freq):
         """2,000 lambdas, each the body result of the one before and each
         using its parent's parameter, so that none can leave its parent:
         scheduling and emission nest them all at the default recursion
         limit, which one frame per scope would exceed twice over."""
-        n, sup = 2000, NameSupply(1)
-        fs = [sup.var("f") for _ in range(n)]
-        xs = [sup.var("x") for _ in range(n)]
-        leaf = sup.var("n")
-        nodes = {leaf: SNode(leaf, "op:gen", (xs[-1],))}
-        for i, f in enumerate(fs):
-            nodes[f] = SNode(f, "lam", (xs[i - 1],) if i else (),
-                             params=(xs[i],),
-                             body_res=(fs[i + 1] if i + 1 < n else leaf,))
-        pad = ["  " * i for i in range(n + 1)]
+        sg, fs, xs, leaf = nested_lambdas(2000)
         gen = f"gen({xs[-1].pretty()})"
-        want = ([f"{pad[i]}let {f.pretty()} = fun ({xs[i].pretty()}: "
-                 "Int^{}) =>{rd{} wr{}} (" for i, f in enumerate(fs)]
-                + ([pad[n] + gen] if compact
-                   else [f"{pad[n]}let {leaf.pretty()} = {gen} in",
-                         pad[n] + leaf.pretty()]))
-        for i in reversed(range(n)):
-            want += [f"{pad[i]}) in", pad[i] + fs[i].pretty()]
-        sg = SGraph(nodes, fs[0])
-        assert emit(schedule(sg, compact=compact)) == "\n".join(want)
+        innermost = ([gen] if compact
+                     else [f"let {leaf.pretty()} = {gen} in", leaf.pretty()])
+        assert emit(schedule(sg, compact=compact, freq=freq)) == \
+            nested_text(fs, xs, innermost)
+
+    @pytest.mark.parametrize("freq", [False, True])
+    def test_a_parameter_free_node_leaves_every_scope(self, freq):
+        """A node that needs no parameter, used only by the innermost of
+        500 nested lambdas, is placed at the top, before them all."""
+        sg, fs, xs, leaf = nested_lambdas(500, free=True)
+        g = sg.nodes[leaf].args[1]
+        innermost = [f"let {leaf.pretty()} = "
+                     f"gen({xs[-1].pretty()}, {g.pretty()}) in",
+                     leaf.pretty()]
+        assert emit(schedule(sg, freq=freq)) == nested_text(
+            fs, xs, innermost, top=[f"let {g.pretty()} = gen() in"])
+
+    def test_scheduling_is_linear_in_nesting_depth(self):
+        """`schedule` of 20,000 nested lambdas takes at most 2 s in each
+        mode, and at most 15 times as long as 2,000 of them: each block
+        walks only what it can still place. The sizes are timed
+        interleaved, best of 5, in CPU time (which a shared machine's
+        other work does not inflate), with the collector off. `emit` is
+        not timed: its text indents two spaces per level, so its size
+        grows with the square of the depth (192.5M characters at
+        8,000)."""
+        small, big = (nested_lambdas(n)[0] for n in (2000, 20000))
+        gc_was_on = gc.isenabled()
+        try:
+            gc.disable()
+            for opts in ({}, {"freq": True}, {"compact": True}):
+                best = [float("inf")] * 2
+                for _ in range(5):
+                    for i, sg in enumerate((small, big)):
+                        t0 = time.process_time()
+                        schedule(sg, **opts)
+                        best[i] = min(best[i], time.process_time() - t0)
+                assert best[1] <= 2.0, (opts, best)
+                assert best[1] / best[0] <= 15, (opts, best)
+        finally:
+            if gc_was_on:
+                gc.enable()
 
     def test_cyclic_dependencies_are_reported(self):
         sup = NameSupply(1)
