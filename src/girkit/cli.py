@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -20,7 +19,7 @@ from .core import (
     NCst, NLam, NODE_OPERATOR, Nm, OMEGA, OPERATORS, ParseError, Qualifier,
     QualifiedType, RefNew, RefTy, RuntimeConfig, RW, RwEffect, Span, Store,
     Term, UNIT_V, VAR, const_key, effect_to_text, graph_to_text,
-    initial_store, qt_to_text, spine,
+    initial_store, qt_to_text, record, spine,
 )
 from . import testkit
 from .typecheck import infer_direct
@@ -37,7 +36,7 @@ from .schedule import (
 # Diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     """A user-facing report tied to a byte range of one input file."""
 
@@ -74,7 +73,7 @@ _KEYWORDS = {"let", "in", "fun", "ref", "unit", "true", "false",
              "rd", "wr"}
 
 
-@dataclass(frozen=True)
+@record
 class Token:
     kind: str   # "int" | "ident" | "kw" | an operator literal | "eof"
     text: str

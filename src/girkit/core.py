@@ -12,10 +12,71 @@ types it operates on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from inspect import signature
 from operator import attrgetter
 from collections.abc import Mapping, Set as AbstractSet
 from typing import Callable, Optional, Union
+
+
+# ---------------------------------------------------------------------------
+# Immutable records
+# ---------------------------------------------------------------------------
+
+class _Factory:
+    """The default of a parameter whose field has a default factory."""
+
+    def __repr__(self):
+        return "<factory>"
+
+
+_FACTORY = _Factory()
+
+
+def record(cls):
+    """Declare an immutable record: a frozen, slotted dataclass whose
+    `__init__` stores each field through its slot descriptor.
+
+    Every typing rule builds records. A frozen dataclass's own `__init__`
+    calls `object.__setattr__` once per field: building a 2-field record
+    took 0.64 µs that way and 0.36 µs through the descriptors (Python
+    3.10, timeit).
+    `dataclass` still makes `__repr__`, the frozen `__setattr__` and
+    `__delattr__`, so writing a field raises `FrozenInstanceError`, and
+    `__eq__` and `__hash__` unless the class body defines its own
+    `__eq__`, which comes with its own `__hash__`. The `__init__` takes
+    the parameters, defaults and default factories dataclass's would,
+    and compiles once per class, as dataclass's does."""
+    # dataclass documents an undocumented class by its `__init__`'s
+    # signature; that is written here, once this `__init__` exists
+    undocumented = not cls.__doc__
+    if undocumented:
+        cls.__doc__ = cls.__name__
+    cls = dataclass(cls, frozen=True, slots=True, init=False,
+                    eq="__eq__" not in vars(cls))
+    env = {"_FACTORY": _FACTORY}
+    params, body = [], []
+    for i, f in enumerate(fields(cls)):
+        env[f"_set{i}"] = getattr(cls, f.name).__set__
+        value, default = f.name, ""
+        if f.default_factory is not MISSING:
+            env[f"_make{i}"] = f.default_factory
+            value = f"_make{i}() if {f.name} is _FACTORY else {f.name}"
+            default = "=_FACTORY"
+        elif f.default is not MISSING:
+            env[f"_default{i}"] = f.default
+            default = f"=_default{i}"
+        params.append(f.name + default)
+        body.append(f" _set{i}(self, {value})\n")
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", env)
+    init = cls.__init__ = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {f.name: f.type for f in fields(cls)}
+    init.__annotations__["return"] = None
+    if undocumented:
+        sig = str(signature(cls)).replace(" -> None", "")
+        cls.__doc__ = cls.__name__ + sig
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +151,7 @@ class JsonSchemaError(GirError):
     code = "E014"
 
 
-@dataclass(frozen=True)
+@record
 class Span:
     start: int
     end: int
@@ -239,7 +300,7 @@ def subst_qual(q: Qualifier, x: Name, p: Qualifier) -> Qualifier:
 # Read/write effects
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record
 class RwEffect:
     """An effect split into read and write footprints.
 
@@ -267,10 +328,20 @@ class RwEffect:
         return not self.reads and not self.writes
 
     def seq(self, other: "RwEffect") -> "RwEffect":
-        """Sequential composition e1 ▷ e2 (componentwise union)."""
-        return RwEffect(self.reads | other.reads, self.writes | other.writes)
+        """Sequential composition e1 ▷ e2 (componentwise union). An
+        operand that holds the other is the result itself, so the typing
+        rules build no effect equal to one they already have."""
+        r1, w1, r2, w2 = self.reads, self.writes, other.reads, other.writes
+        if r1 <= r2 and w1 <= w2:
+            return other
+        if r2 <= r1 and w2 <= w1:
+            return self
+        return RwEffect(r1 | r2, w1 | w2)
 
     def subst(self, x: Name, p: Qualifier) -> "RwEffect":
+        """[p/x] on both footprints; `self` when x occurs in neither."""
+        if x not in self.reads and x not in self.writes:
+            return self
         return RwEffect(subst_qual(self.reads, x, p), subst_qual(self.writes, x, p))
 
     def included_in(self, other: "RwEffect") -> bool:
@@ -287,7 +358,7 @@ PURE = RwEffect()
 # Types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class BaseTy:
     name: str  # a key of BASE_TYPES
 
@@ -295,7 +366,7 @@ class BaseTy:
         return self.name
 
 
-@dataclass(frozen=True)
+@record
 class RefTy:
     payload: BaseTy  # references hold base values only
 
@@ -303,7 +374,7 @@ class RefTy:
         return f"Ref[{self.payload!r}]"
 
 
-@dataclass(frozen=True)
+@record
 class FunTy:
     param: Name
     param_qt: "QualifiedType"
@@ -325,7 +396,7 @@ TY_ALLOC = BaseTy("Alloc")
 BASE_TYPES = {t.name: t for t in (TY_UNIT, TY_BOOL, TY_INT, TY_ALLOC)}
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class QualifiedType:
     ty: Ty
     qual: Qualifier = EMPTY_QUAL
@@ -715,7 +786,7 @@ HARD = "hard"  # every effect yields a hard (must-run-after) dependency
 RW = "rw"      # reads give hard deps, writes soft (skippable) deps
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@record
 class DepMap:
     """Hard (name -> name) and soft (name -> name set) dependency entries.
 
@@ -1021,7 +1092,7 @@ def const_text(value) -> str:
 # Direct-style terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Cst:
     value: object
     span: Optional[Span] = field(default=None, compare=False)
@@ -1029,13 +1100,13 @@ class Cst:
     __eq__, __hash__ = _const_eq, _const_hash
 
 
-@dataclass(frozen=True)
+@record
 class Nm:
     name: Name
     span: Optional[Span] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Lam:
     param: Name
     param_qt: QualifiedType
@@ -1044,34 +1115,34 @@ class Lam:
     span: Optional[Span] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class App:
     fn: "Term"
     arg: "Term"
     span: Optional[Span] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class RefNew:
     cap: "Term"
     init: "Term"
     span: Optional[Span] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Deref:
     ref: "Term"
     span: Optional[Span] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Assign:
     ref: "Term"
     value: "Term"
     span: Optional[Span] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Let:
     var: Name
     bound: "Term"
@@ -1092,14 +1163,14 @@ Term = Union[Cst, Nm, Lam, App, RefNew, Deref, Assign, Let]
 # Graph terms (monadic normal form / graph IR)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class NCst:
     value: object
 
     __eq__, __hash__ = _const_eq, _const_hash
 
 
-@dataclass(frozen=True)
+@record
 class NLam:
     param: Name
     param_qt: QualifiedType
@@ -1108,24 +1179,24 @@ class NLam:
     body_dep: Optional[DepMap] = None  # latent dependency of the body
 
 
-@dataclass(frozen=True)
+@record
 class NApp:
     fn: Name
     arg: Name
 
 
-@dataclass(frozen=True)
+@record
 class NRef:
     cap: Name
     init: Name
 
 
-@dataclass(frozen=True)
+@record
 class NDeref:
     ref: Name
 
 
-@dataclass(frozen=True)
+@record
 class NAssign:
     ref: Name
     value: Name
@@ -1134,12 +1205,12 @@ class NAssign:
 GraphNode = Union[NCst, NLam, NApp, NRef, NDeref, NAssign]
 
 
-@dataclass(frozen=True)
+@record
 class GName:
     name: Name
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GLet:
     var: Name
     binding: "Binding"
@@ -1188,7 +1259,7 @@ Binding = Union[GraphNode, GName, GLet]
 # The operator table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Operator:
     """One operator: its name (as JSON, DOT and the scheduler spell it), its
     direct-style and graph classes, and its operand fields. Both classes

@@ -14,8 +14,8 @@ from heapq import heappop, heappush
 
 from .core import (
     CyclicDependency, GLet, GName, Name, NameSupply, NCst, NLam,
-    RuntimeConfig, const_text, effect_to_text, node_operator, qt_free_names,
-    qt_to_text, rename_effect, rename_qt, spine,
+    RuntimeConfig, UnboundName, const_text, effect_to_text, node_operator,
+    qt_free_names, qt_to_text, rename_effect, rename_qt, spine,
 )
 
 HOT = 100.0
@@ -494,7 +494,9 @@ def schedule(sg: SGraph, freq: bool = False, compact: bool = False,
     parameters while the blocks inside it run. It closes once they have
     all closed: it releases its nodes and parameters and builds its
     trees. So a block walks only nodes that no enclosing block places,
-    and sibling blocks never see each other's."""
+    and sibling blocks never see each other's. A block result that needs
+    a parameter no enclosing binder binds could be placed nowhere, so it
+    raises UnboundName naming that parameter."""
     dv = _Deps(sg, compact)
     soft = dv.soft_reach() if freq else None
     matchers = [MATCHERS[m] for m in matchers]
@@ -514,6 +516,12 @@ def schedule(sg: SGraph, freq: bool = False, compact: bool = False,
                 out.result = res  # a bound variable, location or outer node
                 continue
             path.update(params)
+            unbound = [p for p in dv.bound[ri] if p not in path]
+            if unbound:
+                x = dv.names[unbound[0]]
+                raise UnboundName(
+                    f"result {res!r} needs parameter {x!r}, which no "
+                    f"enclosing binder binds", name=x)
             current = _place(dv, held, path, ri, depth, freq, soft)
             scopes: dict = {}
             todo.append((res, depth, params, out, (current, scopes)))

@@ -20,8 +20,8 @@ from .core import (
     NAssign, NCst, NLam, NRef, Nm, PURE,
     QualifiedType, RefNew, RefTy, RW, Store, Term, TY_BOOL,
     TY_INT, TY_UNIT, UNIT_V, dep_add_hard, dep_restrict, footprint,
-    initial_store, saturate, spine, term_free_names, term_operands,
-    term_to_text,
+    initial_store, record, saturate, spine, term_free_names,
+    term_operands, term_to_text,
 )
 from .graphir import SynthState, initial_state, synthesize, synthesize_config
 from .interp import canonical_value, eval_direct, eval_graph, eval_store
@@ -49,7 +49,7 @@ _SHRINK_BUDGET = 400  # shrink candidates tried before giving up
 _FUEL = 100_000    # evaluation steps before FuelExhausted
 
 
-@dataclass(frozen=True)
+@record
 class GenConfig:
     """Knobs for the generator; output is a pure function of this record."""
 

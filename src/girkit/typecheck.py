@@ -7,23 +7,27 @@ is deterministic and returns minimal ("lazy") qualifiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
-    App, Assign, BaseTy, Cst, Deref, EffectEscape, FunTy, Lam, Let, Name, Nm,
-    OverlapViolation, PURE, Qualifier, QualifiedType, QualifierEscape,
-    RefNew, RefTy, RwEffect, Span, Term, Ty, TypeMismatch, TypingContext,
-    TY_ALLOC, TY_UNIT, UnboundName, const_base, overlap, qual_repr,
-    rename_effect, rename_qt, saturate, spine, subst_qual, term_free_names,
-    ty_free_names, EMPTY_QUAL,
+    App, Assign, BASE_TYPES, BaseTy, Cst, Deref, EffectEscape, FunTy, Lam,
+    Let, Name, Nm, OverlapViolation, PURE, Qualifier, QualifiedType,
+    QualifierEscape, RefNew, RefTy, RwEffect, Span, Term, Ty, TypeMismatch,
+    TypingContext, TY_ALLOC, TY_UNIT, UnboundName, const_key, overlap,
+    qual_repr, record, rename_effect, rename_qt, saturate, spine,
+    subst_qual, term_free_names, ty_free_names,
 )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Typing:
     qt: QualifiedType
     eff: RwEffect
+
+
+# the typing of a constant, and of a name bound untracked, per base type
+_BASE_TYPING = {name: Typing(QualifiedType(ty), PURE)
+                for name, ty in BASE_TYPES.items()}
 
 
 def ty_subtype(ctx: TypingContext, sub: Ty, sup: Ty) -> bool:
@@ -92,7 +96,7 @@ def infer_direct(ctx: TypingContext, t: Term) -> Typing:
     span = getattr(t, "span", None)
 
     if isinstance(t, Cst):
-        return Typing(QualifiedType(const_base(t.value)), PURE)
+        return _BASE_TYPING[const_key(t.value)[0]]
 
     if isinstance(t, Nm):
         qt = ctx.lookup(t.name)
@@ -103,7 +107,7 @@ def infer_direct(ctx: TypingContext, t: Term) -> Typing:
         # capability and anything reference- or function-typed is tracked)
         if (isinstance(qt.ty, BaseTy) and qt.ty != TY_ALLOC
                 and not qt.qual):
-            return Typing(QualifiedType(qt.ty, EMPTY_QUAL), PURE)
+            return _BASE_TYPING[qt.ty.name]
         return Typing(QualifiedType(qt.ty, frozenset((t.name,))), PURE)
 
     if isinstance(t, Lam):
@@ -216,7 +220,8 @@ def bind_let(ctx: TypingContext, var: Name, bound: Typing,
     """The context a let body is checked in: `var` at the bound type,
     qualified by the bound qualifier's overlap with the observation, and
     observable. `sat` is the bound qualifier saturated in `ctx`, if the
-    caller has it already.
+    caller has it already. The bound type itself is kept when the overlap
+    leaves its qualifier as it is.
 
     That qualifier is saturated: it is a saturation cut down by φ*, which
     is closed. So the context records `var` as a let binder, whose
@@ -226,20 +231,30 @@ def bind_let(ctx: TypingContext, var: Name, bound: Typing,
     if sat is None:
         sat = saturate(bound.qt.qual, ctx)
     bind_q = sat & ctx.phi_star
-    return ctx.bind(var, QualifiedType(bound.qt.ty, bind_q), let=True)
+    qt = bound.qt
+    if bind_q != qt.qual:
+        qt = QualifiedType(qt.ty, bind_q)
+    return ctx.bind(var, qt, let=True)
 
 
 def let_typing(var: Name, bound: Typing, body: Typing,
                span: Span | None = None) -> Typing:
     """The type of `let var = bound in body`: the body's type with `var`
-    substituted by the bound qualifier, effects in sequence."""
-    if var in ty_free_names(body.qt.ty):
+    substituted by the bound qualifier, effects in sequence: the body's
+    typing itself when that changes neither its qualifier nor its
+    effect."""
+    qt = body.qt
+    if var in ty_free_names(qt.ty):
         raise TypeMismatch(
             f"let-bound {var!r} occurs in the body's result type", span=span)
     p = bound.qt.qual
-    res_qual = subst_qual(body.qt.qual, var, p)
+    res_qual = subst_qual(qt.qual, var, p)
     eff = bound.eff.seq(body.eff).subst(var, p)
-    return Typing(QualifiedType(body.qt.ty, res_qual), eff)
+    if res_qual is not qt.qual:
+        qt = QualifiedType(qt.ty, res_qual)
+    elif eff is body.eff:
+        return body
+    return Typing(qt, eff)
 
 
 def lam_body_ctx(ctx: TypingContext, lam, fun_q: Qualifier) -> TypingContext:

@@ -3,8 +3,9 @@
 check covers interpreters that have no pytest of their own; a version whose
 `python3.X` is not on PATH is skipped. The package's invariants must also
 hold under `python -O`, which strips `assert` statements, every
-function it defines and every name a module imports must be used, and
-every module must be reachable as an attribute of the package."""
+function it defines and every name a module imports must be used,
+every module must be reachable as an attribute of the package, and no
+module may declare a frozen dataclass but through `core.record`."""
 
 import ast
 import importlib
@@ -29,7 +30,10 @@ VERSIONS = ("3.10", "3.11", "3.12", "3.13")
 def test_package_imports(version, tmp_path):
     """Beyond the import, the interpreter mints, pickles and sorts names
     (an `int` subtype with an instance dict, laid out differently per
-    version) and runs a 3-let program on the graph semantics."""
+    version), parses and synthesizes a 3-let program and pickles its
+    annotated graph, compares and hashes records and writes a field of
+    one (slotted frozen dataclasses differ across versions), and runs the
+    program on the graph semantics."""
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     # a pyenv shim only runs the version it is asked for; other launchers
     # ignore the variable
@@ -47,9 +51,12 @@ def test_package_imports(version, tmp_path):
 
 
 _NAMES_AND_RUN = """
-import pickle, sys, girkit
-from girkit.cli import main
-from girkit.core import Name, NameSupply
+import dataclasses, pickle, sys, girkit
+from girkit.cli import main, parse
+from girkit.core import (Name, NameSupply, QualifiedType, RwEffect, TY_INT,
+                         graph_to_text, initial_store)
+from girkit.graphir import synthesize_config
+from girkit.mnf import to_mnf
 print('%d.%d' % sys.version_info[:2])
 sup = NameSupply()
 v, l = sup.var("x"), sup.loc("c")
@@ -58,8 +65,47 @@ if not (back == [l, v] and back[0].text == "c" and back[1].is_loc is False
         and sorted(back) == [v, l] and Name(0, 0, "x") and repr(l) == "c#l1"
         and hash(v) == hash(Name(0, 0, "y")) and len({v, l}) == 2):
     sys.exit("names misbehave: %r" % (back,))
+store = initial_store()
+with open(sys.argv[1]) as f:
+    term = parse(f.read(), store)
+cfg = synthesize_config(store, to_mnf(term, store.supply))
+back = pickle.loads(pickle.dumps(cfg))
+if not (back.graph == cfg.graph and back.dep == cfg.dep
+        and graph_to_text(back.graph) == graph_to_text(cfg.graph)):
+    sys.exit("the annotated graph does not survive pickling")
+e, e2 = RwEffect(frozenset({v})), RwEffect(reads=frozenset({v}))
+qt = QualifiedType(TY_INT)
+if not (e == e2 and hash(e) == hash(e2) and len({e, e2}) == 1
+        and e != RwEffect(writes=frozenset({v}))
+        and qt == QualifiedType(TY_INT)
+        and qt != QualifiedType(TY_INT, frozenset({v}))
+        and repr(e) == "(r:{x#v0};w:{})"):
+    sys.exit("records misbehave: %r %r" % (e, qt))
+try:
+    e.reads = frozenset()
+except dataclasses.FrozenInstanceError:
+    pass
+else:
+    sys.exit("a record field was written")
 sys.exit(main(["run", "--semantics", "graph", sys.argv[1]]))
 """
+
+
+def test_no_module_declares_a_frozen_dataclass():
+    """Immutable records are declared through `core.record`, whose
+    `__init__` stores each field through its slot. A class decorated with
+    `@dataclass(frozen=True...)` directly would build its records through
+    the slower generated `__init__`."""
+    found = [f"{path.name}:{node.lineno} {node.name}"
+             for path in sorted((SRC / "girkit").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ClassDef)
+             for d in node.decorator_list
+             if isinstance(d, ast.Call)
+             and "dataclass" in (getattr(d.func, "id", None),
+                                 getattr(d.func, "attr", None))
+             and any(k.arg == "frozen" for k in d.keywords)]
+    assert found == []
 
 
 def test_no_invariant_is_an_assert():

@@ -12,7 +12,7 @@ import pytest
 
 from girkit.cli import _build_config, parse
 from girkit.core import (
-    CyclicDependency, HARD, NameSupply, RW, initial_store,
+    CyclicDependency, HARD, NameSupply, RW, UnboundName, initial_store,
 )
 from girkit.interp import canonical_value, eval_graph, eval_store
 from girkit.schedule import (
@@ -476,3 +476,23 @@ class TestSyntheticGraphs:
         nodes = {a: SNode(a, "op:gen", (b,)), b: SNode(b, "op:gen", (a,))}
         with pytest.raises(CyclicDependency):
             schedule(SGraph(nodes, a))
+
+    @pytest.mark.parametrize("opts", [{}, {"freq": True},
+                                      {"compact": True}])
+    def test_a_result_needing_an_unbound_parameter_is_reported(self, opts):
+        """`f = lam x. a`, `a = op:gen(x)` and the result `b = op:gen(a)`:
+        no binder encloses the top block, so `b` can be placed nowhere.
+        The schedule used to be the bare name `b`, bound by nothing."""
+        sup = NameSupply(1)
+        f, x, a, b = sup.var("f"), sup.var("x"), sup.var("a"), sup.var("b")
+        nodes = {f: SNode(f, "lam", params=(x,), body_res=(a,)),
+                 a: SNode(a, "op:gen", (x,)),
+                 b: SNode(b, "op:gen", (a,))}
+        with pytest.raises(UnboundName) as e:
+            schedule(SGraph(nodes, b), **opts)
+        assert e.value.code == "E001" and e.value.payload == {"name": x}
+        # bound where it is needed, the same nodes schedule
+        inner = SNode(f, "lam", params=(x,), body_res=(b,))
+        closed = {f: inner, a: nodes[a], b: nodes[b]}
+        text = emit(schedule(SGraph(closed, f), **opts))
+        assert text.endswith(f.pretty()) and text.count("gen(") == 2
