@@ -640,8 +640,9 @@ def import_json(text: str):
         raise JsonSchemaError(f"invalid JSON: {e}")
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise JsonSchemaError("not a graph document")
-    if doc.get("version") != _VERSION:
-        raise JsonSchemaError(f"unsupported version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != _VERSION:  # True == 1 == 1.0
+        raise JsonSchemaError(f"unsupported version {version!r}")
     g = _graph_of(doc.get("graph"))
     dep = _dep_of(doc.get("dep"))
     start = _name_of(doc["start"]) if doc.get("start") is not None else None

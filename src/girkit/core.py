@@ -1313,6 +1313,29 @@ def term_operands(t) -> tuple:
     return o.operands(t)
 
 
+def term_children(t) -> list:
+    """The immediate subterms of any term: a lambda's body, a let's bound
+    term and body, an operator's operands."""
+    if isinstance(t, (Cst, Nm)):
+        return []
+    if isinstance(t, Lam):
+        return [t.body]
+    if isinstance(t, Let):
+        return [t.bound, t.body]
+    return list(term_operands(t))
+
+
+def term_with_child(t, i: int, new):
+    """`t` with its `i`th child, as `term_children` counts, replaced."""
+    if isinstance(t, Let):
+        return Let(t.var, new, t.body) if i == 0 else Let(t.var, t.bound, new)
+    if isinstance(t, Lam):
+        return Lam(t.param, t.param_qt, t.latent, new)
+    kids = list(term_operands(t))
+    kids[i] = new
+    return type(t)(*kids)
+
+
 # ---------------------------------------------------------------------------
 # Let spines, free names, renaming and substitution
 # ---------------------------------------------------------------------------
@@ -1346,14 +1369,14 @@ def term_free_names(t: Term) -> frozenset:
     return free
 
 
-def _rename_qual(q: Qualifier, mapping: dict) -> Qualifier:
+def rename_qual(q: Qualifier, mapping: dict) -> Qualifier:
     if not any(n in mapping for n in q):
         return q
     return frozenset(mapping.get(n, n) for n in q)
 
 
 def rename_effect(e: RwEffect, mapping: dict) -> RwEffect:
-    return RwEffect(_rename_qual(e.reads, mapping), _rename_qual(e.writes, mapping))
+    return RwEffect(rename_qual(e.reads, mapping), rename_qual(e.writes, mapping))
 
 
 def _rename_ty(ty: Ty, mapping: dict) -> Ty:
@@ -1369,7 +1392,7 @@ def _rename_ty(ty: Ty, mapping: dict) -> Ty:
 
 
 def rename_qt(qt: QualifiedType, mapping: dict) -> QualifiedType:
-    return QualifiedType(_rename_ty(qt.ty, mapping), _rename_qual(qt.qual, mapping))
+    return QualifiedType(_rename_ty(qt.ty, mapping), rename_qual(qt.qual, mapping))
 
 
 def subst_term(t: Term, x: Name, v: Term) -> Term:

@@ -24,7 +24,7 @@ from .core import (
     NLam, Nm, RuntimeConfig, Store, TypingContext, dep_last_use,
     dep_restrict, dep_restrict_names, dep_rewire, dep_submap, dep_update,
     footprint, graph_free_names, points_to, rename_effect, rename_graph,
-    rename_qt, saturate,
+    rename_qt, rename_qual, saturate,
 )
 from .mnf import check_binding
 from .typecheck import (
@@ -386,14 +386,10 @@ def _renamed(f, m, regime):
     t = f.typing
     tb = Typing(rename_qt(t.qt, m), rename_effect(t.eff, m))
     if regime == HARD:
-        return tb, _rename_names(f.foot, m), _rename_names(f.qual, m)
+        return tb, rename_qual(f.foot, m), rename_qual(f.qual, m)
     reads, writes = f.foot
-    return (tb, (_rename_names(reads, m), _rename_names(writes, m)),
-            _rename_names(f.qual, m))
-
-
-def _rename_names(q, m):
-    return frozenset(m.get(n, n) for n in q) if any(n in m for n in q) else q
+    return (tb, (rename_qual(reads, m), rename_qual(writes, m)),
+            rename_qual(f.qual, m))
 
 
 def _rethread(ctx, delta, b, tb, foot, regime, record, m):

@@ -6,15 +6,16 @@ reduction. Plus the interleaved separation probe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from .core import (
-    App, Assign, Capability, Cell, Cst, Deref, DepMap, DependencyViolation,
+    App, Capability, Cell, Cst, Deref, DepMap, DependencyViolation,
     EMPTY_DEP, FuelExhausted, GLet, GName, GraphTerm, Lam, Let, Name, Nm,
     OMEGA, OverlapViolation, RefNew, RuntimeConfig, SavedCst, SavedLamGraph,
     SavedLamTerm, Store, Stuck, Term, UNIT_V, const_key, dep_add_hard,
     dep_dom_subst, dep_rewire, qual_repr, rename_graph, saturate, subst_term,
-    NLam, NApp, NRef, NDeref, NAssign, NCst,
+    term_operands, term_with_child, NLam, NApp, NRef, NDeref, NAssign, NCst,
 )
 from .typecheck import infer_direct
 
@@ -30,76 +31,34 @@ class EvalResult:
 
 
 # ---------------------------------------------------------------------------
-# Substitution-based CBV
+# Evaluation contexts
 # ---------------------------------------------------------------------------
 
-def _is_value_direct(t: Term) -> bool:
-    return (isinstance(t, (Cst, Lam))
-            or (isinstance(t, Nm) and t.name.is_loc))
+def _step(is_value, contract, store: Store, t: Term):
+    """One step at the focus of the evaluation context
 
+        E ::= [] | let x = E in t | op(v, …, v, E, t, …, t)
 
-def _step_direct(store: Store, t: Term):
-    """One step at the evaluation-context focus; returns (t', rule) or
-    None when t is a value. Mutates the store on ref/assign."""
-    if _is_value_direct(t):
+    Walks E down to its redex, whose context operands are values,
+    contracts that by `contract(store, redex)` -> (t', rule), and rebuilds
+    E around t'. Returns (t', rule), or None when t is a value. The walk
+    is a loop, so a context takes no stack however deep it nests."""
+    if is_value(t):
         return None
-    if isinstance(t, Nm):
-        raise Stuck(f"free variable {t.name!r} at runtime")
-    if isinstance(t, App):
-        if not _is_value_direct(t.fn):
-            t2, rule = _step_direct(store, t.fn)
-            return App(t2, t.arg), rule
-        if not _is_value_direct(t.arg):
-            t2, rule = _step_direct(store, t.arg)
-            return App(t.fn, t2), rule
-        fn = t.fn
-        if not isinstance(fn, Lam):
-            raise Stuck(f"applied non-function value {fn!r}")
-        return subst_term(fn.body, fn.param, t.arg), "beta"
-    if isinstance(t, Let):
-        if not _is_value_direct(t.bound):
-            t2, rule = _step_direct(store, t.bound)
-            return Let(t.var, t2, t.body), rule
-        return subst_term(t.body, t.var, t.bound), "let"
-    if isinstance(t, RefNew):
-        if not _is_value_direct(t.cap):
-            t2, rule = _step_direct(store, t.cap)
-            return RefNew(t2, t.init), rule
-        if not _is_value_direct(t.init):
-            t2, rule = _step_direct(store, t.init)
-            return RefNew(t.cap, t2), rule
-        cap = t.cap
-        is_cap = (isinstance(cap, Cst) and cap.value is OMEGA) or (
-            isinstance(cap, Nm) and isinstance(store[cap.name], Capability))
-        if not is_cap:
-            raise Stuck(f"ref through non-capability {cap!r}")
-        if not isinstance(t.init, Cst):
-            raise Stuck(f"references hold constants, got {t.init!r}")
-        loc = store.alloc(Cell(t.init.value), "r")
-        return Nm(loc), "ref"
-    if isinstance(t, Deref):
-        if not _is_value_direct(t.ref):
-            t2, rule = _step_direct(store, t.ref)
-            return Deref(t2), rule
-        ref = t.ref
-        if not (isinstance(ref, Nm) and isinstance(store[ref.name], Cell)):
-            raise Stuck(f"dereferenced non-cell {ref!r}")
-        return Cst(store[ref.name].content), "deref"
-    if isinstance(t, Assign):
-        if not _is_value_direct(t.ref):
-            t2, rule = _step_direct(store, t.ref)
-            return Assign(t2, t.value), rule
-        if not _is_value_direct(t.value):
-            t2, rule = _step_direct(store, t.value)
-            return Assign(t.ref, t2), rule
-        ref = t.ref
-        if not (isinstance(ref, Nm) and isinstance(store[ref.name], Cell)):
-            raise Stuck(f"assigned non-cell {ref!r}")
-        if not isinstance(t.value, Cst):
-            raise Stuck(f"references hold constants, got {t.value!r}")
-        store[ref.name].content = t.value.value
-        return Cst(UNIT_V), "assign"
-    raise TypeError(t)
+    path = []
+    while not isinstance(t, (Nm, Cst, Lam)):
+        kids = (t.bound,) if isinstance(t, Let) else term_operands(t)
+        for i, u in enumerate(kids):
+            if not is_value(u):
+                break
+        else:
+            break  # every operand is a value: t is the redex
+        path.append((t, i))
+        t = u
+    t, rule = contract(store, t)
+    for u, i in reversed(path):
+        t = term_with_child(u, i, t)
+    return t, rule
 
 
 def _reduce(step, store: Store, t: Term, fuel: int, trace: bool):
@@ -117,6 +76,53 @@ def _reduce(step, store: Store, t: Term, fuel: int, trace: bool):
     return EvalResult(sigma, t, steps, tr)
 
 
+# ---------------------------------------------------------------------------
+# Substitution-based CBV
+# ---------------------------------------------------------------------------
+
+def _is_value_direct(t: Term) -> bool:
+    return (isinstance(t, (Cst, Lam))
+            or (isinstance(t, Nm) and t.name.is_loc))
+
+
+def _contract_direct(store: Store, t: Term):
+    """The direct rules; ref and assign mutate the store."""
+    if isinstance(t, Nm):
+        raise Stuck(f"free variable {t.name!r} at runtime")
+    if isinstance(t, App):
+        fn = t.fn
+        if not isinstance(fn, Lam):
+            raise Stuck(f"applied non-function value {fn!r}")
+        return subst_term(fn.body, fn.param, t.arg), "beta"
+    if isinstance(t, Let):
+        return subst_term(t.body, t.var, t.bound), "let"
+    if isinstance(t, RefNew):
+        cap = t.cap
+        is_cap = (isinstance(cap, Cst) and cap.value is OMEGA) or (
+            isinstance(cap, Nm) and isinstance(store[cap.name], Capability))
+        if not is_cap:
+            raise Stuck(f"ref through non-capability {cap!r}")
+        if not isinstance(t.init, Cst):
+            raise Stuck(f"references hold constants, got {t.init!r}")
+        loc = store.alloc(Cell(t.init.value), "r")
+        return Nm(loc), "ref"
+    ref = t.ref
+    if isinstance(t, Deref):
+        if not (isinstance(ref, Nm) and isinstance(store[ref.name], Cell)):
+            raise Stuck(f"dereferenced non-cell {ref!r}")
+        return Cst(store[ref.name].content), "deref"
+    # an Assign: the context walk hands over no other form
+    if not (isinstance(ref, Nm) and isinstance(store[ref.name], Cell)):
+        raise Stuck(f"assigned non-cell {ref!r}")
+    if not isinstance(t.value, Cst):
+        raise Stuck(f"references hold constants, got {t.value!r}")
+    store[ref.name].content = t.value.value
+    return Cst(UNIT_V), "assign"
+
+
+_step_direct = partial(_step, _is_value_direct, _contract_direct)
+
+
 def eval_direct(store: Store, t: Term, fuel: int = DEFAULT_FUEL,
                 trace: bool = False) -> EvalResult:
     return _reduce(_step_direct, store, t, fuel, trace)
@@ -130,9 +136,8 @@ def _is_loc(t: Term) -> bool:
     return isinstance(t, Nm) and t.name.is_loc
 
 
-def _step_store(store: Store, t: Term):
-    if _is_loc(t):
-        return None
+def _contract_store(store: Store, t: Term):
+    """The store rules: every introduction allocates a location."""
     if isinstance(t, Nm):
         raise Stuck(f"free variable {t.name!r} at runtime")
     if isinstance(t, Cst):
@@ -142,54 +147,31 @@ def _step_store(store: Store, t: Term):
         loc = store.alloc(SavedLamTerm(t), "f")
         return Nm(loc), "intro"
     if isinstance(t, App):
-        if not _is_loc(t.fn):
-            t2, rule = _step_store(store, t.fn)
-            return App(t2, t.arg), rule
-        if not _is_loc(t.arg):
-            t2, rule = _step_store(store, t.arg)
-            return App(t.fn, t2), rule
         entry = store[t.fn.name]
         if not isinstance(entry, SavedLamTerm):
             raise Stuck(f"applied non-function location {t.fn.name!r}")
         lam = entry.lam
         return subst_term(lam.body, lam.param, t.arg), "beta"
     if isinstance(t, Let):
-        if not _is_loc(t.bound):
-            t2, rule = _step_store(store, t.bound)
-            return Let(t.var, t2, t.body), rule
         return subst_term(t.body, t.var, t.bound), "let"
     if isinstance(t, RefNew):
-        if not _is_loc(t.cap):
-            t2, rule = _step_store(store, t.cap)
-            return RefNew(t2, t.init), rule
-        if not _is_loc(t.init):
-            t2, rule = _step_store(store, t.init)
-            return RefNew(t.cap, t2), rule
         if not isinstance(store[t.cap.name], Capability):
             raise Stuck(f"ref through non-capability {t.cap!r}")
         loc = store.alloc(Cell(t.init.name), "r")
         return Nm(loc), "intro"
+    entry = store[t.ref.name]
     if isinstance(t, Deref):
-        if not _is_loc(t.ref):
-            t2, rule = _step_store(store, t.ref)
-            return Deref(t2), rule
-        entry = store[t.ref.name]
         if not isinstance(entry, Cell):
             raise Stuck(f"dereferenced non-cell {t.ref!r}")
         return Nm(entry.content), "deref"
-    if isinstance(t, Assign):
-        if not _is_loc(t.ref):
-            t2, rule = _step_store(store, t.ref)
-            return Assign(t2, t.value), rule
-        if not _is_loc(t.value):
-            t2, rule = _step_store(store, t.value)
-            return Assign(t.ref, t2), rule
-        entry = store[t.ref.name]
-        if not isinstance(entry, Cell):
-            raise Stuck(f"assigned non-cell {t.ref!r}")
-        entry.content = t.value.name
-        return Cst(UNIT_V), "assign"
-    raise TypeError(t)
+    # an Assign: the context walk hands over no other form
+    if not isinstance(entry, Cell):
+        raise Stuck(f"assigned non-cell {t.ref!r}")
+    entry.content = t.value.name
+    return Cst(UNIT_V), "assign"
+
+
+_step_store = partial(_step, _is_loc, _contract_store)
 
 
 def eval_store(store: Store, t: Term, fuel: int = DEFAULT_FUEL,
@@ -229,50 +211,22 @@ def _runtime_subst(g, x: Name, d1: DepMap, loc: Name):
         g, {x: loc}, dep=lambda d: dep_dom_subst(dep_rewire(d, x, d1), q, x))
 
 
-def _step_graph(store: Store, z: Name, g: GraphTerm):
-    """One reduction at the innermost-leftmost binding. Returns
-    (g', ref_alloc_or_None, rule) or None when g is a returned location.
-    A freshly allocated reference location is handed upward so every
-    annotation along the spine gains loc↦z (contextual effect propagation).
-    """
-    if isinstance(g, GName):
-        if g.name.is_loc:
-            return None
-        raise Stuck(f"free variable {g.name!r} at runtime")
-    if not isinstance(g, GLet):
-        raise Stuck(f"graph term expected, got {g!r}")
+def _contract_graph(store: Store, g: GLet):
+    """The graph rules for the let `g`, whose binding is a redex and
+    whose premise holds: (g', allocated reference or None, rule)."""
     x, b, body, dep = g.var, g.binding, g.body, g.dep
-
-    if isinstance(b, GLet):  # descend into the nested block first
-        r = _step_graph(store, z, b)
-        if r is None:
-            raise Stuck("nested block did not end in a name")
-        b2, alloc, rule = r
-        dep2 = dep if alloc is None else dep_add_hard(dep or EMPTY_DEP,
-                                                      alloc, z)
-        return GLet(x, b2, body, dep2), alloc, rule
-
     if isinstance(b, GName):
-        if not b.name.is_loc:
-            raise Stuck(f"binding returned free variable {b.name!r}")
-        _check_dep(store, z, x, dep)
         return (_runtime_subst(body, x, dep or EMPTY_DEP, b.name),
                 None, "let")
-
     if isinstance(b, NCst):
-        _check_dep(store, z, x, dep)
         loc = store.alloc(SavedCst(b.value), "c")
         return (_runtime_subst(body, x, dep or EMPTY_DEP, loc),
                 None, "intro")
-
     if isinstance(b, NLam):
-        _check_dep(store, z, x, dep)
         loc = store.alloc(SavedLamGraph(b), "f")
         return (_runtime_subst(body, x, dep or EMPTY_DEP, loc),
                 None, "intro")
-
     if isinstance(b, NRef):
-        _check_dep(store, z, x, dep)
         if not (b.cap.is_loc and b.init.is_loc):
             raise Stuck(f"ref operands not locations: {b!r}")
         if not isinstance(store[b.cap], Capability):
@@ -280,9 +234,7 @@ def _step_graph(store: Store, z: Name, g: GraphTerm):
         loc = store.alloc(Cell(b.init), "r")
         return (_runtime_subst(body, x, dep or EMPTY_DEP, loc),
                 loc, "intro")
-
     if isinstance(b, NApp):
-        _check_dep(store, z, x, dep)
         if not (b.fn.is_loc and b.arg.is_loc):
             raise Stuck(f"application operands not locations: {b!r}")
         entry = store[b.fn]
@@ -296,23 +248,46 @@ def _step_graph(store: Store, z: Name, g: GraphTerm):
                                            dep or EMPTY_DEP),
                                 frozenset((b.arg,)), lam.param)
         return GLet(x, inlined, body, latent2), None, "beta"
-
     if isinstance(b, NDeref):
-        _check_dep(store, z, x, dep)
         entry = store[b.ref]
         if not isinstance(entry, Cell):
             raise Stuck(f"dereferenced non-cell {b.ref!r}")
         return GLet(x, GName(entry.content), body, dep), None, "deref"
-
     if isinstance(b, NAssign):
-        _check_dep(store, z, x, dep)
         entry = store[b.ref]
         if not isinstance(entry, Cell):
             raise Stuck(f"assigned non-cell {b.ref!r}")
         entry.content = b.value
         return GLet(x, NCst(UNIT_V), body, dep), None, "assign"
-
     raise TypeError(b)
+
+
+def _step_graph(store: Store, z: Name, g: GraphTerm):
+    """One reduction at the innermost-leftmost binding: nested blocks
+    reduce first. Returns (g', ref_alloc_or_None, rule) or None when g is
+    a returned location. A freshly allocated reference location is handed
+    upward so every annotation along the spine gains loc↦z (contextual
+    effect propagation)."""
+    if isinstance(g, GName):
+        if g.name.is_loc:
+            return None
+        raise Stuck(f"free variable {g.name!r} at runtime")
+    if not isinstance(g, GLet):
+        raise Stuck(f"graph term expected, got {g!r}")
+    path = []
+    while isinstance(g.binding, GLet):
+        path.append(g)
+        g = g.binding
+    b = g.binding
+    if isinstance(b, GName) and not b.name.is_loc:
+        raise Stuck(f"binding returned free variable {b.name!r}")
+    _check_dep(store, z, g.var, g.dep)
+    g, alloc, rule = _contract_graph(store, g)
+    for u in reversed(path):
+        dep = u.dep if alloc is None else dep_add_hard(u.dep or EMPTY_DEP,
+                                                       alloc, z)
+        g = GLet(u.var, g, u.body, dep)
+    return g, alloc, rule
 
 
 def eval_graph(cfg: RuntimeConfig, fuel: int = DEFAULT_FUEL,

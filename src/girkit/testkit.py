@@ -20,8 +20,8 @@ from .core import (
     NAssign, NCst, NLam, NRef, Nm, PURE,
     QualifiedType, RefNew, RefTy, RW, Store, Term, TY_BOOL,
     TY_INT, TY_UNIT, UNIT_V, dep_add_hard, dep_restrict, footprint,
-    initial_store, record, saturate, spine, term_free_names,
-    term_operands, term_to_text,
+    initial_store, record, saturate, spine, term_children, term_free_names,
+    term_to_text, term_with_child,
 )
 from .graphir import SynthState, initial_state, synthesize, synthesize_config
 from .interp import canonical_value, eval_direct, eval_graph, eval_store
@@ -277,7 +277,7 @@ def _max_name_id(t: Term) -> int:
         u = todo.pop()
         if isinstance(u, (Lam, Let)):
             ids.append(u.param.id if isinstance(u, Lam) else u.var.id)
-        todo += _subterms(u)
+        todo += term_children(u)
     return max(ids, default=0)
 
 
@@ -291,24 +291,16 @@ def run_three(t: Term, regime: str = HARD) -> tuple[dict, dict]:
     """Evaluate t under all three semantics; canonicalized values and step
     counts keyed by 'direct' / 'store' / 'graph'."""
     values, steps = {}, {}
-
-    s = _fresh_store_for(t)
-    r = eval_direct(s, t, fuel=_FUEL)
-    values["direct"] = canonical_value(r.store, r.value)
-    steps["direct"] = r.steps
-
-    s = _fresh_store_for(t)
-    r = eval_store(s, t, fuel=_FUEL)
-    values["store"] = canonical_value(r.store, r.value)
-    steps["store"] = r.steps
-
-    s = _fresh_store_for(t)
-    g = to_mnf(t, s.supply)
-    cfg = synthesize_config(s, g, regime=regime)
-    r = eval_graph(cfg, fuel=_FUEL)
-    values["graph"] = canonical_value(r.store, r.value)
-    steps["graph"] = r.steps
-
+    for kind in ("direct", "store", "graph"):
+        s = _fresh_store_for(t)
+        if kind == "graph":
+            cfg = synthesize_config(s, to_mnf(t, s.supply), regime=regime)
+            r = eval_graph(cfg, fuel=_FUEL)
+        else:
+            run = eval_direct if kind == "direct" else eval_store
+            r = run(s, t, fuel=_FUEL)
+        values[kind] = canonical_value(r.store, r.value)
+        steps[kind] = r.steps
     return values, steps
 
 
@@ -316,35 +308,15 @@ def run_three(t: Term, regime: str = HARD) -> tuple[dict, dict]:
 # Shrinking
 # ---------------------------------------------------------------------------
 
-def _subterms(t: Term) -> list:
-    if isinstance(t, (Cst, Nm)):
-        return []
-    if isinstance(t, Lam):
-        return [t.body]
-    if isinstance(t, Let):
-        return [t.bound, t.body]
-    return list(term_operands(t))
-
-
-def _rebuild(t: Term, i: int, new: Term) -> Term:
-    if isinstance(t, Lam):
-        return Lam(t.param, t.param_qt, t.latent, new)
-    if isinstance(t, Let):
-        return Let(t.var, new, t.body) if i == 0 else Let(t.var, t.bound, new)
-    kids = list(term_operands(t))
-    kids[i] = new
-    return type(t)(*kids)
-
-
 def shrink_candidates(t: Term):
     """Every term reachable by deleting exactly one subterm: replace some
     node by one of its own children, anywhere in the tree."""
-    kids = _subterms(t)
+    kids = term_children(t)
     for child in kids:
         yield child
     for i, child in enumerate(kids):
         for c in shrink_candidates(child):
-            yield _rebuild(t, i, c)
+            yield term_with_child(t, i, c)
 
 
 def shrink(t: Term, still_fails: Callable[[Term], bool]) -> Term:

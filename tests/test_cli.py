@@ -188,6 +188,9 @@ class TestJsonRoundtrip:
 
     @pytest.mark.parametrize("doc, message", [
         ({"version": 2}, "unsupported version 2"),
+        # True == 1 == 1.0, so only the type tells these from version 1
+        ({"version": True}, "unsupported version True"),
+        ({"version": 1.0}, "unsupported version 1.0"),
         ({"graph": {"nodes": []}}, "graph must have nodes/result"),
         ({"graph": {"nodes": {}, "result": "v1:x"}}, "nodes must be a list"),
         ({"graph": {"nodes": [3], "result": "v1:x"}},
@@ -210,8 +213,9 @@ class TestJsonRoundtrip:
          "malformed function type"),
         (lam_graph(paramQt={"ty": 3, "qual": []}),
          "unknown type encoding"),
-    ], ids=["version", "graph-keys", "nodes-dict", "entry-int",
-            "entry-without-op", "name-int", "args-count", "lam-no-param",
+    ], ids=["version", "version-bool", "version-float", "graph-keys",
+            "nodes-dict", "entry-int", "entry-without-op", "name-int",
+            "args-count", "lam-no-param",
             "effect-keys", "qt-keys", "base-type", "ref-payload",
             "fun-type", "type-int"])
     def test_each_malformed_part_is_a_schema_error(self, doc, message):

@@ -17,8 +17,9 @@ from girkit.core import (
     TY_INT, RefTy, UNIT_V, UnboundName, alpha_equal_terms, const_key,
     dep_dom_subst, dep_last_use, dep_restrict, dep_rewire, dep_submap,
     dep_update, footprint, graph_free_names,
-    initial_store, node_operands, overlap, rename_graph,
-    saturate, subst_qual, subst_term, term_free_names, term_operands,
+    initial_store, node_operands, overlap, rename_graph, rename_qual,
+    saturate, subst_qual, subst_term, term_children, term_free_names,
+    term_operands, term_with_child,
 )
 from girkit.mnf import embed
 from girkit.schedule import flatten
@@ -282,6 +283,17 @@ class TestSubstQual:
         ps = q(*data.draw(st.sets(st.sampled_from(names))))
         pb = ps | q(*data.draw(st.sets(st.sampled_from(names))))
         assert subst_qual(qs, x, ps) <= subst_qual(qb, x, pb)
+
+
+class TestRenameQual:
+    def test_members_are_renamed_and_the_rest_kept(self):
+        x, y, z = fresh_names(3)
+        assert rename_qual(q(x, z), {x: y}) == q(y, z)
+
+    def test_an_untouched_qualifier_is_returned_itself(self):
+        x, y, z = fresh_names(3)
+        qual = q(z)
+        assert rename_qual(qual, {x: y}) is qual
 
 
 class TestOverlap:
@@ -599,6 +611,7 @@ class TestOperatorTable:
     def test_unknown_forms_raise_type_error(self):
         x, y = fresh_names(2)
         walkers = (term_operands, node_operands, term_free_names,
+                   term_children, lambda t: term_with_child(t, 0, Nm(y)),
                    graph_free_names, embed,
                    lambda t: subst_term(t, x, Nm(y)),
                    lambda t: rename_graph(t, {x: y}),
@@ -642,6 +655,8 @@ class TestOperatorTable:
             assert term_free_names(term) == frozenset(args)
             assert rename_graph(node, {a: c}) == o.node(c, *args[1:])
             rest = term_operands(term)[1:]
+            assert term_children(term) == list(term_operands(term))
+            assert term_with_child(term, 0, Nm(c)) == o.term(Nm(c), *rest)
             assert subst_term(term, a, Nm(c)) == o.term(Nm(c), *rest)
             assert subst_term(term, a, Cst(1)) == o.term(Cst(1), *rest)
             assert alpha_equal_terms(term, term)

@@ -1,12 +1,14 @@
 """The three executable semantics and their agreement."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from girkit.core import (
-    App, Assign, Cell, Cst, Deref, DependencyViolation, FuelExhausted, Lam,
-    Let, Name, Nm, OverlapViolation, PURE, QualifiedType, RefNew,
-    SavedCst, TY_INT, initial_store, ty_to_text,
+    App, Assign, Cell, Cst, Deref, DependencyViolation, FuelExhausted, GLet,
+    GName, Lam, Let, Name, NCst, Nm, OverlapViolation, PURE, QualifiedType,
+    RefNew, RuntimeConfig, SavedCst, TY_INT, initial_store, ty_to_text,
 )
 from girkit.cli import parse
 from girkit.graphir import synthesize_config
@@ -130,6 +132,25 @@ class TestCongruence:
             assert canonical_value(r.store, r.value) == value
             got.append(r.steps)
         assert tuple(got) == steps
+
+    def test_a_context_deeper_than_the_stack_steps(self):
+        """`let x1 = (let x2 = (… let xn = 7 in xn …) in x2) in x1`, and
+        its graph of nested blocks: every step walks the evaluation
+        context n lets deep, past what one Python frame per level would
+        reach at the default limit."""
+        n = 1_100
+        store = initial_store()
+        xs = [store.supply.var(f"x{i}") for i in range(1, n + 1)]
+        t, g = Cst(7), NCst(7)
+        for x in reversed(xs):
+            t, g = Let(x, t, Nm(x)), GLet(x, g, GName(x))
+        assert sys.getrecursionlimit() < n
+        cfg = RuntimeConfig(store, store.supply.var("z"), g)
+        for r, steps in ((eval_direct(store, t), n),
+                         (eval_store(store, t), n + 1),
+                         (eval_graph(cfg), n)):
+            assert canonical_value(r.store, r.value) == ("cst", "Int", 7)
+            assert r.steps == steps
 
 
 class TestStoreTyping:

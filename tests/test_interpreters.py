@@ -33,7 +33,7 @@ def test_package_imports(version, tmp_path):
     version), parses and synthesizes a 3-let program and pickles its
     annotated graph, compares and hashes records and writes a field of
     one (slotted frozen dataclasses differ across versions), and runs the
-    program on the graph semantics."""
+    program through `gir run` on the direct, store and graph semantics."""
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     # a pyenv shim only runs the version it is asked for; other launchers
     # ignore the variable
@@ -47,7 +47,9 @@ def test_package_imports(version, tmp_path):
     assert p.returncode == 0, p.stderr
     lines = p.stdout.splitlines()
     assert lines[0] == version
-    assert lines[1:] == ["value: ('cst', 'Int', 41)", "steps: 15"], p.stdout
+    value = "value: ('cst', 'Int', 41)"
+    assert lines[1:] == [value, "steps: 6", value, "steps: 9",
+                         value, "steps: 15"], p.stdout
 
 
 _NAMES_AND_RUN = """
@@ -87,7 +89,9 @@ except dataclasses.FrozenInstanceError:
     pass
 else:
     sys.exit("a record field was written")
-sys.exit(main(["run", "--semantics", "graph", sys.argv[1]]))
+for semantics in ("direct", "store", "graph"):
+    if main(["run", "--semantics", semantics, sys.argv[1]]):
+        sys.exit("gir run --semantics %s failed" % semantics)
 """
 
 
