@@ -487,30 +487,35 @@ class PMap(Mapping):
                     undo = (k, d.get(k, _ABSENT))
                     d[k] = x
             else:
-                undo = ()
-                for i in range(len(diff) - 2, -1, -2):
-                    undo += PMap._apply(d, diff[i], diff[i + 1])
+                undo = PMap._apply(d, zip(diff[-2::-2], diff[-1::-2]))
             v._data, v._diff, v._next = None, undo, u
             u._data, u._diff, u._next = d, None, None
             v = u
         return d
 
     @staticmethod
-    def _apply(d: dict, k, x) -> tuple:
-        """Set `d[k]` to `x` (delete it for `_ABSENT`), hashing `k` once in
-        the common cases; returns the (key, value) that undoes it, or () if
-        nothing changed."""
-        if x is _ABSENT:
-            old = d.pop(k, _ABSENT)
-            return () if old is _ABSENT else (k, old)
-        n = len(d)
-        old = d.setdefault(k, x)
-        if len(d) != n:
-            return (k, _ABSENT)
-        if old is x:
-            return ()
-        d[k] = x
-        return (k, old)
+    def _apply(d: dict, changes) -> tuple:
+        """Set `d[k]` to `x` for each (k, x) of `changes` in order (delete
+        it for `_ABSENT`), hashing `k` once in the common cases; returns
+        the flat (key, value, …) diff that undoes what changed, to be
+        applied from its end."""
+        undo = []
+        for k, x in changes:
+            if x is _ABSENT:
+                old = d.pop(k, _ABSENT)
+                if old is _ABSENT:
+                    continue
+            else:
+                n = len(d)
+                old = d.setdefault(k, x)
+                if len(d) != n:
+                    old = _ABSENT
+                elif old is x:
+                    continue
+                else:
+                    d[k] = x
+            undo += (k, old)
+        return tuple(undo)
 
     def _child(self, d: dict, undo: tuple, n: int) -> "PMap":
         child = PMap.__new__(PMap)
@@ -524,9 +529,7 @@ class PMap(Mapping):
         d = self._data
         if d is None:
             d = self._root()
-        undo = ()
-        for k, x in changes:
-            undo += PMap._apply(d, k, x)
+        undo = PMap._apply(d, changes)
         return self._child(d, undo, len(d)) if undo else self
 
     def set(self, k, x) -> "PMap":
@@ -750,9 +753,7 @@ def saturate(q: Qualifier, ctx: TypingContext) -> Qualifier:
     instead of being walked."""
     if not q:
         return EMPTY_QUAL
-    shared = ctx.env._data
-    if shared is None:
-        shared = ctx.env._root()
+    shared, lets = _contents(ctx.env), _contents(ctx.lets)
     seen = set(q)
     frontier = list(q)
     while frontier:
@@ -763,7 +764,7 @@ def saturate(q: Qualifier, ctx: TypingContext) -> Qualifier:
         qual = qt.qual
         if not qual:
             continue
-        if x in ctx.lets:
+        if x in lets:
             seen.update(qual)
             continue
         for y in qual:
@@ -827,13 +828,6 @@ class DepMap:
             out |= t
         return frozenset(out)
 
-    def all_targets_of(self, key: Name) -> frozenset:
-        out = set()
-        if key in self.hard:
-            out.add(self.hard[key])
-        out |= self.soft.get(key, frozenset())
-        return frozenset(out)
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -855,14 +849,29 @@ class DepMap:
 EMPTY_DEP = DepMap()
 
 
+def _annotation(hard: dict, soft: dict, *inputs: DepMap) -> DepMap:
+    """The annotation of the entries `hard` and `soft` (soft sets not
+    empty): the first of `inputs` that equals it, if any, so that an
+    operation builds no map equal to one it was handed."""
+    for d in inputs:
+        if d.hard == hard and d.soft == soft and d.default is None:
+            return d
+    return DepMap(hard, soft) if hard or soft else EMPTY_DEP
+
+
 def dep_update(d1: DepMap, d2: DepMap) -> DepMap:
-    """d1 , d2 — right-biased on hard entries, per-key union on soft."""
+    """d1 , d2 — right-biased on hard entries, per-key union on soft, of
+    two annotations. An operand equal to the result is the result."""
+    if not (d2.hard or d2.soft):
+        return d1
+    if not (d1.hard or d1.soft):
+        return d2
     hard = dict(d1.hard)
     hard.update(d2.hard)
     soft = dict(d1.soft)
     for k, t in d2.soft.items():
-        soft[k] = soft.get(k, frozenset()) | t
-    return DepMap.make(hard, soft)
+        soft[k] = soft.get(k, EMPTY_QUAL) | t
+    return _annotation(hard, soft, d2, d1)
 
 
 def footprint(e: RwEffect, ctx: TypingContext, regime: str):
@@ -909,18 +918,31 @@ def dep_restrict(d: DepMap, foot, regime: str) -> DepMap:
 
 def dep_restrict_names(d: DepMap, names: Qualifier) -> DepMap:
     """Domain restriction Δ|α by a plain name set, both components."""
-    get, default, soft = _contents(d.hard).get, d.default, _contents(d.soft)
+    get, default = _contents(d.hard).get, d.default
     hard = {}
     for k in names:
         t = get(k, default)
         if t is not None:
             hard[k] = t
-    return DepMap.make(hard, {k: soft[k] for k in names if k in soft})
+    soft_of, soft = _contents(d.soft).get, {}
+    for k in names:
+        t = soft_of(k)
+        if t:
+            soft[k] = t
+    return DepMap(hard, soft) if hard or soft else EMPTY_DEP
+
+
+def dep_has_target(d: DepMap, x: Name) -> bool:
+    """Whether an entry of `d` targets `x`."""
+    return x in d.hard.values() or any(x in t for t in d.soft.values())
 
 
 def dep_rewire(d1: DepMap, x: Name, d2: DepMap) -> DepMap:
-    """d1[x ⇝ d2]: reroute entries of d1 targeting x through d2 (entries
-    with no route in d2 are dropped)."""
+    """d1[x ⇝ d2]: reroute entries of the annotation d1 targeting x
+    through d2 (entries with no route in d2 are dropped). An operand
+    equal to the result is the result: d1 when no entry targets x."""
+    if not dep_has_target(d1, x):
+        return d1
     hard = {}
     for k, v in d1.hard.items():
         if v == x:
@@ -931,10 +953,10 @@ def dep_rewire(d1: DepMap, x: Name, d2: DepMap) -> DepMap:
     soft = {}
     for k, t in d1.soft.items():
         if x in t:
-            t = (t - {x}) | d2.soft.get(k, frozenset())
+            t = (t - {x}) | d2.soft.get(k, EMPTY_QUAL)
         if t:
             soft[k] = t
-    return DepMap.make(hard, soft)
+    return _annotation(hard, soft, d1, d2)
 
 
 def dep_dom_subst(d: DepMap, q: Qualifier, x: Name) -> DepMap:
@@ -974,13 +996,19 @@ def dep_last_use(d: DepMap, x: Name, foot, regime: str) -> DepMap:
     if type(hard) is not PMap:  # an annotation: Δ starts from a copy
         hard, soft = PMap(hard), PMap(soft)
     if regime == HARD:
+        if not foot:
+            return DepMap(hard.set(x, x), soft, d.default)
         changes = [(k, x) for k in foot]
         changes.append((x, x))
         return DepMap(hard.update(changes), soft, d.default)
     reads, writes = foot
+    old = _contents(soft)
+    if not (reads or writes):
+        if x in old:
+            soft = soft.update(((x, _ABSENT),))
+        return DepMap(hard.set(x, x), soft, d.default)
     hard_changes = [(k, x) for k in writes]
     hard_changes.append((x, x))
-    old = _contents(soft)
     soft_changes = {k: _ABSENT for k in (*writes, x) if k in old}
     for k in reads:
         reset = k in writes or k == x
@@ -999,11 +1027,15 @@ def points_to(z: Name) -> DepMap:
 def dep_submap(d1: DepMap, d2: DepMap) -> bool:
     """d1 ⊑ d2 modulo normal form: every hard entry of d1 appears in d2;
     every soft target of d1 appears among d2's targets for that key."""
+    if d1 is d2:
+        return True
+    hard, soft = d2.hard, d2.soft
     for k, v in d1.hard.items():
-        if d2.hard.get(k) != v:
+        if hard.get(k) != v:
             return False
-    for k, t in d1.soft.items():
-        if not t <= d2.all_targets_of(k):
+    for k, t in d1.soft.items():  # a key's targets: its soft set, its hard
+        targets = soft.get(k, EMPTY_QUAL)
+        if not (t <= targets or t <= targets | {hard.get(k)}):
             return False
     return True
 

@@ -20,15 +20,15 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
-    DepMap, DepMismatch, EMPTY_DEP, GLet, GName, GraphTerm, HARD, Name,
-    NLam, Nm, RuntimeConfig, Store, TypingContext, dep_last_use,
-    dep_restrict, dep_restrict_names, dep_rewire, dep_submap, dep_update,
-    footprint, graph_free_names, points_to, rename_effect, rename_graph,
-    rename_qt, rename_qual, saturate,
+    DepMap, DepMismatch, EMPTY_DEP, EMPTY_QUAL, GLet, GName, GraphTerm, HARD,
+    Name, NLam, RW, RuntimeConfig, Store, TypingContext, dep_has_target,
+    dep_last_use, dep_restrict, dep_restrict_names, dep_rewire, dep_submap,
+    dep_update, footprint, graph_free_names, points_to, rename_effect,
+    rename_graph, rename_qt, rename_qual, saturate,
 )
 from .mnf import check_binding
 from .typecheck import (
-    Typing, bind_let, check_lam, infer_direct, lam_body_ctx, let_typing,
+    Typing, bind_let, check_lam, lam_body_ctx, let_typing, name_typing,
 )
 
 
@@ -251,6 +251,7 @@ def _gone(f, regime) -> tuple:
 
 
 _ALL = float("inf")  # `rename`'s count for a whole spine
+_NO_FOOT = {HARD: EMPTY_QUAL, RW: (EMPTY_QUAL, EMPTY_QUAL)}  # of no effect
 
 
 def _synth(ctx, delta, g, regime, record, gone=None, rename=None,
@@ -302,7 +303,7 @@ def _synth(ctx, delta, g, regime, record, gone=None, rename=None,
             if isinstance(b2, GLet):
                 b2, d1 = _synth(ctx, delta, b2, regime, record,
                                 (var, set(pending)))[:2]
-            elif not isinstance(b2, NLam) and var in d1.targets():
+            elif not isinstance(b2, NLam) and dep_has_target(d1, var):
                 d1 = dep_restrict(delta, foot, regime)
             pending.difference_update(foot if regime == HARD else foot[1])
         else:
@@ -315,9 +316,14 @@ def _synth(ctx, delta, g, regime, record, gone=None, rename=None,
                 if same is None:  # nor at any let below
                     was = None
             b2, d1, tb = _synth_binding(ctx, delta, g.binding, regime, record)
-            foot = footprint(tb.eff, ctx, regime)
-            if d1 is None:  # a node: Δ restricted to its effect
-                d1 = dep_restrict(delta, foot, regime)
+            if tb.eff.reads or tb.eff.writes:
+                foot = footprint(tb.eff, ctx, regime)
+                if d1 is None:  # a node: Δ restricted to its effect
+                    d1 = dep_restrict(delta, foot, regime)
+            else:  # a pure binding touches nothing
+                foot = _NO_FOOT[regime]
+                if d1 is None:
+                    d1 = EMPTY_DEP
             if record is None and g.dep is not None:
                 required = dep_restrict(delta, foot, regime)
                 if not dep_submap(g.dep, required):
@@ -413,11 +419,26 @@ def _ascend(frames, result, regime, record, gone=None):
     its `gone` mode, when the recorded slice does not name `gone`;
     for the others, when its entry state is the recorded one and its
     body's output and typing equal the recorded ones. Only its let node
-    is then rebuilt, if its parts changed."""
+    is then rebuilt, if its parts changed.
+
+    A composed let saturates its effect only if no footprint at hand is
+    its own. A pure let has none. A let whose effect is its binding's
+    object has the binding's, saturated in the same context. A let whose
+    typing is its body's (`let_typing` hands it back) has the footprint
+    of the let below, if its binder is fresh, i.e. that let's context is
+    exactly one entry longer: the effect does not name the binder, and a
+    context extended by a fresh binder saturates every older name as
+    before, since no older qualifier can reach it (weakening). If its
+    binding is pure too, Δ below it differs only at the binder's key,
+    which no footprint of older names holds, so its slice is the body's.
+    A rebound binder changes saturations through every qualifier that
+    named it, so it is saturated again. The binder's entries in the
+    body's output are rerouted only if there are any."""
+    below = None  # the footprint of the let composed last, and its context
     while frames:  # popped, so that each frame's state dies after use
         frame = frames.pop()
-        var, ctx, delta, b2, d1, tb, _foot, qual = frame
-        body2, d2, _slice2, t2 = result
+        var, ctx, delta, b2, d1, tb, foot_b, qual = frame
+        body2, d2, slice2, t2 = result
         body = d2, t2
         f = record.get(var) if record is not None else None
         if f is None or f.binding is not b2:
@@ -425,17 +446,32 @@ def _ascend(frames, result, regime, record, gone=None):
         elif gone is None:
             keep = f.ctx is ctx and f.last_use is delta and f.body == body
         else:  # the output is a sub-map of the slice, which stands for both
-            keep = gone not in f.result[2].targets()
+            keep = not dep_has_target(f.result[2], gone)
         if keep:
             let, out, slice_, typing = f.result
             if let.body is not body2 or let.dep is not d1:
                 let = GLet(var, b2, body2, d1)
+            below = None
         else:
-            reroute = dep_restrict_names(delta, qual)
-            out = dep_update(d1, dep_rewire(d2, var, reroute))
+            if dep_has_target(d2, var):
+                d2 = dep_rewire(d2, var, dep_restrict_names(delta, qual))
+            out = dep_update(d1, d2)
             typing = let_typing(var, tb, t2)
-            slice_ = dep_restrict(delta, footprint(typing.eff, ctx, regime),
-                                  regime)
+            eff = typing.eff
+            if not (eff.reads or eff.writes):
+                foot, slice_ = _NO_FOOT[regime], EMPTY_DEP
+            elif eff is tb.eff:  # the binding's, saturated in this context
+                foot = foot_b
+                slice_ = dep_restrict(delta, foot, regime)
+            elif (typing is t2 and below is not None
+                    and len(below[1].env) == len(ctx.env) + 1):
+                foot = below[0]  # weakening by the fresh binder `var`
+                slice_ = (slice2 if not (tb.eff.reads or tb.eff.writes)
+                          else dep_restrict(delta, foot, regime))
+            else:
+                foot = footprint(eff, ctx, regime)
+                slice_ = dep_restrict(delta, foot, regime)
+            below = foot, ctx
             if not (out == slice_ if regime == HARD
                     else dep_submap(out, slice_)):
                 raise DepMismatch(
@@ -471,13 +507,17 @@ def _tail(ctx, tail):
     """The result of a let spine's tail name."""
     if not isinstance(tail, GName):
         raise TypeError(tail)
-    return tail, EMPTY_DEP, EMPTY_DEP, infer_direct(ctx, Nm(tail.name))
+    return tail, EMPTY_DEP, EMPTY_DEP, name_typing(ctx, tail.name)
 
 
 def _synth_binding(ctx, delta, b, regime, record):
     """Returns (annotated-binding, binding-dep, typing); the dep is None
-    for a graph node, whose dependency is Δ restricted to its effect."""
-    if isinstance(b, (GName, GLet)):
+    for a graph node, whose dependency is Δ restricted to its effect. An
+    alias is typed by the name rule: as a spine of no lets, its output
+    is empty."""
+    if isinstance(b, GName):
+        return b, EMPTY_DEP, name_typing(ctx, b.name)
+    if isinstance(b, GLet):
         b2, out, _slice, typing = _synth(ctx, delta, b, regime, record)
         return b2, out, typing
     if isinstance(b, NLam):

@@ -12,7 +12,9 @@ from .core import (
     NApp, NAssign, NCst, NDeref, NLam, NRef, Nm, RefNew, TERM_OPERATOR,
     Term, TypingContext, graph_free_names, node_operator, spine, subst_term,
 )
-from .typecheck import Typing, bind_let, check_lam, infer_direct, let_typing
+from .typecheck import (
+    Typing, bind_let, check_lam, infer_direct, let_typing, name_typing,
+)
 
 
 def to_mnf(t: Term, supply: NameSupply) -> GraphTerm:
@@ -114,14 +116,16 @@ def check_mnf(ctx: TypingContext, g) -> Typing:
         ctx = bind_let(ctx, u.var, bounds[-1])
     if not isinstance(g, GName):
         raise TypeError(g)
-    typing = infer_direct(ctx, Nm(g.name))
+    typing = name_typing(ctx, g.name)
     for u, bound in zip(reversed(lets), reversed(bounds)):
         typing = let_typing(u.var, bound, typing)
     return typing
 
 
 def check_binding(ctx: TypingContext, b) -> Typing:
-    if isinstance(b, (GName, GLet)):
+    if isinstance(b, GName):
+        return name_typing(ctx, b.name)
+    if isinstance(b, GLet):
         return check_mnf(ctx, b)
     if isinstance(b, NLam):
         return check_lam(ctx, b, graph_free_names(b), check_mnf)

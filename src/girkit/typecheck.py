@@ -91,6 +91,22 @@ def _observable(ctx: TypingContext, t: Term, typing: Typing) -> Typing:
     return typing
 
 
+def name_typing(ctx: TypingContext, n: Name,
+                span: Span | None = None) -> Typing:
+    """The name rule, which types a name with no term around it (an `Nm`,
+    a graph's alias binding or its spine's tail): the name must be bound
+    and observable; it is qualified by itself unless it is an untracked
+    base-typed binding (the allocation capability and anything reference-
+    or function-typed is tracked)."""
+    qt = ctx.lookup(n)
+    if n not in ctx.phi:
+        raise QualifierEscape(f"name {n!r} not observable", span=span,
+                              qual=frozenset((n,)), phi=ctx.phi)
+    if isinstance(qt.ty, BaseTy) and qt.ty != TY_ALLOC and not qt.qual:
+        return _BASE_TYPING[qt.ty.name]
+    return Typing(QualifiedType(qt.ty, frozenset((n,))), PURE)
+
+
 def infer_direct(ctx: TypingContext, t: Term) -> Typing:
     """Infer the minimal qualified type and effect of a direct-style term."""
     span = getattr(t, "span", None)
@@ -99,16 +115,7 @@ def infer_direct(ctx: TypingContext, t: Term) -> Typing:
         return _BASE_TYPING[const_key(t.value)[0]]
 
     if isinstance(t, Nm):
-        qt = ctx.lookup(t.name)
-        if t.name not in ctx.phi:
-            raise QualifierEscape(f"name {t.name!r} not observable", span=span,
-                                  qual=frozenset((t.name,)), phi=ctx.phi)
-        # untracked base-typed bindings stay untracked (the allocation
-        # capability and anything reference- or function-typed is tracked)
-        if (isinstance(qt.ty, BaseTy) and qt.ty != TY_ALLOC
-                and not qt.qual):
-            return _BASE_TYPING[qt.ty.name]
-        return Typing(QualifiedType(qt.ty, frozenset((t.name,))), PURE)
+        return name_typing(ctx, t.name, span)
 
     if isinstance(t, Lam):
         return check_lam(ctx, t, term_free_names(t), infer_direct, span)
@@ -230,10 +237,11 @@ def bind_let(ctx: TypingContext, var: Name, bound: Typing,
     nothing else. A rebound `var` leaves φ* to be recomputed."""
     if sat is None:
         sat = saturate(bound.qt.qual, ctx)
-    bind_q = sat & ctx.phi_star
     qt = bound.qt
-    if bind_q != qt.qual:
-        qt = QualifiedType(qt.ty, bind_q)
+    if sat:  # else the bound qualifier, inside its saturation, is empty too
+        bind_q = sat & ctx.phi_star
+        if bind_q != qt.qual:
+            qt = QualifiedType(qt.ty, bind_q)
     return ctx.bind(var, qt, let=True)
 
 
@@ -244,7 +252,7 @@ def let_typing(var: Name, bound: Typing, body: Typing,
     typing itself when that changes neither its qualifier nor its
     effect."""
     qt = body.qt
-    if var in ty_free_names(qt.ty):
+    if isinstance(qt.ty, FunTy) and var in ty_free_names(qt.ty):
         raise TypeMismatch(
             f"let-bound {var!r} occurs in the body's result type", span=span)
     p = bound.qt.qual

@@ -13,7 +13,7 @@ from girkit.cli import _front_end
 from girkit.core import (
     Cell, Cst, DepMap, DepMismatch, EMPTY_DEP, GLet, GName, HARD, Let,
     NAssign, NCst, NDeref, NLam, Nm, PURE, QualifiedType, RW, RefTy,
-    RwEffect, TY_INT, TypingContext, dep_add_hard, graph_to_text,
+    RwEffect, Span, TY_INT, TypingContext, dep_add_hard, graph_to_text,
     initial_store, saturate,
 )
 from girkit.graphir import (
@@ -240,6 +240,157 @@ class TestSynthesisCost:
         monkeypatch.setattr(TypingContext, "lookup", counting)
         small, large = lookups(100), lookups(400)
         assert large / small <= 5
+
+
+def scopes(g) -> int:
+    """The nested blocks and lambda bodies of a graph term."""
+    count, todo = 0, [g]
+    while todo:
+        for u in spine(todo.pop()):
+            if isinstance(u.binding, GLet):
+                count += 1
+                todo.append(u.binding)
+            elif isinstance(u.binding, NLam):
+                count += 1
+                todo.append(u.binding.body)
+    return count
+
+
+class TestSynthesisWork:
+    """Synthesis does per let only what its rule reads. These tests count
+    calls, not time: each pins one piece of work that a let skips."""
+
+    graphir = importlib.import_module("girkit.graphir")
+
+    def chain(self):
+        store, t, _ = _front_end(cell_chain(100))
+        return store, to_mnf(t, store.supply)
+
+    @pytest.mark.parametrize("regime", [HARD, RW])
+    def test_a_walk_per_scope_and_none_per_alias(self, regime, monkeypatch):
+        """An alias binding is typed by the name rule, so `_synth` walks
+        the whole program and each nested block and lambda body once."""
+        synth, entered = self.graphir._synth, []
+
+        def counting(ctx, delta, g, *args, **kwargs):
+            entered.append(g)
+            return synth(ctx, delta, g, *args, **kwargs)
+
+        store, g = self.chain()
+        monkeypatch.setattr(self.graphir, "_synth", counting)
+        synthesize_config(store, g, regime)
+        assert not any(isinstance(u, GName) for u in entered)
+        assert len(entered) == 1 + scopes(g) > 100
+
+    @pytest.mark.parametrize("regime", [HARD, RW])
+    def test_the_ascent_saturates_no_unchanged_typing(self, regime,
+                                                      monkeypatch):
+        """A let whose typing is its body's takes its footprint from the
+        let below, or from its binding, or has none at all (pure)."""
+        let_typing, footprint = self.graphir.let_typing, self.graphir.footprint
+        last, kept, again = [None], [0], []
+
+        def noting(var, bound, body, *rest):
+            typing = let_typing(var, bound, body, *rest)
+            last[0] = typing is body
+            kept[0] += typing is body
+            return typing
+
+        def counting(e, ctx, regime):
+            if sys._getframe(1).f_code.co_name == "_ascend" and last[0]:
+                again.append(e)
+            return footprint(e, ctx, regime)
+
+        store, g = self.chain()
+        monkeypatch.setattr(self.graphir, "let_typing", noting)
+        monkeypatch.setattr(self.graphir, "footprint", counting)
+        synthesize_config(store, g, regime)
+        assert again == [] and kept[0] > 100
+
+    @pytest.mark.parametrize("regime", [HARD, RW])
+    def test_an_equal_result_is_the_input(self, regime, monkeypatch):
+        """`dep_rewire`, `dep_update` and `dep_restrict_names` build no map
+        equal to one they were handed."""
+        seen = []
+
+        def watched(name):
+            f = getattr(self.graphir, name)
+
+            def call(*args):
+                out = f(*args)
+                maps = [d for d in args if isinstance(d, DepMap)]
+                if any(out == d for d in maps):
+                    seen.append((name, any(out is d for d in maps)))
+                return out
+            monkeypatch.setattr(self.graphir, name, call)
+
+        for name in ("dep_rewire", "dep_update", "dep_restrict_names"):
+            watched(name)
+        two = two_write_graph()
+        for store, g in (self.chain(), (two[0], two[-1])):
+            synthesize_config(store, g, regime)
+        assert all(same for _, same in seen)
+        assert {name for name, _ in seen} >= {"dep_update"}
+
+    @pytest.mark.parametrize("regime", [HARD, RW])
+    def test_a_rebound_binder_saturates_again(self, regime):
+        """The ascent reuses the footprint of the let below only under a
+        fresh binder (weakening). Here `let v = c in let a = v in let k =
+        5 in let u = v := k in let v = v in let x = !a in x` binds `v`
+        again, after `a`'s qualifier named it, so the body of that let
+        reaches the new `v` through `a`, and Δ has moved `v`'s entry."""
+        store = initial_store()
+        c = store.alloc(Cell(0), "c")
+        v, a, k, u, x = (store.supply.var(n) for n in "vakux")
+        g = GLet(v, GName(c), GLet(a, GName(v), GLet(k, NCst(5), GLet(
+            u, NAssign(v, k), GLet(v, GName(v), GLet(x, NDeref(a),
+                                                      GName(x)))))))
+        st_, _ = initial_state(store, regime=regime)
+        assert synthesize(st_, g)[1] == brute_deps(st_, g) != EMPTY_DEP
+
+
+class TestNameRule:
+    """The name rule has one definition, `typecheck.name_typing`: a name
+    in direct style, a graph's alias binding and its spine's tail all
+    fail through it alike."""
+
+    def context(self):
+        store = initial_store()
+        r = store.alloc(Cell(0), "r")
+        x = store.supply.var("x")
+        ctx = store.typing().bind(x, QualifiedType(TY_INT, frozenset({r})))
+        return store, x, ctx
+
+    def raised(self, run) -> tuple:
+        with pytest.raises(Exception) as info:
+            run()
+        e = info.value
+        return type(e).__name__, str(e), e.span, e.payload
+
+    def test_an_unbound_name(self):
+        store, _, ctx = self.context()
+        y = store.supply.var("y")
+        span = Span(3, 7)
+        assert self.raised(lambda: infer_direct(ctx, Nm(y, span=span))) == (
+            "UnboundName", f"unbound name {y!r}", None, {"name": y})
+
+    def test_an_unobservable_name(self):
+        _, x, ctx = self.context()
+        span = Span(3, 7)
+        ctx = ctx.with_phi(frozenset())
+        assert self.raised(lambda: infer_direct(ctx, Nm(x, span=span))) == (
+            "QualifierEscape", f"name {x!r} not observable", span,
+            {"qual": frozenset({x}), "phi": ctx.phi})
+
+    @pytest.mark.parametrize("regime", [HARD, RW])
+    def test_an_unobservable_tail_and_alias(self, regime):
+        store, x, ctx = self.context()
+        y = store.supply.var("y")
+        st_, _ = initial_state(store, regime=regime)
+        st_.ctx = ctx.with_phi(frozenset())
+        want = ("QualifierEscape", f"name {x!r} not observable", None)
+        for g in (GLet(y, NCst(1), GName(x)), GLet(y, GName(x), GName(y))):
+            assert self.raised(lambda: synthesize(st_, g))[:3] == want
 
 
 class TestLambdaBodyTypedOnce:

@@ -196,7 +196,7 @@ class TestOmittedChecksStayImplied:
                 synthesize_config(store, g, regime)
 
     def test_inferred_qualifiers_lie_in_the_observation(self, monkeypatch):
-        infer = typecheck.infer_direct
+        infer, name_typing = typecheck.infer_direct, typecheck.name_typing
         seen = []
 
         def checked(ctx, t):
@@ -205,10 +205,19 @@ class TestOmittedChecksStayImplied:
             seen.append(typing)
             return typing
 
-        # typecheck's own recursive calls go through its module global
+        def checked_name(ctx, n, span=None):
+            typing = name_typing(ctx, n, span)
+            assert typing.qt.qual <= ctx.phi, (n, typing)
+            seen.append(typing)
+            return typing
+
+        # typecheck's own recursive calls go through its module globals;
+        # graphs type their alias bindings and tails by the name rule
         for module in ("typecheck", "mnf", "graphir"):
-            monkeypatch.setattr(importlib.import_module(f"girkit.{module}"),
-                                "infer_direct", checked)
+            m = importlib.import_module(f"girkit.{module}")
+            if module != "graphir":
+                monkeypatch.setattr(m, "infer_direct", checked)
+            monkeypatch.setattr(m, "name_typing", checked_name)
         self.typed_everywhere()
         assert len(seen) > 10_000
         assert sum(bool(t.qt.qual) for t in seen) > 1000

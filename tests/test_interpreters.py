@@ -32,8 +32,10 @@ def test_package_imports(version, tmp_path):
     (an `int` subtype with an instance dict, laid out differently per
     version), parses and synthesizes a 3-let program and pickles its
     annotated graph, compares and hashes records and writes a field of
-    one (slotted frozen dataclasses differ across versions), and runs the
-    program through `gir run` on the direct, store and graph semantics."""
+    one (slotted frozen dataclasses differ across versions), runs the
+    program through `gir run` on the direct, store and graph semantics,
+    and schedules a program with a reader closure and an alias operand
+    as `gir schedule --regime rw --freq --compact`."""
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     # a pyenv shim only runs the version it is asked for; other launchers
     # ignore the variable
@@ -41,15 +43,25 @@ def test_package_imports(version, tmp_path):
     prog = tmp_path / "three.gir"
     prog.write_text("let r = ref(w, 1) in let u = r := 41 in "
                     "let x = !r in x\n")
+    closure = tmp_path / "closure.gir"
+    closure.write_text("let r = ref(w, 1) in let a = r in "
+                       "let f = fun (p: Int^{}) =>{rd{r} wr{}} !r in "
+                       "let u = a := 41 in let y = f 2 in y\n")
     p = subprocess.run(
-        [f"python{version}", "-c", _NAMES_AND_RUN, str(prog)],
+        [f"python{version}", "-c", _NAMES_AND_RUN, str(prog), str(closure)],
         env=env, capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr
     lines = p.stdout.splitlines()
     assert lines[0] == version
     value = "value: ('cst', 'Int', 41)"
     assert lines[1:] == [value, "steps: 6", value, "steps: 9",
-                         value, "steps: 15"], p.stdout
+                         value, "steps: 15",
+                         "let r_9 = ref(w, 1) in",
+                         "let s_16 = r_9 := 41 in",
+                         "let f_11 = fun (p_3: Int^{}) =>{rd{r_9} wr{}} (",
+                         "  !r_9",
+                         ") in",
+                         "f_11 2"], p.stdout
 
 
 _NAMES_AND_RUN = """
@@ -92,6 +104,8 @@ else:
 for semantics in ("direct", "store", "graph"):
     if main(["run", "--semantics", semantics, sys.argv[1]]):
         sys.exit("gir run --semantics %s failed" % semantics)
+if main(["schedule", sys.argv[2], "--regime", "rw", "--freq", "--compact"]):
+    sys.exit("gir schedule failed")
 """
 
 
