@@ -26,9 +26,10 @@ from .core import (
     dep_update, footprint, graph_free_names, points_to, rename_effect,
     rename_graph, rename_qt, rename_qual, saturate,
 )
-from .mnf import check_binding
+from .mnf import check_binding, ends_in_binder
 from .typecheck import (
-    Typing, bind_let, check_lam, lam_body_ctx, let_typing, name_typing,
+    Typing, bind_let, bound_name_typing, check_lam, lam_body_ctx,
+    let_binder_qt, let_typing, name_typing,
 )
 
 
@@ -50,7 +51,13 @@ class Frame(NamedTuple):
     synthesis made of the whole let from there: (annotated let, composed
     output, slice, typing). The descent keeps the fields before `body` as
     a plain tuple. Contexts and Δ are persistent, so a frame holds O(1)
-    of them."""
+    of them.
+
+    A frame holds the state a let was entered in, never the one after
+    it: synthesis builds that state only for a continuation that reads
+    it. So a block's exit Δ, which no rule reads, is
+    `dep_last_use(f.last_use, f.var, f.foot, regime)` of its last frame
+    `f`, and its exit context `bind_let(f.ctx, f.var, f.typing, f.qual)`."""
 
     var: Name
     ctx: TypingContext
@@ -70,7 +77,12 @@ def synthesize(st: SynthState, g: GraphTerm) -> tuple[GraphTerm, DepMap]:
     one loop down its binders and one back up, so only lambda bodies and
     nested blocks recurse. Contexts and Δ are persistent, so the frames
     the descent keeps for the ascent cost O(1) each: a spine of n lets
-    synthesizes in O(n) memory.
+    synthesizes in O(n) memory. Only a continuation reads the context
+    and Δ after a let, so a let whose body is its own binder's name (the
+    last let of every block `to_mnf` builds) extends neither: its tail is
+    typed by the name rule at the type the let binds, and the enclosing
+    let reads older versions of the persistent maps without first moving
+    back out of a new one.
 
     The slice always equals the last-use map restricted to the term's
     saturated effect; in the hard regime the rule-by-rule composition is
@@ -214,9 +226,13 @@ def _resynth_binding(ctx, delta, g, old, regime, record):
                        (g.body, f.body[0], None, f.body[1]), regime, record)
     foot = footprint(tb.eff, ctx, regime)
     qual = saturate(tb.qt.qual, ctx)
+    frames = [frame + (foot, qual)]
+    if ends_in_binder(g):
+        return _ascend(frames, _binder_tail(ctx, g.body, tb, qual), regime,
+                       record)
     return _synth(bind_let(ctx, g.var, tb, qual),
                   dep_last_use(delta, g.var, foot, regime), g.body, regime,
-                  record, was=old, frames=[frame + (foot, qual)])
+                  record, was=old, frames=frames)
 
 
 def _resynth_site(ctx, delta, g, old, prev, regime, record):
@@ -282,7 +298,9 @@ def _synth(ctx, delta, g, regime, record, gone=None, rename=None,
       included, are re-threaded with their recorded typings, footprints
       and qualifiers renamed by the map, and the rest synthesized.
 
-    The descent walks only as far as it goes, never the rest of the
+    In every mode, a let whose body is its own binder's name ends the
+    descent without extending the context or Δ (`_binder_tail`). The
+    descent walks only as far as it goes, never the rest of the
     spine. What it records equals synthesis from scratch modulo binders
     that occur nowhere (see `resynthesize`)."""
     frames = [] if frames is None else frames
@@ -333,6 +351,9 @@ def _synth(ctx, delta, g, regime, record, gone=None, rename=None,
                         node=g.var, annotated=g.dep, required=required)
             qual = saturate(tb.qt.qual, ctx)
         frames.append((g.var, ctx, delta, b2, d1, tb, foot, qual))
+        if ends_in_binder(g):  # nothing reads the state after it
+            result = _binder_tail(ctx, g.body, tb, qual)
+            break
         delta = dep_last_use(delta, g.var, foot, regime)
         ctx = bind_let(ctx, g.var, tb, qual)
         g = g.body
@@ -493,12 +514,14 @@ def recompose(st: SynthState, lets: list, rest, record: dict) -> GraphTerm:
     which records it."""
     if isinstance(rest, GLet):
         result = record[rest.var].result
+    elif lets:
+        f = record[lets[-1].var]
+        if isinstance(rest, GName) and rest.name == f.var:
+            result = _binder_tail(f.ctx, rest, f.typing, f.qual)
+        else:
+            result = _tail(bind_let(f.ctx, f.var, f.typing, f.qual), rest)
     else:
-        ctx = st.ctx
-        if lets:
-            f = record[lets[-1].var]
-            ctx = bind_let(f.ctx, f.var, f.typing, f.qual)
-        result = _tail(ctx, rest)
+        result = _tail(st.ctx, rest)
     return _ascend([record[u.var][:-2] for u in lets], result, st.regime,
                    record)[0]
 
@@ -508,6 +531,16 @@ def _tail(ctx, tail):
     if not isinstance(tail, GName):
         raise TypeError(tail)
     return tail, EMPTY_DEP, EMPTY_DEP, name_typing(ctx, tail.name)
+
+
+def _binder_tail(ctx, tail, tb, qual):
+    """The result of `tail`, the name of the let binder that a let entered
+    in `ctx` binds to the typing `tb`, whose qualifier saturates to
+    `qual`: the name rule at the type `bind_let` would bind it at. The
+    binder is observable once bound, so no context and no Δ is built for
+    a tail that reads neither."""
+    return tail, EMPTY_DEP, EMPTY_DEP, bound_name_typing(
+        tail.name, let_binder_qt(ctx, tb, qual))
 
 
 def _synth_binding(ctx, delta, b, regime, record):

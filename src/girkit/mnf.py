@@ -13,7 +13,8 @@ from .core import (
     Term, TypingContext, graph_free_names, node_operator, spine, subst_term,
 )
 from .typecheck import (
-    Typing, bind_let, check_lam, infer_direct, let_typing, name_typing,
+    Typing, bind_let, bound_name_typing, check_lam, infer_direct,
+    let_binder_qt, let_typing, name_typing,
 )
 
 
@@ -108,18 +109,32 @@ def check_mnf(ctx: TypingContext, g) -> Typing:
     """Type a graph term under the MNF rules. Node rules mirror the direct
     rules with name operands, so node cases delegate to the direct checker
     on the embedded one-node term; lets and lambdas recurse structurally
-    through the binder rules the direct checker uses."""
+    through the binder rules the direct checker uses. A tail that names
+    the last let's binder is typed at the type that let binds it at, with
+    no context built for it."""
     lets, g = spine(g)
     bounds = []
     for u in lets:
         bounds.append(check_binding(ctx, u.binding))
+        if ends_in_binder(u):
+            typing = bound_name_typing(g.name,
+                                       let_binder_qt(ctx, bounds[-1]))
+            break
         ctx = bind_let(ctx, u.var, bounds[-1])
-    if not isinstance(g, GName):
-        raise TypeError(g)
-    typing = name_typing(ctx, g.name)
+    else:
+        if not isinstance(g, GName):
+            raise TypeError(g)
+        typing = name_typing(ctx, g.name)
     for u, bound in zip(reversed(lets), reversed(bounds)):
         typing = let_typing(u.var, bound, typing)
     return typing
+
+
+def ends_in_binder(g: GLet) -> bool:
+    """Whether the let `g`'s body is the name of its own binder, as the
+    last let of every block `to_mnf` builds is."""
+    body = g.body
+    return isinstance(body, GName) and body.name == g.var
 
 
 def check_binding(ctx: TypingContext, b) -> Typing:

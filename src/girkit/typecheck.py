@@ -102,6 +102,13 @@ def name_typing(ctx: TypingContext, n: Name,
     if n not in ctx.phi:
         raise QualifierEscape(f"name {n!r} not observable", span=span,
                               qual=frozenset((n,)), phi=ctx.phi)
+    return bound_name_typing(n, qt)
+
+
+def bound_name_typing(n: Name, qt: QualifiedType) -> Typing:
+    """The name rule's typing of `n`, bound at `qt` and observable: `qt`
+    qualified by `n` itself, or the base typing of an untracked base-typed
+    binding."""
     if isinstance(qt.ty, BaseTy) and qt.ty != TY_ALLOC and not qt.qual:
         return _BASE_TYPING[qt.ty.name]
     return Typing(QualifiedType(qt.ty, frozenset((n,))), PURE)
@@ -222,19 +229,13 @@ def infer_direct(ctx: TypingContext, t: Term) -> Typing:
 # Binder rules, shared by direct typing, MNF typing, synthesis and rewrites
 # ---------------------------------------------------------------------------
 
-def bind_let(ctx: TypingContext, var: Name, bound: Typing,
-             sat: Qualifier | None = None) -> TypingContext:
-    """The context a let body is checked in: `var` at the bound type,
-    qualified by the bound qualifier's overlap with the observation, and
-    observable. `sat` is the bound qualifier saturated in `ctx`, if the
-    caller has it already. The bound type itself is kept when the overlap
-    leaves its qualifier as it is.
-
-    That qualifier is saturated: it is a saturation cut down by φ*, which
-    is closed. So the context records `var` as a let binder, whose
-    saturation is `{var}` plus its qualifier, and extends φ* by `var`:
-    that is exact, since the overlap lies in φ* and a fresh `var` reaches
-    nothing else. A rebound `var` leaves φ* to be recomputed."""
+def let_binder_qt(ctx: TypingContext, bound: Typing,
+                  sat: Qualifier | None = None) -> QualifiedType:
+    """The qualified type a let binds its binder at in `ctx`: the bound
+    type, qualified by the bound qualifier's overlap with the observation.
+    `sat` is the bound qualifier saturated in `ctx`, if the caller has it
+    already. The bound type itself is kept when the overlap leaves its
+    qualifier as it is."""
     if sat is None:
         sat = saturate(bound.qt.qual, ctx)
     qt = bound.qt
@@ -242,7 +243,22 @@ def bind_let(ctx: TypingContext, var: Name, bound: Typing,
         bind_q = sat & ctx.phi_star
         if bind_q != qt.qual:
             qt = QualifiedType(qt.ty, bind_q)
-    return ctx.bind(var, qt, let=True)
+    return qt
+
+
+def bind_let(ctx: TypingContext, var: Name, bound: Typing,
+             sat: Qualifier | None = None) -> TypingContext:
+    """The context a let body is checked in: `var` at `let_binder_qt`,
+    and observable. So a body that is just `var` has the typing
+    `bound_name_typing(var, let_binder_qt(ctx, bound, sat))`, which needs
+    no context built.
+
+    The binder's qualifier is saturated: it is a saturation cut down by
+    φ*, which is closed. So the context records `var` as a let binder,
+    whose saturation is `{var}` plus its qualifier, and extends φ* by
+    `var`: that is exact, since the overlap lies in φ* and a fresh `var`
+    reaches nothing else. A rebound `var` leaves φ* to be recomputed."""
+    return ctx.bind(var, let_binder_qt(ctx, bound, sat), let=True)
 
 
 def let_typing(var: Name, bound: Typing, body: Typing,

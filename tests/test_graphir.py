@@ -13,8 +13,8 @@ from girkit.cli import _front_end
 from girkit.core import (
     Cell, Cst, DepMap, DepMismatch, EMPTY_DEP, GLet, GName, HARD, Let,
     NAssign, NCst, NDeref, NLam, Nm, PURE, QualifiedType, RW, RefTy,
-    RwEffect, Span, TY_INT, TypingContext, dep_add_hard, graph_to_text,
-    initial_store, saturate,
+    RwEffect, Span, TY_INT, TypingContext, dep_add_hard, dep_last_use,
+    graph_to_text, initial_store, saturate,
 )
 from girkit.graphir import (
     check_deps, erase, initial_state, resynthesize, synthesize,
@@ -22,7 +22,9 @@ from girkit.graphir import (
 )
 from girkit.mnf import check_binding, check_mnf, to_mnf
 from girkit.testkit import GenConfig, brute_deps, gen_well_typed
-from girkit.typecheck import Typing, bind_let, infer_direct, lam_body_ctx
+from girkit.typecheck import (
+    Typing, bind_let, infer_direct, lam_body_ctx, let_binder_qt, name_typing,
+)
 
 
 def two_write_graph():
@@ -242,18 +244,22 @@ class TestSynthesisCost:
         assert large / small <= 5
 
 
-def scopes(g) -> int:
-    """The nested blocks and lambda bodies of a graph term."""
-    count, todo = 0, [g]
+def all_lets(g) -> list:
+    """Every let of a graph term, in nested blocks and lambda bodies too."""
+    out, todo = [], [g]
     while todo:
         for u in spine(todo.pop()):
+            out.append(u)
             if isinstance(u.binding, GLet):
-                count += 1
                 todo.append(u.binding)
             elif isinstance(u.binding, NLam):
-                count += 1
                 todo.append(u.binding.body)
-    return count
+    return out
+
+
+def scopes(g) -> int:
+    """The nested blocks and lambda bodies of a graph term."""
+    return sum(isinstance(u.binding, (GLet, NLam)) for u in all_lets(g))
 
 
 class TestSynthesisWork:
@@ -331,6 +337,27 @@ class TestSynthesisWork:
             synthesize_config(store, g, regime)
         assert all(same for _, same in seen)
         assert {name for name, _ in seen} >= {"dep_update"}
+
+    @pytest.mark.parametrize("regime", [HARD, RW])
+    def test_no_state_is_built_for_an_own_binder_tail(self, regime,
+                                                      monkeypatch):
+        """Only a continuation reads the context and Δ after a let, so
+        `bind_let` and `dep_last_use` each run once per let that has one,
+        and never for a let whose body is its own binder's name."""
+        extended = {"bind_let": [], "dep_last_use": []}
+        for name, calls in extended.items():
+            def call(state, var, *rest, f=getattr(self.graphir, name),
+                     calls=calls):
+                calls.append(var)
+                return f(state, var, *rest)
+            monkeypatch.setattr(self.graphir, name, call)
+        store, g = self.chain()
+        synthesize_config(store, g, regime)
+        lets = all_lets(g)
+        continued = sorted(u.var for u in lets if u.body != GName(u.var))
+        assert sorted(extended["bind_let"]) == continued
+        assert sorted(extended["dep_last_use"]) == continued
+        assert len(lets) - len(continued) > 100
 
     @pytest.mark.parametrize("regime", [HARD, RW])
     def test_a_rebound_binder_saturates_again(self, regime):
@@ -501,6 +528,132 @@ class TestCarriedObservation:
         # x rebound to an untracked Int: it no longer reaches the cell
         ctx2 = bind_let(ctx, x, Typing(QualifiedType(TY_INT), PURE))
         assert ctx2.phi_star == saturate(ctx2.phi, ctx2) == {x}
+
+
+def tail_frames(record) -> list:
+    """The recorded frames of the lets whose body is their own binder."""
+    return [f for f in record.values() if f.result[0].body == GName(f.var)]
+
+
+def probed(g, supply):
+    """`g` with an alias let `let q = x in q` put after each let `let x =
+    b in x` that ends a block, lambda bodies included, so that synthesis
+    builds the state after `x` as `q`'s entry state. Returns the graph
+    and the (x, q) pairs."""
+    pairs = []
+
+    def go(g):
+        lets = spine(g)
+        tail = lets[-1].body
+        if tail == GName(lets[-1].var):
+            q = supply.var("q")
+            pairs.append((lets[-1].var, q))
+            tail = GLet(q, tail, GName(q))
+        for u in reversed(lets):
+            b = u.binding
+            if isinstance(b, GLet):
+                b = go(b)
+            elif isinstance(b, NLam) and isinstance(b.body, GLet):
+                b = NLam(b.param, b.param_qt, b.latent, go(b.body))
+            tail = GLet(u.var, b, tail)
+        return tail
+
+    return go(g), pairs
+
+
+class TestOwnBinderTail:
+    """A let whose body is its own binder's name builds no context and no
+    Δ after it: synthesis types the tail by the name rule at the type
+    `bind_let` would bind the binder at. That typing must be the one
+    `bind_let` followed by `name_typing` gives, and the state the full
+    path would build must stay derivable from the let's frame."""
+
+    # `a` aliases the cell `r`, so the lambda body's observation {a, p} is
+    # not closed, and the body's last let binds another alias of it
+    OPEN_PROGRAM = """
+        let r = ref(w, 1) in
+        let a = r in
+        let f = fun (p: Int^{}) =>{rd{a} wr{}}
+            (let v = !a in let x = a in x) in
+        let b = f 2 in
+        let y = (let c = a in c) in
+        !y"""
+
+    def open_program(self):
+        store, t, _ = _front_end(self.OPEN_PROGRAM)
+        return store, to_mnf(t, store.supply)
+
+    def rebound(self):
+        """`let k = 5 in let u = c := k in let y = (let c = c in c) in let
+        f = fun (p: Int^{}) => (let p = 7 in p) in let z = !y in z`: a
+        nested block's last let binds the cell `c` again, at its own
+        type, and a lambda body's binds the parameter `p` again, at `Int`.
+        Each binder is a let binder once, so the record keeps each
+        frame."""
+        store = initial_store()
+        c = store.alloc(Cell(0), "c")
+        k, u, y, f, p, z = (store.supply.var(n) for n in "kuyfpz")
+        lam = NLam(p, QualifiedType(TY_INT), PURE, GLet(p, NCst(7), GName(p)))
+        g = GLet(k, NCst(5), GLet(u, NAssign(c, k), GLet(
+            y, GLet(c, GName(c), GName(c)),
+            GLet(f, lam, GLet(z, NDeref(y), GName(z))))))
+        return store, g
+
+    def programs(self):
+        store, t, _ = _front_end(cell_chain(40))
+        return [self.open_program(), self.rebound(),
+                (store, to_mnf(t, store.supply))]
+
+    def tails(self, store, g, regime):
+        st_, _ = initial_state(store, regime=regime)
+        record = {}
+        g2, slice_ = synthesize(st_, g)
+        assert resynthesize(st_, g, record) == g2
+        assert slice_ == brute_deps(st_, g)
+        return tail_frames(record)
+
+    @pytest.mark.parametrize("regime", [HARD, RW])
+    def test_the_tail_is_typed_as_in_the_extended_context(self, regime):
+        for store, g in self.programs():
+            for f in self.tails(store, g, regime):
+                full = name_typing(bind_let(f.ctx, f.var, f.typing, f.qual),
+                                   f.var)
+                assert f.body == (EMPTY_DEP, full), f.var
+
+    @pytest.mark.parametrize("regime", [HARD, RW])
+    def test_an_open_observation_changes_the_bound_qualifier(self, regime):
+        """The lambda body's last let `x = a` binds `x` at `a`'s overlap
+        with φ* = {a, r, p}, not at `a`'s own qualifier."""
+        tails = self.tails(*self.open_program(), regime)
+        assert any(f.ctx.phi_star != f.ctx.phi
+                   and let_binder_qt(f.ctx, f.typing, f.qual) != f.typing.qt
+                   for f in tails)
+
+    @pytest.mark.parametrize("regime", [HARD, RW])
+    def test_a_rebound_tail_binder(self, regime):
+        tails = self.tails(*self.rebound(), regime)
+        assert sum(f.var in f.ctx for f in tails) == 2
+
+    @pytest.mark.parametrize("regime", [HARD, RW])
+    def test_a_block_exit_state_is_its_last_frame_extended(self, regime):
+        """The Δ and context after a block's last let, which no rule
+        reads, are that let's frame extended by `dep_last_use` and
+        `bind_let`: the full path builds the same as the entry state of
+        an alias let put after it, and the typing stays as it was."""
+        for store, g in self.programs():
+            st_, _ = initial_state(store, regime=regime)
+            record, full = {}, {}
+            resynthesize(st_, g, record)
+            g_probed, pairs = probed(g, store.supply)
+            resynthesize(st_, g_probed, full)
+            for x, q in pairs:
+                f = record[x]
+                assert full[q].last_use == dep_last_use(
+                    f.last_use, f.var, f.foot, regime)
+                assert full[q].ctx == bind_let(f.ctx, f.var, f.typing,
+                                               f.qual)
+            assert pairs and len(pairs) == len(tail_frames(record))
+            assert check_mnf(st_.ctx, g_probed) == check_mnf(st_.ctx, g)
 
 
 def constant_spine(lets):

@@ -31,8 +31,11 @@ def test_package_imports(version, tmp_path):
     """Beyond the import, the interpreter mints, pickles and sorts names
     (an `int` subtype with an instance dict, laid out differently per
     version), parses and synthesizes a 3-let program and pickles its
-    annotated graph, compares and hashes records and writes a field of
-    one (slotted frozen dataclasses differ across versions), runs the
+    annotated graph, synthesizes a program with a nested block and a
+    lambda body in both regimes, whose annotated graphs' JSON must hash
+    to the digest pinned under 3.11, compares and hashes records and
+    writes a field of one (slotted frozen dataclasses differ across
+    versions), runs the
     program through `gir run` on the direct, store and graph semantics,
     and schedules a program with a reader closure and an alias operand
     as `gir schedule --regime rw --freq --compact`."""
@@ -47,14 +50,21 @@ def test_package_imports(version, tmp_path):
     closure.write_text("let r = ref(w, 1) in let a = r in "
                        "let f = fun (p: Int^{}) =>{rd{r} wr{}} !r in "
                        "let u = a := 41 in let y = f 2 in y\n")
+    nested = tmp_path / "nested.gir"
+    nested.write_text("let r = ref(w, 1) in let a = r in "
+                      "let f = fun (p: Int^{}) =>{rd{a} wr{a}} "
+                      "(let x = !a in let u = a := p in let y = !a in y) in "
+                      "let b = (let v = f 2 in let c = a in !c) in b\n")
     p = subprocess.run(
-        [f"python{version}", "-c", _NAMES_AND_RUN, str(prog), str(closure)],
+        [f"python{version}", "-c", _NAMES_AND_RUN, str(prog), str(closure),
+         str(nested)],
         env=env, capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr
     lines = p.stdout.splitlines()
     assert lines[0] == version
     value = "value: ('cst', 'Int', 41)"
-    assert lines[1:] == [value, "steps: 6", value, "steps: 9",
+    assert lines[1:] == [_NESTED_DIGEST,
+                         value, "steps: 6", value, "steps: 9",
                          value, "steps: 15",
                          "let r_9 = ref(w, 1) in",
                          "let s_16 = r_9 := 41 in",
@@ -64,9 +74,12 @@ def test_package_imports(version, tmp_path):
                          "f_11 2"], p.stdout
 
 
+# sha256 of the nested program's annotated graph JSON, hard then rw
+_NESTED_DIGEST = "009bc2027f05054f"
+
 _NAMES_AND_RUN = """
-import dataclasses, pickle, sys, girkit
-from girkit.cli import main, parse
+import dataclasses, hashlib, pickle, sys, girkit
+from girkit.cli import export_json, main, parse
 from girkit.core import (Name, NameSupply, QualifiedType, RwEffect, TY_INT,
                          graph_to_text, initial_store)
 from girkit.graphir import synthesize_config
@@ -87,6 +100,14 @@ back = pickle.loads(pickle.dumps(cfg))
 if not (back.graph == cfg.graph and back.dep == cfg.dep
         and graph_to_text(back.graph) == graph_to_text(cfg.graph)):
     sys.exit("the annotated graph does not survive pickling")
+store = initial_store()
+with open(sys.argv[3]) as f:
+    g = to_mnf(parse(f.read(), store), store.supply)
+digest = hashlib.sha256()
+for regime in ("hard", "rw"):
+    cfg = synthesize_config(store, g, regime)
+    digest.update(export_json(cfg.graph, cfg.dep).encode())
+print(digest.hexdigest()[:16])
 e, e2 = RwEffect(frozenset({v})), RwEffect(reads=frozenset({v}))
 qt = QualifiedType(TY_INT)
 if not (e == e2 and hash(e) == hash(e2) and len({e, e2}) == 1
