@@ -62,15 +62,17 @@ def diagnostic_of(err: GirError, file: str) -> Diagnostic:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# One pass of `finditer` finds every token. A character that no other
+# group takes is `bad`, which makes `finditer` skip exactly the whitespace
+# between tokens, as `\s` decides; a keyword is its own group, so a token's
+# kind is its group's name or, for an operator, its text.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<int>\d+)
+    (?P<int>\d+)
+  | (?P<kw>(?:let|in|fun|ref|unit|true|false|rd|wr)(?![A-Za-z0-9_]))
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>:=|=>|[(){}\[\],^!:=])
+  | (?P<bad>\S)
 """, re.VERBOSE)
-
-_KEYWORDS = {"let", "in", "fun", "ref", "unit", "true", "false",
-             "rd", "wr"}
 
 
 @record
@@ -83,25 +85,17 @@ class Token:
 
 def tokenize(src: str) -> list:
     out = []
-    pos = 0
-    n = len(src)
-    while pos < n:
-        m = _TOKEN_RE.match(src, pos)
-        if not m:
-            raise ParseError(f"unexpected character {src[pos]!r}",
-                             span=Span(pos, pos + 1))
-        pos = m.end()
-        if m.lastgroup == "ws":
-            continue
-        text = m.group()
-        if m.lastgroup == "int":
-            kind = "int"
-        elif m.lastgroup == "ident":
-            kind = "kw" if text in _KEYWORDS else "ident"
-        else:
+    append = out.append
+    for m in _TOKEN_RE.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        if kind == "op":
             kind = text
-        out.append(Token(kind, text, m.start(), m.end()))
-    out.append(Token("eof", "", n, n))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}",
+                             span=Span(m.start(), m.end()))
+        start, end = m.span()
+        append(Token(kind, text, start, end))
+    append(Token("eof", "", len(src), len(src)))
     return out
 
 
@@ -110,6 +104,12 @@ def tokenize(src: str) -> list:
 # ---------------------------------------------------------------------------
 
 _SUFFIX_RE = re.compile(r"_\d+$")
+
+# A keyword's text is never another token's, so the parser tests for a
+# keyword by its text alone.
+_ATOM_KINDS = frozenset({"int", "ident", "(", "!"})
+_ATOM_KEYWORDS = frozenset({"unit", "true", "false", "ref"})
+_CONSTANTS = {"unit": UNIT_V, "true": True, "false": False}
 
 
 class _Parser:
@@ -123,18 +123,25 @@ class _Parser:
 
     Binders are α-renamed to fresh names; the free identifier `w` denotes
     the store's allocation capability.
-    """
+
+    `i` indexes the next token. Only `eof` ends the token list and no rule
+    consumes it, so `toks[i]` is always a token, and one past any token
+    but `eof` too. The rules a let spine runs per binder (`let`, `term`,
+    `assign`, `app`, `atom`) read the tokens straight from the list; a
+    token they do not expect sends them to `expect`, `expect_kw` or
+    `lookup`, which raise the error."""
 
     def __init__(self, src: str, store: Store):
         self.toks = tokenize(src)
         self.i = 0
         self.supply = store.supply
         self.scope: dict = {"w": store.w}
+        self.bases: dict = {}  # binder text -> the text its names print
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.i]
 
     def next(self) -> Token:
         t = self.toks[self.i]
@@ -143,26 +150,32 @@ class _Parser:
         return t
 
     def expect(self, kind: str, what: str = "") -> Token:
-        t = self.peek()
+        i = self.i
+        t = self.toks[i]
         if t.kind != kind:
             want = what or kind
             found = t.text or "end of input"
             raise ParseError(f"expected {want}, found {found!r}",
                              span=Span(t.start, t.end))
-        return self.next()
+        self.i = i + 1
+        return t
 
     def expect_kw(self, word: str) -> Token:
-        t = self.peek()
+        i = self.i
+        t = self.toks[i]
         if t.kind != "kw" or t.text != word:
             raise ParseError(f"expected {word!r}, found "
                              f"{t.text or 'end of input'!r}",
                              span=Span(t.start, t.end))
-        return self.next()
+        self.i = i + 1
+        return t
 
     # -- binders / identifiers ---------------------------------------------
 
     def fresh(self, text: str) -> Name:
-        base = _SUFFIX_RE.sub("", text) or "x"
+        base = self.bases.get(text)
+        if base is None:
+            base = self.bases[text] = _SUFFIX_RE.sub("", text) or "x"
         return self.supply.var(base)
 
     def lookup(self, tok: Token) -> Name:
@@ -183,28 +196,38 @@ class _Parser:
         return t
 
     def term(self) -> Term:
-        tk = self.peek()
-        if tk.kind == "kw" and tk.text == "let":
+        text = self.toks[self.i].text
+        if text == "let":
             return self.let()
-        if tk.kind == "kw" and tk.text == "fun":
+        if text == "fun":
             return self.lam()
         return self.assign()
 
     def let(self) -> Term:
-        start = self.expect_kw("let").start
-        ident = self.expect("ident", "a binder")
-        self.expect("=")
+        toks, i = self.toks, self.i
+        start = toks[i].start  # `term` saw the `let`
+        ident = toks[i + 1]
+        if ident.kind != "ident" or toks[i + 2].kind != "=":
+            self.i = i + 1
+            self.expect("ident", "a binder")
+            self.expect("=")
+        self.i = i + 3
         bound = self.term()
-        self.expect_kw("in")
-        var = self.fresh(ident.text)
-        saved = self.scope.get(ident.text)
-        self.scope[ident.text] = var
+        i = self.i
+        if toks[i].text != "in":
+            self.expect_kw("in")
+        self.i = i + 1
+        text = ident.text
+        var = self.fresh(text)
+        scope = self.scope
+        saved = scope.get(text)
+        scope[text] = var
         body = self.term()
         if saved is None:
-            del self.scope[ident.text]
+            del scope[text]
         else:
-            self.scope[ident.text] = saved
-        return Let(var, bound, body, span=Span(start, self.peek().start))
+            scope[text] = saved
+        return Let(var, bound, body, span=Span(start, toks[self.i].start))
 
     def lam(self) -> Term:
         start = self.expect_kw("fun").start
@@ -228,56 +251,59 @@ class _Parser:
 
     def assign(self) -> Term:
         lhs = self.app()
-        if self.peek().kind == ":=":
-            tok = self.next()
+        i = self.i
+        tok = self.toks[i]
+        if tok.kind == ":=":
+            self.i = i + 1
             rhs = self.app()
             return Assign(lhs, rhs, span=Span(tok.start, tok.end))
         return lhs
 
     def app(self) -> Term:
-        start = self.peek().start
+        toks = self.toks
+        start = toks[self.i].start
         t = self.atom()
-        while self._starts_atom(self.peek()):
+        tk = toks[self.i]
+        while tk.kind in _ATOM_KINDS or tk.text in _ATOM_KEYWORDS:
             arg = self.atom()
-            t = App(t, arg, span=Span(start, self.peek().start))
+            tk = toks[self.i]
+            t = App(t, arg, span=Span(start, tk.start))
         return t
 
-    @staticmethod
-    def _starts_atom(tk: Token) -> bool:
-        if tk.kind in ("int", "ident", "(", "!"):
-            return True
-        return tk.kind == "kw" and tk.text in ("unit", "true", "false",
-                                               "ref")
-
     def atom(self) -> Term:
-        tk = self.peek()
-        if tk.kind == "int":
-            self.next()
+        i = self.i
+        tk = self.toks[i]
+        kind = tk.kind
+        if kind == "ident":
+            n = self.scope.get(tk.text)
+            if n is None:
+                self.lookup(tk)
+            self.i = i + 1
+            return Nm(n, span=Span(tk.start, tk.end))
+        if kind == "int":
+            self.i = i + 1
             return Cst(int(tk.text), span=Span(tk.start, tk.end))
-        if tk.kind == "kw" and tk.text in ("unit", "true", "false"):
-            self.next()
-            value = {"unit": UNIT_V, "true": True, "false": False}[tk.text]
-            return Cst(value, span=Span(tk.start, tk.end))
-        if tk.kind == "kw" and tk.text == "ref":
-            self.next()
+        if kind == "!":
+            self.i = i + 1
+            inner = self.atom()
+            return Deref(inner, span=Span(tk.start, tk.end))
+        if kind == "(":
+            self.i = i + 1
+            t = self.term()
+            self.expect(")", "a closing parenthesis")
+            return t
+        text = tk.text
+        if text in _CONSTANTS:
+            self.i = i + 1
+            return Cst(_CONSTANTS[text], span=Span(tk.start, tk.end))
+        if text == "ref":
+            self.i = i + 1
             self.expect("(")
             cap = self.term()
             self.expect(",")
             init = self.term()
             self.expect(")")
             return RefNew(cap, init, span=Span(tk.start, self.peek().start))
-        if tk.kind == "!":
-            self.next()
-            inner = self.atom()
-            return Deref(inner, span=Span(tk.start, tk.end))
-        if tk.kind == "ident":
-            self.next()
-            return Nm(self.lookup(tk), span=Span(tk.start, tk.end))
-        if tk.kind == "(":
-            self.next()
-            t = self.term()
-            self.expect(")", "a closing parenthesis")
-            return t
         raise ParseError(f"expected a term, found "
                          f"{tk.text or 'end of input'!r}",
                          span=Span(tk.start, tk.end))

@@ -189,7 +189,9 @@ class Name(int):
     """
 
     def __new__(cls, kind: int, id: int, text: str):
-        return _name(kind, id, {"text": text})
+        self = _new_int(Name, 2 * id + 2 + kind)
+        _set_attrs(self, {"text": text})
+        return self
 
     def __setattr__(self, attr, value):
         raise AttributeError(f"a name is immutable: cannot set {attr!r}")
@@ -225,42 +227,50 @@ class Name(int):
         return f"{text or 'x'}_{(self >> 1) - 1}"
 
 
-def _name(kind: int, id: int, attrs: dict) -> Name:
-    """The name (kind, id) whose attribute dict is `attrs`."""
-    self = int.__new__(Name, 2 * id + 2 + kind)
-    object.__setattr__(self, "__dict__", attrs)
-    return self
+# a name is built as an `int`, then given its attribute dict through the
+# type's `__dict__` descriptor, past `Name.__setattr__`, which refuses
+_new_int = int.__new__
+_set_attrs = Name.__dict__["__dict__"].__set__
 
 
 class NameSupply:
     """Monotone fresh-name source; ids are unique across vars and locs.
 
     The names it mints with one text share one attribute dict (see
-    `Name`), kept in `_attrs` for as long as the supply lives."""
+    `Name`), kept in `_attrs` for as long as the supply lives. `var`,
+    `loc` and `fresh_like` each build their name in place, in one call:
+    the front end mints a name per binder."""
 
     def __init__(self, start: int = 0):
         self._next = start
         self._attrs: dict = {}  # text -> the attribute dict its names share
 
-    def _take(self) -> int:
-        n = self._next
-        self._next += 1
-        return n
-
-    def _mint(self, kind: int, text: str) -> Name:
+    def var(self, text: str = "x") -> Name:
         attrs = self._attrs.get(text)
         if attrs is None:
             attrs = self._attrs[text] = {"text": text}
-        return _name(kind, self._take(), attrs)
-
-    def var(self, text: str = "x") -> Name:
-        return self._mint(VAR, text)
+        id = self._next
+        self._next = id + 1
+        n = _new_int(Name, 2 * id + 2 + VAR)
+        _set_attrs(n, attrs)
+        return n
 
     def loc(self, text: str = "l") -> Name:
-        return self._mint(LOC, text)
+        attrs = self._attrs.get(text)
+        if attrs is None:
+            attrs = self._attrs[text] = {"text": text}
+        id = self._next
+        self._next = id + 1
+        n = _new_int(Name, 2 * id + 2 + LOC)
+        _set_attrs(n, attrs)
+        return n
 
     def fresh_like(self, n: Name) -> Name:
-        return _name(n.kind, self._take(), n.__dict__)
+        id = self._next
+        self._next = id + 1
+        m = _new_int(Name, 2 * id + 2 + (n & 1))
+        _set_attrs(m, n.__dict__)
+        return m
 
     @property
     def next_id(self) -> int:

@@ -320,6 +320,8 @@ def rw_cse(st: SynthState, g: GraphTerm, site: tuple,
         raise SideConditionFailed("no adjacent second binding")
     inner = focus.body
     b1, b2 = focus.binding, inner.binding
+    if type(b1) is not type(b2):
+        raise SideConditionFailed("bindings are not identical")
     if isinstance(b1, (GLet, NLam)):  # only these carry annotations
         b1, b2 = erase(b1), erase(b2)
     if b1 != b2:

@@ -18,7 +18,7 @@ from girkit.cli import (
 from girkit.core import (
     Cst, Deref, GLet, HARD, JsonSchemaError, Let, NLam, ParseError,
     RefNew, RW, graph_free_names, graph_to_text, initial_store,
-    term_to_text,
+    term_children, term_to_text,
 )
 from girkit.interp import eval_direct, eval_graph
 from girkit.testkit import GenConfig, gen_well_typed
@@ -66,6 +66,51 @@ class TestParser:
                "let f = fun (p: Ref[Int]^{x}) =>{rd{x,p} wr{}} !p in f x")
         typing = infer_direct(store.typing(), parse(src, store))
         assert typing.qt.ty.name == "Int"
+
+    # sha256 of every parse below, as the one-token-at-a-time tokenizer
+    # and the bounds-checked cursor gave it
+    PARSE_DIGEST = ("3b4d3b39d71811ee4e4524d9d24e753f"
+                    "35b95070edf604faa49c99ec7aa51f04")
+
+    def test_parse_is_pinned(self):
+        """The benchmark's `chain` and `opt` programs at seed 0 and the
+        text of testkit seeds 0..199 parse to the same terms, binder ids
+        and node spans: the digest covers each term's text (whose names
+        print their ids) and every node's type and span."""
+        root = str(Path(__file__).resolve().parent.parent)
+        if root not in sys.path:
+            sys.path.insert(0, root)
+        import random
+
+        from benchmark import gen
+
+        rng = random.Random("chain:0")
+        texts = [gen.chain_program(rng, lets, 4 + i % 5, ret_cell).text
+                 for i, (lets, ret_cell) in enumerate(gen.CHAIN_SLOTS)]
+        rng = random.Random("opt:0")
+        texts += [gen.opt_program(rng, i).text
+                  for i in range(gen.OPT_PROGRAMS)]
+        texts += [term_to_text(gen_well_typed(
+            GenConfig(seed=seed, max_depth=6), initial_store()))
+            for seed in range(200)]
+        digest = hashlib.sha256()
+        # the parser and `term_to_text` recurse once per let, and the
+        # longest `chain` program has 600
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 2000)
+        try:
+            for text in texts:
+                t = parse(text, initial_store())
+                digest.update(term_to_text(t).encode())
+                todo = [t]
+                while todo:
+                    u = todo.pop()
+                    digest.update(f"|{type(u).__name__} {u.span.start} "
+                                  f"{u.span.end}".encode())
+                    todo += term_children(u)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert digest.hexdigest() == self.PARSE_DIGEST
 
 
 class TestDotExport:

@@ -1,7 +1,7 @@
 """The exact text of every diagnostic that prints a qualifier, an effect or
-a qualified type. Qualifier members print in canonical name order, so each
-message below is fixed text. A message that surface syntax cannot reach is
-triggered on a hand-built context."""
+a qualified type, and of every parse error. Qualifier members print in
+canonical name order, so each message below is fixed text. A message that
+surface syntax cannot reach is triggered on a hand-built context."""
 
 import pytest
 
@@ -185,3 +185,42 @@ class TestSeparationProbe:
         assert not rep.disjoint
         assert rep.failure == "overlap {x#l1,c#l2} after 1 steps"
 
+
+
+class TestParseErrors:
+    """One input per path on which the tokenizer or the parser rejects
+    its input: the code, the message and the span, byte for byte."""
+
+    @pytest.mark.parametrize("src, msg, start, end", [
+        # unexpected characters: first, inside an identifier, last
+        ("$x", "unexpected character '$'", 0, 1),
+        ("x$y", "unexpected character '$'", 1, 2),
+        ("let x = 1 in x$", "unexpected character '$'", 14, 15),
+        # identifiers are ASCII
+        ("let x = 1 in λ", "unexpected character 'λ'", 13, 14),
+        ("let é = 1 in é", "unexpected character 'é'", 4, 5),
+        # truncated inputs
+        ("let", "expected a binder, found 'end of input'", 3, 3),
+        ("let x", "expected =, found 'end of input'", 5, 5),
+        ("let x =", "expected a term, found 'end of input'", 7, 7),
+        ("let x = 1 in", "expected a term, found 'end of input'", 12, 12),
+        ("fun (", "expected a parameter, found 'end of input'", 5, 5),
+        ("ref(w,", "expected a term, found 'end of input'", 6, 6),
+        # a wrong token where the grammar wants another
+        ("let 1 = 1 in 1", "expected a binder, found '1'", 4, 5),
+        ("let x 1 in x", "expected =, found '1'", 6, 7),
+        ("let x = 1 ) in x", "expected 'in', found ')'", 10, 11),
+        ("ref(w)", "expected ,, found ')'", 5, 6),
+        ("1 :=", "expected a term, found 'end of input'", 4, 4),
+        # missing closing parentheses
+        ("(1", "expected a closing parenthesis, found 'end of input'", 2, 2),
+        ("ref(w, 1", "expected ), found 'end of input'", 8, 8),
+        ("let x = 1 in y", "unbound identifier 'y'", 13, 14),
+        ("1 )", "trailing input at ')'", 2, 3),
+    ])
+    def test_parse_error(self, src, msg, start, end):
+        with pytest.raises(GirError) as err:
+            parse(src)
+        e = err.value
+        assert (e.code, e.message, e.span.start, e.span.end) == (
+            "E013", msg, start, end)

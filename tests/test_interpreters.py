@@ -28,17 +28,18 @@ VERSIONS = ("3.10", "3.11", "3.12", "3.13")
     for v in VERSIONS
 ])
 def test_package_imports(version, tmp_path):
-    """Beyond the import, the interpreter mints, pickles and sorts names
-    (an `int` subtype with an instance dict, laid out differently per
-    version), parses and synthesizes a 3-let program and pickles its
+    """Beyond the import, the interpreter tokenizes a program that uses
+    every token kind and rejects a bad character (what the tokenizer's
+    regex matches is up to each version's `re`), mints, pickles and sorts
+    names (an `int` subtype with an instance dict, laid out differently
+    per version), parses and synthesizes a 3-let program and pickles its
     annotated graph, synthesizes a program with a nested block and a
     lambda body in both regimes, whose annotated graphs' JSON must hash
     to the digest pinned under 3.11, compares and hashes records and
     writes a field of one (slotted frozen dataclasses differ across
-    versions), runs the
-    program through `gir run` on the direct, store and graph semantics,
-    and schedules a program with a reader closure and an alias operand
-    as `gir schedule --regime rw --freq --compact`."""
+    versions), runs the program through `gir run` on the direct, store
+    and graph semantics, and schedules a program with a reader closure
+    and an alias operand as `gir schedule --regime rw --freq --compact`."""
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     # a pyenv shim only runs the version it is asked for; other launchers
     # ignore the variable
@@ -63,7 +64,7 @@ def test_package_imports(version, tmp_path):
     lines = p.stdout.splitlines()
     assert lines[0] == version
     value = "value: ('cst', 'Int', 41)"
-    assert lines[1:] == [_NESTED_DIGEST,
+    assert lines[1:] == [ascii(_TOKENS), _BAD_CHARACTER, _NESTED_DIGEST,
                          value, "steps: 6", value, "steps: 9",
                          value, "steps: 15",
                          "let r_9 = ref(w, 1) in",
@@ -77,14 +78,42 @@ def test_package_imports(version, tmp_path):
 # sha256 of the nested program's annotated graph JSON, hard then rw
 _NESTED_DIGEST = "009bc2027f05054f"
 
+# the tokens of a program that uses every token kind, a non-breaking space
+# and an Arabic-Indic digit three: what `\s` and `\d` match is up to each
+# interpreter's `re`
+_TOKENS = [
+    ("kw", "let", 0, 3), ("ident", "f", 4, 5), ("=", "=", 6, 7),
+    ("kw", "fun", 8, 11), ("(", "(", 12, 13), ("ident", "p", 13, 14),
+    (":", ":", 14, 15), ("ident", "Ref", 16, 19), ("[", "[", 19, 20),
+    ("ident", "Int", 20, 23), ("]", "]", 23, 24), ("^", "^", 24, 25),
+    ("{", "{", 25, 26), ("ident", "w", 26, 27), ("}", "}", 27, 28),
+    (")", ")", 28, 29), ("=>", "=>", 30, 32), ("{", "{", 32, 33),
+    ("kw", "rd", 33, 35), ("{", "{", 35, 36), ("ident", "p", 36, 37),
+    ("}", "}", 37, 38), ("kw", "wr", 39, 41), ("{", "{", 41, 42),
+    ("}", "}", 42, 43), ("}", "}", 43, 44), ("!", "!", 45, 46),
+    ("ident", "p", 46, 47), ("kw", "in", 48, 50), ("kw", "let", 51, 54),
+    ("ident", "r", 55, 56), ("=", "=", 57, 58), ("kw", "ref", 59, 62),
+    ("(", "(", 62, 63), ("ident", "w", 63, 64), (",", ",", 64, 65),
+    ("int", "\u0663", 66, 67), (")", ")", 67, 68), ("kw", "in", 69, 71),
+    ("ident", "r", 72, 73), (":=", ":=", 74, 76), ("int", "4", 77, 78),
+    ("eof", "", 78, 78)]
+_BAD_CHARACTER = "E013 unexpected character '$' 1 2"
+
 _NAMES_AND_RUN = """
 import dataclasses, hashlib, pickle, sys, girkit
-from girkit.cli import export_json, main, parse
-from girkit.core import (Name, NameSupply, QualifiedType, RwEffect, TY_INT,
-                         graph_to_text, initial_store)
+from girkit.cli import export_json, main, parse, tokenize
+from girkit.core import (Name, NameSupply, ParseError, QualifiedType,
+                         RwEffect, TY_INT, graph_to_text, initial_store)
 from girkit.graphir import synthesize_config
 from girkit.mnf import to_mnf
 print('%d.%d' % sys.version_info[:2])
+print(ascii([(t.kind, t.text, t.start, t.end) for t in tokenize(
+    "let f = fun (p: Ref[Int]^{w}) =>{rd{p} wr{}} !p in\\u00a0"
+    "let r = ref(w, \\u0663) in r := 4")]))
+try:
+    tokenize("x$y")
+except ParseError as e:
+    print(e.code, e.message, e.span.start, e.span.end)
 sup = NameSupply()
 v, l = sup.var("x"), sup.loc("c")
 back = pickle.loads(pickle.dumps([l, v]))

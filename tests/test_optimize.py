@@ -259,6 +259,25 @@ class TestCse:
         _, reports = optimize(st, g2, ["cse"], supply=sup)
         assert not any(r.fired for r in reports)
 
+    def test_bindings_of_two_node_types_fail_before_erasing(
+            self, monkeypatch):
+        # a nested block beside a read: no erasure can make them equal
+        store = initial_store()
+        sup = store.supply
+        r = store.alloc(Cell(0), "r")
+        a, c, b = sup.var("a"), sup.var("c"), sup.var("b")
+        g = GLet(a, GLet(c, NDeref(r), GName(c)),
+                 GLet(b, NDeref(r), GName(b)))
+        st, _, g2, _ = synth(store, g)
+        erased = []
+        opt = importlib.import_module("girkit.optimize")
+        monkeypatch.setattr(opt, "erase",
+                            lambda t: erased.append(t) or erase(t))
+        with pytest.raises(SideConditionFailed,
+                           match="^bindings are not identical$"):
+            rw_cse(st, g2, (), sup)
+        assert erased == []
+
 
 def node_ops_deep(g):
     out = []
