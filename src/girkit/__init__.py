@@ -3,16 +3,15 @@ form, a dependency-annotated graph IR, three executable semantics, graph
 rewrites, and scheduling back to trees."""
 
 from .core import (  # noqa: F401
-    App, Assign, Capability, Cell, Cst, DepMap, DepMismatch,
-    DependencyViolation, Deref, EMPTY_DEP, EMPTY_QUAL, EffectEscape,
-    FuelExhausted, FunTy, GLet, GName, GenerationExhausted, GirError, HARD,
-    JsonSchemaError, Lam, Let, Name, NameSupply, NApp, NAssign, NCst,
-    NDeref, NLam, NRef, Nm, OMEGA, OverlapViolation, PURE, ParseError,
-    Qualifier, QualifiedType, QualifierEscape, RW, RefNew, RefTy,
-    RuntimeConfig, RwEffect, SavedCst, SavedLamGraph, SavedLamTerm,
-    SideConditionFailed, Span, Store, Stuck, TY_ALLOC, TY_BOOL, TY_INT,
-    TY_UNIT, TypeMismatch, TypingContext, UNIT_V, UnboundName, initial_store,
-    overlap, saturate, subst_qual, term_to_text, graph_to_text,
+    App, Assign, Cell, Cst, DepMap, DepMismatch, DependencyViolation, Deref,
+    EMPTY_DEP, EMPTY_QUAL, EffectEscape, FuelExhausted, FunTy, GLet, GName,
+    GenerationExhausted, GirError, HARD, JsonSchemaError, Lam, Let, Name,
+    NameSupply, NApp, NAssign, NCst, NDeref, NLam, NRef, Nm, OMEGA,
+    OverlapViolation, PURE, ParseError, Qualifier, QualifiedType,
+    QualifierEscape, RW, RefNew, RefTy, RuntimeConfig, RwEffect, SavedCst,
+    SavedLam, SideConditionFailed, Span, Store, Stuck, TY_ALLOC, TY_BOOL,
+    TY_INT, TY_UNIT, TypeMismatch, TypingContext, UNIT_V, UnboundName,
+    initial_store, overlap, saturate, subst_qual, term_to_text, graph_to_text,
 )
 from .typecheck import Typing, check_subtype, infer_direct, ty_subtype  # noqa: F401
 from .mnf import (  # noqa: F401

@@ -36,26 +36,11 @@ from .schedule import (
 # Diagnostics
 # ---------------------------------------------------------------------------
 
-@record
-class Diagnostic:
-    """A user-facing report tied to a byte range of one input file."""
-
-    file: str
-    start: int
-    end: int
-    code: str
-    message: str
-
-    def render(self) -> str:
-        return f"{self.file}:{self.start}-{self.end}: [{self.code}] " \
-               f"{self.message}"
-
-
-def diagnostic_of(err: GirError, file: str) -> Diagnostic:
-    span = err.span if isinstance(err.span, Span) else None
-    start = span.start if span else 0
-    end = span.end if span else 0
-    return Diagnostic(file, start, end, err.code, err.message)
+def _diagnostic(err: GirError, file: str) -> str:
+    """The report of `err`, tied to its byte range in `file` (0-0 when it
+    has none)."""
+    span = err.span if isinstance(err.span, Span) else Span(0, 0)
+    return f"{file}:{span.start}-{span.end}: [{err.code}] {err.message}"
 
 
 # ---------------------------------------------------------------------------
@@ -231,23 +216,34 @@ class _Parser:
 
     def lam(self) -> Term:
         start = self.expect_kw("fun").start
+        param, qt, latent, undo = self.binder()
+        body = self.term()
+        self.unbind(undo)
+        return Lam(param, qt, latent, body,
+                   span=Span(start, self.peek().start))
+
+    def binder(self) -> tuple:
+        """`(x: TY^{q}) =>{rd{q} wr{q}}`, the head of a lambda and of a
+        function type: (parameter, its type, latent effect, what `unbind`
+        needs). x is in scope from its own type on, until `unbind`."""
         self.expect("(")
-        ident = self.expect("ident", "a parameter")
+        text = self.expect("ident", "a parameter").text
         self.expect(":")
-        param = self.fresh(ident.text)
-        saved = self.scope.get(ident.text)
-        self.scope[ident.text] = param
+        param = self.fresh(text)
+        saved = self.scope.get(text)
+        self.scope[text] = param
         qt = self.qualified_type()
         self.expect(")")
         self.expect("=>")
-        latent = self.effect()
-        body = self.term()
+        return param, qt, self.effect(), (text, saved)
+
+    def unbind(self, undo: tuple) -> None:
+        """Give the parameter's text the meaning it had before `binder`."""
+        text, saved = undo
         if saved is None:
-            del self.scope[ident.text]
+            del self.scope[text]
         else:
-            self.scope[ident.text] = saved
-        return Lam(param, qt, latent, body,
-                   span=Span(start, self.peek().start))
+            self.scope[text] = saved
 
     def assign(self) -> Term:
         lhs = self.app()
@@ -355,22 +351,10 @@ class _Parser:
         if tk.kind == "(":
             # ((x: TY^{q}) =>{rd{q} wr{q}} TY^{q})
             self.next()
-            self.expect("(")
-            ident = self.expect("ident", "a parameter")
-            self.expect(":")
-            param = self.fresh(ident.text)
-            saved = self.scope.get(ident.text)
-            self.scope[ident.text] = param
-            pqt = self.qualified_type()
-            self.expect(")")
-            self.expect("=>")
-            latent = self.effect()
+            param, pqt, latent, undo = self.binder()
             rqt = self.qualified_type()
             self.expect(")")
-            if saved is None:
-                del self.scope[ident.text]
-            else:
-                self.scope[ident.text] = saved
+            self.unbind(undo)
             return FunTy(param, pqt, latent, rqt)
         raise ParseError(f"expected a type, found "
                          f"{tk.text or 'end of input'!r}",
@@ -701,10 +685,6 @@ def _write_out(text: str, path: Optional[str]):
         raise GirError(f"cannot write {path}: {e.strerror}") from None
 
 
-def _regime(args) -> str:
-    return RW if getattr(args, "regime", "hard") == "rw" else HARD
-
-
 def _front_end(src: str) -> tuple:
     """Parse and type a program against one initial store. Every later stage
     draws fresh names from that store's supply, so they never clash with
@@ -732,7 +712,7 @@ def cmd_mnf(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    cfg = _build_config(_read(args.file), _regime(args))
+    cfg = _build_config(_read(args.file), args.regime)
     if args.dot:
         _write_out(export_dot(cfg.graph, cfg.dep), args.dot)
     if args.json or not args.dot:
@@ -751,7 +731,7 @@ def cmd_opt(args) -> int:
     store, t, _ = _front_end(_read(args.file))
     g = to_mnf(t, store.supply)
     # `optimize` synthesizes the program itself
-    st, _ = initial_state(store, regime=_regime(args))
+    st, _ = initial_state(store, regime=args.regime)
     g2, reports = optimize(st, g, passes, fuel=args.fuel,
                            supply=store.supply)
     if args.report == "json":
@@ -789,15 +769,12 @@ def cmd_schedule(args) -> int:
                   f"seed={args.seed} time={t:.3f}s")
             return 0
         sg = synthetic_graph(args.synthetic, args.depth, args.seed)
-        block = schedule(sg, freq=args.freq, compact=args.compact,
-                         matchers=matchers)
-        _write_out(emit(block) + "\n", args.out)
-        return 0
-    if not args.file:
+    elif not args.file:
         raise ParseError("schedule needs FILE or --synthetic N")
-    cfg = _build_config(_read(args.file), _regime(args))
-    block = schedule(flatten_config(cfg), freq=args.freq,
-                     compact=args.compact, matchers=matchers)
+    else:
+        sg = flatten_config(_build_config(_read(args.file), args.regime))
+    block = schedule(sg, freq=args.freq, compact=args.compact,
+                     matchers=matchers)
     _write_out(emit(block) + "\n", args.out)
     return 0
 
@@ -805,7 +782,7 @@ def cmd_schedule(args) -> int:
 def cmd_run(args) -> int:
     src = _read(args.file)
     if args.semantics == "graph":
-        res = eval_graph(_build_config(src, _regime(args)), trace=args.trace)
+        res = eval_graph(_build_config(src, args.regime), trace=args.trace)
     else:
         store, t, _ = _front_end(src)
         run = eval_direct if args.semantics == "direct" else eval_store
@@ -842,7 +819,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def add_regime(p):
-        p.add_argument("--regime", choices=("hard", "rw"), default="hard",
+        p.add_argument("--regime", choices=(HARD, RW), default=HARD,
                        help="dependency regime (default: hard)")
 
     p = sub.add_parser("check", help="type-check a source file")
@@ -923,7 +900,7 @@ def main(argv: Optional[list] = None) -> int:
         # looked up by name at call time, so a replaced `cmd_*` runs
         return globals()[args.fn](args)
     except GirError as err:
-        print(diagnostic_of(err, file).render(), file=sys.stderr)
+        print(_diagnostic(err, file), file=sys.stderr)
         return 1
     except Exception as err:  # noqa: BLE001 — internal failure
         print(f"internal error: {type(err).__name__}: {err}",

@@ -23,16 +23,6 @@ from typing import Callable, Optional, Union
 # Immutable records
 # ---------------------------------------------------------------------------
 
-class _Factory:
-    """The default of a parameter whose field has a default factory."""
-
-    def __repr__(self):
-        return "<factory>"
-
-
-_FACTORY = _Factory()
-
-
 def record(cls):
     """Declare an immutable record: a frozen, slotted dataclass whose
     `__init__` stores each field through its slot descriptor.
@@ -45,8 +35,8 @@ def record(cls):
     `__delattr__`, so writing a field raises `FrozenInstanceError`, and
     `__eq__` and `__hash__` unless the class body defines its own
     `__eq__`, which comes with its own `__hash__`. The `__init__` takes
-    the parameters, defaults and default factories dataclass's would,
-    and compiles once per class, as dataclass's does."""
+    the parameters and defaults dataclass's would, and compiles once per
+    class, as dataclass's does. No field takes a default factory."""
     # dataclass documents an undocumented class by its `__init__`'s
     # signature; that is written here, once this `__init__` exists
     undocumented = not cls.__doc__
@@ -54,20 +44,16 @@ def record(cls):
         cls.__doc__ = cls.__name__
     cls = dataclass(cls, frozen=True, slots=True, init=False,
                     eq="__eq__" not in vars(cls))
-    env = {"_FACTORY": _FACTORY}
+    env = {}
     params, body = [], []
     for i, f in enumerate(fields(cls)):
         env[f"_set{i}"] = getattr(cls, f.name).__set__
-        value, default = f.name, ""
-        if f.default_factory is not MISSING:
-            env[f"_make{i}"] = f.default_factory
-            value = f"_make{i}() if {f.name} is _FACTORY else {f.name}"
-            default = "=_FACTORY"
-        elif f.default is not MISSING:
+        default = ""
+        if f.default is not MISSING:
             env[f"_default{i}"] = f.default
             default = f"=_default{i}"
         params.append(f.name + default)
-        body.append(f" _set{i}(self, {value})\n")
+        body.append(f" _set{i}(self, {f.name})\n")
     exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", env)
     init = cls.__init__ = env["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -815,8 +801,8 @@ class DepMap:
     parameter in a lambda body). Equality is content equality; versions
     of Δ that differ in size compare unequal in O(1)."""
 
-    hard: Mapping = field(default_factory=dict)
-    soft: Mapping = field(default_factory=dict)
+    hard: Mapping
+    soft: Mapping
     default: Optional[Name] = None
 
     @staticmethod
@@ -856,7 +842,7 @@ class DepMap:
         return f"Dep[{h}|{s}]"
 
 
-EMPTY_DEP = DepMap()
+EMPTY_DEP = DepMap({}, {})
 
 
 def _annotation(hard: dict, soft: dict, *inputs: DepMap) -> DepMap:
@@ -1060,34 +1046,25 @@ def dep_add_hard(d: DepMap, key: Name, target: Name) -> DepMap:
 # Constants
 # ---------------------------------------------------------------------------
 
-class _Unit:
-    _inst = None
+class _Atom:
+    """A constant that is its own only instance: unit and the allocation
+    capability ω. It pickles and copies by its module-level name, so it
+    stays itself."""
 
-    def __new__(cls):
-        if cls._inst is None:
-            cls._inst = super().__new__(cls)
-        return cls._inst
+    __slots__ = ("name", "base", "text")
 
-    def __repr__(self):
-        return "unit"
-
-
-class _Omega:
-    """The allocation capability constant."""
-
-    _inst = None
-
-    def __new__(cls):
-        if cls._inst is None:
-            cls._inst = super().__new__(cls)
-        return cls._inst
+    def __init__(self, name: str, base: str, text: str):
+        self.name, self.base, self.text = name, base, text
 
     def __repr__(self):
-        return "omega"
+        return self.text
+
+    def __reduce__(self):
+        return self.name
 
 
-UNIT_V = _Unit()
-OMEGA = _Omega()
+UNIT_V = _Atom("UNIT_V", "Unit", "unit")
+OMEGA = _Atom("OMEGA", "Alloc", "omega")
 
 
 def const_key(value) -> tuple:
@@ -1095,10 +1072,8 @@ def const_key(value) -> tuple:
     value: ("Unit",), ("Alloc",), ("Bool", b) or ("Int", n). bool is an
     int subtype, so plain value equality has 1 == true; keys tell them
     apart, and a `Name` (an int subtype too) is no constant."""
-    if value is UNIT_V:
-        return ("Unit",)
-    if value is OMEGA:
-        return ("Alloc",)
+    if type(value) is _Atom:
+        return (value.base,)
     if isinstance(value, bool):
         return ("Bool", value)
     if type(value) is int:
@@ -1121,10 +1096,8 @@ def _const_hash(self) -> int:
 
 
 def const_text(value) -> str:
-    if value is UNIT_V:
-        return "unit"
-    if value is OMEGA:
-        return "omega"
+    if type(value) is _Atom:
+        return value.text
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
@@ -1557,14 +1530,6 @@ def rename_graph(g, mapping: dict, *, fresh: Optional[NameSupply] = None,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Capability:
-    """Store entry for the allocation capability ω."""
-
-    def __repr__(self):
-        return "omega"
-
-
-@dataclass
 class Cell:
     """A mutable reference cell; content is a constant (direct semantics)
     or a location name (store-allocated semantics)."""
@@ -1578,26 +1543,25 @@ class SavedCst:
 
 
 @dataclass
-class SavedLamTerm:
-    lam: Lam
+class SavedLam:
+    """A closure: a `Lam` (store semantics) or an `NLam` (graph
+    semantics)."""
+
+    lam: Union[Lam, NLam]
 
 
-@dataclass
-class SavedLamGraph:
-    lam: NLam
-
-
-StoreEntry = Union[Capability, Cell, SavedCst, SavedLamTerm, SavedLamGraph]
+StoreEntry = Union[_Atom, Cell, SavedCst, SavedLam]  # the atom is ω
 
 
 class Store:
-    """Allocation-ordered mapping from locations to entries. Entry 0 always
-    binds the capability w = ω."""
+    """Allocation-ordered mapping from locations to entries: ω itself,
+    cells, saved constants and saved closures. Entry 0 always binds the
+    capability w = ω."""
 
     def __init__(self):
         self.supply = NameSupply()
         self.w = self.supply.loc("w")
-        self.entries: dict = {self.w: Capability()}
+        self.entries: dict = {self.w: OMEGA}
 
     def alloc(self, entry: StoreEntry, text: str = "l") -> Name:
         loc = self.supply.loc(text)
@@ -1627,7 +1591,7 @@ class Store:
         closure's result type needs the checker, so it raises TypeError."""
         env = {}
         for loc, e in self.entries.items():
-            if isinstance(e, Capability):
+            if e is OMEGA:
                 env[loc] = QualifiedType(TY_ALLOC)
             elif isinstance(e, Cell):
                 content = e.content

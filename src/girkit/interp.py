@@ -1,6 +1,7 @@
 """Three executable semantics: substitution-based CBV, store-allocated CBV
 (all introductions committed to the store), and dependency-checking graph
-reduction. Plus the interleaved separation probe.
+reduction, all stepped by one reduction loop (`_reduce`). Plus the
+interleaved separation probe.
 """
 
 from __future__ import annotations
@@ -10,12 +11,12 @@ from functools import partial
 from typing import Optional
 
 from .core import (
-    App, Capability, Cell, Cst, Deref, DepMap, DependencyViolation,
-    EMPTY_DEP, FuelExhausted, GLet, GName, GraphTerm, Lam, Let, Name, Nm,
-    OMEGA, OverlapViolation, RefNew, RuntimeConfig, SavedCst, SavedLamGraph,
-    SavedLamTerm, Store, Stuck, Term, UNIT_V, const_key, dep_add_hard,
-    dep_dom_subst, dep_rewire, qual_repr, rename_graph, saturate, subst_term,
-    term_operands, term_with_child, NLam, NApp, NRef, NDeref, NAssign, NCst,
+    App, Cell, Cst, Deref, DepMap, DependencyViolation, EMPTY_DEP,
+    FuelExhausted, GLet, GName, Lam, Let, Name, Nm, OMEGA, OverlapViolation,
+    RefNew, RuntimeConfig, SavedCst, SavedLam, Store, Stuck, Term, UNIT_V,
+    const_key, dep_add_hard, dep_dom_subst, dep_rewire, qual_repr,
+    rename_graph, saturate, subst_term, term_operands, term_with_child, NLam,
+    NApp, NRef, NDeref, NAssign, NCst,
 )
 from .typecheck import infer_direct
 
@@ -27,7 +28,7 @@ class EvalResult:
     store: Store
     value: object  # a value term (direct) or a location Name (store/graph)
     steps: int
-    trace: Optional[list] = None
+    trace: Optional[list] = None  # (rule, state after the step) per step
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +62,9 @@ def _step(is_value, contract, store: Store, t: Term):
     return t, rule
 
 
-def _reduce(step, store: Store, t: Term, fuel: int, trace: bool):
-    """Step `t` on a copy of `store` until `step` finds a value."""
+def _reduce(step, store: Store, t, fuel: int, trace: bool):
+    """Step the state `t` (a term, or a graph configuration) on a copy of
+    `store` until `step` finds a value."""
     sigma = store.copy()
     tr = [] if trace else None
     steps = 0
@@ -99,7 +101,7 @@ def _contract_direct(store: Store, t: Term):
     if isinstance(t, RefNew):
         cap = t.cap
         is_cap = (isinstance(cap, Cst) and cap.value is OMEGA) or (
-            isinstance(cap, Nm) and isinstance(store[cap.name], Capability))
+            isinstance(cap, Nm) and store[cap.name] is OMEGA)
         if not is_cap:
             raise Stuck(f"ref through non-capability {cap!r}")
         if not isinstance(t.init, Cst):
@@ -144,18 +146,18 @@ def _contract_store(store: Store, t: Term):
         loc = store.alloc(SavedCst(t.value), "c")
         return Nm(loc), "intro"
     if isinstance(t, Lam):
-        loc = store.alloc(SavedLamTerm(t), "f")
+        loc = store.alloc(SavedLam(t), "f")
         return Nm(loc), "intro"
     if isinstance(t, App):
         entry = store[t.fn.name]
-        if not isinstance(entry, SavedLamTerm):
+        if not isinstance(entry, SavedLam):
             raise Stuck(f"applied non-function location {t.fn.name!r}")
         lam = entry.lam
         return subst_term(lam.body, lam.param, t.arg), "beta"
     if isinstance(t, Let):
         return subst_term(t.body, t.var, t.bound), "let"
     if isinstance(t, RefNew):
-        if not isinstance(store[t.cap.name], Capability):
+        if store[t.cap.name] is not OMEGA:
             raise Stuck(f"ref through non-capability {t.cap!r}")
         loc = store.alloc(Cell(t.init.name), "r")
         return Nm(loc), "intro"
@@ -223,13 +225,13 @@ def _contract_graph(store: Store, g: GLet):
         return (_runtime_subst(body, x, dep or EMPTY_DEP, loc),
                 None, "intro")
     if isinstance(b, NLam):
-        loc = store.alloc(SavedLamGraph(b), "f")
+        loc = store.alloc(SavedLam(b), "f")
         return (_runtime_subst(body, x, dep or EMPTY_DEP, loc),
                 None, "intro")
     if isinstance(b, NRef):
         if not (b.cap.is_loc and b.init.is_loc):
             raise Stuck(f"ref operands not locations: {b!r}")
-        if not isinstance(store[b.cap], Capability):
+        if store[b.cap] is not OMEGA:
             raise Stuck(f"ref through non-capability {b.cap!r}")
         loc = store.alloc(Cell(b.init), "r")
         return (_runtime_subst(body, x, dep or EMPTY_DEP, loc),
@@ -238,7 +240,7 @@ def _contract_graph(store: Store, g: GLet):
         if not (b.fn.is_loc and b.arg.is_loc):
             raise Stuck(f"application operands not locations: {b!r}")
         entry = store[b.fn]
-        if not isinstance(entry, SavedLamGraph):
+        if not isinstance(entry, SavedLam):
             raise Stuck(f"applied non-function location {b.fn!r}")
         lam = entry.lam
         inlined = _runtime_subst(lam.body, lam.param, dep or EMPTY_DEP,
@@ -262,12 +264,14 @@ def _contract_graph(store: Store, g: GLet):
     raise TypeError(b)
 
 
-def _step_graph(store: Store, z: Name, g: GraphTerm):
-    """One reduction at the innermost-leftmost binding: nested blocks
-    reduce first. Returns (g', ref_alloc_or_None, rule) or None when g is
-    a returned location. A freshly allocated reference location is handed
-    upward so every annotation along the spine gains loc↦z (contextual
-    effect propagation)."""
+def _step_graph(z: Name, store: Store, config: tuple):
+    """One reduction of the configuration (g, top-level annotation) at
+    g's innermost-leftmost binding: nested blocks reduce first. Returns
+    ((g', annotation'), rule), or None when g is a returned location. A
+    freshly allocated reference location gains loc↦z in every annotation
+    along the spine, the top-level one too (contextual effect
+    propagation)."""
+    g, top = config
     if isinstance(g, GName):
         if g.name.is_loc:
             return None
@@ -287,28 +291,17 @@ def _step_graph(store: Store, z: Name, g: GraphTerm):
         dep = u.dep if alloc is None else dep_add_hard(u.dep or EMPTY_DEP,
                                                        alloc, z)
         g = GLet(u.var, g, u.body, dep)
-    return g, alloc, rule
+    if alloc is not None:
+        top = dep_add_hard(top, alloc, z)
+    return (g, top), rule
 
 
 def eval_graph(cfg: RuntimeConfig, fuel: int = DEFAULT_FUEL,
                trace: bool = False) -> EvalResult:
-    sigma = cfg.store.copy()
-    g = cfg.graph
-    topdep = cfg.dep
-    tr = [] if trace else None
-    steps = 0
-    while True:
-        r = _step_graph(sigma, cfg.z, g)
-        if r is None:
-            return EvalResult(sigma, g.name, steps, tr)
-        g, alloc, rule = r
-        if alloc is not None:
-            topdep = dep_add_hard(topdep, alloc, cfg.z)
-        steps += 1
-        if steps > fuel:
-            raise FuelExhausted(f"no value after {fuel} steps")
-        if tr is not None:
-            tr.append((rule, g, topdep))
+    res = _reduce(partial(_step_graph, cfg.z), cfg.store,
+                  (cfg.graph, cfg.dep), fuel, trace)
+    res.value = res.value[0].name
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +320,13 @@ def canonical_value(store: Store, value) -> tuple:
         value = value.name
     if isinstance(value, Name):
         entry = store[value]
-        if isinstance(entry, Capability):
+        if entry is OMEGA:
             return ("cap",)
         if isinstance(entry, Cell):
             return ("ref", canonical_value(store, entry.content))
         if isinstance(entry, SavedCst):
             return ("cst",) + const_key(entry.value)
-        if isinstance(entry, (SavedLamTerm, SavedLamGraph)):
+        if isinstance(entry, SavedLam):
             return ("closure", entry.lam.param.id)
     return ("cst",) + const_key(value)
 

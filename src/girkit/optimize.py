@@ -11,6 +11,7 @@ site instead of starting again at the root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator
 
 from .core import (
@@ -112,13 +113,23 @@ def walk(g: GraphTerm, record: dict) -> Iterator[Site]:
 
 def _scope(g, path, rebuild, record, uses):
     # a module-level generator, so that no closure cell keeps `record` in
-    # a reference cycle
+    # a reference cycle. A site's `rebuild` puts the lets before it back
+    # in one loop and then calls the spine's own `rebuild`, so that calling
+    # it nests no frame per let.
+    lets = []
     for g in spine(g)[0]:
-        yield Site(0, path, g, rebuild, record, uses)
-        yield from _inside(g, path, rebuild, record, uses)
-        rebuild = (lambda frag, g=g, rb=rebuild:
-                   rb(GLet(g.var, g.binding, frag, None)))
+        site_rebuild = partial(_put_back, rebuild, lets, len(lets))
+        yield Site(0, path, g, site_rebuild, record, uses)
+        yield from _inside(g, path, site_rebuild, record, uses)
+        lets.append(g)
         path = path + (1,)
+
+
+def _put_back(rebuild, lets: list, n: int, frag):
+    """`rebuild` of `frag` under the first `n` of `lets`, unannotated."""
+    for g in reversed(lets[:n]):
+        frag = GLet(g.var, g.binding, frag, None)
+    return rebuild(frag)
 
 
 def _inside(g, path, rebuild, record, uses):

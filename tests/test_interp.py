@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from girkit.core import (
-    App, Assign, Cell, Cst, Deref, DependencyViolation, FuelExhausted, GLet,
-    GName, Lam, Let, Name, NCst, Nm, OverlapViolation, PURE, QualifiedType,
-    RefNew, RuntimeConfig, SavedCst, TY_INT, initial_store, ty_to_text,
+    App, Assign, Cell, Cst, DepMap, Deref, DependencyViolation,
+    FuelExhausted, GLet, GName, Lam, Let, Name, NCst, Nm, OverlapViolation,
+    PURE, QualifiedType, RefNew, RuntimeConfig, SavedCst, TY_INT,
+    initial_store, ty_to_text,
 )
 from girkit.cli import parse
 from girkit.graphir import synthesize_config
@@ -124,7 +125,15 @@ class TestCongruence:
             t = parse(src, store)
             if semantics == "graph":
                 r = eval_graph(synthesize_config(store,
-                                                 to_mnf(t, store.supply)))
+                                                 to_mnf(t, store.supply)),
+                               trace=True)
+                # each entry is (rule, (graph, top-level annotation))
+                assert len(r.trace) == r.steps
+                for rule, (g, top) in r.trace:
+                    assert isinstance(rule, str)
+                    assert isinstance(g, (GLet, GName))
+                    assert isinstance(top, DepMap)
+                assert r.trace[-1][1][0] == GName(r.value)
             else:
                 r = semantics(store, t, trace=True)
                 last = r.value if semantics is eval_direct else Nm(r.value)

@@ -33,7 +33,8 @@ def test_package_imports(version, tmp_path):
     regex matches is up to each version's `re`), mints, pickles and sorts
     names (an `int` subtype with an instance dict, laid out differently
     per version), parses and synthesizes a 3-let program and pickles its
-    annotated graph, synthesizes a program with a nested block and a
+    annotated graph, whose store must keep ω and a pickled unit constant
+    unit itself, synthesizes a program with a nested block and a
     lambda body in both regimes, whose annotated graphs' JSON must hash
     to the digest pinned under 3.11, compares and hashes records and
     writes a field of one (slotted frozen dataclasses differ across
@@ -102,8 +103,9 @@ _BAD_CHARACTER = "E013 unexpected character '$' 1 2"
 _NAMES_AND_RUN = """
 import dataclasses, hashlib, pickle, sys, girkit
 from girkit.cli import export_json, main, parse, tokenize
-from girkit.core import (Name, NameSupply, ParseError, QualifiedType,
-                         RwEffect, TY_INT, graph_to_text, initial_store)
+from girkit.core import (Cst, Name, NameSupply, OMEGA, ParseError,
+                         QualifiedType, RwEffect, TY_INT, UNIT_V,
+                         graph_to_text, initial_store)
 from girkit.graphir import synthesize_config
 from girkit.mnf import to_mnf
 print('%d.%d' % sys.version_info[:2])
@@ -129,6 +131,10 @@ back = pickle.loads(pickle.dumps(cfg))
 if not (back.graph == cfg.graph and back.dep == cfg.dep
         and graph_to_text(back.graph) == graph_to_text(cfg.graph)):
     sys.exit("the annotated graph does not survive pickling")
+if back.store[back.store.w] is not OMEGA:
+    sys.exit("the capability does not survive pickling")
+if pickle.loads(pickle.dumps(Cst(UNIT_V))).value is not UNIT_V:
+    sys.exit("unit does not survive pickling")
 store = initial_store()
 with open(sys.argv[3]) as f:
     g = to_mnf(parse(f.read(), store), store.supply)

@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import pickle
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -16,7 +17,7 @@ from girkit.core import (
     NAssign,
     NCst, NDeref, NLam, NRef, Nm, PURE, QualifiedType,
     RW, RuntimeConfig, RwEffect, SideConditionFailed, TY_ALLOC, TY_INT,
-    TypingContext, graph_free_names, graph_to_text, initial_store,
+    TypingContext, graph_free_names, graph_to_text, initial_store, spine,
     term_to_text,
 )
 from girkit.cli import _front_end, main
@@ -348,6 +349,71 @@ class TestDriver:
             after = eval_graph(RuntimeConfig(store.copy(), z, got, slice_))
             assert (canonical_value(before.store, before.value)
                     == canonical_value(after.store, after.value))
+
+
+class TestDeepSites:
+    """A site's `rebuild` puts the lets before it back in one loop, so a
+    fire far down a spine nests no Python frame per let: in a lambda body
+    through the driver, and on the top spine through a path-form call."""
+
+    @staticmethod
+    def aliases(store, n, first):
+        """`let x1 = first in … let xn = x(n-1) in let d = 7 in xn`: only
+        `d` is dead."""
+        sup = store.supply
+        xs = [sup.var(f"x{i}") for i in range(1, n + 1)]
+        g = GLet(sup.var("d"), NCst(7), GName(xs[-1]))
+        for prev, x in reversed(list(zip([first] + xs, xs))):
+            g = GLet(x, GName(prev), g)
+        return g
+
+    def test_a_fire_deep_in_a_lambda_body(self):
+        n = 1_500
+        assert sys.getrecursionlimit() < n
+        store = initial_store()
+        sup = store.supply
+        p, f = sup.var("p"), sup.var("f")
+        body = self.aliases(store, n, p)
+        g = GLet(f, NLam(p, QualifiedType(TY_INT), PURE, body), GName(f))
+        st, _ = initial_state(store)
+        got, reports = optimize(st, g, ["dce"], supply=sup)
+        assert [(r.site, r.fired) for r in reports] == [((0,) + (1,) * n,
+                                                          True)]
+        kept = got.binding.body
+        assert node_ops(kept) == ["GName"] * n
+        assert spine(kept)[1] == GName(spine(body)[0][n - 1].var)
+
+    def test_a_path_form_fire_deep_in_the_top_spine(self):
+        n = 1_500
+        store = initial_store()
+        sup = store.supply
+        x0 = sup.var("x0")
+        g = GLet(x0, NCst(1), self.aliases(store, n - 1, x0))
+        st, _ = initial_state(store)
+        got = rw_dce(st, g, (1,) * n, sup)
+        assert node_ops(got) == ["NCst"] + ["GName"] * (n - 1)
+        assert spine(got)[1] == spine(g)[1]
+
+    def test_a_comm_sweep_over_a_long_lambda_body(self):
+        """Every adjacent pair of constants commutes, and a swapped pair
+        is not tried again, so the sweep swaps the body's 1,200 lets pair
+        by pair, down to the last pair."""
+        n = 1_200
+        store = initial_store()
+        sup = store.supply
+        p, f = sup.var("p"), sup.var("f")
+        cs = [sup.var(f"c{i}") for i in range(n)]
+        body = GName(cs[-1])
+        for i in reversed(range(n)):
+            body = GLet(cs[i], NCst(i), body)
+        g = GLet(f, NLam(p, QualifiedType(TY_INT), PURE, body), GName(f))
+        st, _ = initial_state(store)
+        got, reports = optimize(st, g, ["comm"], fuel=10 ** 6, supply=sup)
+        assert [r.site for r in reports if r.fired] == [
+            (0,) + (1,) * k for k in range(0, n, 2)]
+        pairs = [(cs[i + 1], cs[i]) for i in range(0, n, 2)]
+        assert [u.var for u in spine(got.binding.body)[0]] == [
+            c for pair in pairs for c in pair]
 
 
 class TestComposedRules:
