@@ -18,7 +18,7 @@ from .core import (
     GirError, GLet, GName, HARD, JsonSchemaError, Lam, Let, LOC, Name,
     NCst, NLam, NODE_OPERATOR, Nm, OMEGA, OPERATORS, ParseError, Qualifier,
     QualifiedType, RefNew, RefTy, RuntimeConfig, RW, RwEffect, Span, Store,
-    Term, UNIT_V, VAR, const_key, effect_to_text, graph_to_text,
+    Term, UNIT_V, VAR, const_key, descend, effect_to_text, graph_to_text,
     initial_store, qt_to_text, record, spine,
 )
 from . import testkit
@@ -390,6 +390,8 @@ def export_dot(g, dep: Optional[DepMap] = None) -> str:
         return f'"{n.pretty()}"'
 
     def walk(g):
+        """The lines of a block and the blocks inside it: a walk (see
+        `core.descend`)."""
         lets, tail = spine(g)
         for g in lets:
             b = g.binding
@@ -409,13 +411,13 @@ def export_dot(g, dep: Optional[DepMap] = None) -> str:
                         lines.append(f"  {node_id(g.var)} -> "
                                      f"{node_id(t)} [style=dotted];")
             if isinstance(b, NLam):
-                walk(b.body)
+                yield walk(b.body)
             elif isinstance(b, GLet):
-                walk(b)
+                yield walk(b)
         if isinstance(tail, GName):
             lines.append(f"  {node_id(tail.name)} [peripheries=2];")
 
-    walk(g)
+    descend(walk(g))
     if dep is not None:
         for k in sorted(dep.hard):
             lines.append(f"  \"result\" -> \"{dep.hard[k].pretty()}\" "
@@ -551,14 +553,16 @@ def _value_of(v):
 _OPERATOR_NAMED = {o.op: o for o in OPERATORS}
 
 
-def _exp_json(b) -> dict:
+def _exp_json(b):
+    """The walk (see `core.descend`) whose result is a binding's JSON
+    entry."""
     if isinstance(b, NCst):
         return {"op": "cst", "value": list(const_key(b.value))}
     if isinstance(b, NLam):
         out = {"op": "lam", "param": _name_str(b.param),
                "paramQt": _qt_json(b.param_qt),
                "latent": _eff_json(b.latent),
-               "body": _graph_json(b.body)}
+               "body": (yield _graph_json(b.body))}
         if b.body_dep is not None:
             out["bodyDep"] = _dep_json(b.body_dep)
         return out
@@ -568,7 +572,7 @@ def _exp_json(b) -> dict:
     if isinstance(b, GName):
         return {"op": "name", "args": [_name_str(b.name)]}
     if isinstance(b, GLet):
-        return {"op": "block", "graph": _graph_json(b)}
+        return {"op": "block", "graph": (yield _graph_json(b))}
     raise JsonSchemaError(f"unserializable binding {b!r}")
 
 
@@ -581,6 +585,7 @@ def _args_of(v, n: int) -> list:
 
 
 def _exp_of(v):
+    """The walk whose result is the binding a JSON entry encodes."""
     if not isinstance(v, dict) or "op" not in v:
         raise JsonSchemaError(f"malformed node {v!r}")
     op = v["op"]
@@ -590,7 +595,7 @@ def _exp_of(v):
         try:
             body_dep = _dep_of(v.get("bodyDep"))
             return NLam(_name_of(v["param"]), _qt_of(v["paramQt"]),
-                        _eff_of(v["latent"]), _graph_of(v["body"]),
+                        _eff_of(v["latent"]), (yield _graph_of(v["body"])),
                         body_dep)
         except KeyError as e:
             raise JsonSchemaError(f"lam node missing {e}")
@@ -600,14 +605,14 @@ def _exp_of(v):
     if op == "name":
         return GName(*_args_of(v, 1))
     if op == "block":
-        return _graph_of(v.get("graph"))
+        return (yield _graph_of(v.get("graph")))
     raise JsonSchemaError(f"unknown op kind {op!r}")
 
 
-def _graph_json(g) -> dict:
+def _graph_json(g):
     nodes, g = spine(g)
     for i, u in enumerate(nodes):  # each let becomes its JSON entry
-        nodes[i] = {"id": _name_str(u.var), **_exp_json(u.binding)}
+        nodes[i] = {"id": _name_str(u.var), **(yield _exp_json(u.binding))}
         if u.dep is not None:
             nodes[i]["dep"] = _dep_json(u.dep)
     if not isinstance(g, GName):
@@ -624,10 +629,15 @@ def _graph_of(v):
     for entry in reversed(v["nodes"]):
         if not isinstance(entry, dict) or "id" not in entry:
             raise JsonSchemaError(f"malformed node entry {entry!r}")
-        binding = _exp_of(entry)
+        binding = yield _exp_of(entry)
         dep = _dep_of(entry.get("dep"))
         g = GLet(_name_of(entry["id"]), binding, g, dep)
     return g
+
+
+# the `json` module nests its containers on the Python stack
+_JSON_DEPTH = ("the graph nests deeper than the json module's recursion "
+               "limit")
 
 
 def export_json(g, dep: Optional[DepMap] = None,
@@ -638,8 +648,11 @@ def export_json(g, dep: Optional[DepMap] = None,
     doc = {"format": _FORMAT, "version": _VERSION,
            "start": _name_str(start) if start is not None else None,
            "dep": _dep_json(dep),
-           "graph": _graph_json(g)}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+           "graph": descend(_graph_json(g))}
+    try:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    except RecursionError:
+        raise GirError(_JSON_DEPTH + "; export it with --dot") from None
 
 
 def import_json(text: str):
@@ -648,12 +661,14 @@ def import_json(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise JsonSchemaError(f"invalid JSON: {e}")
+    except RecursionError:
+        raise JsonSchemaError(_JSON_DEPTH) from None
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise JsonSchemaError("not a graph document")
     version = doc.get("version")
     if type(version) is not int or version != _VERSION:  # True == 1 == 1.0
         raise JsonSchemaError(f"unsupported version {version!r}")
-    g = _graph_of(doc.get("graph"))
+    g = descend(_graph_of(doc.get("graph")))
     dep = _dep_of(doc.get("dep"))
     start = _name_of(doc["start"]) if doc.get("start") is not None else None
     return g, dep, start

@@ -16,6 +16,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from inspect import signature
 from operator import attrgetter
 from collections.abc import Mapping, Set as AbstractSet
+from types import GeneratorType
 from typing import Callable, Optional, Union
 
 
@@ -63,6 +64,49 @@ def record(cls):
         sig = str(signature(cls)).replace(" -> None", "")
         cls.__doc__ = cls.__name__ + sig
     return cls
+
+
+# ---------------------------------------------------------------------------
+# Nested walks
+# ---------------------------------------------------------------------------
+
+def descend(walk):
+    """Run a nested walk to its result on an explicit stack instead of
+    Python's: the defunctionalized continuations of Danvy and Nielsen,
+    "Defunctionalization at Work" (PPDP 2001), with a generator standing
+    for each rule's continuation. A rule writes `r = yield sub` where a
+    recursive one would call the walker: `sub` is a generator, which
+    runs here to its result, or a value, which is sent straight back (a
+    walker may hand back an atom's result without a generator). An
+    exception a sub-walk raises is thrown into its parent at that
+    `yield`, as recursion would propagate it. So a walk takes the same
+    few Python frames at any nesting depth. `walk` itself may be a
+    value, which is its own result."""
+    if type(walk) is not GeneratorType:
+        return walk
+    stack, value, error = [], None, None
+    while True:
+        try:
+            if error is None:
+                sub = walk.send(value)
+            else:
+                sub, error = walk.throw(error), None
+        except StopIteration as stop:
+            value, error = stop.value, None
+        except Exception as e:
+            error = e
+        else:
+            if type(sub) is GeneratorType:
+                stack.append(walk)
+                walk, value = sub, None
+            else:
+                value = sub
+            continue
+        if not stack:
+            if error is not None:
+                raise error
+            return value
+        walk = stack.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +414,20 @@ class RefTy:
         return f"Ref[{self.payload!r}]"
 
 
+class _Memo:
+    """A slot past a record's fields that keeps a value computed from
+    them once it is first read: the record stays immutable, and neither
+    its fields, its comparison nor its pickled state include the slot."""
+
+    __slots__ = ("_memo",)
+
+
 @record
-class FunTy:
+class FunTy(_Memo):
+    """A function type; its memo holds `ty_free_names` of it, so the
+    names of a type nested as deep as the lambdas it types are found once,
+    not once per enclosing let."""
+
     param: Name
     param_qt: "QualifiedType"
     latent: RwEffect
@@ -420,13 +476,25 @@ def subst_qual_qt(qt: QualifiedType, x: Name, p: Qualifier) -> QualifiedType:
 
 def ty_free_names(ty: Ty) -> frozenset:
     """Names occurring in qualifier positions inside a type (minus binders)."""
+    return descend(_ty_free(ty))
+
+
+def _ty_free(ty):
     if isinstance(ty, (BaseTy, RefTy)):
-        return frozenset()
-    if isinstance(ty, FunTy):
-        inner = (qt_free_names(ty.param_qt) | ty.latent.flat
-                 | qt_free_names(ty.result_qt))
-        return inner - {ty.param}
-    raise TypeError(ty)
+        return EMPTY_QUAL
+    if not isinstance(ty, FunTy):
+        raise TypeError(ty)
+    free = getattr(ty, "_memo", None)
+    return _fun_free(ty) if free is None else free
+
+
+def _fun_free(ty: FunTy):
+    inner = ((yield _ty_free(ty.param_qt.ty)) | ty.param_qt.qual
+             | ty.latent.flat | (yield _ty_free(ty.result_qt.ty))
+             | ty.result_qt.qual)
+    free = inner - {ty.param}
+    _Memo._memo.__set__(ty, free)
+    return free
 
 
 def qt_free_names(qt: QualifiedType) -> frozenset:
@@ -1122,7 +1190,10 @@ class Nm:
 
 
 @record
-class Lam:
+class Lam(_Memo):
+    """A lambda; its memo holds `term_free_names` of it, so a walk finds
+    the names of a lambda inside one it walked without walking it again."""
+
     param: Name
     param_qt: QualifiedType
     latent: RwEffect
@@ -1164,12 +1235,6 @@ class Let:
     body: "Term"
     span: Optional[Span] = field(default=None, compare=False)
 
-    def __eq__(self, other):
-        return _spine_eq(self, other, ("var", "bound"))
-
-    def __hash__(self):
-        return _spine_hash(self, ("var", "bound"))
-
 
 Term = Union[Cst, Nm, Lam, App, RefNew, Deref, Assign, Let]
 
@@ -1186,7 +1251,10 @@ class NCst:
 
 
 @record
-class NLam:
+class NLam(_Memo):
+    """A graph lambda; its memo holds `graph_free_names` of it, as `Lam`'s
+    does."""
+
     param: Name
     param_qt: QualifiedType
     latent: RwEffect
@@ -1232,42 +1300,61 @@ class GLet:
     body: "GraphTerm"
     dep: Optional[DepMap] = None  # dependency annotation on the binding
 
-    def __eq__(self, other):
-        return _spine_eq(self, other, ("var", "binding", "dep"))
-
-    def __hash__(self):
-        return _spine_hash(self, ("var", "binding", "dep"))
-
-
-# Let and GLet compare and hash down their spine in a loop, so that a
-# spine of any length stays within the default recursion limit; only the
-# fields other than `body` recurse.
-
-def _spine_eq(a, b, fields: tuple) -> bool:
-    if type(b) is not type(a):
-        return NotImplemented
-    cls = type(a)
-    while type(a) is cls and type(b) is cls:
-        if a is b:
-            return True
-        for f in fields:
-            x, y = getattr(a, f), getattr(b, f)
-            if x is not y and x != y:
-                return False
-        a, b = a.body, b.body
-    return a == b
-
-
-def _spine_hash(t, fields: tuple) -> int:
-    lets, tail = spine(t)
-    h = hash(tail)
-    for u in reversed(lets):
-        h = hash((*(getattr(u, f) for f in fields), h))
-    return h
-
 
 GraphTerm = Union[GName, GLet]
 Binding = Union[GraphNode, GName, GLet]
+
+
+# The records that nest (terms and graph terms with children, function
+# types and qualified types) compare and hash by one structural walk on
+# an explicit stack, so that any depth of nesting, a let spine's
+# included, compares within the default recursion limit. Their compared
+# values are their fields but spans; any other value, a leaf record
+# included, compares by its own `==`.
+
+def _tree_eq(a, b) -> bool:
+    if type(b) is not type(a):
+        return NotImplemented
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        values = _COMPARED.get(type(x))
+        if values is None:
+            if x != y:
+                return False
+        elif type(y) is not type(x):
+            return False
+        else:
+            todo += zip(values(x), values(y))
+    return True
+
+
+def _tree_hash(t) -> int:
+    leaves, todo = [], [t]
+    while todo:
+        x = todo.pop()
+        values = _COMPARED.get(type(x))
+        if values is None:
+            leaves.append(x)
+        else:
+            leaves.append(type(x))
+            todo += values(x)
+    return hash(tuple(leaves))
+
+
+def _structural(cls) -> Callable:
+    """Give `cls` the structural `==` and hash; returns the getter of the
+    tuple of its compared values."""
+    cls.__eq__, cls.__hash__ = _tree_eq, _tree_hash
+    names = [f.name for f in fields(cls) if f.compare]
+    get = attrgetter(*names)
+    return get if len(names) > 1 else lambda x: (get(x),)
+
+
+_COMPARED = {cls: _structural(cls) for cls in (
+    Lam, App, RefNew, Deref, Assign, Let, NLam, GLet, FunTy, QualifiedType)}
 
 
 # ---------------------------------------------------------------------------
@@ -1357,8 +1444,9 @@ def term_with_child(t, i: int, new):
 
 def spine(t) -> tuple[list, object]:
     """The let spine of a term or graph term: its `Let` or `GLet` nodes,
-    outermost first, and the tail that ends it. Walkers loop over it, so
-    that only lambda bodies, operands and nested blocks recurse."""
+    outermost first, and the tail that ends it. Walkers loop over it, and
+    descend (see `descend`) only into lambda bodies, operands and nested
+    blocks."""
     lets = []
     while isinstance(t, (Let, GLet)):
         lets.append(t)
@@ -1369,18 +1457,35 @@ def spine(t) -> tuple[list, object]:
 def term_free_names(t: Term) -> frozenset:
     """Free names of a term, including names mentioned inside type
     annotations (qualifiers on lambda parameters and latent effects)."""
-    lets, t = spine(t)
+    return descend(_term_free(t))
+
+
+def _term_free(t: Term):
     if isinstance(t, Cst):
-        free = frozenset()
-    elif isinstance(t, Nm):
-        free = frozenset((t.name,))
+        return EMPTY_QUAL
+    if isinstance(t, Nm):
+        return frozenset((t.name,))
+    if isinstance(t, Lam):
+        free = getattr(t, "_memo", None)
+        if free is not None:
+            return free
+    return _term_free_nested(t)
+
+
+def _term_free_nested(t: Term):
+    lets, t = spine(t)
+    if isinstance(t, (Cst, Nm)):
+        free = _term_free(t)
     elif isinstance(t, Lam):
-        free = (term_free_names(t.body) | qt_free_names(t.param_qt)
+        free = ((yield _term_free(t.body)) | qt_free_names(t.param_qt)
                 | t.latent.flat) - {t.param}
+        _Memo._memo.__set__(t, free)
     else:
-        free = frozenset().union(*map(term_free_names, term_operands(t)))
+        free = EMPTY_QUAL
+        for u in term_operands(t):
+            free = free | (yield _term_free(u))
     for u in reversed(lets):
-        free = term_free_names(u.bound) | frozenset(free - {u.var})
+        free = (yield _term_free(u.bound)) | (free - {u.var})
     return free
 
 
@@ -1415,6 +1520,10 @@ def subst_term(t: Term, x: Name, v: Term) -> Term:
     so v is never captured). A lambda's annotations take q[p/x], p being
     v's free names: {l} for a location, a closure's captures, and the
     empty set for a constant."""
+    return descend(_subst(t, x, v))
+
+
+def _subst(t: Term, x: Name, v: Term):
     lets, t = spine(t)
     cut = next((i for i, u in enumerate(lets) if u.var == x), None)
     if cut is not None:  # a let rebinds x: its body is out of scope
@@ -1426,54 +1535,76 @@ def subst_term(t: Term, x: Name, v: Term) -> Term:
         if x in latent.reads or x in latent.writes or x in qt_free_names(qt):
             p = term_free_names(v)
             qt, latent = subst_qual_qt(qt, x, p), latent.subst(x, p)
-        t = Lam(t.param, qt, latent, subst_term(t.body, x, v))
+        t = Lam(t.param, qt, latent, (yield _subst(t.body, x, v)))
     elif not isinstance(t, (Cst, Lam)):
-        t = type(t)(*[subst_term(u, x, v) for u in term_operands(t)])
+        kids = []
+        for u in term_operands(t):
+            kids.append((yield _subst(u, x, v)))
+        t = type(t)(*kids)
     for u in reversed(lets):
-        t = Let(u.var, subst_term(u.bound, x, v), t)
+        t = Let(u.var, (yield _subst(u.bound, x, v)), t)
     return t
 
 
 def alpha_equal_terms(t1: Term, t2: Term) -> bool:
     """Structural equality up to consistent renaming of bound names."""
-    def go(a, b, env):
-        (lets_a, a), (lets_b, b) = spine(a), spine(b)
-        if len(lets_a) != len(lets_b) or type(a) is not type(b):
+    return descend(_alpha(t1, t2, {}))
+
+
+def _alpha(a, b, env: dict):
+    (lets_a, a), (lets_b, b) = spine(a), spine(b)
+    if len(lets_a) != len(lets_b) or type(a) is not type(b):
+        return False
+    if lets_a:
+        env = dict(env)
+        for u, w in zip(lets_a, lets_b):
+            if not (yield _alpha(u.bound, w.bound, env)):
+                return False
+            env[u.var] = w.var
+    if isinstance(a, Cst):
+        return a == b
+    if isinstance(a, Nm):
+        return env.get(a.name, a.name) == b.name
+    if isinstance(a, Lam):
+        env2 = dict(env)
+        env2[a.param] = b.param
+        return (rename_qt(a.param_qt, env) == rename_qt(b.param_qt, {})
+                and rename_effect(a.latent, env) == b.latent
+                and (yield _alpha(a.body, b.body, env2)))
+    for u, w in zip(term_operands(a), term_operands(b)):
+        if not (yield _alpha(u, w, env)):
             return False
-        if lets_a:
-            env = dict(env)
-            for u, w in zip(lets_a, lets_b):
-                if not go(u.bound, w.bound, env):
-                    return False
-                env[u.var] = w.var
-        if isinstance(a, Cst):
-            return a == b
-        if isinstance(a, Nm):
-            return env.get(a.name, a.name) == b.name
-        if isinstance(a, Lam):
-            env2 = dict(env)
-            env2[a.param] = b.param
-            return (rename_qt(a.param_qt, env) == rename_qt(b.param_qt, {})
-                    and rename_effect(a.latent, env) == b.latent
-                    and go(a.body, b.body, env2))
-        return all(go(u, w, env)
-                   for u, w in zip(term_operands(a), term_operands(b)))
-    return go(t1, t2, {})
+    return True
 
 
 def graph_free_names(g: Union[GraphTerm, GraphNode]) -> frozenset:
-    lets, g = spine(g)
+    return descend(_graph_free(g))
+
+
+def _graph_free(g):
     if isinstance(g, GName):
-        free = frozenset((g.name,))
-    elif isinstance(g, NCst):
-        free = frozenset()
-    elif isinstance(g, NLam):
-        free = (graph_free_names(g.body) | qt_free_names(g.param_qt)
+        return frozenset((g.name,))
+    if isinstance(g, NCst):
+        return EMPTY_QUAL
+    if isinstance(g, NLam):
+        free = getattr(g, "_memo", None)
+        if free is not None:
+            return free
+    elif not isinstance(g, GLet):
+        return frozenset(node_operands(g))
+    return _graph_free_nested(g)
+
+
+def _graph_free_nested(g):
+    lets, g = spine(g)
+    if isinstance(g, NLam):
+        free = ((yield _graph_free(g.body)) | qt_free_names(g.param_qt)
                 | g.latent.flat) - {g.param}
+        _Memo._memo.__set__(g, free)
     else:
-        free = frozenset(node_operands(g))
+        free = _graph_free(g)
     for u in reversed(lets):
-        free = graph_free_names(u.binding) | frozenset(free - {u.var})
+        free = (yield _graph_free(u.binding)) | (free - {u.var})
     return free
 
 
@@ -1501,28 +1632,35 @@ def rename_graph(g, mapping: dict, *, fresh: Optional[NameSupply] = None,
     def ann(d):
         return d if dep is None or d is None else dep(d)
 
+    def step(g, m):
+        if isinstance(g, GName):
+            n = m.get(g.name)
+            return g if n is None else GName(n)
+        if isinstance(g, (GLet, NLam)):
+            return go(g, m)
+        if m and not isinstance(g, NCst):
+            return type(g)(*[m.get(n, n) for n in node_operands(g)])
+        return g
+
     def go(g, m):
         lets, g = spine(g)
         bound = []
         for u in lets:
             v, inner = bind(u.var, m)
-            bound.append((v, go(u.binding, m)))
+            bound.append((v, (yield step(u.binding, m))))
             m = inner
-        if isinstance(g, GName):
-            n = m.get(g.name)
-            g = g if n is None else GName(n)
-        elif isinstance(g, NLam):
+        if isinstance(g, NLam):
             p, inner = bind(g.param, m)
             g = NLam(p, rename_qt(g.param_qt, inner),
-                     rename_effect(g.latent, inner), go(g.body, inner),
-                     ann(g.body_dep))
-        elif m and not isinstance(g, NCst):
-            g = type(g)(*[m.get(n, n) for n in node_operands(g)])
+                     rename_effect(g.latent, inner),
+                     (yield step(g.body, inner)), ann(g.body_dep))
+        else:
+            g = step(g, m)
         for u, (v, b) in zip(reversed(lets), reversed(bound)):
             g = GLet(v, b, g, ann(u.dep))
         return g
 
-    return go(g, mapping)
+    return descend(step(g, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -1637,13 +1775,21 @@ def effect_to_text(e: RwEffect) -> str:
 
 
 def ty_to_text(ty: Ty) -> str:
+    return descend(_ty_text(ty))
+
+
+def _ty_text(ty: Ty):
     if isinstance(ty, BaseTy):
         return ty.name
     if isinstance(ty, RefTy):
         return f"Ref[{ty.payload.name}]"
     if isinstance(ty, FunTy):
-        return (f"(({ty.param.pretty()}: {qt_to_text(ty.param_qt)}) "
-                f"=>{{{effect_to_text(ty.latent)}}} {qt_to_text(ty.result_qt)})")
+        param = yield _ty_text(ty.param_qt.ty)
+        result = yield _ty_text(ty.result_qt.ty)
+        return (f"(({ty.param.pretty()}: "
+                f"{param}^{qual_to_text(ty.param_qt.qual)}) "
+                f"=>{{{effect_to_text(ty.latent)}}} "
+                f"{result}^{qual_to_text(ty.result_qt.qual)})")
     raise TypeError(ty)
 
 
@@ -1656,60 +1802,73 @@ def _atom(t: Term) -> bool:
 
 
 def term_to_text(t: Term) -> str:
+    return descend(_term_text(t))
+
+
+def _term_text(t: Term):
     if isinstance(t, Cst):
         return const_text(t.value)
     if isinstance(t, Nm):
         return t.name.pretty()
     if isinstance(t, Lam):
+        body = yield _term_text(t.body)
         return (f"fun ({t.param.pretty()}: {qt_to_text(t.param_qt)}) "
-                f"=>{{{effect_to_text(t.latent)}}} {term_to_text(t.body)}")
+                f"=>{{{effect_to_text(t.latent)}}} {body}")
     if isinstance(t, App):
-        fn = term_to_text(t.fn)
+        fn = yield _term_text(t.fn)
         if not isinstance(t.fn, (Nm, App)):
             fn = f"({fn})"
-        arg = term_to_text(t.arg)
+        arg = yield _term_text(t.arg)
         if not _atom(t.arg):
             arg = f"({arg})"
         return f"{fn} {arg}"
     if isinstance(t, RefNew):
-        return f"ref({term_to_text(t.cap)}, {term_to_text(t.init)})"
+        cap = yield _term_text(t.cap)
+        return f"ref({cap}, {(yield _term_text(t.init))})"
     if isinstance(t, Deref):
-        inner = term_to_text(t.ref)
+        inner = yield _term_text(t.ref)
         if not _atom(t.ref):
             inner = f"({inner})"
         return f"!{inner}"
     if isinstance(t, Assign):
-        lhs = term_to_text(t.ref)
+        lhs = yield _term_text(t.ref)
         if not _atom(t.ref):
             lhs = f"({lhs})"
-        rhs = term_to_text(t.value)
+        rhs = yield _term_text(t.value)
         if not _atom(t.value) and not isinstance(t.value, App):
             rhs = f"({rhs})"
         return f"{lhs} := {rhs}"
     if isinstance(t, Let):
         lets, t = spine(t)
-        return "".join([f"let {u.var.pretty()} = {term_to_text(u.bound)} in "
-                        for u in lets]) + term_to_text(t)
+        out = []
+        for u in lets:
+            bound = yield _term_text(u.bound)
+            out.append(f"let {u.var.pretty()} = {bound} in ")
+        return "".join(out) + (yield _term_text(t))
     raise TypeError(t)
 
 
 def graph_to_text(g: Union[GraphTerm, GraphNode]) -> str:
     """Graph terms printed in the same surface syntax (parseable)."""
+    return descend(_graph_text(g))
+
+
+def _graph_text(g):
     if isinstance(g, GName):
         return g.name.pretty()
     if isinstance(g, GLet):
         lets, g = spine(g)
         out = []
         for u in lets:
-            binding = graph_to_text(u.binding)
+            binding = yield _graph_text(u.binding)
             if isinstance(u.binding, (GLet,)):
                 binding = f"({binding})"
             out.append(f"let {u.var.pretty()} = {binding} in ")
-        return "".join(out) + graph_to_text(g)
+        return "".join(out) + (yield _graph_text(g))
     if isinstance(g, NCst):
         return const_text(g.value)
     if isinstance(g, NLam):
-        body = graph_to_text(g.body)
+        body = yield _graph_text(g.body)
         if isinstance(g.body, GLet):
             body = f"({body})"
         return (f"fun ({g.param.pretty()}: {qt_to_text(g.param_qt)}) "

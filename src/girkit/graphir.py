@@ -23,8 +23,8 @@ from .core import (
     DepMap, DepMismatch, EMPTY_DEP, EMPTY_QUAL, GLet, GName, GraphTerm, HARD,
     Name, NLam, RW, RuntimeConfig, Store, TypingContext, dep_has_target,
     dep_last_use, dep_restrict, dep_restrict_names, dep_rewire, dep_submap,
-    dep_update, footprint, graph_free_names, points_to, rename_effect,
-    rename_graph, rename_qt, rename_qual, saturate,
+    dep_update, descend, footprint, graph_free_names, points_to,
+    rename_effect, rename_graph, rename_qt, rename_qual, saturate,
 )
 from .mnf import check_binding, ends_in_binder
 from .typecheck import (
@@ -74,8 +74,9 @@ class Frame(NamedTuple):
 def synthesize(st: SynthState, g: GraphTerm) -> tuple[GraphTerm, DepMap]:
     """Annotate every binding of a well-typed MNF term with its dependency
     map and return the whole term's dependency slice. Each let spine is
-    one loop down its binders and one back up, so only lambda bodies and
-    nested blocks recurse. Contexts and Δ are persistent, so the frames
+    one loop down its binders and one back up, and lambda bodies and
+    nested blocks are sub-walks (see `core.descend`), so no depth of
+    nesting costs Python frames. Contexts and Δ are persistent, so the frames
     the descent keeps for the ascent cost O(1) each: a spine of n lets
     synthesizes in O(n) memory. Only a continuation reads the context
     and Δ after a let, so a let whose body is its own binder's name (the
@@ -96,8 +97,8 @@ def synthesize(st: SynthState, g: GraphTerm) -> tuple[GraphTerm, DepMap]:
     `body_dep`, is checked against the slice synthesized at its position
     (DepMismatch naming the let's binder or the lambda's parameter if it
     is not a sub-map of that slice), then replaced."""
-    g2, _out, slice_, _typing = _synth(st.ctx, st.last_use, g, st.regime,
-                                       None)
+    g2, _out, slice_, _typing = descend(_synth(st.ctx, st.last_use, g,
+                                               st.regime, None))
     return g2, slice_
 
 
@@ -166,7 +167,8 @@ def resynthesize(st: SynthState, g: GraphTerm, record: dict,
     result. Frames of the binders a rewrite removed stay in the record; no
     binder of `g` names them."""
     if old is None:
-        return _synth(st.ctx, st.last_use, g, st.regime, record)[0]
+        return descend(_synth(st.ctx, st.last_use, g, st.regime,
+                              record))[0]
     return _resynth(st.ctx, st.last_use, g, old, st.regime, record)[0]
 
 
@@ -213,12 +215,14 @@ def _resynth_binding(ctx, delta, g, old, regime, record):
     else:
         free = graph_free_names(b)
         if free != f.typing.qt.qual:  # the body's observation changed
-            b2, d1, tb = _synth_binding(ctx, delta, b, regime, record)
+            b2, d1, tb = descend(_synth_binding(ctx, delta, b, regime,
+                                                record))
         else:
             first = record[ob.body.var]
             body = _resynth(first.ctx, first.last_use, b.body, ob.body,
                             regime, record)
-            tb = check_lam(ctx, b, free, lambda _ctx, _body: body[3])
+            tb = descend(check_lam(ctx, b, free,
+                                   lambda _ctx, _body: body[3]))
             b2, d1 = NLam(b.param, b.param_qt, b.latent, *body[:2]), EMPTY_DEP
     frame = (g.var, ctx, delta, b2, d1, tb)
     if tb == f.typing:  # the state after the let is the recorded one
@@ -230,32 +234,33 @@ def _resynth_binding(ctx, delta, g, old, regime, record):
     if ends_in_binder(g):
         return _ascend(frames, _binder_tail(ctx, g.body, tb, qual), regime,
                        record)
-    return _synth(bind_let(ctx, g.var, tb, qual),
-                  dep_last_use(delta, g.var, foot, regime), g.body, regime,
-                  record, was=old, frames=frames)
+    return descend(_synth(bind_let(ctx, g.var, tb, qual),
+                          dep_last_use(delta, g.var, foot, regime), g.body,
+                          regime, record, was=old, frames=frames))
 
 
 def _resynth_site(ctx, delta, g, old, prev, regime, record):
     """Result of `g`, which replaced the recorded let `old` (entered in
     (ctx, delta)); `prev` is the binder of the let before both, if any."""
     if not isinstance(old, GLet):
-        return _synth(ctx, delta, g, regime, record)
+        return descend(_synth(ctx, delta, g, regime, record))
     f, nxt = record[old.var], old.body
     if g is nxt and not f.typing.eff.writes:  # deleted
-        return _synth(ctx, delta, g, regime, record, _gone(f, regime))
+        return descend(_synth(ctx, delta, g, regime, record,
+                              _gone(f, regime)))
     if (isinstance(g, GLet) and isinstance(nxt, GLet)
             and g.binding is nxt.binding and isinstance(g.body, GLet)
             and g.body.binding is old.binding and g.body.body is nxt.body):
-        return _synth(ctx, delta, g, regime, record, rename=({}, 2),
-                      was=old)  # swapped
+        return descend(_synth(ctx, delta, g, regime, record,
+                              rename=({}, 2), was=old))  # swapped
     if (prev is not None and old.binding == record[prev].binding
             and (isinstance(g, GLet) and isinstance(nxt, GLet)
                  and g.var == nxt.var
                  or isinstance(g, GName) and isinstance(nxt, GName))):
         # merged into `prev`: the continuation, renamed
-        return _synth(ctx, delta, g, regime, record,
-                      rename=({old.var: prev}, _ALL))
-    return _synth(ctx, delta, g, regime, record, was=old)
+        return descend(_synth(ctx, delta, g, regime, record,
+                              rename=({old.var: prev}, _ALL)))
+    return descend(_synth(ctx, delta, g, regime, record, was=old))
 
 
 def _gone(f, regime) -> tuple:
@@ -272,8 +277,9 @@ _NO_FOOT = {HARD: EMPTY_QUAL, RW: (EMPTY_QUAL, EMPTY_QUAL)}  # of no effect
 
 def _synth(ctx, delta, g, regime, record, gone=None, rename=None,
            was=None, frames=None):
-    """Returns (annotated, composed-output, slice, typing) for `g`, a let
-    spine entered in (ctx, delta). The descent keeps one frame per
+    """The walk (see `core.descend`) whose result is (annotated,
+    composed-output, slice, typing) for `g`, a let spine entered in (ctx,
+    delta). The descent keeps one frame per
     binder, after `frames`, those of the lets above `g` that it is to
     compose too. Without a record, an annotation on the input is checked
     against the slice synthesized at its position; with one, the input
@@ -310,8 +316,8 @@ def _synth(ctx, delta, g, regime, record, gone=None, rename=None,
             m, n = rename
             rename = (m, n - 1) if n > 1 else None
             tb, foot, qual = _renamed(f, m, regime)
-            b2, d1 = _rethread(ctx, delta, g.binding, tb, foot, regime,
-                               record, m)
+            b2, d1 = yield _rethread(ctx, delta, g.binding, tb, foot, regime,
+                                     record, m)
         elif gone is not None:
             var, pending = gone
             if not pending:  # the record holds from here, modulo `var`
@@ -319,8 +325,8 @@ def _synth(ctx, delta, g, regime, record, gone=None, rename=None,
                 break
             b2, d1, tb, foot, qual = f.binding, f.dep, f.typing, f.foot, f.qual
             if isinstance(b2, GLet):
-                b2, d1 = _synth(ctx, delta, b2, regime, record,
-                                (var, set(pending)))[:2]
+                b2, d1 = (yield _synth(ctx, delta, b2, regime, record,
+                                       (var, set(pending))))[:2]
             elif not isinstance(b2, NLam) and dep_has_target(d1, var):
                 d1 = dep_restrict(delta, foot, regime)
             pending.difference_update(foot if regime == HARD else foot[1])
@@ -333,7 +339,8 @@ def _synth(ctx, delta, g, regime, record, gone=None, rename=None,
                     break
                 if same is None:  # nor at any let below
                     was = None
-            b2, d1, tb = _synth_binding(ctx, delta, g.binding, regime, record)
+            b2, d1, tb = yield _synth_binding(ctx, delta, g.binding, regime,
+                                              record)
             if tb.eff.reads or tb.eff.writes:
                 foot = footprint(tb.eff, ctx, regime)
                 if d1 is None:  # a node: Δ restricted to its effect
@@ -420,14 +427,17 @@ def _renamed(f, m, regime):
 
 
 def _rethread(ctx, delta, b, tb, foot, regime, record, m):
-    """(annotated binding, dependency) of `b`, whose lets `record` holds
-    frames for under the renaming `m`, re-threaded from (ctx, delta):
-    its lets keep their recorded typings, renamed by `m`."""
+    """The walk whose result is (annotated binding, dependency) of `b`,
+    whose lets `record` holds frames for under the renaming `m`,
+    re-threaded from (ctx, delta): its lets keep their recorded typings,
+    renamed by `m`."""
     if isinstance(b, GLet):
-        return _synth(ctx, delta, b, regime, record, rename=(m, _ALL))[:2]
+        return (yield _synth(ctx, delta, b, regime, record,
+                             rename=(m, _ALL)))[:2]
     if isinstance(b, NLam):
-        body = _synth(lam_body_ctx(ctx, b, tb.qt.qual), points_to(b.param),
-                      b.body, regime, record, rename=(m, _ALL))
+        body = yield _synth(lam_body_ctx(ctx, b, tb.qt.qual),
+                            points_to(b.param), b.body, regime, record,
+                            rename=(m, _ALL))
         return NLam(b.param, b.param_qt, b.latent, *body[:2]), EMPTY_DEP
     return b, dep_restrict(delta, foot, regime)
 
@@ -544,36 +554,39 @@ def _binder_tail(ctx, tail, tb, qual):
 
 
 def _synth_binding(ctx, delta, b, regime, record):
-    """Returns (annotated-binding, binding-dep, typing); the dep is None
-    for a graph node, whose dependency is Δ restricted to its effect. An
-    alias is typed by the name rule: as a spine of no lets, its output
-    is empty."""
+    """(annotated-binding, binding-dep, typing), or the walk whose result
+    it is; the dep is None for a graph node, whose dependency is Δ
+    restricted to its effect. An alias is typed by the name rule: as a
+    spine of no lets, its output is empty."""
     if isinstance(b, GName):
         return b, EMPTY_DEP, name_typing(ctx, b.name)
-    if isinstance(b, GLet):
-        b2, out, _slice, typing = _synth(ctx, delta, b, regime, record)
-        return b2, out, typing
-    if isinstance(b, NLam):
-        body = []
-
-        def synth_body(ctx2, g):
-            # every last use in the body points at the parameter
-            body2, body_out, slice_, tbody = _synth(
-                ctx2, points_to(b.param), g, regime, record)
-            if (record is None and b.body_dep is not None
-                    and not dep_submap(b.body_dep, slice_)):
-                raise DepMismatch(
-                    f"latent annotation {b.body_dep!r} exceeds required "
-                    f"{slice_!r}", node=b.param, annotated=b.body_dep,
-                    required=slice_)
-            body.extend((body2, body_out))
-            return tbody
-
-        # the lambda rule checks capture and latent before the body
-        typing = check_lam(ctx, b, graph_free_names(b), synth_body)
-        annotated = NLam(b.param, b.param_qt, b.latent, *body)
-        return annotated, EMPTY_DEP, typing
+    if isinstance(b, (GLet, NLam)):
+        return _synth_nested(ctx, delta, b, regime, record)
     return b, None, check_binding(ctx, b)
+
+
+def _synth_nested(ctx, delta, b, regime, record):
+    if isinstance(b, GLet):
+        b2, out, _slice, typing = yield _synth(ctx, delta, b, regime, record)
+        return b2, out, typing
+    body = []
+
+    def synth_body(ctx2, g):
+        # every last use in the body points at the parameter
+        body2, body_out, slice_, tbody = yield _synth(
+            ctx2, points_to(b.param), g, regime, record)
+        if (record is None and b.body_dep is not None
+                and not dep_submap(b.body_dep, slice_)):
+            raise DepMismatch(
+                f"latent annotation {b.body_dep!r} exceeds required "
+                f"{slice_!r}", node=b.param, annotated=b.body_dep,
+                required=slice_)
+        body.extend((body2, body_out))
+        return tbody
+
+    # the lambda rule checks capture and latent before the body
+    typing = yield check_lam(ctx, b, graph_free_names(b), synth_body)
+    return NLam(b.param, b.param_qt, b.latent, *body), EMPTY_DEP, typing
 
 
 def check_deps(st: SynthState, g: GraphTerm) -> Typing:
@@ -581,7 +594,7 @@ def check_deps(st: SynthState, g: GraphTerm) -> Typing:
     (a missing one always checks): synthesize `g`, which compares each
     annotation it carries with the slice synthesized at its position.
     Returns the term's typing."""
-    return _synth(st.ctx, st.last_use, g, st.regime, None)[3]
+    return descend(_synth(st.ctx, st.last_use, g, st.regime, None))[3]
 
 
 def erase(g):

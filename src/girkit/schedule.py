@@ -14,8 +14,8 @@ from heapq import heappop, heappush
 
 from .core import (
     CyclicDependency, GLet, GName, Name, NameSupply, NCst, NLam,
-    RuntimeConfig, UnboundName, const_text, effect_to_text, node_operator,
-    qt_free_names, qt_to_text, rename_effect, rename_qt, spine,
+    RuntimeConfig, UnboundName, const_text, descend, effect_to_text,
+    node_operator, qt_free_names, qt_to_text, rename_effect, rename_qt, spine,
 )
 
 HOT = 100.0
@@ -100,22 +100,23 @@ def flatten(g) -> SGraph:
         soft = {resolve(t) for s in d.soft.values() for t in s}
         return tuple(hard), tuple(soft - hard)
 
-    def go(g) -> Name:
-        """Flatten a block, returning its (resolved) result symbol."""
+    def go(g):
+        """Flatten a block: a walk (see `core.descend`) whose result is its
+        (resolved) result symbol."""
         lets, g = spine(g)
         for u in lets:
             var, b, d = u.var, u.binding, u.dep
             if isinstance(b, GName):
                 env[var] = resolve(b.name)
             elif isinstance(b, GLet):
-                env[var] = go(b)
+                env[var] = yield go(b)
             else:
                 hard, soft = dep_targets(d)
                 if isinstance(b, NCst):
                     nodes[var] = SNode(var, "cst", (), hard, soft,
                                        lit=b.value)
                 elif isinstance(b, NLam):
-                    r = go(b.body)
+                    r = yield go(b.body)
                     # annotations may mention spliced alias names; print
                     # them under the same resolution as the node symbols
                     named = ((b.latent.flat | qt_free_names(b.param_qt))
@@ -136,7 +137,7 @@ def flatten(g) -> SGraph:
             raise TypeError(g)
         return resolve(g.name)
 
-    res = go(g)
+    res = descend(go(g))
     return SGraph(nodes, res)
 
 
@@ -197,6 +198,8 @@ class _Deps:
             for a in node.body_res:
                 if 0 <= (j := idx.get(a, -1)) < nn:
                     data.add(j)
+                elif j >= nn:       # a scope whose result is a parameter
+                    pa.append(j)
             data = tuple(data)
             data = data_of[i] = both[i] = ids if data == ids else data
             if node.hard or node.soft:

@@ -13,8 +13,8 @@ from .core import (
     App, Assign, BASE_TYPES, BaseTy, Cst, Deref, EffectEscape, FunTy, Lam,
     Let, Name, Nm, OverlapViolation, PURE, Qualifier, QualifiedType,
     QualifierEscape, RefNew, RefTy, RwEffect, Span, Term, Ty, TypeMismatch,
-    TypingContext, TY_ALLOC, TY_UNIT, UnboundName, const_key, overlap,
-    qual_repr, record, rename_effect, rename_qt, saturate, spine,
+    TypingContext, TY_ALLOC, TY_UNIT, UnboundName, const_key, descend,
+    overlap, qual_repr, record, rename_effect, rename_qt, saturate, spine,
     subst_qual, term_free_names, ty_free_names,
 )
 
@@ -116,23 +116,28 @@ def bound_name_typing(n: Name, qt: QualifiedType) -> Typing:
 
 def infer_direct(ctx: TypingContext, t: Term) -> Typing:
     """Infer the minimal qualified type and effect of a direct-style term."""
-    span = getattr(t, "span", None)
+    return descend(_infer(ctx, t))
 
+
+def _infer(ctx: TypingContext, t: Term):
+    """`infer_direct`'s walk (see `core.descend`)."""
     if isinstance(t, Cst):
         return _BASE_TYPING[const_key(t.value)[0]]
-
     if isinstance(t, Nm):
-        return name_typing(ctx, t.name, span)
-
+        return name_typing(ctx, t.name, t.span)
     if isinstance(t, Lam):
-        return check_lam(ctx, t, term_free_names(t), infer_direct, span)
+        return check_lam(ctx, t, term_free_names(t), _infer, t.span)
+    return _infer_nested(ctx, t)
 
+
+def _infer_nested(ctx: TypingContext, t: Term):
+    span = getattr(t, "span", None)
     if isinstance(t, App):
-        fn = infer_direct(ctx, t.fn)
+        fn = yield _infer(ctx, t.fn)
         if not isinstance(fn.qt.ty, FunTy):
             raise TypeMismatch(f"applied non-function {fn.qt!r}", span=span)
         f = fn.qt.ty
-        arg = infer_direct(ctx, t.arg)
+        arg = yield _infer(ctx, t.arg)
         if not ty_subtype(ctx, arg.qt.ty, f.param_qt.ty):
             raise TypeMismatch(
                 f"argument type {arg.qt.ty!r} does not match domain "
@@ -166,12 +171,12 @@ def infer_direct(ctx: TypingContext, t: Term) -> Typing:
             QualifiedType(f.result_qt.ty, res_qual), eff))
 
     if isinstance(t, RefNew):
-        cap = infer_direct(ctx, t.cap)
+        cap = yield _infer(ctx, t.cap)
         if cap.qt.ty != TY_ALLOC:
             raise TypeMismatch(
                 f"ref needs the allocation capability, got {cap.qt.ty!r}",
                 span=span)
-        init = infer_direct(ctx, t.init)
+        init = yield _infer(ctx, t.init)
         if not isinstance(init.qt.ty, BaseTy) or init.qt.ty.name == "Alloc":
             raise TypeMismatch(
                 f"references hold base values, got {init.qt.ty!r}", span=span)
@@ -184,7 +189,7 @@ def infer_direct(ctx: TypingContext, t: Term) -> Typing:
             QualifiedType(RefTy(init.qt.ty)), eff))
 
     if isinstance(t, Deref):
-        ref = infer_direct(ctx, t.ref)
+        ref = yield _infer(ctx, t.ref)
         if not isinstance(ref.qt.ty, RefTy):
             raise TypeMismatch(f"dereferenced non-reference {ref.qt.ty!r}",
                                span=span)
@@ -193,11 +198,11 @@ def infer_direct(ctx: TypingContext, t: Term) -> Typing:
             QualifiedType(ref.qt.ty.payload), eff))
 
     if isinstance(t, Assign):
-        ref = infer_direct(ctx, t.ref)
+        ref = yield _infer(ctx, t.ref)
         if not isinstance(ref.qt.ty, RefTy):
             raise TypeMismatch(f"assigned non-reference {ref.qt.ty!r}",
                                span=span)
-        val = infer_direct(ctx, t.value)
+        val = yield _infer(ctx, t.value)
         if val.qt.ty != ref.qt.ty.payload:
             raise TypeMismatch(
                 f"assignment payload {val.qt.ty!r} vs cell {ref.qt.ty!r}",
@@ -213,10 +218,10 @@ def infer_direct(ctx: TypingContext, t: Term) -> Typing:
         lets, t = spine(t)
         frames = []
         for u in lets:
-            bound = infer_direct(ctx, u.bound)
+            bound = yield _infer(ctx, u.bound)
             frames.append((ctx, u, bound))
             ctx = bind_let(ctx, u.var, bound)
-        typing = infer_direct(ctx, t)
+        typing = yield _infer(ctx, t)
         for ctx, u, bound in reversed(frames):
             typing = _observable(ctx, u, let_typing(u.var, bound, typing,
                                                     u.span))
@@ -289,9 +294,10 @@ def lam_body_ctx(ctx: TypingContext, lam, fun_q: Qualifier) -> TypingContext:
 
 def check_lam(ctx: TypingContext, lam, free: frozenset,
               check_body: Callable, span: Span | None = None) -> Typing:
-    """The lambda rule for a `Lam` or an `NLam` with free names `free`: the
-    closure is qualified by what it captures, which must be observable;
-    the declared latent effect must cover the body's effect, which
+    """The lambda rule for a `Lam` or an `NLam` with free names `free`, as
+    a step of a walk (see `core.descend`): the closure is qualified by
+    what it captures, which must be observable; the declared latent
+    effect must cover the body's effect, which the walk
     `check_body(ctx, body)` infers. `free` includes the latent effect's
     names other than the parameter, so the latent effect stays within the
     body's observation."""
@@ -299,7 +305,7 @@ def check_lam(ctx: TypingContext, lam, free: frozenset,
         raise QualifierEscape(
             f"closure captures {qual_repr(free - ctx.phi)} outside "
             f"observation", span=span, qual=free, phi=ctx.phi)
-    body = check_body(lam_body_ctx(ctx, lam, free), lam.body)
+    body = yield check_body(lam_body_ctx(ctx, lam, free), lam.body)
     if not body.eff.included_in(lam.latent):
         raise EffectEscape(
             f"body effect {body.eff!r} not covered by declared latent "

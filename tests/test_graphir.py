@@ -434,19 +434,23 @@ class TestLambdaBodyTypedOnce:
         checks it, not once more through `check_mnf` for every lambda
         around it."""
         mnf = importlib.import_module("girkit.mnf")
-        calls = [0]
+        check_block, calls = mnf._check_mnf, [0]
 
         def counting(ctx, g):
             calls[0] += 1
-            return check_mnf(ctx, g)
+            return check_block(ctx, g)
 
         store, t, _ = _front_end(self.PROGRAM)
         g = to_mnf(t, store.supply)
-        monkeypatch.setattr(mnf, "check_mnf", counting)
+        # `check_mnf` types each block, a lambda body's included, through
+        # mnf's `_check_mnf`, looked up in its module globals
+        monkeypatch.setattr(mnf, "_check_mnf", counting)
         cfg = synthesize_config(store, g, regime)
         st_, _ = initial_state(cfg.store, cfg.z, regime)
         check_deps(st_, cfg.graph)
         assert calls[0] == 0
+        check_mnf(store.typing(), g)  # the hook sees each of them:
+        assert calls[0] == 8  # the program's block and the 7 nested in it
 
     def test_synthesis_records_each_binding_typing(self):
         store, t, _ = _front_end(self.PROGRAM)

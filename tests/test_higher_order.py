@@ -6,6 +6,8 @@ import importlib
 import random
 import sys
 import threading
+from collections import Counter
+from types import GeneratorType
 
 import pytest
 
@@ -13,7 +15,10 @@ from girkit import typecheck
 from girkit.cli import (
     _build_config, _front_end, export_json, import_json, main, parse,
 )
-from girkit.core import GLet, HARD, NLam, RW, initial_store, term_to_text
+from girkit.core import (
+    App, Assign, Deref, GLet, HARD, Lam, Let, NLam, RefNew, RW, initial_store,
+    term_to_text,
+)
 from girkit.graphir import synthesize_config
 from girkit.interp import canonical_value, eval_store
 from girkit.mnf import check_mnf, to_mnf
@@ -196,14 +201,23 @@ class TestOmittedChecksStayImplied:
                 synthesize_config(store, g, regime)
 
     def test_inferred_qualifiers_lie_in_the_observation(self, monkeypatch):
-        infer, name_typing = typecheck.infer_direct, typecheck.name_typing
-        seen = []
+        infer, name_typing = typecheck._infer, typecheck.name_typing
+        seen, kinds = [], Counter()
 
-        def checked(ctx, t):
-            typing = infer(ctx, t)
+        def check(ctx, t, typing):
             assert typing.qt.qual <= ctx.phi, (t, typing)
             seen.append(typing)
+            kinds[type(t)] += 1
             return typing
+
+        def checked(ctx, t):
+            walk = infer(ctx, t)
+            if type(walk) is not GeneratorType:  # an atom's typing
+                return check(ctx, t, walk)
+            return checked_walk(ctx, t, walk)
+
+        def checked_walk(ctx, t, walk):
+            return check(ctx, t, (yield from walk))
 
         def checked_name(ctx, n, span=None):
             typing = name_typing(ctx, n, span)
@@ -211,16 +225,20 @@ class TestOmittedChecksStayImplied:
             seen.append(typing)
             return typing
 
-        # typecheck's own recursive calls go through its module globals;
-        # graphs type their alias bindings and tails by the name rule
+        # `infer_direct` types a term and each of its subterms through
+        # typecheck's `_infer`, looked up in its module globals, also when
+        # mnf types a node; graphs type their alias bindings and tails by
+        # the name rule
+        monkeypatch.setattr(typecheck, "_infer", checked)
         for module in ("typecheck", "mnf", "graphir"):
-            m = importlib.import_module(f"girkit.{module}")
-            if module != "graphir":
-                monkeypatch.setattr(m, "infer_direct", checked)
-            monkeypatch.setattr(m, "name_typing", checked_name)
+            monkeypatch.setattr(importlib.import_module(f"girkit.{module}"),
+                                "name_typing", checked_name)
         self.typed_everywhere()
         assert len(seen) > 10_000
         assert sum(bool(t.qt.qual) for t in seen) > 1000
+        # compound subterms are checked too, not only names and nodes
+        compound = (Lam, App, RefNew, Deref, Assign, Let)
+        assert all(kinds[k] > 500 for k in compound), kinds
 
     def test_lambda_rule_callers_pass_the_latent_names(self, monkeypatch):
         check_lam = typecheck.check_lam

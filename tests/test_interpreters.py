@@ -40,7 +40,11 @@ def test_package_imports(version, tmp_path):
     writes a field of one (slotted frozen dataclasses differ across
     versions), runs the program through `gir run` on the direct, store
     and graph semantics, and schedules a program with a reader closure
-    and an alias operand as `gir schedule --regime rw --freq --compact`."""
+    and an alias operand as `gir schedule --regime rw --freq --compact`.
+    Last, on the main thread at the default recursion limit, it types,
+    translates, synthesizes, schedules and emits 1,100 nested lambdas
+    and 3,000 lets nested in bound position, built without the parser:
+    no walk after it takes a Python frame per nesting level."""
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     # a pyenv shim only runs the version it is asked for; other launchers
     # ignore the variable
@@ -73,7 +77,9 @@ def test_package_imports(version, tmp_path):
                          "let f_11 = fun (p_3: Int^{}) =>{rd{r_9} wr{}} (",
                          "  !r_9",
                          ") in",
-                         "f_11 2"], p.stdout
+                         "f_11 2",
+                         "1100 True FunTy 1100", "3000 True BaseTy 7"
+                         ], p.stdout
 
 
 # sha256 of the nested program's annotated graph JSON, hard then rw
@@ -162,6 +168,22 @@ for semantics in ("direct", "store", "graph"):
         sys.exit("gir run --semantics %s failed" % semantics)
 if main(["schedule", sys.argv[2], "--regime", "rw", "--freq", "--compact"]):
     sys.exit("gir schedule failed")
+from girkit.core import Lam, Let, Nm, PURE
+from girkit.schedule import emit, flatten_config, schedule
+from girkit.typecheck import infer_direct
+for n, kind in ((1100, Lam), (3000, Let)):
+    store = initial_store()
+    xs = [store.supply.var("x") for _ in range(n + 1)]
+    t = Nm(xs[1] if kind is Lam else xs[0])
+    for x in reversed(xs[1:]):
+        t = Lam(x, qt, PURE, t) if kind is Lam else Let(x, t, Nm(x))
+    if kind is Let:
+        t = Let(xs[0], Cst(7), t)
+    ty = infer_direct(store.typing(), t).qt.ty
+    cfg = synthesize_config(store, to_mnf(t, store.supply))
+    text = emit(schedule(flatten_config(cfg), True, True))
+    print(n, sys.getrecursionlimit() < n, ty.__class__.__name__,
+          text.count("fun (") if kind is Lam else text)
 """
 
 

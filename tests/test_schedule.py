@@ -310,6 +310,15 @@ class TestSemanticPreservation:
                 out = emit(schedule(flatten_config(cfg), **opts))
                 assert run_text(out) == want, (seed, regime)
 
+    def test_a_lambda_returning_an_outer_parameter_stays_in_its_scope(self):
+        """The inner lambda's body is only the outer parameter, so no node
+        of it pins it there: its result must."""
+        src = ("(fun (x: Int^{}) =>{rd{} wr{}} fun (y: Int^{}) =>{rd{} "
+               "wr{}} x) 1 2")
+        for opts in ({}, {"freq": True, "compact": True}):
+            out = emitted(src, **opts)
+            assert run_text(out) == run_text(src) == ("cst", "Int", 1)
+
     def test_reparse_and_reschedule_is_a_fixpoint(self):
         out1 = emitted(RW_AFTER_WRITE_SRC, RW)
         out2 = emit(schedule(flatten_config(_build_config(out1, RW))))
